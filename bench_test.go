@@ -321,8 +321,7 @@ func BenchmarkE13_MarkedPriority(b *testing.B) {
 }
 
 // BenchmarkNetworkStep measures the per-cycle cost of the network
-// pipeline, on the serial stepping path and on the deterministic
-// parallel engine, across load levels:
+// pipeline across load levels:
 //
 //   - low: ~nodes/32 messages in flight — the active-set regime, where
 //     per-cycle cost should track live work, not topology size
@@ -331,33 +330,31 @@ func BenchmarkE13_MarkedPriority(b *testing.B) {
 //   - saturating: ~2 messages per node — every VC busy, the regime the
 //     pre-arena benchmarks measured
 //
-// The parallel engine produces bit-identical statistics, so the only
-// question is wall-clock: on a single-core machine it measures pure
-// coordination overhead. Injection is refilled outside the timer so
-// the measured loop is Step() alone.
+// Injection is refilled outside the timer so the measured loop is
+// Step() alone. The sub-benchmark names keep their "/serial" suffix so
+// the committed BENCH_*.json baselines still match.
 func BenchmarkNetworkStep(b *testing.B) {
 	cases := []struct {
-		name    string
-		loads   []string
-		workers []int
-		make    func() (topology.Graph, routing.Algorithm)
+		name  string
+		loads []string
+		make  func() (topology.Graph, routing.Algorithm)
 	}{
-		{"mesh16x16", []string{"low", "moderate", "saturating"}, []int{0, 2},
+		{"mesh16x16", []string{"low", "moderate", "saturating"},
 			func() (topology.Graph, routing.Algorithm) {
 				m := topology.NewMesh(16, 16)
 				return m, routing.NewNAFTA(m)
 			}},
-		{"mesh64x64", []string{"low", "moderate"}, []int{0, 2},
+		{"mesh64x64", []string{"low", "moderate"},
 			func() (topology.Graph, routing.Algorithm) {
 				m := topology.NewMesh(64, 64)
 				return m, routing.NewNAFTA(m)
 			}},
-		{"cube10", []string{"saturating"}, []int{0, 2},
+		{"cube10", []string{"saturating"},
 			func() (topology.Graph, routing.Algorithm) {
 				h := topology.NewHypercube(10)
 				return h, routing.NewECube(h)
 			}},
-		{"cube14", []string{"low", "moderate"}, []int{0},
+		{"cube14", []string{"low", "moderate"},
 			func() (topology.Graph, routing.Algorithm) {
 				h := topology.NewHypercube(14)
 				return h, routing.NewECube(h)
@@ -379,46 +376,36 @@ func BenchmarkNetworkStep(b *testing.B) {
 	}
 	for _, c := range cases {
 		for _, load := range c.loads {
-			for _, workers := range c.workers {
-				name := fmt.Sprintf("%s/%s/serial", c.name, load)
-				if workers > 0 {
-					name = fmt.Sprintf("%s/%s/workers%d", c.name, load, workers)
+			b.Run(fmt.Sprintf("%s/%s/serial", c.name, load), func(b *testing.B) {
+				g, alg := c.make()
+				n := network.New(network.Config{Graph: g, Algorithm: alg})
+				want := target(load, g.Nodes())
+				rng := rand.New(rand.NewSource(1))
+				refill := func() {
+					for n.Queued()+n.InFlight() < want {
+						src := topology.NodeID(rng.Intn(g.Nodes()))
+						dst := topology.NodeID(rng.Intn(g.Nodes()))
+						if src != dst {
+							n.Inject(src, dst, 8)
+						}
+					}
 				}
-				b.Run(name, func(b *testing.B) {
-					g, alg := c.make()
-					n := network.New(network.Config{Graph: g, Algorithm: alg, Workers: workers})
-					defer n.Close()
-					if workers >= 2 && !n.ParallelActive() {
-						b.Fatalf("parallel engine inactive: %s", n.ParallelReason())
+				refill()
+				for i := 0; i < 100; i++ {
+					n.Step() // warm scratch buffers and fill the pipeline
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if n.Queued()+n.InFlight() < want/2 {
+						b.StopTimer()
+						refill()
+						b.StartTimer()
 					}
-					want := target(load, g.Nodes())
-					rng := rand.New(rand.NewSource(1))
-					refill := func() {
-						for n.Queued()+n.InFlight() < want {
-							src := topology.NodeID(rng.Intn(g.Nodes()))
-							dst := topology.NodeID(rng.Intn(g.Nodes()))
-							if src != dst {
-								n.Inject(src, dst, 8)
-							}
-						}
-					}
-					refill()
-					for i := 0; i < 100; i++ {
-						n.Step() // warm scratch buffers and fill the pipeline
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if n.Queued()+n.InFlight() < want/2 {
-							b.StopTimer()
-							refill()
-							b.StartTimer()
-						}
-						n.Step()
-					}
-					b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
-				})
-			}
+					n.Step()
+				}
+				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
+			})
 		}
 	}
 }

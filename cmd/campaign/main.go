@@ -27,7 +27,6 @@ import (
 	"strings"
 
 	"repro/internal/campaign"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -44,8 +43,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	scenarios := fs.Int("scenarios", 100, "number of scenarios to generate")
 	seed := fs.Int64("seed", 1, "campaign seed (scenario generation)")
 	workers := fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-	stepWorkers := fs.Int("step-workers", 0,
-		"parallel stepping shards inside each simulation (0/1 = serial; statistics are identical)")
 	shrink := fs.Bool("shrink", true, "delta-debug violating scenarios to a minimal reproduction")
 	differential := fs.Bool("differential", true,
 		"also run the interpreted oracle path and require identical statistics")
@@ -58,17 +55,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *workers == 0 && *stepWorkers >= 2 {
-		// The two parallelism levels multiply; shrink the job pool so
-		// jobs × step shards stays at GOMAXPROCS.
-		*workers = sim.PoolSize(*stepWorkers)
-	}
 	opts := campaign.Options{
 		Algo:         *algo,
 		Scenarios:    *scenarios,
 		Seed:         *seed,
 		Workers:      *workers,
-		StepWorkers:  *stepWorkers,
 		Differential: *differential,
 		Failover:     *failover,
 		Shrink:       *shrink,

@@ -25,7 +25,6 @@
 // (node, port, VC) slots each pipeline stage ever had to visit):
 //
 //	ftsim -topo mesh64x64 -alg nafta -rate 0.02 -perf
-//	ftsim -topo mesh64x64 -alg nafta -rate 0.02 -perf -workers 2
 package main
 
 import (
@@ -67,7 +66,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	warmup := fs.Int64("warmup", 1000, "warm-up cycles")
 	measure := fs.Int64("measure", 4000, "measurement cycles")
 	decision := fs.Int("decision", 1, "cycles per rule-interpretation step")
-	workers := fs.Int("workers", 0, "parallel stepping shards per cycle (0/1 = serial; statistics are identical)")
 	traceFile := fs.String("trace", "", "write a flight-recorder event stream to this file")
 	traceFormat := fs.String("trace-format", trace.FormatJSONL,
 		"trace file format: "+trace.FormatJSONL+" or "+trace.FormatChrome)
@@ -108,7 +106,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		WarmupCycles:          *warmup,
 		MeasureCycles:         *measure,
 		DecisionCyclesPerStep: *decision,
-		Workers:               *workers,
 		LivelockAgeCycles:     *livelock,
 	}
 
@@ -181,8 +178,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		// the active-set engine actually iterates.
 		cycles := net.Now()
 		pk := net.Peaks()
-		fmt.Fprintf(stdout, "perf            %d cycles in %s (%.0f cycles/s, workers %d)\n",
-			cycles, elapsed.Round(time.Millisecond), safeDiv(float64(cycles), elapsed.Seconds()), *workers)
+		fmt.Fprintf(stdout, "perf            %d cycles in %s (%.0f cycles/s)\n",
+			cycles, elapsed.Round(time.Millisecond), safeDiv(float64(cycles), elapsed.Seconds()))
 		fmt.Fprintf(stdout, "active-set peak route=%d alloc=%d switch=%d drain=%d inject-nodes=%d\n",
 			pk.Route, pk.Alloc, pk.Switch, pk.Drain, pk.InjectNodes)
 	}

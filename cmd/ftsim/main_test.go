@@ -121,6 +121,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{[]string{"-topo", "mesh4x4", "-pattern", "nosuch"}, "valid: uniform, transpose"},
 		{[]string{"-topo", "mesh4x4", "-trace", t.TempDir() + "/x", "-trace-format", "xml"}, "jsonl"},
 		{[]string{"-no-such-flag"}, "-no-such-flag"},
+		// Removed with the parallel stepping engine: rejected, not ignored.
+		{[]string{"-topo", "mesh4x4", "-workers", "2"}, "flag provided but not defined: -workers"},
 	}
 	for _, c := range cases {
 		var out, errBuf bytes.Buffer
@@ -146,7 +148,7 @@ func TestRunPerfSummary(t *testing.T) {
 		t.Fatalf("run exited %d: %s", code, errBuf.String())
 	}
 	got := out.String()
-	for _, want := range []string{"cycles/s", "workers 0", "active-set peak", "route="} {
+	for _, want := range []string{"cycles/s", "active-set peak", "route="} {
 		if !strings.Contains(got, want) {
 			t.Errorf("perf output missing %q:\n%s", want, got)
 		}

@@ -266,12 +266,6 @@ type Options struct {
 	Seed      int64
 	// Workers bounds the sim worker pool (<=0 selects GOMAXPROCS).
 	Workers int
-	// StepWorkers forwards sim.Config.Workers: >= 2 runs every
-	// scenario's network on the deterministic parallel stepping engine
-	// with that many shard goroutines. Statistics are bit-identical to
-	// serial stepping, so the oracle battery is unchanged; combine with
-	// Workers (e.g. sim.PoolSize) to avoid oversubscription.
-	StepWorkers int
 	// Differential additionally runs every scenario with the
 	// interpreted oracle path and requires bit-identical statistics.
 	Differential bool
@@ -340,7 +334,7 @@ func (o *Outcome) Failed() bool { return len(o.Reports) > 0 }
 // buildConfig assembles the sim.Config of one scenario run. The
 // returned netSlot is filled with the run's network handle (via
 // Config.OnNetwork) so the oracle pass can inspect the final state.
-func buildConfig(s *Scenario, oracle bool, factory AlgFactory, stepWorkers int, netSlot **network.Network) (sim.Config, error) {
+func buildConfig(s *Scenario, oracle bool, factory AlgFactory, netSlot **network.Network) (sim.Config, error) {
 	g, err := s.Graph()
 	if err != nil {
 		return sim.Config{}, err
@@ -368,7 +362,6 @@ func buildConfig(s *Scenario, oracle bool, factory AlgFactory, stepWorkers int, 
 	cfg := sim.Config{
 		Graph:             g,
 		Algorithm:         alg,
-		Workers:           stepWorkers,
 		Rate:              s.Rate,
 		Length:            s.Length,
 		Seed:              s.Seed,
@@ -399,7 +392,7 @@ func buildConfig(s *Scenario, oracle bool, factory AlgFactory, stepWorkers int, 
 // with the parallel campaign driver.
 func Evaluate(s *Scenario, opts *Options) ([]Violation, *trace.Report, error) {
 	var net *network.Network
-	cfg, err := buildConfig(s, false, opts.factory(), opts.StepWorkers, &net)
+	cfg, err := buildConfig(s, false, opts.factory(), &net)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -409,10 +402,10 @@ func Evaluate(s *Scenario, opts *Options) ([]Violation, *trace.Report, error) {
 	}
 	vio := checkRun(s, &res, net)
 	if opts.Differential {
-		vio = append(vio, checkDifferential(s, &res, net, opts.factory(), opts.StepWorkers)...)
+		vio = append(vio, checkDifferential(s, &res, net, opts.factory())...)
 	}
 	if opts.Failover {
-		vio = append(vio, checkFailover(s, &res, opts.factory(), opts.StepWorkers)...)
+		vio = append(vio, checkFailover(s, &res, opts.factory())...)
 	}
 	return vio, res.PostMortem, nil
 }
@@ -574,9 +567,9 @@ func auditMessages(s *Scenario, res *sim.Result, net *network.Network) []Violati
 // checkDifferential re-runs the scenario on the interpreted oracle
 // path and requires bit-identical statistics — the fast path must be
 // an optimisation, never a behaviour change.
-func checkDifferential(s *Scenario, fast *sim.Result, fastNet *network.Network, factory AlgFactory, stepWorkers int) []Violation {
+func checkDifferential(s *Scenario, fast *sim.Result, fastNet *network.Network, factory AlgFactory) []Violation {
 	var net *network.Network
-	cfg, err := buildConfig(s, true, factory, stepWorkers, &net)
+	cfg, err := buildConfig(s, true, factory, &net)
 	if err != nil {
 		return []Violation{{Kind: "internal", Detail: err.Error()}}
 	}
@@ -650,9 +643,9 @@ func Run(opts Options) (*Outcome, error) {
 						err error
 					)
 					if k == failOff {
-						cfg, err = buildFailoverConfig(s, factory, opts.StepWorkers, &nets[idx], &planes[i])
+						cfg, err = buildFailoverConfig(s, factory, &nets[idx], &planes[i])
 					} else {
-						cfg, err = buildConfig(s, k == interpOff, factory, opts.StepWorkers, &nets[idx])
+						cfg, err = buildConfig(s, k == interpOff, factory, &nets[idx])
 					}
 					if err != nil {
 						panic(err) // surfaces as the job's error

@@ -17,7 +17,7 @@ import (
 func evaluateWithStats(t *testing.T, s *Scenario, opts *Options) ([]Violation, network.Stats) {
 	t.Helper()
 	var net *network.Network
-	cfg, err := buildConfig(s, false, opts.factory(), opts.StepWorkers, &net)
+	cfg, err := buildConfig(s, false, opts.factory(), &net)
 	if err != nil {
 		t.Fatal(err)
 	}

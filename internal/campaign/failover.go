@@ -136,9 +136,9 @@ func expectedFlips(s *Scenario, plane *failover.Plane) (flips, recomputes int64)
 // the scenario's fault states bound to it, and the plane forwarded as
 // the network's fault handler. planeSlot receives the plane for the
 // post-run counter checks.
-func buildFailoverConfig(s *Scenario, factory AlgFactory, stepWorkers int,
+func buildFailoverConfig(s *Scenario, factory AlgFactory,
 	netSlot **network.Network, planeSlot **failover.Plane) (sim.Config, error) {
-	cfg, err := buildConfig(s, false, factory, stepWorkers, netSlot)
+	cfg, err := buildConfig(s, false, factory, netSlot)
 	if err != nil {
 		return sim.Config{}, err
 	}
@@ -189,10 +189,10 @@ func checkFailoverRun(s *Scenario, fast *sim.Result, res *sim.Result,
 // checkFailover runs the scenario's failover variant sequentially (the
 // Evaluate / shrinker path; the parallel driver schedules the variant
 // as its own job instead).
-func checkFailover(s *Scenario, fast *sim.Result, factory AlgFactory, stepWorkers int) []Violation {
+func checkFailover(s *Scenario, fast *sim.Result, factory AlgFactory) []Violation {
 	var net *network.Network
 	var plane *failover.Plane
-	cfg, err := buildFailoverConfig(s, factory, stepWorkers, &net, &plane)
+	cfg, err := buildFailoverConfig(s, factory, &net, &plane)
 	if err != nil {
 		return []Violation{{Kind: "internal", Detail: err.Error()}}
 	}

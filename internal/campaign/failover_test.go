@@ -55,7 +55,7 @@ func TestCampaignFailoverExercisesFlips(t *testing.T) {
 		t.Fatalf("plain run dirty: %v", fastVio)
 	}
 	var plane *failover.Plane
-	cfg, err := buildFailoverConfig(&s, DefaultFactory, 0, nil, &plane)
+	cfg, err := buildFailoverConfig(&s, DefaultFactory, nil, &plane)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestExpectedFlipsRepeatedState(t *testing.T) {
 		Events:     []TimedFault{{Time: 200, Kind: "node", Node: 5}},
 	}
 	var plane *failover.Plane
-	cfg, err := buildFailoverConfig(&s, DefaultFactory, 0, nil, &plane)
+	cfg, err := buildFailoverConfig(&s, DefaultFactory, nil, &plane)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,9 @@ func TestEvaluateHotSwapUnderFaultSchedule(t *testing.T) {
 }
 
 // The generator must actually produce hot-swap scenarios (roughly a
-// third of each family), with every swap inside the run window.
+// third of each family), with every swap inside the run window, and
+// mid-run fault events for the mesh family — a generator regression
+// that drops them would silently hollow the campaign out.
 func TestGenerateIncludesSwaps(t *testing.T) {
 	for _, algo := range Algos {
 		opts := Options{Algo: algo, Scenarios: 30, Seed: 5}
@@ -58,8 +60,11 @@ func TestGenerateIncludesSwaps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		withSwaps := 0
+		withSwaps, withEvents := 0, 0
 		for _, s := range scens {
+			if len(s.Events) > 0 {
+				withEvents++
+			}
 			if len(s.Swaps) == 0 {
 				continue
 			}
@@ -73,6 +78,9 @@ func TestGenerateIncludesSwaps(t *testing.T) {
 		}
 		if withSwaps == 0 {
 			t.Fatalf("%s: no hot-swap scenarios among %d generated", algo, len(scens))
+		}
+		if algo == AlgoNAFTA && withEvents == 0 {
+			t.Fatalf("nafta: no mid-run fault events among %d generated", len(scens))
 		}
 	}
 }

@@ -703,20 +703,6 @@ func (cb *CompiledBase) CompileDense(layout *InputLayout) (*DenseTable, error) {
 // Params returns the number of event arguments Lookup expects.
 func (dt *DenseTable) Params() int { return len(dt.cb.params) }
 
-// Clone returns an independent lookup handle over the same compiled
-// table: the immutable parts — compiled field/atom closures, the
-// conclusion table, the folded RETURN values and the layout binding —
-// are shared, while the per-lookup scratch (the runtime register file)
-// is duplicated. Clones exist so per-worker decision contexts of the
-// parallel stepper can look up concurrently; each clone carries its
-// own invalid flag, so retiring an engine must invalidate the clones
-// it handed out alongside the original (the rule adapters track this).
-func (dt *DenseTable) Clone() *DenseTable {
-	cp := *dt
-	cp.rt = denseRT{sc: make([]int64, len(dt.rt.sc))}
-	return &cp
-}
-
 // Invalidate marks the table as retired: every further Lookup panics.
 // Online reconfiguration calls this when an engine's epoch is retired,
 // so a stale table (or a stale InputVector wired to it) from a swapped-

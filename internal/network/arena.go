@@ -34,12 +34,6 @@ import "math/bits"
 // iteration snapshots each word first) and add slots to *other* sets,
 // but never adds to the set being iterated; that property keeps the
 // snapshot iteration exact.
-//
-// Parallelism: all add/remove paths executed inside parallel compute
-// phases touch only node-owned mask words, the node's count cell and
-// the node's summary-bit word. Summary words are shared by 64
-// consecutive nodes, so shard boundaries are aligned to multiples of
-// 64 (initParallel) and no two workers ever write the same word.
 
 // layout precomputes the arena strides of a network: input VCs are
 // indexed node*inStride + port*vcs + vc with port Ports() being the
@@ -138,8 +132,7 @@ func (s *vcSet) clear() {
 	}
 }
 
-// size sums the per-node counts (peak sampling; not maintained as one
-// global counter because parallel shards would race on it).
+// size sums the per-node counts (peak sampling only, every 64 cycles).
 func (s *vcSet) size() int {
 	t := 0
 	for _, c := range s.count {
@@ -148,18 +141,12 @@ func (s *vcSet) size() int {
 	return t
 }
 
-// forEach calls fn for every member with lo <= node < hi, in ascending
-// (node, slot) order. Each summary and mask word is snapshotted before
-// scanning, so fn may remove the visited slot (or any slot of the
-// visited node) and may add members to other sets — but must not add
-// members to THIS set. For parallel callers, lo must be 64-aligned and
-// hi either 64-aligned or the total node count.
-func (s *vcSet) forEach(lo, hi int, fn func(node, slot int)) {
-	if lo >= hi {
-		return
-	}
-	for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
-		nw := s.nodeBits[wi]
+// forEach calls fn for every member, in ascending (node, slot) order.
+// Each summary and mask word is snapshotted before scanning, so fn may
+// remove the visited slot (or any slot of the visited node) and may add
+// members to other sets — but must not add members to THIS set.
+func (s *vcSet) forEach(fn func(node, slot int)) {
+	for wi, nw := range s.nodeBits {
 		for nw != 0 {
 			node := wi<<6 + bits.TrailingZeros64(nw)
 			nw &= nw - 1
@@ -176,14 +163,10 @@ func (s *vcSet) forEach(lo, hi int, fn func(node, slot int)) {
 	}
 }
 
-// forEachNode calls fn for every node with at least one member in
-// [lo, hi), ascending. Same snapshot/alignment contract as forEach.
-func (s *vcSet) forEachNode(lo, hi int, fn func(node int)) {
-	if lo >= hi {
-		return
-	}
-	for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
-		nw := s.nodeBits[wi]
+// forEachNode calls fn for every node with at least one member,
+// ascending. Same snapshot contract as forEach.
+func (s *vcSet) forEachNode(fn func(node int)) {
+	for wi, nw := range s.nodeBits {
 		for nw != 0 {
 			node := wi<<6 + bits.TrailingZeros64(nw)
 			nw &= nw - 1
@@ -280,9 +263,9 @@ type ActiveSetPeaks struct {
 // built.
 func (n *Network) Peaks() ActiveSetPeaks { return n.peaks }
 
-// samplePeaks updates the peak gauges (called from the serial step
-// epilogue every 64 cycles; summation over the per-node counts keeps
-// the hot path free of a shared size counter).
+// samplePeaks updates the peak gauges (called from Step every 64
+// cycles; summation over the per-node counts keeps the hot path free of
+// a size counter).
 func (n *Network) samplePeaks() {
 	if v := n.routeSet.size(); v > n.peaks.Route {
 		n.peaks.Route = v

@@ -67,17 +67,20 @@ type Config struct {
 	// wrap the same engine instance the network routes on (the failover
 	// plane bound to the network's reconfig swapper does exactly that).
 	Failover FaultHandler
-	// Workers, when >= 2, steps the network on the deterministic
-	// parallel engine: routers are sharded across a persistent worker
-	// pool, every pipeline stage runs as a parallel compute phase over
-	// the shards, and all cross-router effects commit single-threaded
-	// in router-ID order — Stats and trace-event content are
-	// bit-identical to a serial run. 0 or 1 keeps today's serial
-	// stepping path. Parallel stepping silently falls back to serial
-	// when the algorithm or selector cannot decide concurrently (see
-	// ParallelReason).
+
+	// Compatibility block: Workers, ParallelActive and Close are kept for
+	// bench/, which this PR may not edit; remove together with
+	// network.par_step_ratio's second pass in the next benchmark PR. No
+	// other package may use them. Workers is accepted and ignored: there
+	// is one stepping path.
 	Workers int
 }
+
+// ParallelActive always reports false (compatibility block).
+func (n *Network) ParallelActive() bool { return false }
+
+// Close is a no-op (compatibility block).
+func (n *Network) Close() {}
 
 // Stats aggregates network-level results.
 type Stats struct {
@@ -223,11 +226,6 @@ type Network struct {
 	freeScratch []routing.Candidate
 	nomScratch  [][]nominee
 	moveScratch []send
-	// par is the deterministic parallel stepping engine (nil when
-	// Config.Workers <= 1 or the engine/selector forced the serial
-	// fallback; parReason says why).
-	par       *stepEngine
-	parReason string
 }
 
 // nominee is one (input port, input VC) requesting an output port in
@@ -341,7 +339,6 @@ func New(cfg Config) *Network {
 		n.rec.SetClock(n.Now)
 	}
 	n.attachReconfig(cfg.Algorithm)
-	n.initParallel()
 	return n
 }
 
@@ -419,17 +416,6 @@ var _ routing.LoadView = (*Network)(nil)
 
 // Step advances the simulation by one cycle.
 func (n *Network) Step() {
-	if n.par != nil {
-		n.stepParallel()
-		return
-	}
-	n.stepSerial()
-}
-
-// stepSerial is the single-threaded stepping path — byte-for-byte the
-// pre-parallel Step; the parallel engine's differential tests treat it
-// as the oracle.
-func (n *Network) stepSerial() {
 	n.deliverCredits()
 	n.injectStage()
 	n.routeStage()
@@ -515,7 +501,7 @@ func (n *Network) injectStage() {
 // routeStage performs RC for every input VC whose front flit is an
 // unrouted head — exactly the routeSet membership.
 func (n *Network) routeStage() {
-	n.routeSet.forEach(0, n.lay.nodes, func(node, slot int) {
+	n.routeSet.forEach(func(node, slot int) {
 		if n.faults.NodeFaulty(topology.NodeID(node)) {
 			return
 		}
@@ -569,10 +555,9 @@ func (n *Network) requestFor(node, p, v int, m *Message) routing.Request {
 func (n *Network) allocStage() {
 	// Credit-gated regimes (routing.CreditGatedVA) must not commit a
 	// head to an output VC with no downstream credit: their escape
-	// argument needs blocked heads to keep re-arbitrating. Credits are
-	// only mutated in the serial phases, so the read is stable here.
+	// argument needs blocked heads to keep re-arbitrating.
 	needCredit := routing.AllocNeedsCredit(n.alg)
-	n.vaSet.forEach(0, n.lay.nodes, func(node, slot int) {
+	n.vaSet.forEach(func(node, slot int) {
 		if n.faults.NodeFaulty(topology.NodeID(node)) {
 			return
 		}
@@ -621,22 +606,21 @@ func (n *Network) switchStage() []send {
 	if n.nomScratch == nil {
 		n.nomScratch = make([][]nominee, n.g.Ports())
 	}
-	n.saSet.forEachNode(0, n.lay.nodes, func(node int) {
+	n.saSet.forEachNode(func(node int) {
 		if n.faults.NodeFaulty(topology.NodeID(node)) {
 			return
 		}
-		moves = n.switchNode(node, n.nomScratch, moves, nil)
+		moves = n.switchNode(node, moves)
 	})
 	n.moveScratch = moves
 	return moves
 }
 
 // switchNode runs nomination and grant for one active router,
-// appending the granted movements to moves. Blocked events are
-// recorded directly when ops is nil (serial stepping) or deferred into
-// *ops (parallel shards).
-func (n *Network) switchNode(node int, nomineesByOut [][]nominee, moves []send, ops *[]deferredOp) []send {
+// appending the granted movements to moves.
+func (n *Network) switchNode(node int, moves []send) []send {
 	lay := &n.lay
+	nomineesByOut := n.nomScratch
 	inBase := node * lay.inStride
 	outBase := node * lay.outStride
 	rrBase := node * lay.inPorts
@@ -676,14 +660,9 @@ func (n *Network) switchNode(node int, nomineesByOut [][]nominee, moves []send, 
 			if out.credits <= 0 {
 				if n.rec != nil && !ivc.blockedNoted {
 					ivc.blockedNoted = true
-					ev := trace.Event{Cycle: n.now, Kind: trace.KFlitBlocked,
+					n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KFlitBlocked,
 						Node: int32(node), Msg: ivc.curMsg.ID,
-						Port: int16(ivc.outPort), VC: int16(ivc.outVC)}
-					if ops == nil {
-						n.rec.Record(ev)
-					} else {
-						*ops = append(*ops, deferredOp{kind: opEvent, ev: ev})
-					}
+						Port: int16(ivc.outPort), VC: int16(ivc.outVC)})
 				}
 				continue
 			}
@@ -814,7 +793,7 @@ func (n *Network) deliverCredits() {
 // gated live on decisionReady. It reports whether anything drained.
 func (n *Network) drainStage() bool {
 	progress := false
-	n.drainSet.forEach(0, n.lay.nodes, func(node, slot int) {
+	n.drainSet.forEach(func(node, slot int) {
 		if n.faults.NodeFaulty(topology.NodeID(node)) {
 			return
 		}

@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/routing"
+	"repro/internal/rulesets"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // stepChecked advances the network and validates invariants.
@@ -653,5 +655,106 @@ func TestKilledMidEjectionBacksOutDeliveredFlits(t *testing.T) {
 	}
 	if st.Killed != 1 || st.Delivered != 0 {
 		t.Fatalf("stats = %+v, want exactly one killed message", st)
+	}
+}
+
+// TestStepNoAllocsSteadyStateBigTopologies extends the steady-state
+// zero-alloc guarantee to the large-cluster regime: the arena layout
+// pools every flit buffer at construction, so neither a 64x64 mesh nor
+// a 14-cube step may touch the heap once warm.
+func TestStepNoAllocsSteadyStateBigTopologies(t *testing.T) {
+	mesh := topology.NewMesh(64, 64)
+	cube := topology.NewHypercube(14)
+	cases := []struct {
+		name string
+		g    topology.Graph
+		alg  routing.Algorithm
+	}{
+		{"mesh64x64/serial", mesh, routing.NewNAFTA(mesh)},
+		{"cube14/serial", cube, routing.NewECube(cube)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			n := New(Config{Graph: c.g, Algorithm: c.alg})
+			rng := rand.New(rand.NewSource(9))
+			for i := 0; i < c.g.Nodes(); i++ {
+				src := topology.NodeID(rng.Intn(c.g.Nodes()))
+				dst := topology.NodeID(rng.Intn(c.g.Nodes()))
+				if src != dst {
+					n.Inject(src, dst, 16)
+				}
+			}
+			n.Run(60) // warm every scratch buffer
+			avg := testing.AllocsPerRun(50, func() { n.Step() })
+			if n.InFlight() == 0 {
+				t.Fatal("network drained during the measurement window")
+			}
+			if avg > 0.1 {
+				t.Fatalf("Step allocates %.2f objects/op in steady state, want 0", avg)
+			}
+		})
+	}
+}
+
+// TestRuleLookupCountersExact checks the rule adapters' public Lookups
+// counters against the run's own event stream. NAFTA looks its primary
+// base up once per decision and test_exception once more whenever the
+// primary selected no rule; ROUTE_C looks decide_dir up once per
+// decision and decide_vc once per candidate it returns.
+func TestRuleLookupCountersExact(t *testing.T) {
+	run := func(g topology.Graph, alg routing.Algorithm, rec *trace.Recorder) (want int64, decisions int64) {
+		n := New(Config{Graph: g, Algorithm: alg, Recorder: rec})
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 60; i++ {
+			src := topology.NodeID(rng.Intn(g.Nodes()))
+			dst := topology.NodeID(rng.Intn(g.Nodes()))
+			if src != dst {
+				n.Inject(src, dst, 4)
+			}
+			n.Step()
+		}
+		if !n.Drain(20000) {
+			t.Fatal("drain failed")
+		}
+		if rec.Dropped() != 0 {
+			t.Fatalf("recorder dropped %d events (grow the rings)", rec.Dropped())
+		}
+		for _, ev := range rec.Events() {
+			if ev.Kind == trace.KRouteComputed || ev.Kind == trace.KUnroutable {
+				decisions++
+				want += 1 + int64(ev.Arg)
+			}
+		}
+		if decisions == 0 {
+			t.Fatal("run made no routing decisions")
+		}
+		return want, decisions
+	}
+
+	m := topology.NewMesh(5, 5)
+	nafta, err := rulesets.NewRuleNAFTA(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var primaryFires int64
+	nafta.OnRuleFired = func(_ topology.NodeID, base string, _ int) {
+		if base != "test_exception" {
+			primaryFires++
+		}
+	}
+	_, decisions := run(m, nafta, trace.New(m.Nodes(), 4096))
+	if want := 2*decisions - primaryFires; nafta.Lookups != want {
+		t.Fatalf("rule-nafta Lookups = %d, want %d (%d decisions, %d primary fires)",
+			nafta.Lookups, want, decisions, primaryFires)
+	}
+
+	h := topology.NewHypercube(4)
+	routec, err := rulesets.NewRuleRouteC(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := run(h, routec, trace.New(h.Nodes(), 4096))
+	if routec.Lookups != want {
+		t.Fatalf("rule-routec Lookups = %d, want %d", routec.Lookups, want)
 	}
 }

@@ -105,12 +105,6 @@ func (n *Network) Reconfigure(next routing.Algorithm, force bool) error {
 	if la, ok := next.(loadAttacher); ok {
 		la.AttachLoads(n)
 	}
-	// The shard decision contexts belong to the replaced engine;
-	// rebind them (or fall back to serial when the new engine cannot
-	// decide concurrently).
-	if n.par != nil && !n.bindShardContexts(n.par) {
-		n.disableParallel(n.parReason)
-	}
 	if n.rec != nil {
 		n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KReconfigSwap,
 			Node: -1, Msg: -1, Port: -1, VC: -1, Arg: 0})

@@ -99,6 +99,14 @@ func TestReconfigureColdSwapRules(t *testing.T) {
 	if err := n.Reconfigure(routing.NewNAFTA(m), false); err != nil {
 		t.Fatalf("cold swap on an idle network refused: %v", err)
 	}
+	// The network routes on the installed engine from here on.
+	n.Inject(0, 15, 4)
+	if !n.Drain(10000) {
+		t.Fatal("post-swap drain failed")
+	}
+	if got := n.Stats().Delivered; got != 2 {
+		t.Fatalf("delivered %d, want 2", got)
+	}
 	// NAFTA needs 2 VCs; the network was built with 2 — a 5-VC engine
 	// must be refused regardless of idleness.
 	h := topology.NewHypercube(4)

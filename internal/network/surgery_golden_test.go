@@ -25,15 +25,11 @@ import (
 // exercising every step of ApplyFaults: queued-message kill, crossing-
 // worm cut, queue filtering, output release, decision re-route and
 // credit recomputation.
-func surgeryScenario(t *testing.T, workers int) string {
+func surgeryScenario(t *testing.T) string {
 	t.Helper()
 	m := topology.NewMesh(8, 8)
 	alg := routing.NewNAFTA(m)
-	n := New(Config{Graph: m, Algorithm: alg, BufDepth: 2, Workers: workers})
-	defer n.Close()
-	if workers >= 2 && !n.ParallelActive() {
-		t.Fatalf("parallel engine inactive: %s", n.ParallelReason())
-	}
+	n := New(Config{Graph: m, Algorithm: alg, BufDepth: 2})
 
 	rng := rand.New(rand.NewSource(7))
 	for cycle := 0; cycle < 30; cycle++ {
@@ -102,20 +98,13 @@ func surgeryScenario(t *testing.T, workers int) string {
 		final.MarkedCount, final.LatencySum, final.NetLatencySum, final.MaxLatency)
 }
 
-// Pinned from the pre-arena engine; serial and parallel stepping must
-// both keep reproducing it bit-for-bit.
+// Pinned from the pre-arena engine.
 const surgeryGolden = "postKilled=11 postInFlight=70 postQueued=92 postFlitsBuffered=253 " +
 	"injected=200 delivered=189 dropped=0 killed=11 flits=1512 hops=1066 " +
 	"misroutes=13 marked=11 lat=16212 netlat=8418 maxlat=217"
 
 func TestFaultSurgeryGoldenSerial(t *testing.T) {
-	if got := surgeryScenario(t, 0); got != surgeryGolden {
-		t.Fatalf("fault-surgery end state drifted:\n got: %s\nwant: %s", got, surgeryGolden)
-	}
-}
-
-func TestFaultSurgeryGoldenParallel(t *testing.T) {
-	if got := surgeryScenario(t, 2); got != surgeryGolden {
+	if got := surgeryScenario(t); got != surgeryGolden {
 		t.Fatalf("fault-surgery end state drifted:\n got: %s\nwant: %s", got, surgeryGolden)
 	}
 }

@@ -175,10 +175,6 @@ func (m *Maze) AllocNeedsCredit() bool { return true }
 // VC0 worms survive — the adaptive maze moves carry no orientation.
 func (m *Maze) FlushOnFault(h *Header) bool { return h.MazeMode == MazeModeEscape }
 
-// ConcurrentDecisionsSafe: decisions read only fault-stable tables and
-// write nothing but the handed header (routing.ConcurrentRoutable).
-func (m *Maze) ConcurrentDecisionsSafe() {}
-
 // up reports whether the hop a->b ascends toward its component's root
 // (lower level wins, node ID breaks ties — acyclic in both phases).
 func (m *Maze) up(a, b topology.NodeID) bool {
@@ -565,11 +561,10 @@ func (m *Maze) NoteHop(req Request, chosen Candidate) {
 }
 
 var (
-	_ Algorithm          = (*Maze)(nil)
-	_ BufferedAlgorithm  = (*Maze)(nil)
-	_ ConcurrentRoutable = (*Maze)(nil)
-	_ UnreachableJudge   = (*Maze)(nil)
-	_ DeadlockRegimer    = (*Maze)(nil)
-	_ CreditGatedVA      = (*Maze)(nil)
-	_ ReconfigFlusher    = (*Maze)(nil)
+	_ Algorithm         = (*Maze)(nil)
+	_ BufferedAlgorithm = (*Maze)(nil)
+	_ UnreachableJudge  = (*Maze)(nil)
+	_ DeadlockRegimer   = (*Maze)(nil)
+	_ CreditGatedVA     = (*Maze)(nil)
+	_ ReconfigFlusher   = (*Maze)(nil)
 )

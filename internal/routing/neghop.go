@@ -2,7 +2,6 @@ package routing
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/topology"
@@ -36,15 +35,10 @@ type NegHop struct {
 	dist interface {
 		Dist(a, b topology.NodeID) int
 	}
-	// exhausted counts messages whose level budget ran out (they are
-	// dropped); atomic because Route may run concurrently on the
-	// parallel stepper. Read it via Exhausted.
-	exhausted atomic.Int64
+	// Exhausted counts routing decisions that found no admissible output
+	// because the VC level budget ran out (the message is dropped).
+	Exhausted int64
 }
-
-// Exhausted returns how many routing decisions found no admissible
-// output because the VC level budget was exhausted.
-func (n *NegHop) Exhausted() int64 { return n.exhausted.Load() }
 
 // NewNegHop builds the scheme on a bipartite topology with the given
 // number of virtual channels (the level budget). It returns an error
@@ -194,7 +188,7 @@ func (n *NegHop) RouteAppend(req Request, out []Candidate) []Candidate {
 		}
 	}
 	if len(out) == start {
-		n.exhausted.Add(1)
+		n.Exhausted++
 	}
 	return out
 }
@@ -216,14 +210,7 @@ func (n *NegHop) NoteHop(req Request, chosen Candidate) {
 	}
 }
 
-// ConcurrentDecisionsSafe marks NegHop for the deterministic parallel
-// stepper: Route/RouteAppend, Steps and NoteHop read only the colouring
-// and the fault set (both stable within a cycle), write nothing but the
-// handed message header, and count exhaustion atomically.
-func (n *NegHop) ConcurrentDecisionsSafe() {}
-
 var (
-	_ Algorithm          = (*NegHop)(nil)
-	_ BufferedAlgorithm  = (*NegHop)(nil)
-	_ ConcurrentRoutable = (*NegHop)(nil)
+	_ Algorithm         = (*NegHop)(nil)
+	_ BufferedAlgorithm = (*NegHop)(nil)
 )

@@ -253,6 +253,11 @@ func RouteInto(a Algorithm, req Request, buf []Candidate) []Candidate {
 	return append(buf, a.Route(req)...)
 }
 
+var (
+	_ BufferedAlgorithm = (*NAFTA)(nil)
+	_ BufferedAlgorithm = (*ECube)(nil)
+)
+
 // LoadView exposes the local load information a selection policy may
 // consult (buffer exploitation, as produced by the paper's Information
 // Units).
@@ -330,13 +335,8 @@ func (MinQueue) Select(v LoadView, node topology.NodeID, cands []Candidate, _ *H
 }
 
 // RoundRobin cycles through candidates per node, giving a fair,
-// load-oblivious spread (ablation policy). The per-node counters live
-// in a flat slice once PrepareNodes sized it (the network does this at
-// construction), so concurrent Select calls for distinct nodes touch
-// disjoint elements; the map only backs standalone use with node IDs
-// beyond the prepared range.
+// load-oblivious spread (ablation policy).
 type RoundRobin struct {
-	flat     []int
 	counters map[topology.NodeID]int
 }
 
@@ -347,27 +347,11 @@ func NewRoundRobin() *RoundRobin {
 
 func (r *RoundRobin) Name() string { return "roundrobin" }
 
-// PrepareNodes sizes the flat per-node counter array (ShardSafeSelector).
-func (r *RoundRobin) PrepareNodes(nodes int) {
-	if nodes > len(r.flat) {
-		flat := make([]int, nodes)
-		copy(flat, r.flat)
-		r.flat = flat
-	}
-}
-
 func (r *RoundRobin) Select(_ LoadView, node topology.NodeID, cands []Candidate, _ *Header) Candidate {
-	if int(node) < len(r.flat) {
-		i := r.flat[node] % len(cands)
-		r.flat[node]++
-		return cands[i]
-	}
 	i := r.counters[node] % len(cands)
 	r.counters[node]++
 	return cands[i]
 }
-
-var _ ShardSafeSelector = (*RoundRobin)(nil)
 
 // contains reports whether ports contains p.
 func contains(ports []int, p int) bool {

@@ -1,8 +1,6 @@
 package rulesets
 
 import (
-	"sync"
-
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/routing"
@@ -35,22 +33,16 @@ type RuleNAFTA struct {
 	loads  routing.LoadView
 	faults *fault.Set
 
-	// Fast-path state: the shared input layout, the resolved signal
-	// slots and the constant argument list are immutable after
-	// construction; every mutable per-decision piece — input vector,
-	// dense tables (each carries lookup scratch), pooled slow-path
-	// machine — lives in an exec so per-worker decision contexts can
-	// own independent copies (see NewDecisionContext).
-	layout *core.InputLayout
-	exec   naftaExec
-	slots  naftaSlots
-	args   []rules.Value // constant [invc=0], reused across decisions
-
-	// ctxMu guards ctxTables, the dense-table clones handed to decision
-	// contexts; InvalidateTables retires them together with the
-	// originals so a swapped-out engine's workers fail loudly too.
-	ctxMu     sync.Mutex
-	ctxTables []*core.DenseTable
+	// Fast-path state: the resolved signal slots and the constant
+	// argument list are immutable after construction; the flat input
+	// vector, the dense tables (each carries lookup scratch) and the
+	// pooled slow-path machine bound to the vector are per-decision
+	// scratch.
+	iv            *core.InputVector
+	ffD, ftD, exD *core.DenseTable
+	scratch       *core.Machine
+	slots         naftaSlots
+	args          []rules.Value // constant [invc=0], reused across decisions
 
 	// DisableFast forces every decision onto the interpreted reference
 	// path (the oracle the differential tests compare against).
@@ -71,20 +63,6 @@ type RuleNAFTA struct {
 type naftaSlots struct {
 	dxsign, dysign, invnet, lastdir, msglen, budget, vlight int
 	avail, avfault, misok                                   [topology.MeshPorts]int
-}
-
-// naftaExec bundles the mutable per-decision state of one execution
-// lane: the flat input vector, the dense tables (which carry lookup
-// scratch and are therefore per-lane), the pooled interpreter machine
-// bound to the vector, the lookup counter target and the optional
-// deferred rule-fire observer. The adapter itself owns one exec for
-// the serial path; each decision context owns another.
-type naftaExec struct {
-	iv            *core.InputVector
-	ffD, ftD, exD *core.DenseTable
-	scratch       *core.Machine
-	lookups       *int64
-	obs           routing.RuleObserver
 }
 
 // NAFTADecisionBases lists the rule bases the NAFTA adapter consults
@@ -131,17 +109,16 @@ func NewRuleNAFTAFromProgram(m *topology.Mesh, p *Program, tables map[string]*co
 		}
 		*b.dst = cb
 	}
-	r.layout = core.NewInputLayout(p.Checked)
-	r.exec.iv = core.NewInputVector(r.layout)
-	r.exec.scratch = core.NewMachine(p.Checked, r.exec.iv.Provider())
-	r.exec.lookups = &r.Lookups
+	layout := core.NewInputLayout(p.Checked)
+	r.iv = core.NewInputVector(layout)
+	r.scratch = core.NewMachine(p.Checked, r.iv.Provider())
 	// Dense compilation is best-effort: a nil table keeps the base on
 	// the interpreter (same decisions, just slower).
 	for _, b := range []struct {
 		cb   *core.CompiledBase
 		fast **core.DenseTable
-	}{{r.ff, &r.exec.ffD}, {r.ft, &r.exec.ftD}, {r.ex, &r.exec.exD}} {
-		if dt, err := b.cb.CompileDense(r.layout); err == nil {
+	}{{r.ff, &r.ffD}, {r.ft, &r.ftD}, {r.ex, &r.exD}} {
+		if dt, err := b.cb.CompileDense(layout); err == nil {
 			*b.fast = dt
 		}
 	}
@@ -154,18 +131,18 @@ func NewRuleNAFTAFromProgram(m *topology.Mesh, p *Program, tables map[string]*co
 		{"lastdir", &s.lastdir}, {"msglen", &s.msglen}, {"budget", &s.budget},
 		{"vlight", &s.vlight},
 	} {
-		if *e.dst, err = r.layout.SlotOf(e.name); err != nil {
+		if *e.dst, err = layout.SlotOf(e.name); err != nil {
 			return nil, err
 		}
 	}
 	for p := 0; p < topology.MeshPorts; p++ {
-		if s.avail[p], err = r.layout.SlotOf("avail", int64(p)); err != nil {
+		if s.avail[p], err = layout.SlotOf("avail", int64(p)); err != nil {
 			return nil, err
 		}
-		if s.avfault[p], err = r.layout.SlotOf("avfault", int64(p)); err != nil {
+		if s.avfault[p], err = layout.SlotOf("avfault", int64(p)); err != nil {
 			return nil, err
 		}
-		if s.misok[p], err = r.layout.SlotOf("misok", int64(p)); err != nil {
+		if s.misok[p], err = layout.SlotOf("misok", int64(p)); err != nil {
 			return nil, err
 		}
 	}
@@ -182,28 +159,22 @@ func (r *RuleNAFTA) AttachLoads(v routing.LoadView) { r.loads = v }
 // and native engines are mutually hot-swappable.
 func (r *RuleNAFTA) DeadlockRegime() string { return r.native.DeadlockRegime() }
 
-// InvalidateTables retires the adapter's dense tables — the serial
-// lane's and every clone handed to a decision context. Online
+// InvalidateTables retires the adapter's dense tables. Online
 // reconfiguration calls this when the adapter's epoch is retired; any
 // later fast-path lookup on this instance panics instead of routing on
 // a dead table generation.
 func (r *RuleNAFTA) InvalidateTables() {
-	for _, dt := range []*core.DenseTable{r.exec.ffD, r.exec.ftD, r.exec.exD} {
+	for _, dt := range []*core.DenseTable{r.ffD, r.ftD, r.exD} {
 		if dt != nil {
 			dt.Invalidate()
 		}
-	}
-	r.ctxMu.Lock()
-	defer r.ctxMu.Unlock()
-	for _, dt := range r.ctxTables {
-		dt.Invalidate()
 	}
 }
 
 // FastPathActive reports whether all three decision bases compiled to
 // the dense fast path.
 func (r *RuleNAFTA) FastPathActive() bool {
-	return r.exec.ffD != nil && r.exec.ftD != nil && r.exec.exD != nil
+	return r.ffD != nil && r.ftD != nil && r.exD != nil
 }
 
 func (r *RuleNAFTA) Name() string { return "rule-nafta" }
@@ -221,9 +192,9 @@ func (r *RuleNAFTA) UpdateFaults(f *fault.Set) {
 }
 
 // fillInputs loads the rule-program input lines of one decision into
-// the exec's flat input vector (signal slots were resolved at
-// construction — no map, no key building).
-func (r *RuleNAFTA) fillInputs(e *naftaExec, req routing.Request) {
+// the flat input vector (signal slots were resolved at construction —
+// no map, no key building).
+func (r *RuleNAFTA) fillInputs(req routing.Request) {
 	facts := r.native.PortFacts(req)
 	cx, cy := r.mesh.XY(req.Node)
 	dx, dy := r.mesh.XY(req.Hdr.Dst)
@@ -267,7 +238,7 @@ func (r *RuleNAFTA) fillInputs(e *naftaExec, req routing.Request) {
 	if msglen > 31 {
 		msglen = 31
 	}
-	iv, s := e.iv, &r.slots
+	iv, s := r.iv, &r.slots
 	iv.Begin()
 	iv.Set(s.dxsign, sign(dx-cx))
 	iv.Set(s.dysign, sign(dy-cy))
@@ -283,48 +254,33 @@ func (r *RuleNAFTA) fillInputs(e *naftaExec, req routing.Request) {
 	}
 }
 
-// fire reports one successful rule selection: a decision context
-// defers it through its observer (replayed later in serial order), the
-// serial lane calls the adapter's hook directly.
-func (r *RuleNAFTA) fire(e *naftaExec, node topology.NodeID, base string, rule int) {
-	if e.obs != nil {
-		e.obs(r, node, base, rule)
-		return
-	}
+// fire reports one successful rule selection to the hook, if any.
+func (r *RuleNAFTA) fire(node topology.NodeID, base string, rule int) {
 	if r.OnRuleFired != nil {
 		r.OnRuleFired(node, base, rule)
 	}
 }
 
-// FireRuleObserver forwards a deferred rule-fire observation to the
-// hook currently installed (routing.RuleFirer; the parallel stepper
-// replays deferred observations through it in serial router order).
-func (r *RuleNAFTA) FireRuleObserver(node topology.NodeID, base string, rule int) {
-	if r.OnRuleFired != nil {
-		r.OnRuleFired(node, base, rule)
-	}
-}
-
-// decide runs one rule base over the exec's input vector: dense table
+// decide runs one rule base over the input vector: dense table
 // first, interpreted reference path when the fast path is unavailable
 // or the decision leaves the pure table regime. Counter and hook
 // semantics are identical on both paths: the lookup counter increments
 // once per decision, the fire hook observes exactly when a rule (not
 // the "no rule" conclusion) is selected.
-func (r *RuleNAFTA) decide(e *naftaExec, req routing.Request, cb *core.CompiledBase, dt *core.DenseTable) (int, bool) {
-	*e.lookups++
+func (r *RuleNAFTA) decide(req routing.Request, cb *core.CompiledBase, dt *core.DenseTable) (int, bool) {
+	r.Lookups++
 	if dt != nil && !r.DisableFast {
-		if idx, ok := dt.Lookup(e.iv, 0); ok {
+		if idx, ok := dt.Lookup(r.iv, 0); ok {
 			if idx >= cb.RuleCount {
 				return 0, false
 			}
-			r.fire(e, req.Node, cb.Base, idx)
+			r.fire(req.Node, cb.Base, idx)
 			if ret, rok := dt.Return(idx); rok {
 				return int(ret.I), true
 			}
 			// Conclusion needs the interpreter (no folded RETURN):
 			// fire the already-selected rule there.
-			eff, err := r.prog.Checked.FireRule(cb.Base, idx, r.args, e.scratch)
+			eff, err := r.prog.Checked.FireRule(cb.Base, idx, r.args, r.scratch)
 			if err != nil || eff.Return == nil {
 				return 0, false
 			}
@@ -333,13 +289,13 @@ func (r *RuleNAFTA) decide(e *naftaExec, req routing.Request, cb *core.CompiledB
 		// The lookup left the dense regime: repeat the whole decision
 		// on the reference path.
 	}
-	m := e.scratch
+	m := r.scratch
 	m.Reset()
 	idx, err := cb.LookupRule(r.args, m)
 	if err != nil || idx >= cb.RuleCount {
 		return 0, false
 	}
-	r.fire(e, req.Node, cb.Base, idx)
+	r.fire(req.Node, cb.Base, idx)
 	eff, err := r.prog.Checked.FireRule(cb.Base, idx, r.args, m)
 	if err != nil || eff.Return == nil {
 		return 0, false
@@ -356,88 +312,19 @@ func (r *RuleNAFTA) Route(req routing.Request) []routing.Candidate {
 
 // RouteAppend is the allocation-free form of Route (BufferedAlgorithm).
 func (r *RuleNAFTA) RouteAppend(req routing.Request, buf []routing.Candidate) []routing.Candidate {
-	return r.routeAppend(&r.exec, req, buf)
-}
-
-func (r *RuleNAFTA) routeAppend(e *naftaExec, req routing.Request, buf []routing.Candidate) []routing.Candidate {
-	r.fillInputs(e, req)
-	primary, primaryD := r.ft, e.ftD
+	r.fillInputs(req)
+	primary, primaryD := r.ft, r.ftD
 	if r.faults.Empty() {
-		primary, primaryD = r.ff, e.ffD
+		primary, primaryD = r.ff, r.ffD
 	}
-	if port, ok := r.decide(e, req, primary, primaryD); ok {
+	if port, ok := r.decide(req, primary, primaryD); ok {
 		return append(buf, routing.Candidate{Port: port, VC: r.native.VNetOf(req)})
 	}
-	if port, ok := r.decide(e, req, r.ex, e.exD); ok {
+	if port, ok := r.decide(req, r.ex, r.exD); ok {
 		return append(buf, routing.Candidate{Port: port, VC: r.native.VNetOf(req)})
 	}
 	return buf
 }
 
-// NewDecisionContext hands out one independent decision lane for a
-// parallel-stepper worker (routing.DecisionContexter): a fresh input
-// vector and interpreter machine over the shared layout and program,
-// dense-table clones with private lookup scratch, a local lookup
-// counter (flushed into Lookups from the serial commit phase) and the
-// deferred rule-fire observer. The compiled tables, the native fault
-// state and the load view stay shared — they are read-only during
-// compute phases.
-func (r *RuleNAFTA) NewDecisionContext(obs routing.RuleObserver) routing.Algorithm {
-	c := &naftaContext{parent: r}
-	c.exec = naftaExec{
-		iv:      core.NewInputVector(r.layout),
-		lookups: &c.count,
-		obs:     obs,
-	}
-	c.exec.scratch = core.NewMachine(r.prog.Checked, c.exec.iv.Provider())
-	r.ctxMu.Lock()
-	defer r.ctxMu.Unlock()
-	for _, t := range []struct {
-		src *core.DenseTable
-		dst **core.DenseTable
-	}{{r.exec.ffD, &c.exec.ffD}, {r.exec.ftD, &c.exec.ftD}, {r.exec.exD, &c.exec.exD}} {
-		if t.src != nil {
-			cl := t.src.Clone()
-			*t.dst = cl
-			r.ctxTables = append(r.ctxTables, cl)
-		}
-	}
-	return c
-}
-
-// naftaContext is one worker's decision lane over a shared RuleNAFTA.
-type naftaContext struct {
-	parent *RuleNAFTA
-	exec   naftaExec
-	count  int64
-}
-
-func (c *naftaContext) Name() string                  { return c.parent.Name() }
-func (c *naftaContext) NumVCs() int                   { return c.parent.NumVCs() }
-func (c *naftaContext) Steps(req routing.Request) int { return c.parent.Steps(req) }
-func (c *naftaContext) NoteHop(req routing.Request, chosen routing.Candidate) {
-	c.parent.NoteHop(req, chosen)
-}
-func (c *naftaContext) UpdateFaults(*fault.Set) {
-	panic("rulesets: decision contexts share the parent's fault state; call UpdateFaults on the parent engine")
-}
-func (c *naftaContext) Route(req routing.Request) []routing.Candidate {
-	return c.RouteAppend(req, nil)
-}
-func (c *naftaContext) RouteAppend(req routing.Request, buf []routing.Candidate) []routing.Candidate {
-	return c.parent.routeAppend(&c.exec, req, buf)
-}
-
-// FlushLookups folds the context's lookup count into the parent's
-// public counter (routing.LookupFlusher; called single-threaded).
-func (c *naftaContext) FlushLookups() {
-	c.parent.Lookups += c.count
-	c.count = 0
-}
-
 var _ routing.Algorithm = (*RuleNAFTA)(nil)
 var _ routing.BufferedAlgorithm = (*RuleNAFTA)(nil)
-var _ routing.DecisionContexter = (*RuleNAFTA)(nil)
-var _ routing.RuleFirer = (*RuleNAFTA)(nil)
-var _ routing.BufferedAlgorithm = (*naftaContext)(nil)
-var _ routing.LookupFlusher = (*naftaContext)(nil)

@@ -1,8 +1,6 @@
 package rulesets
 
 import (
-	"sync"
-
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/routing"
@@ -33,15 +31,12 @@ type RuleMaze struct {
 	esc    *core.CompiledBase // maze_escape
 	faults *fault.Set
 
-	layout *core.InputLayout
-	exec   mazeExec
-	slots  mazeSlots
-	args   []rules.Value // constant [invc=0], reused across decisions
-
-	// ctxMu guards ctxTables, the dense-table clones handed to decision
-	// contexts; InvalidateTables retires them with the originals.
-	ctxMu     sync.Mutex
-	ctxTables []*core.DenseTable
+	// Fast-path state (see RuleNAFTA).
+	iv          *core.InputVector
+	moveD, escD *core.DenseTable
+	scratch     *core.Machine
+	slots       mazeSlots
+	args        []rules.Value // constant [invc=0], reused across decisions
 
 	// DisableFast forces every decision onto the interpreted reference
 	// path (the oracle the differential tests compare against).
@@ -62,16 +57,6 @@ type RuleMaze struct {
 type mazeSlots struct {
 	mode, done, exitok, wall int
 	prod, escok              [routing.MazeMaxPorts]int
-}
-
-// mazeExec bundles the mutable per-decision state of one execution
-// lane (see naftaExec).
-type mazeExec struct {
-	iv          *core.InputVector
-	moveD, escD *core.DenseTable
-	scratch     *core.Machine
-	lookups     *int64
-	obs         routing.RuleObserver
 }
 
 // NewRuleMaze builds the native maze engine for g, compiles the maze
@@ -116,17 +101,16 @@ func NewRuleMazeFromProgram(g topology.Graph, p *Program, tables map[string]*cor
 		}
 		*b.dst = cb
 	}
-	r.layout = core.NewInputLayout(p.Checked)
-	r.exec.iv = core.NewInputVector(r.layout)
-	r.exec.scratch = core.NewMachine(p.Checked, r.exec.iv.Provider())
-	r.exec.lookups = &r.Lookups
+	layout := core.NewInputLayout(p.Checked)
+	r.iv = core.NewInputVector(layout)
+	r.scratch = core.NewMachine(p.Checked, r.iv.Provider())
 	// Dense compilation is best-effort: a nil table keeps the base on
 	// the interpreter (same decisions, just slower).
 	for _, b := range []struct {
 		cb   *core.CompiledBase
 		fast **core.DenseTable
-	}{{r.move, &r.exec.moveD}, {r.esc, &r.exec.escD}} {
-		if dt, err := b.cb.CompileDense(r.layout); err == nil {
+	}{{r.move, &r.moveD}, {r.esc, &r.escD}} {
+		if dt, err := b.cb.CompileDense(layout); err == nil {
 			*b.fast = dt
 		}
 	}
@@ -137,15 +121,15 @@ func NewRuleMazeFromProgram(g topology.Graph, p *Program, tables map[string]*cor
 	}{
 		{"mode", &s.mode}, {"done", &s.done}, {"exitok", &s.exitok}, {"wall", &s.wall},
 	} {
-		if *e.dst, err = r.layout.SlotOf(e.name); err != nil {
+		if *e.dst, err = layout.SlotOf(e.name); err != nil {
 			return nil, err
 		}
 	}
 	for p := 0; p < g.Ports(); p++ {
-		if s.prod[p], err = r.layout.SlotOf("prod", int64(p)); err != nil {
+		if s.prod[p], err = layout.SlotOf("prod", int64(p)); err != nil {
 			return nil, err
 		}
-		if s.escok[p], err = r.layout.SlotOf("escok", int64(p)); err != nil {
+		if s.escok[p], err = layout.SlotOf("escok", int64(p)); err != nil {
 			return nil, err
 		}
 	}
@@ -157,25 +141,19 @@ func NewRuleMazeFromProgram(g topology.Graph, p *Program, tables map[string]*cor
 // hot-swappable.
 func (r *RuleMaze) DeadlockRegime() string { return r.native.DeadlockRegime() }
 
-// InvalidateTables retires the adapter's dense tables — the serial
-// lane's and every clone handed to a decision context.
+// InvalidateTables retires the adapter's dense tables (see RuleNAFTA).
 func (r *RuleMaze) InvalidateTables() {
-	for _, dt := range []*core.DenseTable{r.exec.moveD, r.exec.escD} {
+	for _, dt := range []*core.DenseTable{r.moveD, r.escD} {
 		if dt != nil {
 			dt.Invalidate()
 		}
-	}
-	r.ctxMu.Lock()
-	defer r.ctxMu.Unlock()
-	for _, dt := range r.ctxTables {
-		dt.Invalidate()
 	}
 }
 
 // FastPathActive reports whether both decision bases compiled to the
 // dense fast path.
 func (r *RuleMaze) FastPathActive() bool {
-	return r.exec.moveD != nil && r.exec.escD != nil
+	return r.moveD != nil && r.escD != nil
 }
 
 func (r *RuleMaze) Name() string { return "rule-maze" }
@@ -209,9 +187,9 @@ func (r *RuleMaze) FlushOnFault(h *routing.Header) bool { return r.native.FlushO
 
 // fillInputs digests one decision into the program's input signals via
 // the native engine's fact computation (no allocation).
-func (r *RuleMaze) fillInputs(e *mazeExec, req routing.Request) {
+func (r *RuleMaze) fillInputs(req routing.Request) {
 	facts := r.native.Facts(req)
-	iv, s := e.iv, &r.slots
+	iv, s := r.iv, &r.slots
 	iv.Begin()
 	iv.Set(s.mode, int64(facts.Mode))
 	iv.Set(s.done, int64(facts.Done))
@@ -223,53 +201,41 @@ func (r *RuleMaze) fillInputs(e *mazeExec, req routing.Request) {
 	}
 }
 
-// fire reports one successful rule selection (see RuleNAFTA.fire).
-func (r *RuleMaze) fire(e *mazeExec, node topology.NodeID, base string, rule int) {
-	if e.obs != nil {
-		e.obs(r, node, base, rule)
-		return
-	}
+// fire reports one successful rule selection to the hook, if any.
+func (r *RuleMaze) fire(node topology.NodeID, base string, rule int) {
 	if r.OnRuleFired != nil {
 		r.OnRuleFired(node, base, rule)
 	}
 }
 
-// FireRuleObserver forwards a deferred rule-fire observation to the
-// hook currently installed (routing.RuleFirer).
-func (r *RuleMaze) FireRuleObserver(node topology.NodeID, base string, rule int) {
-	if r.OnRuleFired != nil {
-		r.OnRuleFired(node, base, rule)
-	}
-}
-
-// decide runs one rule base over the exec's input vector: dense table
+// decide runs one rule base over the input vector: dense table
 // first, interpreted reference path when the fast path is unavailable
 // or the decision leaves the pure table regime (see RuleNAFTA.decide).
-func (r *RuleMaze) decide(e *mazeExec, req routing.Request, cb *core.CompiledBase, dt *core.DenseTable) (int, bool) {
-	*e.lookups++
+func (r *RuleMaze) decide(req routing.Request, cb *core.CompiledBase, dt *core.DenseTable) (int, bool) {
+	r.Lookups++
 	if dt != nil && !r.DisableFast {
-		if idx, ok := dt.Lookup(e.iv, 0); ok {
+		if idx, ok := dt.Lookup(r.iv, 0); ok {
 			if idx >= cb.RuleCount {
 				return 0, false
 			}
-			r.fire(e, req.Node, cb.Base, idx)
+			r.fire(req.Node, cb.Base, idx)
 			if ret, rok := dt.Return(idx); rok {
 				return int(ret.I), true
 			}
-			eff, err := r.prog.Checked.FireRule(cb.Base, idx, r.args, e.scratch)
+			eff, err := r.prog.Checked.FireRule(cb.Base, idx, r.args, r.scratch)
 			if err != nil || eff.Return == nil {
 				return 0, false
 			}
 			return int(eff.Return.I), true
 		}
 	}
-	m := e.scratch
+	m := r.scratch
 	m.Reset()
 	idx, err := cb.LookupRule(r.args, m)
 	if err != nil || idx >= cb.RuleCount {
 		return 0, false
 	}
-	r.fire(e, req.Node, cb.Base, idx)
+	r.fire(req.Node, cb.Base, idx)
 	eff, err := r.prog.Checked.FireRule(cb.Base, idx, r.args, m)
 	if err != nil || eff.Return == nil {
 		return 0, false
@@ -286,88 +252,16 @@ func (r *RuleMaze) Route(req routing.Request) []routing.Candidate {
 
 // RouteAppend is the allocation-free form of Route (BufferedAlgorithm).
 func (r *RuleMaze) RouteAppend(req routing.Request, buf []routing.Candidate) []routing.Candidate {
-	return r.routeAppend(&r.exec, req, buf)
-}
-
-func (r *RuleMaze) routeAppend(e *mazeExec, req routing.Request, buf []routing.Candidate) []routing.Candidate {
-	r.fillInputs(e, req)
-	if port, ok := r.decide(e, req, r.move, e.moveD); ok {
+	r.fillInputs(req)
+	if port, ok := r.decide(req, r.move, r.moveD); ok {
 		buf = append(buf, routing.Candidate{Port: port, VC: 0})
 	}
-	if port, ok := r.decide(e, req, r.esc, e.escD); ok {
+	if port, ok := r.decide(req, r.esc, r.escD); ok {
 		buf = append(buf, routing.Candidate{Port: port, VC: 1})
 	}
 	return buf
 }
 
-// NewDecisionContext hands out one independent decision lane for a
-// parallel-stepper worker (routing.DecisionContexter; see the RuleNAFTA
-// counterpart for the sharing contract).
-func (r *RuleMaze) NewDecisionContext(obs routing.RuleObserver) routing.Algorithm {
-	c := &mazeContext{parent: r}
-	c.exec = mazeExec{
-		iv:      core.NewInputVector(r.layout),
-		lookups: &c.count,
-		obs:     obs,
-	}
-	c.exec.scratch = core.NewMachine(r.prog.Checked, c.exec.iv.Provider())
-	r.ctxMu.Lock()
-	defer r.ctxMu.Unlock()
-	for _, t := range []struct {
-		src *core.DenseTable
-		dst **core.DenseTable
-	}{{r.exec.moveD, &c.exec.moveD}, {r.exec.escD, &c.exec.escD}} {
-		if t.src != nil {
-			cl := t.src.Clone()
-			*t.dst = cl
-			r.ctxTables = append(r.ctxTables, cl)
-		}
-	}
-	return c
-}
-
-// mazeContext is one worker's decision lane over a shared RuleMaze.
-type mazeContext struct {
-	parent *RuleMaze
-	exec   mazeExec
-	count  int64
-}
-
-func (c *mazeContext) Name() string                  { return c.parent.Name() }
-func (c *mazeContext) NumVCs() int                   { return c.parent.NumVCs() }
-func (c *mazeContext) Steps(req routing.Request) int { return c.parent.Steps(req) }
-func (c *mazeContext) NoteHop(req routing.Request, chosen routing.Candidate) {
-	c.parent.NoteHop(req, chosen)
-}
-func (c *mazeContext) UpdateFaults(*fault.Set) {
-	panic("rulesets: decision contexts share the parent's fault state; call UpdateFaults on the parent engine")
-}
-func (c *mazeContext) Route(req routing.Request) []routing.Candidate {
-	return c.RouteAppend(req, nil)
-}
-func (c *mazeContext) RouteAppend(req routing.Request, buf []routing.Candidate) []routing.Candidate {
-	return c.parent.routeAppend(&c.exec, req, buf)
-}
-
-// UnreachableVerdict forwards the parent's verdict plane
-// (routing.UnreachableJudge); the component table is read-only during
-// compute phases.
-func (c *mazeContext) UnreachableVerdict(req routing.Request) bool {
-	return c.parent.UnreachableVerdict(req)
-}
-
-// FlushLookups folds the context's lookup count into the parent's
-// public counter (routing.LookupFlusher; called single-threaded).
-func (c *mazeContext) FlushLookups() {
-	c.parent.Lookups += c.count
-	c.count = 0
-}
-
 var _ routing.Algorithm = (*RuleMaze)(nil)
 var _ routing.BufferedAlgorithm = (*RuleMaze)(nil)
-var _ routing.DecisionContexter = (*RuleMaze)(nil)
-var _ routing.RuleFirer = (*RuleMaze)(nil)
 var _ routing.UnreachableJudge = (*RuleMaze)(nil)
-var _ routing.BufferedAlgorithm = (*mazeContext)(nil)
-var _ routing.LookupFlusher = (*mazeContext)(nil)
-var _ routing.UnreachableJudge = (*mazeContext)(nil)

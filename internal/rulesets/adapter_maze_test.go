@@ -176,42 +176,4 @@ func TestRuleMazeRouteAppendZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("RouteAppend allocates %.1f/op, want 0", allocs)
 	}
-	// The decision context lane must be allocation free too.
-	ctx := r.NewDecisionContext(nil).(*mazeContext)
-	allocs = testing.AllocsPerRun(200, func() {
-		buf = ctx.RouteAppend(req, buf[:0])
-	})
-	if allocs != 0 {
-		t.Fatalf("context RouteAppend allocates %.1f/op, want 0", allocs)
-	}
-}
-
-// The rule firings of the maze bases must replay identically through a
-// decision context's deferred observer (the parallel stepper's
-// determinism contract).
-func TestRuleMazeContextObserver(t *testing.T) {
-	g := topology.NewMesh(6, 6)
-	r, err := NewRuleMaze(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var direct []firing
-	r.OnRuleFired = recordFirings(&direct)
-	var deferred []firing
-	ctx := r.NewDecisionContext(func(eng routing.Algorithm, node topology.NodeID, base string, rule int) {
-		deferred = append(deferred, firing{node: node, base: base, rule: rule})
-	})
-	hdr := &routing.Header{Src: g.Node(0, 0), Dst: g.Node(5, 5), Length: 4}
-	req := routing.Request{Node: g.Node(2, 2), InPort: topology.West, Hdr: hdr}
-	a := r.Route(req)
-	hdr2 := *hdr
-	req2 := req
-	req2.Hdr = &hdr2
-	b := ctx.Route(req2)
-	if !sameCands(a, b) {
-		t.Fatalf("context decisions diverge: %v vs %v", a, b)
-	}
-	if !sameFirings(direct, deferred) {
-		t.Fatalf("firings diverge: %v vs %v", direct, deferred)
-	}
 }

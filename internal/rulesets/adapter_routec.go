@@ -2,7 +2,6 @@ package rulesets
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -31,17 +30,19 @@ type RuleRouteC struct {
 	vc     *core.CompiledBase
 	faults *fault.Set
 
-	// layout and slots are immutable after construction; all mutable
-	// per-decision scratch lives in an exec so per-worker decision
-	// contexts can own independent copies (see NewDecisionContext).
-	layout *core.InputLayout
-	exec   routecExec
-	slots  cubeSlots
-
-	// ctxMu guards ctxTables, the dense-table clones handed to decision
-	// contexts; InvalidateTables retires them with the originals.
-	ctxMu     sync.Mutex
-	ctxTables []*core.DenseTable
+	// slots is immutable after construction; the rest is
+	// per-decision scratch: the flat input vector, the dense decision
+	// tables (whose lookup scratch is per-instance), the pooled
+	// reference-path Machine, the conclusion-processing line buffers and
+	// the decide_vc argument scratch.
+	slots       cubeSlots
+	iv          *core.InputVector
+	dirD, vcD   *core.DenseTable
+	scratch     *core.Machine
+	lines       cubeLines
+	portScratch []int
+	vcArgs      []rules.Value
+	vcDargs     []int64
 
 	// DisableFast forces the interpreted reference path (the oracle of
 	// the differential tests).
@@ -53,25 +54,6 @@ type RuleRouteC struct {
 	// lookup (deciding node, base name, fired rule index); the flight
 	// recorder attaches here.
 	OnRuleFired func(node topology.NodeID, base string, rule int)
-}
-
-// routecExec bundles the mutable per-decision state of one ROUTE_C
-// execution stream: the flat input vector, the dense decision tables
-// (whose lookup scratch is per-instance), the pooled reference-path
-// Machine, the conclusion-processing line buffers and argument
-// scratch, the lookup counter target and the rule-fire observer. The
-// adapter itself owns one exec; decision contexts own independent
-// copies sharing only immutable compiled state.
-type routecExec struct {
-	iv          *core.InputVector
-	dirD, vcD   *core.DenseTable
-	scratch     *core.Machine
-	lines       cubeLines
-	portScratch []int
-	vcArgs      []rules.Value
-	vcDargs     []int64
-	lookups     *int64
-	obs         routing.RuleObserver
 }
 
 // cubeSlots holds the input-vector slots of the ROUTE_C decision
@@ -108,10 +90,10 @@ func NewRuleRouteCFromProgram(h *topology.Hypercube, p *Program, tables map[stri
 		native: routing.NewRouteC(h),
 		prog:   p,
 		faults: fault.NewSet(),
+
+		vcArgs:  make([]rules.Value, 1),
+		vcDargs: make([]int64, 1),
 	}
-	r.exec.vcArgs = make([]rules.Value, 1)
-	r.exec.vcDargs = make([]int64, 1)
-	r.exec.lookups = &r.Lookups
 	var err error
 	for _, b := range []struct {
 		name string
@@ -128,14 +110,14 @@ func NewRuleRouteCFromProgram(h *topology.Hypercube, p *Program, tables map[stri
 		}
 		*b.dst = cb
 	}
-	r.layout = core.NewInputLayout(p.Checked)
-	r.exec.iv = core.NewInputVector(r.layout)
-	r.exec.scratch = core.NewMachine(p.Checked, r.exec.iv.Provider())
-	if dt, err := r.dir.CompileDense(r.layout); err == nil {
-		r.exec.dirD = dt
+	layout := core.NewInputLayout(p.Checked)
+	r.iv = core.NewInputVector(layout)
+	r.scratch = core.NewMachine(p.Checked, r.iv.Provider())
+	if dt, err := r.dir.CompileDense(layout); err == nil {
+		r.dirD = dt
 	}
-	if dt, err := r.vc.CompileDense(r.layout); err == nil {
-		r.exec.vcD = dt
+	if dt, err := r.vc.CompileDense(layout); err == nil {
+		r.vcD = dt
 	}
 	d := h.Dim
 	s := &r.slots
@@ -149,7 +131,7 @@ func NewRuleRouteCFromProgram(h *topology.Hypercube, p *Program, tables map[stri
 	} {
 		*e.dst = make([]int, d)
 		for i := 0; i < d; i++ {
-			if (*e.dst)[i], err = r.layout.SlotOf(e.name, int64(i)); err != nil {
+			if (*e.dst)[i], err = layout.SlotOf(e.name, int64(i)); err != nil {
 				return nil, err
 			}
 		}
@@ -160,11 +142,11 @@ func NewRuleRouteCFromProgram(h *topology.Hypercube, p *Program, tables map[stri
 	}{
 		{"phase", &s.phase}, {"level", &s.level}, {"taking_detour", &s.takingDetour},
 	} {
-		if *e.dst, err = r.layout.SlotOf(e.name); err != nil {
+		if *e.dst, err = layout.SlotOf(e.name); err != nil {
 			return nil, err
 		}
 	}
-	r.exec.lines = cubeLines{
+	r.lines = cubeLines{
 		diff:       make([]bool, d),
 		up:         make([]bool, d),
 		ok:         make([]bool, d),
@@ -180,7 +162,7 @@ func (r *RuleRouteC) NumVCs() int  { return r.native.NumVCs() }
 
 // FastPathActive reports whether both decision bases compiled to the
 // dense fast path.
-func (r *RuleRouteC) FastPathActive() bool { return r.exec.dirD != nil && r.exec.vcD != nil }
+func (r *RuleRouteC) FastPathActive() bool { return r.dirD != nil && r.vcD != nil }
 
 // DeadlockRegime tags the adapter with the native ROUTE_C discipline:
 // rule and native engines are mutually hot-swappable.
@@ -189,16 +171,11 @@ func (r *RuleRouteC) DeadlockRegime() string { return r.native.DeadlockRegime() 
 // InvalidateTables retires the adapter's dense tables; any later
 // fast-path lookup on this instance panics (see RuleNAFTA).
 func (r *RuleRouteC) InvalidateTables() {
-	for _, dt := range []*core.DenseTable{r.exec.dirD, r.exec.vcD} {
+	for _, dt := range []*core.DenseTable{r.dirD, r.vcD} {
 		if dt != nil {
 			dt.Invalidate()
 		}
 	}
-	r.ctxMu.Lock()
-	for _, dt := range r.ctxTables {
-		dt.Invalidate()
-	}
-	r.ctxMu.Unlock()
 }
 
 // Steps is always two interpretations (decide_dir, decide_vc).
@@ -225,9 +202,9 @@ type cubeLines struct {
 }
 
 // fillLines recomputes the input lines of one decision in place.
-func (r *RuleRouteC) fillLines(e *routecExec, req routing.Request) {
+func (r *RuleRouteC) fillLines(req routing.Request) {
 	d := r.cube.Dim
-	l := &e.lines
+	l := &r.lines
 	states := r.native.States()
 	for i := 0; i < d; i++ {
 		nb := r.cube.Neighbor(req.Node, i)
@@ -247,8 +224,8 @@ func (r *RuleRouteC) fillLines(e *routecExec, req routing.Request) {
 // fillInputs loads the decision's input lines into the flat input
 // vector. phase and taking_detour vary between the dir decision and
 // the per-port vc decisions; Route re-sets just those two slots.
-func (r *RuleRouteC) fillInputs(e *routecExec, req routing.Request) {
-	iv, s, l := e.iv, &r.slots, &e.lines
+func (r *RuleRouteC) fillInputs(req routing.Request) {
+	iv, s, l := r.iv, &r.slots, &r.lines
 	iv.Begin()
 	safeOrd := r.prog.Checked.Symbols["safe"].I
 	for i := 0; i < r.cube.Dim; i++ {
@@ -269,19 +246,19 @@ func (r *RuleRouteC) fillInputs(e *routecExec, req routing.Request) {
 // returns the RETURN value ordinal. Dense fast path first; the
 // interpreted reference path serves fallbacks and DisableFast. Counter
 // and hook semantics are identical on both paths.
-func (r *RuleRouteC) decide(e *routecExec, node topology.NodeID, cb *core.CompiledBase, dt *core.DenseTable,
+func (r *RuleRouteC) decide(node topology.NodeID, cb *core.CompiledBase, dt *core.DenseTable,
 	args []rules.Value, dargs []int64) (int64, error) {
-	*e.lookups++
+	r.Lookups++
 	if dt != nil && !r.DisableFast {
-		if idx, ok := dt.Lookup(e.iv, dargs...); ok {
+		if idx, ok := dt.Lookup(r.iv, dargs...); ok {
 			if idx >= cb.RuleCount {
 				return 0, fmt.Errorf("rule-routec: %s selected no rule", cb.Base)
 			}
-			r.fire(e, node, cb.Base, idx)
+			r.fire(node, cb.Base, idx)
 			if ret, rok := dt.Return(idx); rok {
 				return ret.I, nil
 			}
-			eff, err := r.prog.Checked.FireRule(cb.Base, idx, args, e.scratch)
+			eff, err := r.prog.Checked.FireRule(cb.Base, idx, args, r.scratch)
 			if err != nil || eff.Return == nil {
 				return 0, fmt.Errorf("rule-routec: %s rule %d has no value (%v)", cb.Base, idx, err)
 			}
@@ -289,7 +266,7 @@ func (r *RuleRouteC) decide(e *routecExec, node topology.NodeID, cb *core.Compil
 		}
 		// Outside the dense regime: repeat on the reference path.
 	}
-	m := e.scratch
+	m := r.scratch
 	m.Reset()
 	idx, err := cb.LookupRule(args, m)
 	if err != nil {
@@ -298,7 +275,7 @@ func (r *RuleRouteC) decide(e *routecExec, node topology.NodeID, cb *core.Compil
 	if idx >= cb.RuleCount {
 		return 0, fmt.Errorf("rule-routec: %s selected no rule", cb.Base)
 	}
-	r.fire(e, node, cb.Base, idx)
+	r.fire(node, cb.Base, idx)
 	eff, err := r.prog.Checked.FireRule(cb.Base, idx, args, m)
 	if err != nil || eff.Return == nil {
 		return 0, fmt.Errorf("rule-routec: %s rule %d has no value (%v)", cb.Base, idx, err)
@@ -306,21 +283,8 @@ func (r *RuleRouteC) decide(e *routecExec, node topology.NodeID, cb *core.Compil
 	return eff.Return.I, nil
 }
 
-// fire reports one rule firing through the exec's observer when the
-// exec belongs to a decision context, else through the adapter hook.
-func (r *RuleRouteC) fire(e *routecExec, node topology.NodeID, base string, rule int) {
-	if e.obs != nil {
-		e.obs(r, node, base, rule)
-		return
-	}
-	if r.OnRuleFired != nil {
-		r.OnRuleFired(node, base, rule)
-	}
-}
-
-// FireRuleObserver replays a deferred rule-fire observation through the
-// hook currently installed on the adapter (routing.RuleFirer).
-func (r *RuleRouteC) FireRuleObserver(node topology.NodeID, base string, rule int) {
+// fire reports one rule firing to the hook, if any.
+func (r *RuleRouteC) fire(node topology.NodeID, base string, rule int) {
 	if r.OnRuleFired != nil {
 		r.OnRuleFired(node, base, rule)
 	}
@@ -329,9 +293,9 @@ func (r *RuleRouteC) FireRuleObserver(node topology.NodeID, base string, rule in
 // portsForMode is the conclusion-processing priority logic: expand a
 // decide_dir mode back into the admissible ports, lowest dimension
 // first. The returned slice aliases adapter scratch storage.
-func (r *RuleRouteC) portsForMode(e *routecExec, mode string) ([]int, bool) {
+func (r *RuleRouteC) portsForMode(mode string) ([]int, bool) {
 	d := r.cube.Dim
-	l := &e.lines
+	l := &r.lines
 	var eligible func(i int) bool
 	detour := false
 	switch mode {
@@ -358,13 +322,13 @@ func (r *RuleRouteC) portsForMode(e *routecExec, mode string) ([]int, bool) {
 			best = l.stateClass[i]
 		}
 	}
-	out := e.portScratch[:0]
+	out := r.portScratch[:0]
 	for i := 0; i < d; i++ {
 		if eligible(i) && l.stateClass[i] == best {
 			out = append(out, i)
 		}
 	}
-	e.portScratch = out[:0]
+	r.portScratch = out[:0]
 	return out, detour
 }
 
@@ -374,14 +338,10 @@ func (r *RuleRouteC) Route(req routing.Request) []routing.Candidate {
 
 // RouteAppend is the allocation-free form of Route (BufferedAlgorithm).
 func (r *RuleRouteC) RouteAppend(req routing.Request, buf []routing.Candidate) []routing.Candidate {
-	return r.routeAppend(&r.exec, req, buf)
-}
-
-func (r *RuleRouteC) routeAppend(e *routecExec, req routing.Request, buf []routing.Candidate) []routing.Candidate {
 	c := r.prog.Checked
-	r.fillLines(e, req)
-	r.fillInputs(e, req)
-	modeOrd, err := r.decide(e, req.Node, r.dir, e.dirD, nil, nil)
+	r.fillLines(req)
+	r.fillInputs(req)
+	modeOrd, err := r.decide(req.Node, r.dir, r.dirD, nil, nil)
 	if err != nil {
 		return buf
 	}
@@ -389,18 +349,18 @@ func (r *RuleRouteC) routeAppend(e *routecExec, req routing.Request, buf []routi
 	if mode == "blocked" || mode == "arrived" {
 		return buf
 	}
-	ports, detour := r.portsForMode(e, mode)
+	ports, detour := r.portsForMode(mode)
 	start := len(buf)
 	for _, p := range ports {
 		outPhase := 1
-		if e.lines.up[p] && e.lines.diff[p] {
+		if r.lines.up[p] && r.lines.diff[p] {
 			outPhase = 0
 		}
-		e.iv.Set(r.slots.phase, int64(outPhase))
-		e.iv.SetBool(r.slots.takingDetour, detour)
-		e.vcArgs[0] = c.Symbols[mode]
-		e.vcDargs[0] = c.Symbols[mode].I
-		vcOrd, err := r.decide(e, req.Node, r.vc, e.vcD, e.vcArgs, e.vcDargs)
+		r.iv.Set(r.slots.phase, int64(outPhase))
+		r.iv.SetBool(r.slots.takingDetour, detour)
+		r.vcArgs[0] = c.Symbols[mode]
+		r.vcDargs[0] = c.Symbols[mode].I
+		vcOrd, err := r.decide(req.Node, r.vc, r.vcD, r.vcArgs, r.vcDargs)
 		if err != nil {
 			return buf[:start]
 		}
@@ -409,84 +369,5 @@ func (r *RuleRouteC) routeAppend(e *routecExec, req routing.Request, buf []routi
 	return buf
 }
 
-// NewDecisionContext returns an independent decision context sharing
-// the adapter's compiled state and fault knowledge but owning all
-// per-decision scratch (routing.DecisionContexter). Rule firings are
-// reported through obs; lookup counts accumulate locally until
-// FlushLookups folds them into the adapter.
-func (r *RuleRouteC) NewDecisionContext(obs routing.RuleObserver) routing.Algorithm {
-	d := r.cube.Dim
-	c := &routecContext{parent: r}
-	c.exec = routecExec{
-		iv:      core.NewInputVector(r.layout),
-		vcArgs:  make([]rules.Value, 1),
-		vcDargs: make([]int64, 1),
-		lines: cubeLines{
-			diff:       make([]bool, d),
-			up:         make([]bool, d),
-			ok:         make([]bool, d),
-			safe:       make([]bool, d),
-			notback:    make([]bool, d),
-			stateClass: make([]int, d),
-		},
-		lookups: &c.count,
-		obs:     obs,
-	}
-	c.exec.scratch = core.NewMachine(r.prog.Checked, c.exec.iv.Provider())
-	r.ctxMu.Lock()
-	if r.exec.dirD != nil {
-		c.exec.dirD = r.exec.dirD.Clone()
-		r.ctxTables = append(r.ctxTables, c.exec.dirD)
-	}
-	if r.exec.vcD != nil {
-		c.exec.vcD = r.exec.vcD.Clone()
-		r.ctxTables = append(r.ctxTables, c.exec.vcD)
-	}
-	r.ctxMu.Unlock()
-	return c
-}
-
-// routecContext is a per-worker decision context of a RuleRouteC
-// adapter. It forwards immutable queries to the parent and routes
-// through its own exec.
-type routecContext struct {
-	parent *RuleRouteC
-	exec   routecExec
-	count  int64
-}
-
-func (c *routecContext) Name() string { return c.parent.Name() }
-func (c *routecContext) NumVCs() int  { return c.parent.NumVCs() }
-
-func (c *routecContext) Steps(req routing.Request) int { return c.parent.Steps(req) }
-
-func (c *routecContext) NoteHop(req routing.Request, chosen routing.Candidate) {
-	c.parent.NoteHop(req, chosen)
-}
-
-func (c *routecContext) UpdateFaults(*fault.Set) {
-	panic("rulesets: decision contexts share the parent's fault state; call UpdateFaults on the parent adapter")
-}
-
-func (c *routecContext) Route(req routing.Request) []routing.Candidate {
-	return c.RouteAppend(req, nil)
-}
-
-func (c *routecContext) RouteAppend(req routing.Request, buf []routing.Candidate) []routing.Candidate {
-	return c.parent.routeAppend(&c.exec, req, buf)
-}
-
-// FlushLookups folds the context's local lookup count into the parent
-// adapter's public counter (routing.LookupFlusher; called from the
-// network's serial commit phase).
-func (c *routecContext) FlushLookups() {
-	c.parent.Lookups += c.count
-	c.count = 0
-}
-
 var _ routing.Algorithm = (*RuleRouteC)(nil)
 var _ routing.BufferedAlgorithm = (*RuleRouteC)(nil)
-var _ routing.DecisionContexter = (*RuleRouteC)(nil)
-var _ routing.RuleFirer = (*RuleRouteC)(nil)
-var _ routing.BufferedAlgorithm = (*routecContext)(nil)
-var _ routing.LookupFlusher = (*routecContext)(nil)

@@ -65,23 +65,6 @@ func RunParallel(jobs []Job, workers int) []JobResult {
 	return out
 }
 
-// PoolSize returns a RunParallel pool size that avoids oversubscribing
-// the machine when each job's network itself steps in parallel: the
-// two levels multiply (jobs × Config.Workers goroutines are runnable
-// at once), so the job pool gets GOMAXPROCS divided by the per-job
-// worker count, floored at one. Pass stepWorkers <= 1 for serial jobs
-// (the result is then plain GOMAXPROCS, RunParallel's own default).
-func PoolSize(stepWorkers int) int {
-	if stepWorkers < 1 {
-		stepWorkers = 1
-	}
-	w := runtime.GOMAXPROCS(0) / stepWorkers
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // Replication aggregates one configuration over several seeds.
 type Replication struct {
 	Seeds      []int64

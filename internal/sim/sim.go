@@ -29,13 +29,6 @@ type Config struct {
 	BufDepth              int
 	DecisionCyclesPerStep int
 
-	// Workers forwards network.Config.Workers: >= 2 shards the router
-	// pipeline stages of every cycle across that many goroutines
-	// (bit-identical statistics to the serial engine); 0 or 1 keeps the
-	// serial stepping path. When combining with RunParallel, size the
-	// job pool with PoolSize to avoid oversubscribing the machine.
-	Workers int
-
 	Pattern traffic.Pattern
 	// Rate is the offered load in flits per node per cycle.
 	Rate   float64
@@ -186,7 +179,6 @@ func Run(cfg Config) (Result, error) {
 		VCs:                   cfg.VCs,
 		BufDepth:              cfg.BufDepth,
 		DecisionCyclesPerStep: cfg.DecisionCyclesPerStep,
-		Workers:               cfg.Workers,
 		RecordMessages:        cfg.TrackLatencies,
 		FavorMarked:           cfg.FavorMarked,
 		Recorder:              cfg.Recorder,
@@ -194,7 +186,6 @@ func Run(cfg Config) (Result, error) {
 		Failover:              cfg.Failover,
 		OnPostMortem:          func(r *trace.Report) { postMortem = r },
 	})
-	defer net.Close()
 	f := cfg.Faults
 	if f == nil {
 		f = fault.NewSet()
