@@ -10,6 +10,8 @@ package repro
 // cmd/tables prints the same tables human-readably.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -562,4 +564,100 @@ func BenchmarkFleetDecision(b *testing.B) {
 
 	b.Run("hit", func(b *testing.B) { run(b, 1<<16) })
 	b.Run("uncached", func(b *testing.B) { run(b, 0) })
+
+	// wire/*: what one 256-decision /decide/batch round trip costs in
+	// encoding alone — request encode and decode, response encode and
+	// decode, no HTTP, no decision — in the JSON encoding (curl's, and
+	// the client's before the frame) and in the binary frame the client
+	// speaks. One op is the whole round trip; B/decision is request plus
+	// response bytes.
+	decisions := make([]fleet.Decision, len(reqs))
+	reg, err := fleet.NewRegistry(art, g, fleet.RegistryOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg.UpdateFaults(f)
+	for i := range reqs {
+		cands, epoch, err := reg.Decide(&reqs[i], nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		decisions[i] = fleet.Decision{Candidates: append([]routing.Candidate{}, cands...), Epoch: epoch, Unroutable: len(cands) == 0}
+	}
+	b.Run("wire/json-b256", func(b *testing.B) {
+		var wire int
+		var respBuf bytes.Buffer
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			reqBytes, err := json.Marshal(reqs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var gotReqs []reconfig.DecisionRequest
+			if err := json.NewDecoder(bytes.NewReader(reqBytes)).Decode(&gotReqs); err != nil {
+				b.Fatal(err)
+			}
+			respBuf.Reset()
+			if err := json.NewEncoder(&respBuf).Encode(decisions); err != nil {
+				b.Fatal(err)
+			}
+			var got []fleet.Decision
+			if err := json.Unmarshal(respBuf.Bytes(), &got); err != nil {
+				b.Fatal(err)
+			}
+			wire = len(reqBytes) + respBuf.Len()
+		}
+		b.ReportMetric(float64(wire)/float64(len(reqs)), "B/decision")
+	})
+	b.Run("wire/binary-b256", func(b *testing.B) {
+		order := make([]int, len(reqs))
+		for i := range order {
+			order[i] = i
+		}
+		var (
+			wire          int
+			reqBuf, respB []byte
+			gotReqs       []reconfig.DecisionRequest
+			err           error
+		)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if reqBuf, err = fleet.AppendBatchRequest(reqBuf[:0], reqs, order); err != nil {
+				b.Fatal(err)
+			}
+			if gotReqs, err = fleet.DecodeBatchRequest(reqBuf, gotReqs[:0]); err != nil {
+				b.Fatal(err)
+			}
+			if respB, err = fleet.AppendBatchResponse(respB[:0], decisions); err != nil {
+				b.Fatal(err)
+			}
+			got := make([]fleet.Decision, len(reqs)) // the client's one []Decision per batch
+			if err = fleet.DecodeBatchResponse(respB, got, order); err != nil {
+				b.Fatal(err)
+			}
+			wire = len(reqBuf) + len(respB)
+		}
+		b.ReportMetric(float64(wire)/float64(len(reqs)), "B/decision")
+	})
+
+	// cache/put-at-capacity: a Put of a fresh key into a cache that has
+	// been full many times over — the cold stream's insert, which must
+	// neither allocate nor grow the heap.
+	b.Run("cache/put-at-capacity", func(b *testing.B) {
+		c := fleet.NewCache(1 << 16)
+		next := 0
+		put := func() {
+			c.Put(fleet.Key{Node: int32(next % 1024), Dst: int32(next / 1024), Length: 8},
+				c.Gen(), decisions[next%len(decisions)].Candidates, 1)
+			next++
+		}
+		for next < 1<<20 {
+			put()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			put()
+		}
+	})
 }

@@ -28,12 +28,17 @@
 #      same with `--trace 1` — the exit status is the gate (every
 #      workload builds, runs and passes its own output checks), so a
 #      change that breaks the frozen benchmark fails here first
-#  11. (opt-in) bench regression gate: set BENCH_BASELINE to a
+#  11. batch-frame fuzz: 10 s of FuzzBatchFrame on the /decide/batch
+#      binary frame decoders (request and response) — no panic, and
+#      whatever decodes must encode back to the same bytes; a failing
+#      input is written under internal/fleet/testdata/fuzz
+#  12. (opt-in) bench regression gate: set BENCH_BASELINE to a
 #      committed snapshot, e.g. BENCH_BASELINE=BENCH_2026-08-06.json
 #      ./ci.sh, to re-run the benchmarks and fail on a >20% ns/op or
 #      bytes/op regression (cmd/benchjson -baseline). Set
-#      BENCH_FLEET_BASELINE=BENCH_2026-08-09-fleet.json to gate the
-#      fleet decision path (memoization hit vs uncached) the same way.
+#      BENCH_FLEET_BASELINE=BENCH_2026-09-30-fleet-wire.json to gate
+#      the fleet decision path (memoization hit vs uncached, the batch
+#      wire encodings, the cache insert at capacity) the same way.
 #
 # Exits non-zero on the first failure.
 set -eu
@@ -95,6 +100,9 @@ esac
 echo "== repo benchmark smoke (bench --quick, untraced then traced)"
 go run ./bench --quick --reps 1
 go run ./bench --quick --reps 1 --trace 1
+
+echo "== batch-frame fuzz (10s, /decide/batch binary decoders)"
+go test -run '^$' -fuzz '^FuzzBatchFrame$' -fuzztime 10s ./internal/fleet
 
 if [ -n "${BENCH_BASELINE:-}" ]; then
 	echo "== benchjson -baseline $BENCH_BASELINE"

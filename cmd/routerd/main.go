@@ -11,7 +11,11 @@
 // Endpoints (served by internal/fleet):
 //
 //	POST /decide         one DecisionRequest -> Decision
-//	POST /decide/batch   []DecisionRequest   -> []Decision (bounded by -max-batch)
+//	POST /decide/batch   []DecisionRequest   -> []Decision (bounded by -max-batch);
+//	                     JSON as above for curl, or — what fleet.Client sends —
+//	                     Content-Type: application/x-routerd-batch, a fixed-width
+//	                     little-endian frame answered by a frame (DESIGN.md §9.3;
+//	                     same decisions, errors and limits, non-200 stays JSON)
 //	POST /reload         raw artifact or bundle bytes -> {"epoch":N,"version":V}
 //	POST /registry/push  raw artifact bytes -> {"version":V} (stored, not served)
 //	GET  /registry       versions, serving/previous ids, canary status

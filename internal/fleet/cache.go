@@ -7,6 +7,8 @@
 package fleet
 
 import (
+	"encoding/binary"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -43,18 +45,28 @@ func KeyOf(req *reconfig.DecisionRequest) Key {
 	}
 }
 
-// cacheEntry is one memoized decision. Candidates are stored as an
-// immutable copy; an empty (non-nil semantics irrelevant) slice is a
-// memoized unroutable verdict — a legal answer worth caching.
+// cacheEntry is one memoized decision: the deciding epoch and the
+// index of its candidate set in the shard's interned sets. A node has
+// few distinct answers, so an entry names one instead of owning a
+// copy; the empty set is a memoized unroutable verdict — a legal
+// answer worth caching.
 type cacheEntry struct {
-	cands []routing.Candidate
 	epoch uint64
+	set   uint32
 }
 
-// cacheShard is one independently locked slice of the key space.
+// cacheShard is one independently locked slice of the key space. Its
+// entries live in two generations: cur takes every insert, old is the
+// generation before it and is only read. Nothing is ever deleted key
+// by key — see Put.
 type cacheShard struct {
-	mu sync.Mutex
-	m  map[Key]cacheEntry
+	mu       sync.Mutex
+	cur, old map[Key]cacheEntry
+	// sets are the distinct candidate sets of the shard's entries and
+	// index finds one by its varint encoding; both live until the next
+	// Invalidate.
+	sets  [][]routing.Candidate
+	index map[string]uint32
 }
 
 const cacheShards = 16
@@ -69,11 +81,16 @@ const cacheShards = 16
 // completes. Writers capture the generation before deciding and Put
 // refuses a stale generation, so a decision computed against old
 // tables can never be stored after the invalidation that retired them.
+//
+// Its memory is a function of the capacity alone, however many keys
+// pass through: the maps grow to their share once and are cleared and
+// reused, never deleted from.
 type Cache struct {
 	gen    atomic.Uint64
 	shards [cacheShards]cacheShard
-	// perShard is the eviction high-water mark of each shard.
-	perShard int
+	// perShard is each shard's share of the capacity; a generation is
+	// retired when cur reaches half of it.
+	perShard, half int
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -82,6 +99,8 @@ type Cache struct {
 }
 
 // CacheMetrics is the cache section of routerd's /metrics document.
+// Evictions counts the entries dropped when a shard retired a
+// generation (see Put), not individual displacements.
 type CacheMetrics struct {
 	Entries       int     `json:"entries"`
 	Capacity      int     `json:"capacity"`
@@ -92,20 +111,22 @@ type CacheMetrics struct {
 	HitRate       float64 `json:"hit_rate"`
 }
 
-// NewCache builds a decision cache bounded to roughly capacity
-// entries. A capacity <= 0 returns nil — the registry and server treat
-// a nil cache as memoization disabled.
+// NewCache builds a decision cache that holds at most capacity
+// entries (one per shard at the least) and keeps, per shard, at least
+// the most recent half of its share. A capacity <= 0 returns nil — the
+// registry and server treat a nil cache as memoization disabled.
+// Nothing is sized up front: a working set far below the capacity
+// costs only its own entries.
 func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		return nil
 	}
-	per := capacity / cacheShards
-	if per < 1 {
-		per = 1
-	}
-	c := &Cache{perShard: per}
+	per := max(capacity/cacheShards, 1)
+	c := &Cache{perShard: per, half: max(per/2, 1)}
 	for i := range c.shards {
-		c.shards[i].m = make(map[Key]cacheEntry)
+		sh := &c.shards[i]
+		sh.cur, sh.old = make(map[Key]cacheEntry), make(map[Key]cacheEntry)
+		sh.index = make(map[string]uint32)
 	}
 	return c
 }
@@ -128,9 +149,12 @@ func (c *Cache) Gen() uint64 { return c.gen.Load() }
 func (c *Cache) Get(k Key, buf []routing.Candidate) ([]routing.Candidate, uint64, bool) {
 	sh := c.shardOf(&k)
 	sh.mu.Lock()
-	e, ok := sh.m[k]
+	e, ok := sh.cur[k]
+	if !ok {
+		e, ok = sh.old[k]
+	}
 	if ok {
-		buf = append(buf, e.cands...)
+		buf = append(buf, sh.sets[e.set]...)
 	}
 	sh.mu.Unlock()
 	if !ok {
@@ -149,25 +173,65 @@ func (c *Cache) Get(k Key, buf []routing.Candidate) ([]routing.Candidate, uint64
 // bumping the generation, so no stale entry can survive an
 // invalidation (inserted-before entries are swept; inserted-after
 // attempts see the new generation and drop).
+//
+// Eviction is by generation, not by key: when cur reaches half the
+// shard's share, old is cleared whole and the two swap, so the shard
+// never holds more than its share and always holds its most recent
+// half. The cache is a throughput device, not an LRU contract. Evicting
+// one key per insert instead kept Go's map deleting and reinserting
+// for ever, and its heap grew with the keys that had passed through
+// rather than with the capacity (DESIGN.md §9.1); a cleared map keeps
+// its buckets, so at capacity a Put of a known candidate set allocates
+// nothing.
 func (c *Cache) Put(k Key, gen uint64, cands []routing.Candidate, epoch uint64) {
 	sh := c.shardOf(&k)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if c.gen.Load() != gen {
-		sh.mu.Unlock()
 		return
 	}
-	if _, exists := sh.m[k]; !exists && len(sh.m) >= c.perShard {
-		// Evict one arbitrary entry (map iteration order): the cache is
-		// a throughput device, not an LRU contract, and one probe keeps
-		// the hot path O(1).
-		for victim := range sh.m {
-			delete(sh.m, victim)
-			c.evictions.Add(1)
-			break
-		}
+	set := c.intern(sh, cands) // may start the shard over, so before the insert
+	sh.cur[k] = cacheEntry{epoch: epoch, set: set}
+	if len(sh.cur) >= c.half {
+		c.evictions.Add(int64(len(sh.old)))
+		clear(sh.old)
+		sh.cur, sh.old = sh.old, sh.cur
 	}
-	sh.m[k] = cacheEntry{cands: append([]routing.Candidate(nil), cands...), epoch: epoch}
-	sh.mu.Unlock()
+}
+
+// intern returns the index of cands among the shard's candidate sets,
+// adding a copy on first sight (shard lock held).
+func (c *Cache) intern(sh *cacheShard, cands []routing.Candidate) uint32 {
+	var scratch [64]byte
+	enc := scratch[:0]
+	for _, cd := range cands {
+		enc = binary.AppendVarint(enc, int64(cd.Port))
+		enc = binary.AppendVarint(enc, int64(cd.VC))
+	}
+	if i, ok := sh.index[string(enc)]; ok {
+		return i
+	}
+	if len(sh.sets) >= c.perShard {
+		// More distinct answers than the shard has entries for: no
+		// routing function does this, but the bound on memory must not
+		// rest on that. Start the shard over.
+		c.evictions.Add(int64(len(sh.cur) + len(sh.old)))
+		sh.reset()
+	}
+	i := uint32(len(sh.sets))
+	sh.sets = append(sh.sets, slices.Clone(cands))
+	sh.index[string(enc)] = i
+	return i
+}
+
+// reset empties the shard, keeping what its maps have grown to (shard
+// lock held).
+func (sh *cacheShard) reset() {
+	clear(sh.cur)
+	clear(sh.old)
+	clear(sh.index)
+	clear(sh.sets)
+	sh.sets = sh.sets[:0]
 }
 
 // Invalidate atomically retires every memoized decision: the
@@ -181,19 +245,19 @@ func (c *Cache) Invalidate() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		clear(sh.m)
+		sh.reset()
 		sh.mu.Unlock()
 	}
 	c.invalidations.Add(1)
 }
 
-// Len returns the number of live entries.
+// Len returns the number of live entries, at most the capacity.
 func (c *Cache) Len() int {
 	n := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		n += len(sh.m)
+		n += len(sh.cur) + len(sh.old)
 		sh.mu.Unlock()
 	}
 	return n

@@ -3,6 +3,8 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/fault"
@@ -256,4 +258,159 @@ func FuzzCacheDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		runDifferential(t, seed, 400)
 	})
+}
+
+// churnKey is the i-th of an endless stream of distinct keys.
+func churnKey(i int) Key {
+	return Key{Node: int32(i % 1024), Src: int32(i % 1024), Dst: int32(i / 1024), InPort: int32(i%4) - 1, Length: 4}
+}
+
+// churnSets are the few distinct answers the churn's decisions have,
+// as a node's decisions do.
+var churnSets = [][]routing.Candidate{
+	{{Port: 0, VC: 0}}, {{Port: 1, VC: 0}, {Port: 2, VC: 1}}, {{Port: 3, VC: 1}}, nil,
+	{{Port: 2, VC: 0}, {Port: 0, VC: 1}, {Port: 1, VC: 1}},
+}
+
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestCacheMemoryBoundedUnderChurn: the cache's heap is a function of
+// its capacity, not of how many keys have passed through it. (With a
+// delete-one/insert-one map of copied slices it kept growing: 24.8 MB
+// to 49.5 MB over 12 M puts.)
+func TestCacheMemoryBoundedUnderChurn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("3 M puts")
+	}
+	const capacity = 65536
+	c := NewCache(capacity)
+	put := func(from, to int) {
+		for i := from; i < to; i++ {
+			c.Put(churnKey(i), c.Gen(), churnSets[i%len(churnSets)], 1)
+		}
+	}
+	put(0, 1_000_000)
+	if n := c.Len(); n < capacity/2 || n > capacity {
+		t.Fatalf("%d entries live after 1 M puts, capacity %d", n, capacity)
+	}
+	early := liveHeap()
+	put(1_000_000, 3_000_000)
+	late := liveHeap()
+	if n := c.Len(); n < capacity/2 || n > capacity {
+		t.Fatalf("%d entries live after 3 M puts, capacity %d", n, capacity)
+	}
+	t.Logf("live heap %.1f MB after 1 M puts, %.1f MB after 3 M", float64(early)/1e6, float64(late)/1e6)
+	if float64(late) > 1.10*float64(early) {
+		t.Fatalf("live heap grew from %d to %d bytes between the first and the third million puts into a full cache", early, late)
+	}
+	runtime.KeepAlive(c)
+}
+
+func TestCacheLenNeverExceedsCapacity(t *testing.T) {
+	for _, capacity := range []int{cacheShards, 3 * cacheShards, 100, 1000} {
+		c := NewCache(capacity)
+		// Capacities are granted in whole entries per shard.
+		limit := c.Metrics().Capacity
+		if limit > capacity {
+			t.Fatalf("NewCache(%d) grants %d entries", capacity, limit)
+		}
+		for i := 0; i < 30*capacity; i++ {
+			c.Put(churnKey(i), c.Gen(), churnSets[i%len(churnSets)], 1)
+			if n := c.Len(); n > limit {
+				t.Fatalf("capacity %d: %d entries live after %d puts", capacity, n, i+1)
+			}
+			// What was just put is what the cache must still have.
+			if got, _, ok := c.Get(churnKey(i), nil); !ok || !candidatesEqual(got, churnSets[i%len(churnSets)]) {
+				t.Fatalf("capacity %d: put %d reads back as %+v (hit %v)", capacity, i, got, ok)
+			}
+		}
+		if c.Metrics().Evictions == 0 {
+			t.Fatalf("capacity %d: 30 capacities of distinct keys evicted nothing", capacity)
+		}
+	}
+}
+
+// TestCacheExactBelowCapacity: a working set that fits is never
+// evicted, whatever order it is put and read in.
+func TestCacheExactBelowCapacity(t *testing.T) {
+	c := NewCache(65536)
+	const working = 4096
+	for round := 0; round < 3; round++ {
+		for i := 0; i < working; i++ {
+			if _, _, ok := c.Get(churnKey(i), nil); ok != (round > 0) {
+				t.Fatalf("round %d key %d: hit %v", round, i, ok)
+			}
+			if round == 0 {
+				c.Put(churnKey(i), c.Gen(), churnSets[i%len(churnSets)], 1)
+			}
+		}
+	}
+	if m := c.Metrics(); m.Evictions != 0 || m.Entries != working {
+		t.Fatalf("a working set of %d in a cache of %d: %+v", working, m.Capacity, m)
+	}
+}
+
+func TestCacheHotPathAllocatesNothing(t *testing.T) {
+	c := NewCache(65536)
+	next := 0
+	put := func() {
+		c.Put(churnKey(next), c.Gen(), churnSets[next%len(churnSets)], 1)
+		next++
+	}
+	// Fill it several times over, so every shard has retired
+	// generations and its maps have their final size.
+	for next < 1_000_000 {
+		put()
+	}
+	if allocs := testing.AllocsPerRun(200_000, put); allocs != 0 {
+		t.Errorf("Put of a known candidate set into a full cache: %v allocs", allocs)
+	}
+	buf := make([]routing.Candidate, 0, 8)
+	probe := next - 1
+	if allocs := testing.AllocsPerRun(1000, func() {
+		var ok bool
+		if buf, _, ok = c.Get(churnKey(probe), buf[:0]); !ok {
+			t.Fatal("the last key put is gone")
+		}
+	}); allocs != 0 {
+		t.Errorf("Get: %v allocs", allocs)
+	}
+}
+
+// TestCacheConcurrentUse is for the race detector (ci.sh runs the
+// package under -race; run it with -count=10 after touching the
+// cache): readers, writers and invalidations at once, and no reader
+// may ever see candidates other than the ones its key was put with.
+func TestCacheConcurrentUse(t *testing.T) {
+	c := NewCache(4 * cacheShards) // small, so generations retire all the time
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []routing.Candidate
+			for i := 0; i < 20000; i++ {
+				k := churnKey(i%512 + w*100)
+				want := churnSets[int(k.Dst+k.Node)%len(churnSets)]
+				var ok bool
+				if buf, _, ok = c.Get(k, buf[:0]); ok && !candidatesEqual(buf, want) {
+					t.Errorf("key %+v: got %+v, put %+v", k, buf, want)
+					return
+				}
+				c.Put(k, c.Gen(), want, 1)
+				if w == 0 && i%1000 == 999 {
+					c.Invalidate()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n, limit := c.Len(), c.Metrics().Capacity; n > limit {
+		t.Fatalf("%d entries live, capacity %d", n, limit)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -27,6 +28,9 @@ type Client struct {
 	hc       *http.Client
 	retries  int
 	backoff  time.Duration
+	// bufs pools the *[]byte a sub-batch is encoded into and its answer
+	// read into.
+	bufs sync.Pool
 }
 
 // ClientOptions tune NewClient.
@@ -46,6 +50,7 @@ func NewClient(replicas []string, opts ClientOptions) (*Client, error) {
 	if len(replicas) == 0 {
 		return nil, fmt.Errorf("fleet: no replicas")
 	}
+	replicas = slices.Clone(replicas) // the trimming below must not reach into the caller's slice
 	for i, r := range replicas {
 		replicas[i] = strings.TrimRight(r, "/")
 	}
@@ -61,7 +66,9 @@ func NewClient(replicas []string, opts ClientOptions) (*Client, error) {
 	if hc == nil {
 		hc = &http.Client{Timeout: 30 * time.Second}
 	}
-	return &Client{replicas: replicas, hc: hc, retries: opts.Retries, backoff: opts.Backoff}, nil
+	c := &Client{replicas: replicas, hc: hc, retries: opts.Retries, backoff: opts.Backoff}
+	c.bufs.New = func() any { return new([]byte) }
+	return c, nil
 }
 
 // Replicas returns the replica count.
@@ -83,20 +90,31 @@ func (c *Client) Decide(ctx context.Context, req *reconfig.DecisionRequest) (rec
 // decisions back into request order, and returns them. Sub-batches to
 // distinct replicas fly concurrently; a replica that errors
 // (transport failure or non-200) is retried with doubling backoff and
-// only fails the batch once the retry budget is spent.
+// only fails the batch once the retry budget is spent. Each sub-batch
+// travels as one binary frame (wire.go); the candidates of one
+// replica's answers share a backing array.
 func (c *Client) DecideBatch(ctx context.Context, reqs []reconfig.DecisionRequest) ([]reconfig.Decision, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
 	n := len(c.replicas)
-	// Scatter: sub-batch per owning replica, remembering each request's
-	// original position for the gather.
-	subs := make([][]reconfig.DecisionRequest, n)
-	idx := make([][]int, n)
+	// Scatter by counting sort: order lists the request positions
+	// grouped by owning replica, and after the fill ends[o] is where
+	// replica o's group stops (and o+1's starts).
+	ends := make([]int, n)
+	for i := range reqs {
+		ends[Owner(reqs[i].Node, n)]++
+	}
+	sum := 0
+	for o, count := range ends {
+		ends[o] = sum
+		sum += count
+	}
+	order := make([]int, len(reqs))
 	for i := range reqs {
 		o := Owner(reqs[i].Node, n)
-		subs[o] = append(subs[o], reqs[i])
-		idx[o] = append(idx[o], i)
+		order[ends[o]] = i
+		ends[o]++
 	}
 	out := make([]reconfig.Decision, len(reqs))
 	var (
@@ -104,26 +122,24 @@ func (c *Client) DecideBatch(ctx context.Context, reqs []reconfig.DecisionReques
 		mu       sync.Mutex
 		firstErr error
 	)
-	for o := range subs {
-		if len(subs[o]) == 0 {
+	start := 0
+	for o, end := range ends {
+		sub := order[start:end]
+		start = end
+		if len(sub) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(o int) {
+		go func() {
 			defer wg.Done()
-			ds, err := c.postBatch(ctx, o, subs[o])
-			if err != nil {
+			if err := c.postBatch(ctx, o, reqs, sub, out); err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = fmt.Errorf("replica %d (%s): %w", o, c.replicas[o], err)
 				}
 				mu.Unlock()
-				return
 			}
-			for j, d := range ds {
-				out[idx[o][j]] = d
-			}
-		}(o)
+		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -132,64 +148,82 @@ func (c *Client) DecideBatch(ctx context.Context, reqs []reconfig.DecisionReques
 	return out, nil
 }
 
-// postBatch sends one sub-batch to replica o with the retry/backoff
-// policy.
-func (c *Client) postBatch(ctx context.Context, o int, sub []reconfig.DecisionRequest) ([]reconfig.Decision, error) {
-	payload, err := json.Marshal(sub)
-	if err != nil {
-		return nil, err
+// postBatch sends the sub-batch reqs[sub[0]], reqs[sub[1]], … to
+// replica o with the retry/backoff policy and decodes the answers into
+// out at the same positions.
+func (c *Client) postBatch(ctx context.Context, o int, reqs []reconfig.DecisionRequest, sub []int, out []reconfig.Decision) error {
+	frame, answer := c.bufs.Get().(*[]byte), c.bufs.Get().(*[]byte)
+	// The answer is read to its end and its body closed before post
+	// returns, so that buffer is ours alone again.
+	defer c.bufs.Put(answer)
+	var err error
+	if *frame, err = AppendBatchRequest((*frame)[:0], reqs, sub); err != nil {
+		c.bufs.Put(frame)
+		return err
 	}
-	var lastErr error
+	// Every attempt resends the same bytes, so the frame stays out of
+	// the pool until the last one has ended — and goes back only if none
+	// failed: a complete answer proves the replica has consumed the
+	// whole body, while after a refused or broken attempt net/http's
+	// write loop may still be reading it (a request body may be reused
+	// only after its Close, which a *bytes.Reader does not show us).
+	clean := true
+	err = c.retry(ctx, func() error {
+		*answer, err = c.post(ctx, c.replicas[o]+"/decide/batch", BatchContentType, *frame, (*answer)[:0])
+		if err == nil {
+			err = DecodeBatchResponse(*answer, out, sub)
+		}
+		clean = clean && err == nil
+		return err
+	})
+	if clean {
+		c.bufs.Put(frame)
+	}
+	return err
+}
+
+// retry runs attempt until it succeeds or the retry budget is spent,
+// sleeping the doubling backoff (or until ctx ends) between tries.
+func (c *Client) retry(ctx context.Context, attempt func() error) error {
+	var err error
 	delay := c.backoff
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 {
+	for i := 0; i <= c.retries; i++ {
+		if i > 0 {
 			select {
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return ctx.Err()
 			case <-time.After(delay):
 			}
 			delay *= 2
 		}
-		body, err := c.post(ctx, c.replicas[o]+"/decide/batch", payload)
-		if err != nil {
-			lastErr = err
-			continue
+		if err = attempt(); err == nil {
+			return nil
 		}
-		var ds []reconfig.Decision
-		if err := json.Unmarshal(body, &ds); err != nil {
-			lastErr = err
-			continue
-		}
-		if len(ds) != len(sub) {
-			lastErr = fmt.Errorf("batch of %d answered with %d decisions", len(sub), len(ds))
-			continue
-		}
-		return ds, nil
 	}
-	return nil, fmt.Errorf("after %d attempts: %w", c.retries+1, lastErr)
+	return fmt.Errorf("after %d attempts: %w", c.retries+1, err)
 }
 
-// post issues one POST and returns the body; a non-200 status is an
-// error carrying the (JSON error) body.
-func (c *Client) post(ctx context.Context, url string, payload []byte) ([]byte, error) {
+// post issues one POST and returns the response body appended to buf;
+// a non-200 status is an error carrying the (JSON error) body.
+func (c *Client) post(ctx context.Context, url, contentType string, payload, buf []byte) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
 	if err != nil {
-		return nil, err
+		return buf, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, err
+		return buf, err
 	}
-	body, err := io.ReadAll(resp.Body)
+	buf, err = readAll(resp.Body, buf)
 	resp.Body.Close()
 	if err != nil {
-		return nil, err
+		return buf, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(body))
+		return buf, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(buf))
 	}
-	return body, nil
+	return buf, nil
 }
 
 // Broadcast POSTs the same payload to every replica (rollout
@@ -199,32 +233,13 @@ func (c *Client) post(ctx context.Context, url string, payload []byte) ([]byte, 
 func (c *Client) Broadcast(ctx context.Context, path string, payload []byte) ([][]byte, error) {
 	out := make([][]byte, len(c.replicas))
 	for o := range c.replicas {
-		var (
-			body    []byte
-			err     error
-			lastErr error
-		)
-		delay := c.backoff
-		for attempt := 0; attempt <= c.retries; attempt++ {
-			if attempt > 0 {
-				select {
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				case <-time.After(delay):
-				}
-				delay *= 2
-			}
-			body, err = c.post(ctx, c.replicas[o]+path, payload)
-			if err == nil {
-				lastErr = nil
-				break
-			}
-			lastErr = err
+		err := c.retry(ctx, func() (err error) {
+			out[o], err = c.post(ctx, c.replicas[o]+path, "application/json", payload, nil)
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("replica %d (%s): %w", o, c.replicas[o], err)
 		}
-		if lastErr != nil {
-			return nil, fmt.Errorf("replica %d (%s): %w", o, c.replicas[o], lastErr)
-		}
-		out[o] = body
 	}
 	return out, nil
 }

@@ -1,9 +1,13 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -86,6 +90,39 @@ func TestClientScatterGatherOrder(t *testing.T) {
 	}
 }
 
+func TestNewClientLeavesItsArgumentAlone(t *testing.T) {
+	urls := []string{"http://a.example/", "http://b.example//"}
+	client, err := NewClient(urls, ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if urls[0] != "http://a.example/" || urls[1] != "http://b.example//" {
+		t.Fatalf("NewClient rewrote the caller's slice: %q", urls)
+	}
+	if client.URL(0) != "http://a.example" || client.URL(1) != "http://b.example" {
+		t.Fatalf("replica URLs %q %q keep their trailing slashes", client.URL(0), client.URL(1))
+	}
+}
+
+// TestClientInBandErrorsSurviveTheFrame: a request no replica can
+// answer comes back as that decision's error beside its neighbours'
+// answers, not as a failed batch.
+func TestClientInBandErrorsSurviveTheFrame(t *testing.T) {
+	client, servers := testFleet(t, 3)
+	nodes := servers[0].Graph().Nodes()
+	out, err := client.DecideBatch(context.Background(), []reconfig.DecisionRequest{
+		injectReq(4, 9), {Node: -1, Src: 0, Dst: 1}, injectReq(5, 9), {Node: nodes + 1, Src: 0, Dst: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range out {
+		if bad := i%2 == 1; bad != strings.Contains(d.Error, "out of range") || bad == (len(d.Candidates) > 0) {
+			t.Fatalf("decision %d: %+v", i, d)
+		}
+	}
+}
+
 func TestClientRetriesFlakyReplica(t *testing.T) {
 	g := topology.NewMesh(4, 4)
 	art := buildArt(t, "nafta", 1, g)
@@ -119,6 +156,82 @@ func TestClientRetriesFlakyReplica(t *testing.T) {
 	}
 	if got := failures.Load(); got != 3 {
 		t.Fatalf("%d attempts, want 3 (2 failures + 1 success)", got)
+	}
+}
+
+// TestClientRetryResendsIntactFrame: the replica refuses every frame
+// the first time it sees those bytes and serves it the second, while
+// several batches share the client's buffer pool. A retry that resent
+// a buffer some other batch had taken over would never be recognised,
+// or would be answered for the wrong requests.
+func TestClientRetryResendsIntactFrame(t *testing.T) {
+	g := topology.NewMesh(4, 4)
+	art := buildArt(t, "nafta", 1, g)
+	srv, err := NewServer(art, nil, g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := srv.Mux()
+	var mu sync.Mutex
+	seen := map[string]bool{}
+	var attempts atomic.Int64
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		attempts.Add(1)
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		mu.Lock()
+		again := seen[string(body)]
+		seen[string(body)] = true
+		mu.Unlock()
+		if !again {
+			http.Error(w, "replica restarting", http.StatusServiceUnavailable)
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		mux.ServeHTTP(w, r)
+	}))
+	defer replica.Close()
+	client, err := NewClient([]string{replica.URL}, ClientOptions{Retries: 1, Backoff: time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := reconfig.NewService(art, g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lanes, batches = 8, 40
+	var wg sync.WaitGroup
+	for lane := 0; lane < lanes; lane++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				// The length makes every batch's bytes its own.
+				reqs := make([]reconfig.DecisionRequest, 1+b%7)
+				for i := range reqs {
+					reqs[i] = injectReq((lane+i)%g.Nodes(), (lane+i+5)%g.Nodes())
+					reqs[i].Length = 1 + lane*batches + b
+				}
+				out, err := client.DecideBatch(context.Background(), reqs)
+				if err != nil {
+					t.Errorf("lane %d batch %d: %v", lane, b, err)
+					return
+				}
+				for i := range reqs {
+					want, _, _ := ref.Decide(&reqs[i], nil)
+					if out[i].Error != "" || !candidatesEqual(out[i].Candidates, want) {
+						t.Errorf("lane %d batch %d request %d: got %+v want %+v", lane, b, i, out[i], want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := attempts.Load(); got != 2*lanes*batches {
+		t.Fatalf("%d attempts for %d batches, want exactly two each", got, lanes*batches)
 	}
 }
 

@@ -2,11 +2,13 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
 	httppprof "net/http/pprof"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,7 +54,7 @@ type Server struct {
 	maxBatch int
 	failMode string
 	pprof    bool
-	bufs     sync.Pool
+	bufs     sync.Pool // of *scratch
 
 	misdirected atomic.Int64
 
@@ -94,6 +96,7 @@ func NewServer(art *reconfig.Artifact, bundle *failover.Bundle, g topology.Graph
 		failMode: opts.FailoverMode,
 		pprof:    opts.Pprof,
 	}
+	s.bufs.New = func() any { return new(scratch) }
 	if bundle != nil && opts.FailoverMode == "auto" {
 		if err := s.installBundle(bundle); err != nil {
 			return nil, err
@@ -172,30 +175,35 @@ func (s *Server) Mux() *http.ServeMux {
 	return mux
 }
 
-func (s *Server) getBuf() []routing.Candidate {
-	if b, ok := s.bufs.Get().(*[]routing.Candidate); ok {
-		return (*b)[:0]
-	}
-	return make([]routing.Candidate, 0, 8)
+// scratch is what one request borrows from the server's pool: the
+// candidate buffer every decide path appends to, and for a binary
+// batch the request body, the decoded requests and the response frame.
+type scratch struct {
+	cands     []routing.Candidate
+	body, out []byte
+	reqs      []reconfig.DecisionRequest
 }
-
-func (s *Server) putBuf(b []routing.Candidate) { s.bufs.Put(&b) }
 
 // Decision mirrors reconfig.Decision for the HTTP layer.
 type Decision = reconfig.Decision
 
-// decide runs one request through the fleet decision path (shard
-// ownership, canary sampling, memoization, service) and renders the
-// wire result.
-func (s *Server) decide(req *reconfig.DecisionRequest, buf []routing.Candidate) (Decision, []routing.Candidate) {
+// serve is the one definition of a served decision, whatever encoding
+// asked for it: a node this replica does not own is refused (and
+// counted), everything else runs the fleet decision path (canary
+// sampling, memoization, service). It appends the candidates to buf;
+// a nil error with none appended is an unroutable verdict.
+func (s *Server) serve(req *reconfig.DecisionRequest, buf []routing.Candidate) ([]routing.Candidate, uint64, error) {
 	if req.Node >= 0 && req.Node < s.nodes && !s.shard.Owns(req.Node) {
 		s.misdirected.Add(1)
-		return Decision{
-			Error: fmt.Sprintf("node %d is owned by replica %d/%d (this is replica %s)",
-				req.Node, Owner(req.Node, s.shard.Count), s.shard.Count, s.shard),
-		}, buf
+		return buf, 0, fmt.Errorf("node %d is owned by replica %d/%d (this is replica %s)",
+			req.Node, Owner(req.Node, s.shard.Count), s.shard.Count, s.shard)
 	}
-	cands, epoch, err := s.reg.Decide(req, buf)
+	return s.reg.Decide(req, buf)
+}
+
+// decide serves one request and renders it for the JSON encodings.
+func (s *Server) decide(req *reconfig.DecisionRequest, buf []routing.Candidate) (Decision, []routing.Candidate) {
+	cands, epoch, err := s.serve(req, buf)
 	d := Decision{Epoch: epoch}
 	if err != nil {
 		d.Error = err.Error()
@@ -216,30 +224,91 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err), nil)
 		return
 	}
-	buf := s.getBuf()
-	d, buf := s.decide(&req, buf)
-	s.putBuf(buf)
+	sc := s.bufs.Get().(*scratch)
+	var d Decision
+	d, sc.cands = s.decide(&req, sc.cands[:0])
+	s.bufs.Put(sc)
 	writeJSON(w, d)
 }
 
+// maxBatchBody bounds a /decide/batch body in either encoding.
+const maxBatchBody = 8 << 20
+
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	if r.Header.Get("Content-Type") == BatchContentType {
+		s.handleBatchFrame(w, r)
+		return
+	}
 	var reqs []reconfig.DecisionRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&reqs); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody)).Decode(&reqs); err != nil {
 		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("decoding batch: %v", err), nil)
 		return
 	}
 	if len(reqs) > s.maxBatch {
-		writeJSONError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d decisions exceeds the %d limit (split the batch)", len(reqs), s.maxBatch), nil)
+		s.refuseBatch(w, len(reqs))
 		return
 	}
 	out := make([]Decision, len(reqs))
-	buf := s.getBuf()
+	sc := s.bufs.Get().(*scratch)
 	for i := range reqs {
-		out[i], buf = s.decide(&reqs[i], buf[:0])
+		out[i], sc.cands = s.decide(&reqs[i], sc.cands[:0])
 	}
-	s.putBuf(buf)
+	s.bufs.Put(sc)
 	writeJSON(w, out)
+}
+
+func (s *Server) refuseBatch(w http.ResponseWriter, n int) {
+	writeJSONError(w, http.StatusRequestEntityTooLarge,
+		fmt.Sprintf("batch of %d decisions exceeds the %d limit (split the batch)", n, s.maxBatch), nil)
+}
+
+// handleBatchFrame is /decide/batch in the binary encoding (wire.go):
+// the body, the decoded requests, the candidates and the response
+// frame all live in one pooled scratch, and each answer is appended to
+// the frame as it is served.
+func (s *Server) handleBatchFrame(w http.ResponseWriter, r *http.Request) {
+	sc := s.bufs.Get().(*scratch)
+	defer s.bufs.Put(sc)
+	var err error
+	if sc.body, err = readAll(http.MaxBytesReader(w, r.Body, maxBatchBody), sc.body[:0]); err != nil {
+		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("reading batch: %v", err), nil)
+		return
+	}
+	n, err := batchRequestCount(sc.body)
+	if err == nil && n > s.maxBatch {
+		s.refuseBatch(w, n)
+		return
+	}
+	if err == nil {
+		sc.reqs, err = decodeRequests(sc.body, n, sc.reqs[:0])
+	}
+	if err != nil {
+		var valid []string
+		if errors.Is(err, errFrameVersion) {
+			valid = frameVersions
+		}
+		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("decoding batch: %v", err), valid)
+		return
+	}
+	frame := beginResponse(sc.out[:0], n)
+	for i := range sc.reqs {
+		var epoch uint64
+		sc.cands, epoch, err = s.serve(&sc.reqs[i], sc.cands[:0])
+		errText := ""
+		if err != nil {
+			errText = err.Error()
+		}
+		if err := frame.add(sc.cands, epoch, errText); err != nil {
+			writeJSONError(w, http.StatusInternalServerError, fmt.Sprintf("encoding decision %d: %v", i, err), nil)
+			return
+		}
+	}
+	sc.out = frame.finish()
+	w.Header().Set("Content-Type", BatchContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(sc.out)))
+	if _, err := w.Write(sc.out); err != nil {
+		log.Printf("fleet: writing response: %v", err)
+	}
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {

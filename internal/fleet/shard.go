@@ -20,9 +20,10 @@ type ShardInfo struct {
 var Single = ShardInfo{Index: 0, Count: 1}
 
 // Owner returns the replica index owning node in a replicas-wide
-// fleet.
+// fleet. A negative node is no node of any topology; it goes to
+// replica 0, which answers it with the out-of-range error.
 func Owner(node, replicas int) int {
-	if replicas <= 1 {
+	if replicas <= 1 || node < 0 {
 		return 0
 	}
 	return node % replicas

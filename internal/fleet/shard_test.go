@@ -8,6 +8,7 @@ func TestOwner(t *testing.T) {
 	}{
 		{0, 1, 0}, {17, 1, 0}, {5, 0, 0}, {9, -2, 0},
 		{0, 3, 0}, {1, 3, 1}, {2, 3, 2}, {3, 3, 0}, {64, 3, 1},
+		{-1, 3, 0}, {-4, 3, 0}, // never a negative index: the client scatters by it
 	} {
 		if got := Owner(tc.node, tc.replicas); got != tc.want {
 			t.Errorf("Owner(%d,%d) = %d, want %d", tc.node, tc.replicas, got, tc.want)
