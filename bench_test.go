@@ -259,10 +259,16 @@ func BenchmarkRuleDecision(b *testing.B) {
 		f.FailNode(3)
 		hdr := &routing.Header{Src: 0, Dst: 63, Length: 8}
 		req := routing.Request{Node: 1, InPort: 0, Hdr: hdr}
+		// dir-only: descending on the last level with only ascending
+		// work left is "blocked" — decide_dir alone, no decide_vc.
+		blocked := routing.Request{Node: 1, InPort: 0,
+			Hdr: &routing.Header{Src: 0, Dst: 63, Length: 8, Phase: 1, DetourLevel: 3}}
 		for _, mode := range []struct {
 			name        string
 			disableFast bool
-		}{{"fast", false}, {"interpreted", true}} {
+			req         routing.Request
+			candidates  bool
+		}{{"fast", false, req, true}, {"interpreted", true, req, true}, {"dir-only", false, blocked, false}} {
 			b.Run(mode.name, func(b *testing.B) {
 				b.ReportAllocs()
 				alg, err := rulesets.NewRuleRouteC(h)
@@ -274,13 +280,26 @@ func BenchmarkRuleDecision(b *testing.B) {
 				buf := make([]routing.Candidate, 0, h.Dim)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					buf = alg.RouteAppend(req, buf[:0])
-					if len(buf) == 0 {
-						b.Fatal("no candidates")
+					buf = alg.RouteAppend(mode.req, buf[:0])
+					if (len(buf) != 0) != mode.candidates {
+						b.Fatalf("%d candidates", len(buf))
 					}
+				}
+				if want := int64(b.N) * int64(1+len(buf)); alg.Lookups != want {
+					b.Fatalf("%d lookups, want %d", alg.Lookups, want)
 				}
 			})
 		}
+		b.Run("native", func(b *testing.B) {
+			b.ReportAllocs()
+			alg := routing.NewRouteC(h)
+			alg.UpdateFaults(f)
+			for i := 0; i < b.N; i++ {
+				if len(alg.Route(req)) == 0 {
+					b.Fatal("no candidates")
+				}
+			}
+		})
 	})
 }
 

@@ -74,7 +74,7 @@ func TestDeliveryOraclePartitionedTorus(t *testing.T) {
 	var links [][2]int
 	for _, x := range []int{2, 4} {
 		for y := 0; y < 5; y++ {
-			links = append(links, [2]int{node(x, y), node((x + 1) % 6, y)})
+			links = append(links, [2]int{node(x, y), node((x+1)%6, y)})
 		}
 	}
 	s := Scenario{
@@ -104,9 +104,9 @@ type silentDropAlg struct {
 	bad    bool
 }
 
-func (b *silentDropAlg) Name() string                                { return b.inner.Name() }
-func (b *silentDropAlg) NumVCs() int                                 { return b.inner.NumVCs() }
-func (b *silentDropAlg) Steps(r routing.Request) int                 { return b.inner.Steps(r) }
+func (b *silentDropAlg) Name() string                                   { return b.inner.Name() }
+func (b *silentDropAlg) NumVCs() int                                    { return b.inner.NumVCs() }
+func (b *silentDropAlg) Steps(r routing.Request) int                    { return b.inner.Steps(r) }
 func (b *silentDropAlg) NoteHop(r routing.Request, c routing.Candidate) { b.inner.NoteHop(r, c) }
 func (b *silentDropAlg) UpdateFaults(f *fault.Set) {
 	b.bad = f.NodeFaulty(b.poison)

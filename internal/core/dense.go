@@ -13,8 +13,11 @@ package core
 // integer slot (InputLayout); a decision fills a flat InputVector once
 // (no maps, no fmt key building); and each field/atom of a
 // CompiledBase is translated into a closure tree over that vector
-// (quantifiers become loops, subbase calls are inlined, constant sets
-// fold to bitmasks). DenseTable.Lookup is then: evaluate a handful of
+// (subbase calls are inlined, constant sets fold to bitmasks).
+// One-index 0/1 inputs are packed one bit per element into a machine
+// word — the paper's d-bit-wide logical units — so a quantifier over
+// such signals is a few word operations instead of a loop.
+// DenseTable.Lookup is then: evaluate a handful of
 // int64 closures, combine them into the flat feature index, and read
 // the pre-filled table — no allocation, no interface dispatch per
 // signal.
@@ -43,16 +46,33 @@ type inputSlot struct {
 	info    *rules.SignalInfo
 	off     int
 	strides []int // per index dimension, in slots
+	word    int   // bit word of a packed signal, -1 otherwise
+}
+
+// wordBits is the element capacity of one packed word.
+const wordBits = 64
+
+// packable reports whether a signal is stored one bit per element: a
+// one-index 0/1 input that fits a word.
+func packable(info *rules.SignalInfo) bool {
+	d := info.Domain
+	return len(info.Index) == 1 && info.Index[0].DomainSize() <= wordBits &&
+		d.Kind == rules.TInt && d.Lo == 0 && d.Hi == 1
 }
 
 // InputLayout assigns every INPUT signal of an analysed program a
 // fixed range of integer slots, resolved once at compile time. It is
 // shared by all DenseTables of the program and by the InputVectors the
 // adapters fill per decision.
+//
+// A packed signal (see packable) lives only in its bit word; its
+// elements keep slot numbers — past the value slots, wordBits per word
+// — so Set, get and the Provider address them like any other slot.
 type InputLayout struct {
 	checked *rules.Checked
 	byName  map[string]*inputSlot
-	total   int
+	total   int // value slots
+	words   int // bit words
 }
 
 // NewInputLayout builds the slot assignment for all INPUT signals of
@@ -68,7 +88,7 @@ func NewInputLayout(c *rules.Checked) *InputLayout {
 	sort.Strings(names)
 	for _, name := range names {
 		info := c.Signals[name]
-		s := &inputSlot{info: info, off: l.total}
+		s := &inputSlot{info: info, off: l.total, word: -1}
 		s.strides = make([]int, len(info.Index))
 		stride := 1
 		for i := len(info.Index) - 1; i >= 0; i-- {
@@ -76,13 +96,30 @@ func NewInputLayout(c *rules.Checked) *InputLayout {
 			stride *= int(info.Index[i].DomainSize())
 		}
 		l.byName[name] = s
-		l.total += int(info.Slots())
+		if packable(info) {
+			s.word = l.words
+			l.words++
+		} else {
+			l.total += int(info.Slots())
+		}
+	}
+	for _, s := range l.byName {
+		if s.word >= 0 {
+			s.off = l.total + wordBits*s.word
+		}
 	}
 	return l
 }
 
-// NumSlots returns the total number of input slots.
-func (l *InputLayout) NumSlots() int { return l.total }
+// WordOf resolves a packed input signal to its bit word for
+// InputVector.SetWord.
+func (l *InputLayout) WordOf(name string) (int, error) {
+	s, ok := l.byName[name]
+	if !ok || s.word < 0 {
+		return 0, fmt.Errorf("core: %s is not a packed 0/1 input", name)
+	}
+	return s.word, nil
+}
 
 // SlotOf resolves an input signal element to its flat slot. Index
 // arguments are zero-based ordinals (symbol ordinal, or integer value
@@ -111,22 +148,28 @@ func (l *InputLayout) SlotOf(name string, idx ...int64) (int, error) {
 // one int64 per input slot (raw value for integer signals, ordinal for
 // symbol signals). A generation counter distinguishes slots set for
 // the current decision from stale ones, so clearing between decisions
-// is O(1). An InputVector is not safe for concurrent use — one per
-// algorithm instance, like the adapters themselves.
+// is O(1). Packed signals keep one bit per element in words, with the
+// elements set for the current decision marked in wset. An InputVector
+// is not safe for concurrent use — one per algorithm instance, like the
+// adapters themselves.
 type InputVector struct {
 	layout *InputLayout
 	vals   []int64
 	gens   []uint32
 	gen    uint32
+	words  []uint64
+	wset   []uint64
 }
 
 // NewInputVector allocates a vector for layout l with all slots unset.
 func NewInputVector(l *InputLayout) *InputVector {
 	return &InputVector{
 		layout: l,
-		vals:   make([]int64, l.NumSlots()),
-		gens:   make([]uint32, l.NumSlots()),
+		vals:   make([]int64, l.total),
+		gens:   make([]uint32, l.total),
 		gen:    1,
+		words:  make([]uint64, l.words),
+		wset:   make([]uint64, l.words),
 	}
 }
 
@@ -140,12 +183,29 @@ func (iv *InputVector) Begin() {
 		}
 		iv.gen = 1
 	}
+	clear(iv.wset)
 }
 
 // Set stores the value of one slot for the current decision.
 func (iv *InputVector) Set(slot int, v int64) {
+	if p := slot - len(iv.vals); p >= 0 {
+		w, bit := p/wordBits, uint64(1)<<uint(p%wordBits)
+		iv.words[w] &^= bit
+		if v != 0 {
+			iv.words[w] |= bit
+		}
+		iv.wset[w] |= bit
+		return
+	}
 	iv.vals[slot] = v
 	iv.gens[slot] = iv.gen
+}
+
+// SetWord stores all elements of a packed signal at once: bit e of bits
+// is element e. Bits beyond the signal's element count are ignored.
+func (iv *InputVector) SetWord(word int, bits uint64) {
+	iv.words[word] = bits
+	iv.wset[word] = ^uint64(0)
 }
 
 // SetBool stores 0/1.
@@ -160,6 +220,10 @@ func (iv *InputVector) SetBool(slot int, b bool) {
 // get reads a slot; ok is false when the slot was not set for the
 // current decision.
 func (iv *InputVector) get(slot int) (int64, bool) {
+	if p := slot - len(iv.vals); p >= 0 {
+		w, b := p/wordBits, uint(p%wordBits)
+		return int64(iv.words[w] >> b & 1), iv.wset[w]>>b&1 != 0
+	}
 	if iv.gens[slot] != iv.gen {
 		return 0, false
 	}
@@ -218,6 +282,7 @@ type denseCompiler struct {
 	scope  map[string]int // name -> scratch slot
 	depth  int
 	max    int
+	noMask bool // tests: keep every quantifier on the loop form
 }
 
 func (dc *denseCompiler) bind(name string) (slot int, restore func()) {
@@ -588,13 +653,37 @@ func (dc *denseCompiler) compileQuant(n *rules.Quant) (dexpr, error) {
 	default:
 		return nil, fmt.Errorf("quantifier over %s domain", dt)
 	}
+	exists := n.Kind == "EXISTS"
+	if m := dc.compileMask(n.Body, n.Var, dt); m != nil && !dc.noMask {
+		// The vector unit: all elements at once. stop marks where the
+		// loop below would return early, so an unset input fails the
+		// lookup exactly when the loop would have read it.
+		dom := uint64(1)<<uint(dt.DomainSize()) - 1
+		return func(iv *InputVector, rt *denseRT) int64 {
+			val, unset := m(iv)
+			stop := val & dom
+			if !exists {
+				stop = ^val & dom
+			}
+			seen := dom
+			if stop != 0 {
+				seen = stop ^ (stop - 1)
+			}
+			if unset&seen != 0 {
+				rt.failed = true
+			}
+			if (stop != 0) == exists {
+				return 1
+			}
+			return 0
+		}, nil
+	}
 	slot, restore := dc.bind(n.Var)
 	defer restore()
 	body, err := dc.compile(n.Body)
 	if err != nil {
 		return nil, err
 	}
-	exists := n.Kind == "EXISTS"
 	return func(iv *InputVector, rt *denseRT) int64 {
 		for v := lo; v <= hi; v++ {
 			rt.sc[slot] = v
@@ -611,6 +700,66 @@ func (dc *denseCompiler) compileQuant(n *rules.Quant) (dexpr, error) {
 		}
 		return 1
 	}, nil
+}
+
+// mexpr is a quantifier body compiled to word operations over packed
+// inputs: bit e of val is the body's value at element e, bit e of unset
+// is raised when evaluating it there reads an input that is not set
+// (in the loop form's short-circuit order). Where unset is raised the
+// val bit is stale, which is harmless: the loop form cannot get past
+// such an element without failing the lookup either.
+type mexpr func(iv *InputVector) (val, unset uint64)
+
+// compileMask compiles a quantifier body of the shape AND/OR/NOT over
+// sig(v) = 0|1, where v is the quantified variable ranging over the
+// integer domain dom and sig a packed input indexed by exactly dom. It
+// returns nil for any other body; the caller keeps the loop form.
+func (dc *denseCompiler) compileMask(e rules.Expr, v string, dom *rules.Type) mexpr {
+	switch n := e.(type) {
+	case *rules.Unary:
+		x := dc.compileMask(n.X, v, dom)
+		if n.Op != "NOT" || x == nil {
+			return nil
+		}
+		return func(iv *InputVector) (uint64, uint64) {
+			val, unset := x(iv)
+			return ^val, unset
+		}
+	case *rules.Binary:
+		if n.Op == "AND" || n.Op == "OR" {
+			x, y := dc.compileMask(n.X, v, dom), dc.compileMask(n.Y, v, dom)
+			if x == nil || y == nil {
+				return nil
+			}
+			and := n.Op == "AND"
+			return func(iv *InputVector) (uint64, uint64) {
+				xv, xu := x(iv)
+				yv, yu := y(iv)
+				if and {
+					return xv & yv, xu | xv&yu
+				}
+				return xv | yv, xu | ^xv&yu
+			}
+		}
+		call, _ := n.X.(*rules.Call)
+		lit, _ := n.Y.(*rules.NumLit)
+		if n.Op != "=" || call == nil || lit == nil || lit.Val&^1 != 0 || len(call.Args) != 1 {
+			return nil
+		}
+		s := dc.layout.byName[call.Name]
+		arg, _ := call.Args[0].(*rules.Ident)
+		if s == nil || s.word < 0 || arg == nil || arg.Name != v {
+			return nil
+		}
+		if ix := s.info.Index[0]; ix.Kind != rules.TInt || dom.Kind != rules.TInt || ix.Lo != dom.Lo || ix.Hi != dom.Hi {
+			return nil
+		}
+		w, flip := s.word, -uint64(1-lit.Val) // sig(v) = 0 inverts the word
+		return func(iv *InputVector) (uint64, uint64) {
+			return iv.words[w] ^ flip, ^iv.wset[w]
+		}
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -650,10 +799,14 @@ type DenseTable struct {
 // reads, non-constant sets, unknown functions); callers treat a
 // failure as "no fast path" and stay on the interpreter.
 func (cb *CompiledBase) CompileDense(layout *InputLayout) (*DenseTable, error) {
+	return cb.compileDense(layout, false)
+}
+
+func (cb *CompiledBase) compileDense(layout *InputLayout, noMask bool) (*DenseTable, error) {
 	if cb.Table == nil {
 		return nil, fmt.Errorf("core: %s: compiled without table (SizeOnly)", cb.Base)
 	}
-	dc := &denseCompiler{c: cb.checked, layout: layout, scope: map[string]int{}}
+	dc := &denseCompiler{c: cb.checked, layout: layout, scope: map[string]int{}, noMask: noMask}
 	dt := &DenseTable{cb: cb, layout: layout}
 	// Base parameters occupy the first scratch slots, in declaration
 	// order; Lookup copies the caller's args there.

@@ -294,7 +294,7 @@ func New(cfg Config) *Network {
 		for p := 0; p < lay.ports; p++ {
 			for v := 0; v < lay.vcs; v++ {
 				ivc := &n.ins[lay.inIdx(node, p, v)]
-				ivc.q.buf = arena[off:off : off+cfg.BufDepth]
+				ivc.q.buf = arena[off : off : off+cfg.BufDepth]
 				off += cfg.BufDepth
 			}
 		}

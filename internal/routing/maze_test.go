@@ -81,7 +81,9 @@ func TestMazeAllPairsFaultFreeMinimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dist := g.(interface{ Dist(a, b topology.NodeID) int }).Dist
+		dist := g.(interface {
+			Dist(a, b topology.NodeID) int
+		}).Dist
 		for s := 0; s < g.Nodes(); s++ {
 			for d := 0; d < g.Nodes(); d++ {
 				if s == d {

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"math/bits"
+
 	"repro/internal/fault"
 	"repro/internal/topology"
 )
@@ -182,7 +184,7 @@ func (r *RouteC) UpdateFaults(f *fault.Set) {
 
 func (r *RouteC) NoteHop(req Request, chosen Candidate) {
 	cur, dst := req.Node, req.Hdr.Dst
-	minimal := contains(r.cube.MinimalPorts(cur, dst), chosen.Port)
+	minimal := r.cube.MinimalMask(cur, dst)>>uint(chosen.Port)&1 != 0
 	if !minimal {
 		req.Hdr.Misroutes++
 		req.Hdr.Marked = true
@@ -216,7 +218,7 @@ func (r *RouteC) NoteHop(req Request, chosen Candidate) {
 	// Minimal hops keep the phase monotone within the level: once
 	// descending, a level never ascends again.
 	next := r.cube.Neighbor(cur, chosen.Port)
-	if req.Hdr.Phase == 0 && len(r.cube.UpPorts(next, dst)) == 0 {
+	if req.Hdr.Phase == 0 && r.cube.UpMask(next, dst) == 0 {
 		req.Hdr.Phase = 1
 	}
 }
@@ -234,38 +236,38 @@ func vcFor(hdr *Header) int {
 	return routecVCUp
 }
 
-// usable reports whether the hop via port p is physically possible.
-func (r *RouteC) usable(n topology.NodeID, p int) bool {
-	return r.faults.PortUsable(r.cube, n, p)
+// usable keeps, among the ports of mask, those whose hop is physically
+// possible and that do not lead straight back over the arrival port.
+func (r *RouteC) usable(n topology.NodeID, mask uint, inPort int) uint {
+	var out uint
+	for m := mask; m != 0; m &= m - 1 {
+		if p := bits.TrailingZeros(m); p != inPort && r.faults.PortUsable(r.cube, n, p) {
+			out |= 1 << uint(p)
+		}
+	}
+	return out
 }
 
 // preferSafe keeps, among the given ports, only those with the best
 // (lowest) neighbour state; the destination always counts as best so
 // the final hop is never filtered away.
-func (r *RouteC) preferSafe(n topology.NodeID, ports []int, dst topology.NodeID) []int {
-	best := StateFaulty
-	for _, p := range ports {
+func (r *RouteC) preferSafe(n topology.NodeID, ports uint, dst topology.NodeID) uint {
+	var byState [StateFaulty + 1]uint
+	for m := ports; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros(m)
 		nb := r.cube.Neighbor(n, p)
 		s := r.states[nb]
 		if nb == dst {
 			s = StateSafe
 		}
-		if s < best {
-			best = s
+		byState[s] |= 1 << uint(p)
+	}
+	for _, best := range byState {
+		if best != 0 {
+			return best
 		}
 	}
-	var out []int
-	for _, p := range ports {
-		nb := r.cube.Neighbor(n, p)
-		s := r.states[nb]
-		if nb == dst {
-			s = StateSafe
-		}
-		if s == best {
-			out = append(out, p)
-		}
-	}
-	return out
+	return 0
 }
 
 // hop kinds produced by decideDir: a minimal hop on the current
@@ -279,50 +281,30 @@ const (
 )
 
 // decideDir is the first rule interpretation: compute the admissible
-// output ports (set 2 from the up/down scheme intersected with set 1
-// from the fault states).
-func (r *RouteC) decideDir(req Request) (ports []int, kind int) {
+// output ports as a mask (set 2 from the up/down scheme intersected
+// with set 1 from the fault states).
+func (r *RouteC) decideDir(req Request) (ports uint, kind int) {
 	cur, dst := req.Node, req.Hdr.Dst
+	up, down := r.cube.UpMask(cur, dst), r.cube.DownMask(cur, dst)
 	// Minimal ports, honouring the up-before-down order. The order is
 	// kept inside detour levels as well (each level re-runs ascent
 	// then descent), so channel dependencies within a level stay
-	// address-monotone.
-	var minimal []int
-	if up := r.cube.UpPorts(cur, dst); len(up) > 0 && req.Hdr.Phase == 0 {
+	// address-monotone. A minimal port can only equal the arrival port
+	// right after a detour; bouncing straight back would re-create the
+	// decision that caused the detour (ping-pong livelock).
+	minimal := down
+	if up != 0 && req.Hdr.Phase == 0 {
 		minimal = up
-	} else {
-		minimal = r.cube.DownPorts(cur, dst)
 	}
-	var usableMin []int
-	for _, p := range minimal {
-		// A minimal port can only equal the arrival port right after
-		// a detour; bouncing straight back would re-create the
-		// decision that caused the detour (ping-pong livelock).
-		if p == req.InPort {
-			continue
-		}
-		if r.usable(cur, p) {
-			usableMin = append(usableMin, p)
-		}
-	}
-	if len(usableMin) > 0 {
-		return r.preferSafe(cur, usableMin, dst), kindMinimal
+	if m := r.usable(cur, minimal, req.InPort); m != 0 {
+		return r.preferSafe(cur, m, dst), kindMinimal
 	}
 	// In phase 0 the down-ports may still be intact: fall through to
 	// them before declaring a detour (phase change is minimal, not a
 	// misroute).
 	if req.Hdr.Phase == 0 {
-		var down []int
-		for _, p := range r.cube.DownPorts(cur, dst) {
-			if p == req.InPort {
-				continue
-			}
-			if r.usable(cur, p) {
-				down = append(down, p)
-			}
-		}
-		if len(down) > 0 {
-			return r.preferSafe(cur, down, dst), kindMinimal
+		if m := r.usable(cur, down, req.InPort); m != 0 {
+			return r.preferSafe(cur, m, dst), kindMinimal
 		}
 	}
 	// Level bump: a descending-entry level cannot ascend (the channel
@@ -331,44 +313,26 @@ func (r *RouteC) decideDir(req Request) (ports []int, kind int) {
 	// minimal hop, no misroute, one level consumed. Cross-level edges
 	// only ascend, so the dependency graph stays acyclic.
 	if req.Hdr.Phase == 1 && req.Hdr.DetourLevel < routecMaxDetour {
-		var ups []int
-		for _, p := range r.cube.UpPorts(cur, dst) {
-			if p == req.InPort {
-				continue
-			}
-			if r.usable(cur, p) {
-				ups = append(ups, p)
-			}
-		}
-		if len(ups) > 0 {
-			return r.preferSafe(cur, ups, dst), kindBump
+		if m := r.usable(cur, up, req.InPort); m != 0 {
+			return r.preferSafe(cur, m, dst), kindBump
 		}
 	}
 	// Detour: any usable non-minimal port, if budget remains.
 	if req.Hdr.DetourLevel >= routecMaxDetour {
-		return nil, kindDetour
+		return 0, kindDetour
 	}
-	allMin := r.cube.MinimalPorts(cur, dst)
-	var out []int
-	for p := 0; p < r.cube.Ports(); p++ {
-		if contains(allMin, p) || !r.usable(cur, p) {
-			continue
-		}
-		// Do not bounce straight back.
-		if req.InPort >= 0 && p == req.InPort {
-			continue
-		}
-		out = append(out, p)
-	}
-	return r.preferSafe(cur, out, dst), kindDetour
+	nonMinimal := (1<<uint(r.cube.Ports()) - 1) &^ (up | down)
+	return r.preferSafe(cur, r.usable(cur, nonMinimal, req.InPort), dst), kindDetour
 }
 
 // decideVC is the second rule interpretation: attach the virtual
 // channel mandated by phase and detour level. Bumps and detours both
 // claim the next level's channel.
-func (r *RouteC) decideVC(req Request, ports []int, kind int) []Candidate {
-	var out []Candidate
-	for _, p := range ports {
+func (r *RouteC) decideVC(req Request, ports uint, kind int) []Candidate {
+	up := r.cube.UpMask(req.Node, req.Hdr.Dst)
+	out := make([]Candidate, 0, bits.OnesCount(ports))
+	for ; ports != 0; ports &= ports - 1 {
+		p := bits.TrailingZeros(ports)
 		h := *req.Hdr
 		switch kind {
 		case kindDetour, kindBump:
@@ -376,7 +340,7 @@ func (r *RouteC) decideVC(req Request, ports []int, kind int) []Candidate {
 				h.DetourLevel++
 			}
 		default:
-			if contains(r.cube.UpPorts(req.Node, req.Hdr.Dst), p) {
+			if up>>uint(p)&1 != 0 {
 				h.Phase = 0
 			} else {
 				h.Phase = 1
@@ -389,7 +353,7 @@ func (r *RouteC) decideVC(req Request, ports []int, kind int) []Candidate {
 
 func (r *RouteC) Route(req Request) []Candidate {
 	ports, kind := r.decideDir(req)
-	if len(ports) == 0 {
+	if ports == 0 {
 		return nil
 	}
 	return r.decideVC(req, ports, kind)
@@ -418,22 +382,22 @@ func (r *RouteCNFT) UpdateFaults(f *fault.Set) { r.faults = f }
 
 func (r *RouteCNFT) NoteHop(req Request, chosen Candidate) {
 	next := r.cube.Neighbor(req.Node, chosen.Port)
-	if len(r.cube.UpPorts(next, req.Hdr.Dst)) == 0 {
+	if r.cube.UpMask(next, req.Hdr.Dst) == 0 {
 		req.Hdr.Phase = 1
 	}
 }
 
 func (r *RouteCNFT) Route(req Request) []Candidate {
 	cur, dst := req.Node, req.Hdr.Dst
-	ports := r.cube.UpPorts(cur, dst)
+	ports := r.cube.UpMask(cur, dst)
 	vc := routecVCUp
-	if len(ports) == 0 || req.Hdr.Phase == 1 {
-		ports = r.cube.DownPorts(cur, dst)
+	if ports == 0 || req.Hdr.Phase == 1 {
+		ports = r.cube.DownMask(cur, dst)
 		vc = routecVCDown
 	}
 	var out []Candidate
-	for _, p := range ports {
-		if r.faults.PortUsable(r.cube, cur, p) {
+	for ; ports != 0; ports &= ports - 1 {
+		if p := bits.TrailingZeros(ports); r.faults.PortUsable(r.cube, cur, p) {
 			out = append(out, Candidate{Port: p, VC: vc})
 		}
 	}

@@ -553,6 +553,39 @@ func TestRouteCVCDiscipline(t *testing.T) {
 	}
 }
 
+// NoteHop runs once per hop of every message; it must not materialise
+// port lists. The three hops cover the minimal, level-bump and detour
+// branches.
+func TestRouteCNoteHopNoAllocs(t *testing.T) {
+	h := topology.NewHypercube(8)
+	alg := NewRouteC(h)
+	for _, tc := range []struct {
+		name string
+		hdr  Header
+		node topology.NodeID
+		port int
+		want Header // Phase, DetourLevel, Misroutes after the hop
+	}{
+		{"minimal", Header{Dst: 0b1111}, 0b0111, 3, Header{Phase: 1}},
+		{"bump", Header{Dst: 0b1111, Phase: 1}, 0b0011, 2, Header{Phase: 0, DetourLevel: 1}},
+		{"detour", Header{Dst: 0b0001}, 0b0000, 5, Header{Phase: 0, DetourLevel: 1, Misroutes: 1}},
+	} {
+		var hdr Header
+		req := Request{Node: tc.node, InPort: InjectionPort, Hdr: &hdr}
+		allocs := testing.AllocsPerRun(200, func() {
+			hdr = tc.hdr
+			alg.NoteHop(req, Candidate{Port: tc.port})
+		})
+		if allocs != 0 {
+			t.Errorf("%s: NoteHop allocates %.1f/op, want 0", tc.name, allocs)
+		}
+		if hdr.Phase != tc.want.Phase || hdr.DetourLevel != tc.want.DetourLevel || hdr.Misroutes != tc.want.Misroutes {
+			t.Errorf("%s: header after hop %+v, want phase %d level %d misroutes %d",
+				tc.name, hdr, tc.want.Phase, tc.want.DetourLevel, tc.want.Misroutes)
+		}
+	}
+}
+
 func TestSelectors(t *testing.T) {
 	view := fakeView{
 		credits: map[[3]int]int{{1, 0, 0}: 1, {1, 1, 0}: 3},

@@ -43,6 +43,7 @@ type RuleNAFTA struct {
 	scratch       *core.Machine
 	slots         naftaSlots
 	args          []rules.Value // constant [invc=0], reused across decisions
+	dargs         []int64       // the same in fast-path convention
 
 	// DisableFast forces every decision onto the interpreted reference
 	// path (the oracle the differential tests compare against).
@@ -58,11 +59,12 @@ type RuleNAFTA struct {
 	OnRuleFired func(node topology.NodeID, base string, rule int)
 }
 
-// naftaSlots holds the input-vector slots of every signal the decision
-// bases read, resolved once at construction.
+// naftaSlots holds the input-vector places of every signal the
+// decision bases read, resolved once at construction: slots for the
+// scalars, bit words (bit p = mesh port p) for the per-port lines.
 type naftaSlots struct {
 	dxsign, dysign, invnet, lastdir, msglen, budget, vlight int
-	avail, avfault, misok                                   [topology.MeshPorts]int
+	avail, avfault, misok                                   int
 }
 
 // NAFTADecisionBases lists the rule bases the NAFTA adapter consults
@@ -91,6 +93,7 @@ func NewRuleNAFTAFromProgram(m *topology.Mesh, p *Program, tables map[string]*co
 		prog:   p,
 		faults: fault.NewSet(),
 		args:   []rules.Value{rules.IntVal(0)},
+		dargs:  []int64{0},
 	}
 	var err error
 	for _, b := range []struct {
@@ -135,14 +138,13 @@ func NewRuleNAFTAFromProgram(m *topology.Mesh, p *Program, tables map[string]*co
 			return nil, err
 		}
 	}
-	for p := 0; p < topology.MeshPorts; p++ {
-		if s.avail[p], err = layout.SlotOf("avail", int64(p)); err != nil {
-			return nil, err
-		}
-		if s.avfault[p], err = layout.SlotOf("avfault", int64(p)); err != nil {
-			return nil, err
-		}
-		if s.misok[p], err = layout.SlotOf("misok", int64(p)); err != nil {
+	for _, e := range []struct {
+		name string
+		dst  *int
+	}{
+		{"avail", &s.avail}, {"avfault", &s.avfault}, {"misok", &s.misok},
+	} {
+		if *e.dst, err = layout.WordOf(e.name); err != nil {
 			return nil, err
 		}
 	}
@@ -247,60 +249,78 @@ func (r *RuleNAFTA) fillInputs(req routing.Request) {
 	iv.Set(s.msglen, int64(msglen))
 	iv.SetBool(s.budget, req.Hdr.Misroutes < 4*(r.mesh.W+r.mesh.H))
 	iv.SetBool(s.vlight, vlight)
+	var avail, avfault, misok uint64
 	for p := 0; p < topology.MeshPorts; p++ {
-		iv.SetBool(s.avail[p], facts[p].Usable)
-		iv.SetBool(s.avfault[p], facts[p].Usable && facts[p].Sideways && facts[p].EntryMinimal)
-		iv.SetBool(s.misok[p], facts[p].Usable && facts[p].Sideways && facts[p].EntryMisroute)
+		f := &facts[p]
+		if !f.Usable {
+			continue
+		}
+		avail |= 1 << uint(p)
+		if f.Sideways && f.EntryMinimal {
+			avfault |= 1 << uint(p)
+		}
+		if f.Sideways && f.EntryMisroute {
+			misok |= 1 << uint(p)
+		}
 	}
+	iv.SetWord(s.avail, avail)
+	iv.SetWord(s.avfault, avfault)
+	iv.SetWord(s.misok, misok)
 }
 
-// fire reports one successful rule selection to the hook, if any.
-func (r *RuleNAFTA) fire(node topology.NodeID, base string, rule int) {
-	if r.OnRuleFired != nil {
-		r.OnRuleFired(node, base, rule)
-	}
-}
-
-// decide runs one rule base over the input vector: dense table
-// first, interpreted reference path when the fast path is unavailable
-// or the decision leaves the pure table regime. Counter and hook
-// semantics are identical on both paths: the lookup counter increments
-// once per decision, the fire hook observes exactly when a rule (not
-// the "no rule" conclusion) is selected.
+// decide runs one rule base over the input vector (see decideBase);
+// the lookup counter increments once per decision on either path.
 func (r *RuleNAFTA) decide(req routing.Request, cb *core.CompiledBase, dt *core.DenseTable) (int, bool) {
 	r.Lookups++
-	if dt != nil && !r.DisableFast {
-		if idx, ok := dt.Lookup(r.iv, 0); ok {
-			if idx >= cb.RuleCount {
-				return 0, false
-			}
-			r.fire(req.Node, cb.Base, idx)
-			if ret, rok := dt.Return(idx); rok {
-				return int(ret.I), true
-			}
-			// Conclusion needs the interpreter (no folded RETURN):
-			// fire the already-selected rule there.
-			eff, err := r.prog.Checked.FireRule(cb.Base, idx, r.args, r.scratch)
-			if err != nil || eff.Return == nil {
-				return 0, false
-			}
-			return int(eff.Return.I), true
-		}
-		// The lookup left the dense regime: repeat the whole decision
-		// on the reference path.
+	if r.DisableFast {
+		dt = nil
 	}
-	m := r.scratch
-	m.Reset()
-	idx, err := cb.LookupRule(r.args, m)
-	if err != nil || idx >= cb.RuleCount {
+	v, ok := decideBase(r.prog.Checked, cb, dt, r.iv, r.scratch, r.args, r.dargs, req.Node, r.OnRuleFired)
+	return int(v), ok
+}
+
+// decideBase is the one rule-table decision of all adapters: dense
+// table first (dt nil pins the decision to the interpreter),
+// interpreted reference path on the scratch machine m when the fast
+// path is unavailable or the lookup leaves the pure table regime. It
+// returns the fired rule's RETURN value; ok=false means no rule
+// applies. args and dargs carry the same event arguments in
+// interpreter and fast-path convention. Hook semantics are identical
+// on both paths: hook observes exactly when a rule (not the "no rule"
+// conclusion) is selected.
+func decideBase(c *rules.Checked, cb *core.CompiledBase, dt *core.DenseTable, iv *core.InputVector, m *core.Machine,
+	args []rules.Value, dargs []int64, node topology.NodeID, hook func(topology.NodeID, string, int)) (int64, bool) {
+	idx, fast := 0, false
+	if dt != nil {
+		idx, fast = dt.Lookup(iv, dargs...)
+	}
+	if !fast {
+		// Outside the dense regime: repeat the whole decision on the
+		// reference path.
+		m.Reset()
+		var err error
+		if idx, err = cb.LookupRule(args, m); err != nil {
+			return 0, false
+		}
+	}
+	if idx >= cb.RuleCount {
 		return 0, false
 	}
-	r.fire(req.Node, cb.Base, idx)
-	eff, err := r.prog.Checked.FireRule(cb.Base, idx, r.args, m)
+	if hook != nil {
+		hook(node, cb.Base, idx)
+	}
+	if fast {
+		if ret, ok := dt.Return(idx); ok {
+			return ret.I, true
+		}
+		// Conclusion needs the interpreter (no folded RETURN): fire
+		// the already-selected rule there.
+	}
+	eff, err := c.FireRule(cb.Base, idx, args, m)
 	if err != nil || eff.Return == nil {
 		return 0, false
 	}
-	return int(eff.Return.I), true
+	return eff.Return.I, true
 }
 
 // Route performs the decision through the compiled rule tables: the

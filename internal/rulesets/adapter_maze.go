@@ -37,6 +37,7 @@ type RuleMaze struct {
 	scratch     *core.Machine
 	slots       mazeSlots
 	args        []rules.Value // constant [invc=0], reused across decisions
+	dargs       []int64       // the same in fast-path convention
 
 	// DisableFast forces every decision onto the interpreted reference
 	// path (the oracle the differential tests compare against).
@@ -85,6 +86,7 @@ func NewRuleMazeFromProgram(g topology.Graph, p *Program, tables map[string]*cor
 		prog:   p,
 		faults: fault.NewSet(),
 		args:   []rules.Value{rules.IntVal(0)},
+		dargs:  []int64{0},
 	}
 	for _, b := range []struct {
 		name string
@@ -201,46 +203,14 @@ func (r *RuleMaze) fillInputs(req routing.Request) {
 	}
 }
 
-// fire reports one successful rule selection to the hook, if any.
-func (r *RuleMaze) fire(node topology.NodeID, base string, rule int) {
-	if r.OnRuleFired != nil {
-		r.OnRuleFired(node, base, rule)
-	}
-}
-
-// decide runs one rule base over the input vector: dense table
-// first, interpreted reference path when the fast path is unavailable
-// or the decision leaves the pure table regime (see RuleNAFTA.decide).
+// decide runs one rule base over the input vector (see decideBase).
 func (r *RuleMaze) decide(req routing.Request, cb *core.CompiledBase, dt *core.DenseTable) (int, bool) {
 	r.Lookups++
-	if dt != nil && !r.DisableFast {
-		if idx, ok := dt.Lookup(r.iv, 0); ok {
-			if idx >= cb.RuleCount {
-				return 0, false
-			}
-			r.fire(req.Node, cb.Base, idx)
-			if ret, rok := dt.Return(idx); rok {
-				return int(ret.I), true
-			}
-			eff, err := r.prog.Checked.FireRule(cb.Base, idx, r.args, r.scratch)
-			if err != nil || eff.Return == nil {
-				return 0, false
-			}
-			return int(eff.Return.I), true
-		}
+	if r.DisableFast {
+		dt = nil
 	}
-	m := r.scratch
-	m.Reset()
-	idx, err := cb.LookupRule(r.args, m)
-	if err != nil || idx >= cb.RuleCount {
-		return 0, false
-	}
-	r.fire(req.Node, cb.Base, idx)
-	eff, err := r.prog.Checked.FireRule(cb.Base, idx, r.args, m)
-	if err != nil || eff.Return == nil {
-		return 0, false
-	}
-	return int(eff.Return.I), true
+	v, ok := decideBase(r.prog.Checked, cb, dt, r.iv, r.scratch, r.args, r.dargs, req.Node, r.OnRuleFired)
+	return int(v), ok
 }
 
 // Route performs the decision through the compiled rule tables. An

@@ -2,6 +2,7 @@ package rulesets
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -18,10 +19,17 @@ import (
 // in the conclusion processing, modelled here by a small priority
 // encoder over the same input lines.
 //
-// Like RuleNAFTA, decisions run on the dense fast path (compiled index
-// closures over a flat input vector) with a transparent fallback to
-// the interpreted reference path on a pooled scratch Machine;
-// DisableFast pins every decision to the reference path.
+// The per-dimension lines are d-bit words (bit i = dimension i), one
+// store each into the packed input vector. The fault-dependent ones are
+// precomputed per node in UpdateFaults — the only place the fault set
+// and the node states may change; a fault set mutated afterwards
+// without a new UpdateFaults leaves them stale (CheckLines is the
+// oracle).
+//
+// Like RuleNAFTA, decisions run on the dense fast path with a
+// transparent fallback to the interpreted reference path on a pooled
+// scratch Machine; DisableFast pins every decision to the reference
+// path.
 type RuleRouteC struct {
 	cube   *topology.Hypercube
 	native *routing.RouteC
@@ -30,19 +38,19 @@ type RuleRouteC struct {
 	vc     *core.CompiledBase
 	faults *fault.Set
 
-	// slots is immutable after construction; the rest is
-	// per-decision scratch: the flat input vector, the dense decision
-	// tables (whose lookup scratch is per-instance), the pooled
-	// reference-path Machine, the conclusion-processing line buffers and
-	// the decide_vc argument scratch.
-	slots       cubeSlots
-	iv          *core.InputVector
-	dirD, vcD   *core.DenseTable
-	scratch     *core.Machine
-	lines       cubeLines
-	portScratch []int
-	vcArgs      []rules.Value
-	vcDargs     []int64
+	// slots and modes are immutable after construction, nodes between
+	// UpdateFaults calls; the rest is per-decision scratch: the flat
+	// input vector, the dense decision tables (whose lookup scratch is
+	// per-instance), the pooled reference-path Machine and the decide_vc
+	// argument in both conventions.
+	slots     cubeSlots
+	modes     []cubeMode // by decide_dir RETURN ordinal
+	nodes     []cubeNode
+	iv        *core.InputVector
+	dirD, vcD *core.DenseTable
+	scratch   *core.Machine
+	vcArgs    []rules.Value
+	vcDargs   []int64
 
 	// DisableFast forces the interpreted reference path (the oracle of
 	// the differential tests).
@@ -56,13 +64,51 @@ type RuleRouteC struct {
 	OnRuleFired func(node topology.NodeID, base string, rule int)
 }
 
-// cubeSlots holds the input-vector slots of the ROUTE_C decision
-// inputs, resolved once at construction (per-dimension vectors keep
-// one slot per dimension).
+// cubeSlots holds the input-vector places of the ROUTE_C decision
+// inputs, resolved once at construction: bit words for the
+// per-dimension lines, slots for the scalars. new_state and adapt_load
+// feed update_state and adaptivity only, which the adapter never runs.
 type cubeSlots struct {
-	diffb, upb, okl, nbsafe, notback []int
-	newState, adaptLoad              []int
+	diffb, upb, okl, nbsafe, notback int
 	phase, level, takingDetour       int
+}
+
+// cubeMode is one decide_dir conclusion resolved at construction:
+// which lines make a port eligible, the taking_detour input of the
+// decide_vc step (1 when the hop claims the next level's channel), and
+// the mode symbol as its argument.
+type cubeMode struct {
+	ports        int
+	takingDetour int64
+	arg          rules.Value
+}
+
+// The port classes of cubeMode.ports; modes that expand to no port
+// (blocked, arrived) keep the zero value.
+const (
+	portsNone   = iota
+	portsUp     // minimal, address-increasing
+	portsDown   // minimal, address-decreasing
+	portsDetour // non-minimal
+)
+
+var cubeModes = map[string]cubeMode{
+	"up_safe": {ports: portsUp}, "up_any": {ports: portsUp},
+	"down_safe": {ports: portsDown}, "down_any": {ports: portsDown},
+	// Minimal ascending hops that claim the next level's channel (a
+	// descending-entry level ran out of down work): bump and detour
+	// share the level+1 VC mapping.
+	"bump_safe": {ports: portsUp, takingDetour: 1}, "bump_any": {ports: portsUp, takingDetour: 1},
+	"detour_safe": {ports: portsDetour, takingDetour: 1}, "detour_any": {ports: portsDetour, takingDetour: 1},
+}
+
+// cubeNode holds one node's fault-dependent lines: ok has bit i set
+// when port i is usable, class[k] when the neighbour over port i is in
+// state k (safe, ounsafe, sunsafe, faulty) — the full ordering the
+// conclusion-processing priority encoder needs.
+type cubeNode struct {
+	ok    uint64
+	class [4]uint64
 }
 
 // RouteCDecisionBases lists the rule bases the ROUTE_C adapter
@@ -82,14 +128,14 @@ func NewRuleRouteC(h *topology.Hypercube) (*RuleRouteC, error) {
 // NewRuleRouteCFromProgram binds an already analysed ROUTE_C program
 // to cube h. tables optionally supplies precompiled decision tables
 // (keyed by base name, bound to p.Checked); missing entries are
-// compiled in-process. The program's cube dimension must match h.Dim —
-// a mismatch surfaces as a slot-resolution error below.
+// compiled in-process. The program's cube dimension must match h.Dim.
 func NewRuleRouteCFromProgram(h *topology.Hypercube, p *Program, tables map[string]*core.CompiledBase) (*RuleRouteC, error) {
 	r := &RuleRouteC{
 		cube:   h,
 		native: routing.NewRouteC(h),
 		prog:   p,
 		faults: fault.NewSet(),
+		nodes:  make([]cubeNode, h.Nodes()),
 
 		vcArgs:  make([]rules.Value, 1),
 		vcDargs: make([]int64, 1),
@@ -119,41 +165,42 @@ func NewRuleRouteCFromProgram(h *topology.Hypercube, p *Program, tables map[stri
 	if dt, err := r.vc.CompileDense(layout); err == nil {
 		r.vcD = dt
 	}
-	d := h.Dim
-	s := &r.slots
+	in := &r.slots
 	for _, e := range []struct {
 		name string
-		dst  *[]int
+		dst  *int
 	}{
-		{"diffb", &s.diffb}, {"upb", &s.upb}, {"okl", &s.okl},
-		{"nbsafe", &s.nbsafe}, {"notback", &s.notback},
-		{"new_state", &s.newState}, {"adapt_load", &s.adaptLoad},
+		{"diffb", &in.diffb}, {"upb", &in.upb}, {"okl", &in.okl},
+		{"nbsafe", &in.nbsafe}, {"notback", &in.notback},
 	} {
-		*e.dst = make([]int, d)
-		for i := 0; i < d; i++ {
-			if (*e.dst)[i], err = layout.SlotOf(e.name, int64(i)); err != nil {
-				return nil, err
-			}
+		if *e.dst, err = layout.WordOf(e.name); err != nil {
+			return nil, err
+		}
+		// The words carry one bit per cube dimension.
+		if _, err = layout.SlotOf(e.name, int64(h.Dim-1)); err != nil {
+			return nil, err
 		}
 	}
 	for _, e := range []struct {
 		name string
 		dst  *int
 	}{
-		{"phase", &s.phase}, {"level", &s.level}, {"taking_detour", &s.takingDetour},
+		{"phase", &in.phase}, {"level", &in.level}, {"taking_detour", &in.takingDetour},
 	} {
 		if *e.dst, err = layout.SlotOf(e.name); err != nil {
 			return nil, err
 		}
 	}
-	r.lines = cubeLines{
-		diff:       make([]bool, d),
-		up:         make([]bool, d),
-		ok:         make([]bool, d),
-		safe:       make([]bool, d),
-		notback:    make([]bool, d),
-		stateClass: make([]int, d),
+	modes := p.Checked.SymbolSets["modes"]
+	if modes == nil {
+		return nil, fmt.Errorf("rule-routec: program %s declares no modes set", p.Name)
 	}
+	r.modes = make([]cubeMode, len(modes.Symbols))
+	for ord, name := range modes.Symbols {
+		r.modes[ord] = cubeModes[name]
+		r.modes[ord].arg = p.Checked.Symbols[name]
+	}
+	r.rebuildNodes()
 	return r, nil
 }
 
@@ -188,148 +235,81 @@ func (r *RuleRouteC) NoteHop(req routing.Request, chosen routing.Candidate) {
 func (r *RuleRouteC) UpdateFaults(f *fault.Set) {
 	r.faults = f
 	r.native.UpdateFaults(f)
+	r.rebuildNodes()
 }
 
-// cubeLines holds the per-decision input lines shared by the rule
-// tables and the conclusion-processing priority encoder. The slices
-// are allocated once per adapter and refilled per decision.
-type cubeLines struct {
-	diff, up, ok, safe, notback []bool
-	// stateClass carries the full neighbour-state ordering for the
-	// conclusion-processing priority encoder (0 = safe or the
-	// destination, then ounsafe, sunsafe, faulty).
-	stateClass []int
+// rebuildNodes recomputes every node's fault-dependent lines.
+func (r *RuleRouteC) rebuildNodes() {
+	for n := range r.nodes {
+		// A node is not its own neighbour: the lines before any
+		// destination adjustment.
+		r.nodes[n] = r.freshLines(topology.NodeID(n), topology.NodeID(n))
+	}
 }
 
-// fillLines recomputes the input lines of one decision in place.
-func (r *RuleRouteC) fillLines(req routing.Request) {
-	d := r.cube.Dim
-	l := &r.lines
+// freshLines computes a node's fault-dependent lines towards dst from
+// the fault set and the native node states, one dimension at a time. A
+// neighbour that is the destination always counts as safe, so the
+// final hop is never filtered away.
+func (r *RuleRouteC) freshLines(node, dst topology.NodeID) cubeNode {
+	var cn cubeNode
 	states := r.native.States()
-	for i := 0; i < d; i++ {
-		nb := r.cube.Neighbor(req.Node, i)
-		l.diff[i] = req.Node&(1<<i) != req.Hdr.Dst&(1<<i)
-		l.up[i] = req.Node&(1<<i) == 0
-		l.ok[i] = r.faults.PortUsable(r.cube, req.Node, i)
-		l.safe[i] = nb == req.Hdr.Dst || states[nb] == routing.StateSafe
-		l.notback[i] = i != req.InPort
-		if nb == req.Hdr.Dst {
-			l.stateClass[i] = 0
-		} else {
-			l.stateClass[i] = int(states[nb])
+	for i := 0; i < r.cube.Dim; i++ {
+		if r.faults.PortUsable(r.cube, node, i) {
+			cn.ok |= 1 << uint(i)
+		}
+		nb := r.cube.Neighbor(node, i)
+		class := states[nb]
+		if nb == dst {
+			class = routing.StateSafe
+		}
+		cn.class[class] |= 1 << uint(i)
+	}
+	return cn
+}
+
+// toward is the per-decision form of freshLines' destination rule: it
+// moves the one bit of a neighbouring destination to the safe class.
+func (cn cubeNode) toward(node, dst topology.NodeID) cubeNode {
+	if diff := uint64(node ^ dst); diff&(diff-1) == 0 {
+		cn.class[0] |= diff
+		for k := 1; k < len(cn.class); k++ {
+			cn.class[k] &^= diff
 		}
 	}
+	return cn
 }
 
-// fillInputs loads the decision's input lines into the flat input
-// vector. phase and taking_detour vary between the dir decision and
-// the per-port vc decisions; Route re-sets just those two slots.
-func (r *RuleRouteC) fillInputs(req routing.Request) {
-	iv, s, l := r.iv, &r.slots, &r.lines
-	iv.Begin()
-	safeOrd := r.prog.Checked.Symbols["safe"].I
-	for i := 0; i < r.cube.Dim; i++ {
-		iv.SetBool(s.diffb[i], l.diff[i])
-		iv.SetBool(s.upb[i], l.up[i])
-		iv.SetBool(s.okl[i], l.ok[i])
-		iv.SetBool(s.nbsafe[i], l.safe[i])
-		iv.SetBool(s.notback[i], l.notback[i])
-		iv.Set(s.newState[i], safeOrd)
-		iv.Set(s.adaptLoad[i], 0)
+// CheckLines compares the lines a decision would use — precomputed by
+// UpdateFaults, adjusted by toward — with freshLines, for every node
+// and every destination-is-a-neighbour case. A difference means a path
+// changed the fault state without calling UpdateFaults.
+func (r *RuleRouteC) CheckLines() error {
+	for n := range r.nodes {
+		node := topology.NodeID(n)
+		for p := -1; p < r.cube.Dim; p++ {
+			dst := node // p = -1: no neighbour is the destination
+			if p >= 0 {
+				dst = r.cube.Neighbor(node, p)
+			}
+			if got, want := r.nodes[n].toward(node, dst), r.freshLines(node, dst); got != want {
+				return fmt.Errorf("rule-routec: stale lines at node %d towards %d: have %+v, fault state gives %+v",
+					node, dst, got, want)
+			}
+		}
 	}
-	iv.Set(s.phase, int64(req.Hdr.Phase))
-	iv.Set(s.level, int64(req.Hdr.DetourLevel))
-	iv.SetBool(s.takingDetour, false)
+	return nil
 }
 
 // decide runs one compiled table over the current input vector and
-// returns the RETURN value ordinal. Dense fast path first; the
-// interpreted reference path serves fallbacks and DisableFast. Counter
-// and hook semantics are identical on both paths.
+// returns the RETURN value ordinal (see decideBase).
 func (r *RuleRouteC) decide(node topology.NodeID, cb *core.CompiledBase, dt *core.DenseTable,
-	args []rules.Value, dargs []int64) (int64, error) {
+	args []rules.Value, dargs []int64) (int64, bool) {
 	r.Lookups++
-	if dt != nil && !r.DisableFast {
-		if idx, ok := dt.Lookup(r.iv, dargs...); ok {
-			if idx >= cb.RuleCount {
-				return 0, fmt.Errorf("rule-routec: %s selected no rule", cb.Base)
-			}
-			r.fire(node, cb.Base, idx)
-			if ret, rok := dt.Return(idx); rok {
-				return ret.I, nil
-			}
-			eff, err := r.prog.Checked.FireRule(cb.Base, idx, args, r.scratch)
-			if err != nil || eff.Return == nil {
-				return 0, fmt.Errorf("rule-routec: %s rule %d has no value (%v)", cb.Base, idx, err)
-			}
-			return eff.Return.I, nil
-		}
-		// Outside the dense regime: repeat on the reference path.
+	if r.DisableFast {
+		dt = nil
 	}
-	m := r.scratch
-	m.Reset()
-	idx, err := cb.LookupRule(args, m)
-	if err != nil {
-		return 0, err
-	}
-	if idx >= cb.RuleCount {
-		return 0, fmt.Errorf("rule-routec: %s selected no rule", cb.Base)
-	}
-	r.fire(node, cb.Base, idx)
-	eff, err := r.prog.Checked.FireRule(cb.Base, idx, args, m)
-	if err != nil || eff.Return == nil {
-		return 0, fmt.Errorf("rule-routec: %s rule %d has no value (%v)", cb.Base, idx, err)
-	}
-	return eff.Return.I, nil
-}
-
-// fire reports one rule firing to the hook, if any.
-func (r *RuleRouteC) fire(node topology.NodeID, base string, rule int) {
-	if r.OnRuleFired != nil {
-		r.OnRuleFired(node, base, rule)
-	}
-}
-
-// portsForMode is the conclusion-processing priority logic: expand a
-// decide_dir mode back into the admissible ports, lowest dimension
-// first. The returned slice aliases adapter scratch storage.
-func (r *RuleRouteC) portsForMode(mode string) ([]int, bool) {
-	d := r.cube.Dim
-	l := &r.lines
-	var eligible func(i int) bool
-	detour := false
-	switch mode {
-	case "up_safe", "up_any":
-		eligible = func(i int) bool { return l.diff[i] && l.up[i] && l.ok[i] && l.notback[i] }
-	case "down_safe", "down_any":
-		eligible = func(i int) bool { return l.diff[i] && !l.up[i] && l.ok[i] && l.notback[i] }
-	case "bump_safe", "bump_any":
-		// Minimal ascending hops that claim the next level's channel
-		// (a descending-entry level ran out of down work).
-		eligible = func(i int) bool { return l.diff[i] && l.up[i] && l.ok[i] && l.notback[i] }
-		detour = true // bump and detour share the level+1 VC mapping
-	case "detour_safe", "detour_any":
-		eligible = func(i int) bool { return !l.diff[i] && l.ok[i] && l.notback[i] }
-		detour = true
-	default:
-		return nil, false
-	}
-	// The same best-state preference the native preferSafe applies:
-	// keep only the dimensions with the lowest state class.
-	best := 1 << 30
-	for i := 0; i < d; i++ {
-		if eligible(i) && l.stateClass[i] < best {
-			best = l.stateClass[i]
-		}
-	}
-	out := r.portScratch[:0]
-	for i := 0; i < d; i++ {
-		if eligible(i) && l.stateClass[i] == best {
-			out = append(out, i)
-		}
-	}
-	r.portScratch = out[:0]
-	return out, detour
+	return decideBase(r.prog.Checked, cb, dt, r.iv, r.scratch, args, dargs, node, r.OnRuleFired)
 }
 
 func (r *RuleRouteC) Route(req routing.Request) []routing.Candidate {
@@ -338,30 +318,63 @@ func (r *RuleRouteC) Route(req routing.Request) []routing.Candidate {
 
 // RouteAppend is the allocation-free form of Route (BufferedAlgorithm).
 func (r *RuleRouteC) RouteAppend(req routing.Request, buf []routing.Candidate) []routing.Candidate {
-	c := r.prog.Checked
-	r.fillLines(req)
-	r.fillInputs(req)
-	modeOrd, err := r.decide(req.Node, r.dir, r.dirD, nil, nil)
-	if err != nil {
+	// The input lines of the decision, shared by the rule tables and the
+	// conclusion-processing priority encoder.
+	diff := uint64(req.Node ^ req.Hdr.Dst)
+	up := ^uint64(req.Node)
+	notback := ^(uint64(1) << uint(req.InPort)) // InjectionPort clears no bit
+	cn := r.nodes[req.Node].toward(req.Node, req.Hdr.Dst)
+
+	// phase and taking_detour vary between the dir decision and the vc
+	// decisions, which re-set just those two slots.
+	iv, in := r.iv, &r.slots
+	iv.Begin()
+	iv.SetWord(in.diffb, diff)
+	iv.SetWord(in.upb, up)
+	iv.SetWord(in.okl, cn.ok)
+	iv.SetWord(in.nbsafe, cn.class[0])
+	iv.SetWord(in.notback, notback)
+	iv.Set(in.phase, int64(req.Hdr.Phase))
+	iv.Set(in.level, int64(req.Hdr.DetourLevel))
+	iv.Set(in.takingDetour, 0)
+	modeOrd, ok := r.decide(req.Node, r.dir, r.dirD, nil, nil)
+	if !ok || modeOrd >= int64(len(r.modes)) {
 		return buf
 	}
-	mode := c.SymbolSets["modes"].Symbols[modeOrd]
-	if mode == "blocked" || mode == "arrived" {
+
+	// Conclusion processing: expand the mode back into the admissible
+	// ports, keeping — like the native preferSafe — only those with the
+	// lowest neighbour state class, lowest dimension first.
+	m := &r.modes[modeOrd]
+	ports := cn.ok & notback & (uint64(1)<<uint(r.cube.Dim) - 1)
+	switch m.ports {
+	case portsUp:
+		ports &= diff & up
+	case portsDown:
+		ports &= diff &^ up
+	case portsDetour:
+		ports &^= diff
+	default:
 		return buf
 	}
-	ports, detour := r.portsForMode(mode)
+	for _, class := range cn.class {
+		if ports&class != 0 {
+			ports &= class
+			break
+		}
+	}
+	iv.Set(in.takingDetour, m.takingDetour)
+	r.vcArgs[0], r.vcDargs[0] = m.arg, m.arg.I
 	start := len(buf)
-	for _, p := range ports {
-		outPhase := 1
-		if r.lines.up[p] && r.lines.diff[p] {
+	for ; ports != 0; ports &= ports - 1 {
+		p := bits.TrailingZeros64(ports)
+		outPhase := int64(1)
+		if diff&up>>uint(p)&1 != 0 {
 			outPhase = 0
 		}
-		r.iv.Set(r.slots.phase, int64(outPhase))
-		r.iv.SetBool(r.slots.takingDetour, detour)
-		r.vcArgs[0] = c.Symbols[mode]
-		r.vcDargs[0] = c.Symbols[mode].I
-		vcOrd, err := r.decide(req.Node, r.vc, r.vcD, r.vcArgs, r.vcDargs)
-		if err != nil {
+		iv.Set(in.phase, outPhase)
+		vcOrd, ok := r.decide(req.Node, r.vc, r.vcD, r.vcArgs, r.vcDargs)
+		if !ok {
 			return buf[:start]
 		}
 		buf = append(buf, routing.Candidate{Port: p, VC: int(vcOrd)})

@@ -195,3 +195,74 @@ func TestRuleRouteCMatchesNativeCandidates(t *testing.T) {
 		}
 	}
 }
+
+// The whole rule decision — line fill, both table lookups, port
+// expansion — must not allocate, with faults present and on each kind
+// of conclusion (minimal, bump, detour, blocked).
+func TestRuleRouteCRouteAppendNoAllocs(t *testing.T) {
+	h := topology.NewHypercube(8)
+	r, err := NewRuleRouteC(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.FastPathActive() {
+		t.Fatal("fast path must be active")
+	}
+	f := fault.NewSet()
+	f.FailNode(3)
+	f.FailLink(0, 1)
+	r.UpdateFaults(f)
+	buf := make([]routing.Candidate, 0, h.Dim)
+	for _, tc := range []struct {
+		name       string
+		node, dst  topology.NodeID
+		phase, lvl int
+		candidates bool
+	}{
+		{"minimal", 4, 255, 0, 0, true},
+		{"bump", 4, 255, 1, 1, true},
+		{"detour", 0, 1, 0, 0, true},
+		{"blocked", 4, 255, 1, 3, false},
+	} {
+		hdr := &routing.Header{Src: tc.node, Dst: tc.dst, Length: 4, Phase: tc.phase, DetourLevel: tc.lvl}
+		req := routing.Request{Node: tc.node, InPort: 1, Hdr: hdr}
+		allocs := testing.AllocsPerRun(200, func() { buf = r.RouteAppend(req, buf[:0]) })
+		if allocs != 0 {
+			t.Errorf("%s: RouteAppend allocates %.1f/op, want 0", tc.name, allocs)
+		}
+		if (len(buf) != 0) != tc.candidates {
+			t.Errorf("%s: candidates %v", tc.name, buf)
+		}
+	}
+}
+
+// CheckLines is the oracle of the UpdateFaults precompute: it must
+// accept a fresh adapter and name the node whose lines a fault-set
+// mutation without UpdateFaults left stale — on the ok line (a dead
+// link) as on the state classes (a dead neighbour).
+func TestRuleRouteCCheckLinesDetectsStaleness(t *testing.T) {
+	h := topology.NewHypercube(4)
+	r, err := NewRuleRouteC(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fault.NewSet()
+	f.FailNode(5)
+	r.UpdateFaults(f)
+	if err := r.CheckLines(); err != nil {
+		t.Fatalf("fresh lines rejected: %v", err)
+	}
+	f.FailLink(8, 9)
+	if err := r.CheckLines(); err == nil {
+		t.Fatal("link failed behind the adapter's back went unnoticed")
+	}
+	r.UpdateFaults(f)
+	if err := r.CheckLines(); err != nil {
+		t.Fatalf("lines stale after UpdateFaults: %v", err)
+	}
+	f.FailNode(6)
+	r.native.UpdateFaults(f) // states move, the adapter's lines do not
+	if err := r.CheckLines(); err == nil {
+		t.Fatal("node state change behind the adapter's back went unnoticed")
+	}
+}

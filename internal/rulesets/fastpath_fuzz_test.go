@@ -224,6 +224,16 @@ func FuzzRuleRouteCDifferential(f *testing.F) {
 	f.Add([]byte{0, 0, 15, 1, 0, 0})
 	f.Add([]byte{2, 3, 9, 1, 2, 1, 7, 8, 1, 3, 2})
 	f.Add([]byte{1, 12, 2, 0, 5, 0, 10, 0, 1, 4})
+	// Beyond the minimal modes: bump_safe, bump at level 3 (blocked),
+	// detour_safe around a dead link, the same at level 3 (blocked),
+	// bump_any, and up_any / down_any on the last level.
+	f.Add([]byte{0, 0, 0, 15, 0, 1, 1, 4})
+	f.Add([]byte{0, 0, 0, 15, 0, 1, 3, 4})
+	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 4})
+	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 0, 3, 4})
+	f.Add([]byte{2, 11, 9, 15, 8, 13, 0, 12, 3, 5, 6, 7})
+	f.Add([]byte{4, 13, 3, 5, 15, 4, 7, 15, 0, 3, 11, 11})
+	f.Add([]byte{7, 8, 13, 0, 7, 4, 10, 12, 7, 8, 11, 10})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fb := &fuzzBytes{data: data}

@@ -46,42 +46,31 @@ func (h *Hypercube) Dist(a, b NodeID) int {
 	return bits.OnesCount(uint(a ^ b))
 }
 
-// MinimalPorts returns the dimensions in which cur and dst differ, i.e.
-// the ports on minimal paths from cur to dst. It returns nil when
-// cur == dst.
-func (h *Hypercube) MinimalPorts(cur, dst NodeID) []int {
-	diff := uint(cur ^ dst)
+// MinimalMask returns the dimensions in which cur and dst differ as a
+// bit mask (bit p = port p): the ports on minimal paths from cur to
+// dst. UpMask keeps those that increase the node address (0->1 bit
+// transitions), DownMask those that decrease it. ROUTE_C's deadlock
+// avoidance (after Konstantinidou) first uses all address-increasing
+// links, then all address-decreasing links.
+func (h *Hypercube) MinimalMask(cur, dst NodeID) uint { return uint(cur ^ dst) }
+
+// UpMask returns the address-increasing minimal ports. See MinimalMask.
+func (h *Hypercube) UpMask(cur, dst NodeID) uint { return uint((cur ^ dst) &^ cur) }
+
+// DownMask returns the address-decreasing minimal ports. See MinimalMask.
+func (h *Hypercube) DownMask(cur, dst NodeID) uint { return uint((cur ^ dst) & cur) }
+
+// portList expands a port mask, lowest port first; nil when empty.
+func portList(mask uint) []int {
 	var out []int
-	for diff != 0 {
-		p := bits.TrailingZeros(diff)
-		out = append(out, p)
-		diff &^= 1 << p
+	for ; mask != 0; mask &= mask - 1 {
+		out = append(out, bits.TrailingZeros(mask))
 	}
 	return out
 }
 
-// UpPorts returns the minimal ports of cur toward dst that increase the
-// node address (0->1 bit transitions), and DownPorts those that decrease
-// it. ROUTE_C's deadlock avoidance (after Konstantinidou) first uses all
-// address-increasing links, then all address-decreasing links.
-func (h *Hypercube) UpPorts(cur, dst NodeID) []int {
-	var out []int
-	for _, p := range h.MinimalPorts(cur, dst) {
-		if cur&(1<<p) == 0 { // bit is 0 at cur, flipping increases address
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// DownPorts returns the minimal ports of cur toward dst that decrease
-// the node address. See UpPorts.
-func (h *Hypercube) DownPorts(cur, dst NodeID) []int {
-	var out []int
-	for _, p := range h.MinimalPorts(cur, dst) {
-		if cur&(1<<p) != 0 {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+// MinimalPorts, UpPorts and DownPorts are the slice forms of
+// MinimalMask, UpMask and DownMask.
+func (h *Hypercube) MinimalPorts(cur, dst NodeID) []int { return portList(h.MinimalMask(cur, dst)) }
+func (h *Hypercube) UpPorts(cur, dst NodeID) []int      { return portList(h.UpMask(cur, dst)) }
+func (h *Hypercube) DownPorts(cur, dst NodeID) []int    { return portList(h.DownMask(cur, dst)) }
