@@ -304,18 +304,27 @@ func BenchmarkRuleDecision(b *testing.B) {
 }
 
 // BenchmarkDiagnosisFixpoint measures a full fault-state recomputation
-// (the diagnosis phase of assumption iv) on a 16x16 mesh.
+// (the diagnosis phase of assumption iv): a 16x16 mesh with eight node
+// faults, and the fault-free 64x64 mesh whose UpdateFaults is the
+// set-up cost of the bench's sim-mesh64-low workload.
 func BenchmarkDiagnosisFixpoint(b *testing.B) {
-	b.ReportAllocs()
-	m := topology.NewMesh(16, 16)
-	alg := routing.NewNAFTA(m)
-	f, err := fault.Random(m, fault.RandomOptions{Nodes: 8, Seed: 3, KeepConnected: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		alg.UpdateFaults(f)
+	for _, c := range []struct {
+		name      string
+		w, faults int
+	}{{"mesh16x16-8faults", 16, 8}, {"mesh64x64-faultfree", 64, 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			m := topology.NewMesh(c.w, c.w)
+			alg := routing.NewNAFTA(m)
+			f, err := fault.Random(m, fault.RandomOptions{Nodes: c.faults, Seed: 3, KeepConnected: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				alg.UpdateFaults(f)
+			}
+		})
 	}
 }
 

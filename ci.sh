@@ -34,9 +34,11 @@
 #      input is written under internal/fleet/testdata/fuzz
 #  12. decision fast-path fuzz: 5 s each of FuzzDenseMaskDifferential
 #      (random quantifier bodies compiled with and without the mask
-#      step must agree on rule and fallback, internal/core) and
+#      step must agree on rule and fallback, internal/core),
 #      FuzzRuleRouteCDifferential (dense vs interpreted ROUTE_C
-#      decisions over random faults and headers, internal/rulesets)
+#      decisions over random faults and headers, internal/rulesets) and
+#      FuzzRuleNAFTADifferential (the same for NAFTA, plus the
+#      per-node fact words against the per-call PortFacts derivation)
 #  13. (opt-in) bench regression gate: set BENCH_BASELINE to a
 #      committed snapshot, e.g. BENCH_BASELINE=BENCH_2026-08-06.json
 #      ./ci.sh, to re-run the benchmarks and fail on a >20% ns/op or
@@ -109,9 +111,10 @@ go run ./bench --quick --reps 1 --trace 1
 echo "== batch-frame fuzz (10s, /decide/batch binary decoders)"
 go test -run '^$' -fuzz '^FuzzBatchFrame$' -fuzztime 10s ./internal/fleet
 
-echo "== decision fast-path fuzz (2 x 5s, mask compiler and ROUTE_C dense vs interpreted)"
+echo "== decision fast-path fuzz (3 x 5s, mask compiler, ROUTE_C and NAFTA dense vs interpreted)"
 go test -run '^$' -fuzz '^FuzzDenseMaskDifferential$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzRuleRouteCDifferential$' -fuzztime 5s ./internal/rulesets
+go test -run '^$' -fuzz '^FuzzRuleNAFTADifferential$' -fuzztime 5s ./internal/rulesets
 
 if [ -n "${BENCH_BASELINE:-}" ]; then
 	echo "== benchjson -baseline $BENCH_BASELINE"

@@ -19,24 +19,62 @@ type BlockInfo struct {
 	// fixpoint; each wave corresponds to one neighbour-to-neighbour
 	// state exchange in hardware.
 	Rounds int
+	// raw[n] has bit p set when node n observes a real fault through
+	// mesh port p (faulty link or faulty neighbour); obs additionally
+	// counts the neighbours the completion deactivated.
+	raw, obs []uint8
 }
 
-// dimFault reports, per dimension, whether node (x,y) observes a fault
-// or disabled node in the negative or positive direction of that
-// dimension. A faulty incident link counts like a faulty neighbour in
-// that direction; a mesh border does NOT count as a fault (fault
-// rectangles only grow from real faults).
-func dimFault(m *topology.Mesh, s *Set, disabled []bool, x, y, dx, dy int) bool {
-	nx, ny := x+dx, y+dy
-	if nx < 0 || nx >= m.W || ny < 0 || ny >= m.H {
-		return false
+// observed returns, per node, the nibble of mesh ports through which
+// the node observes a real fault: bit p is set when the link through p
+// or the neighbour behind it is faulty. A mesh border is not a fault
+// (fault rectangles only grow from real faults). It walks the fault set,
+// which is sparse, not the mesh.
+func observed(m *topology.Mesh, s *Set) []uint8 {
+	obs := make([]uint8, m.Nodes())
+	for n := range s.nodes {
+		if inMesh(m, n) {
+			observe(m, obs, n)
+		}
 	}
-	n := m.Node(x, y)
-	nb := m.Node(nx, ny)
-	if s.NodeFaulty(nb) || disabled[nb] {
-		return true
+	s.eachMeshLink(m, func(a, b topology.NodeID, p int) {
+		obs[a] |= 1 << uint(p)
+		obs[b] |= 1 << uint(topology.OppositeMeshPort(p))
+	})
+	return obs
+}
+
+func inMesh(m *topology.Mesh, n topology.NodeID) bool { return n >= 0 && int(n) < m.Nodes() }
+
+// eachMeshLink calls fn for every faulty link that joins two
+// neighbours of mesh m; p is a's port towards b.
+func (s *Set) eachMeshLink(m *topology.Mesh, fn func(a, b topology.NodeID, p int)) {
+	for l := range s.links {
+		if !inMesh(m, l.A) || !inMesh(m, l.B) {
+			continue
+		}
+		if p, ok := m.PortTo(l.A, l.B); ok {
+			fn(l.A, l.B, p)
+		}
 	}
-	return s.LinkFaulty(n, nb)
+}
+
+// observe makes the neighbours of the faulty or deactivated node n see
+// it, each through the port that faces n.
+func observe(m *topology.Mesh, obs []uint8, n topology.NodeID) {
+	x, y := m.XY(n)
+	if y+1 < m.H {
+		obs[int(n)+m.W] |= 1 << topology.South
+	}
+	if x+1 < m.W {
+		obs[n+1] |= 1 << topology.West
+	}
+	if y > 0 {
+		obs[int(n)-m.W] |= 1 << topology.North
+	}
+	if x > 0 {
+		obs[n-1] |= 1 << topology.East
+	}
 }
 
 // BuildBlocks runs the convex completion to a fixpoint: a healthy node
@@ -49,30 +87,27 @@ func BuildBlocks(m *topology.Mesh, s *Set) *BlockInfo {
 	b := &BlockInfo{
 		mesh:     m,
 		Disabled: make([]bool, m.Nodes()),
+		raw:      observed(m, s),
 	}
-	for n := range b.Disabled {
-		b.Disabled[n] = s.NodeFaulty(topology.NodeID(n))
-	}
-	for {
-		changed := false
-		for y := 0; y < m.H; y++ {
-			for x := 0; x < m.W; x++ {
-				n := m.Node(x, y)
-				if b.Disabled[n] {
-					continue
-				}
-				vert := dimFault(m, s, b.Disabled, x, y, 0, 1) || dimFault(m, s, b.Disabled, x, y, 0, -1)
-				horiz := dimFault(m, s, b.Disabled, x, y, 1, 0) || dimFault(m, s, b.Disabled, x, y, -1, 0)
-				if vert && horiz {
-					b.Disabled[n] = true
-					b.Deactivated++
-					changed = true
-				}
-			}
+	for n := range s.nodes {
+		if inMesh(m, n) {
+			b.Disabled[n] = true
 		}
-		b.Rounds++
-		if !changed {
-			break
+	}
+	b.obs = append([]uint8(nil), b.raw...)
+	const vert, horiz = 1<<topology.North | 1<<topology.South, 1<<topology.East | 1<<topology.West
+	for changed := true; changed; b.Rounds++ {
+		changed = false
+		// Raster order, reading the nibbles live: a node deactivated in
+		// this wave is seen by its north and east neighbours in the same
+		// wave, by the others in the next.
+		for n := range b.obs {
+			if o := b.obs[n]; o&vert != 0 && o&horiz != 0 && !b.Disabled[n] {
+				b.Disabled[n] = true
+				b.Deactivated++
+				changed = true
+				observe(m, b.obs, topology.NodeID(n))
+			}
 		}
 	}
 	return b

@@ -39,29 +39,31 @@ func BuildDeadEnds(m *topology.Mesh, s *Set, b *BlockInfo) *DeadEnds {
 		DeadNorth: make([]bool, m.H),
 		DeadSouth: make([]bool, m.H),
 	}
-	disabled := func(n topology.NodeID) bool {
-		if s.NodeFaulty(n) {
-			return true
-		}
-		return b != nil && b.DisabledNode(n)
+	mark := func(n topology.NodeID) {
+		x, y := m.XY(n)
+		d.ColFault[x], d.RowFault[y] = true, true
 	}
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			n := m.Node(x, y)
-			if disabled(n) {
-				d.ColFault[x] = true
-				d.RowFault[y] = true
-			}
-			// Vertical link faults block the column, horizontal ones
-			// the row.
-			if y+1 < m.H && s.LinkFaulty(n, m.Node(x, y+1)) {
-				d.ColFault[x] = true
-			}
-			if x+1 < m.W && s.LinkFaulty(n, m.Node(x+1, y)) {
-				d.RowFault[y] = true
+	for n := range s.nodes {
+		if inMesh(m, n) {
+			mark(n)
+		}
+	}
+	if b != nil {
+		for n, dis := range b.Disabled {
+			if dis {
+				mark(topology.NodeID(n))
 			}
 		}
 	}
+	// Vertical link faults block the column, horizontal ones the row.
+	s.eachMeshLink(m, func(a, _ topology.NodeID, p int) {
+		x, y := m.XY(a)
+		if p == topology.North || p == topology.South {
+			d.ColFault[x] = true
+		} else {
+			d.RowFault[y] = true
+		}
+	})
 	// Wave from the east border westwards: dead-end-east holds at
 	// column x iff all columns x' > x are faulty.
 	all := true

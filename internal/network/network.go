@@ -191,6 +191,12 @@ type Network struct {
 	// sent[node*lay.ports+port] counts flits transmitted through each
 	// output port (link-utilisation statistics).
 	sent []int64
+	// links[node*lay.ports+port] is the far end of each output port:
+	// the downstream node and the input port the link arrives at
+	// there, node -1 for an unconnected port. The topology is fixed,
+	// so the per-flit stages read this table instead of asking the
+	// graph.
+	links []linkEnd
 
 	// Per-stage active sets (arena.go): exactly the slots with live
 	// work, maintained incrementally via noteInput.
@@ -227,6 +233,16 @@ type Network struct {
 	nomScratch  [][]nominee
 	moveScratch []send
 }
+
+// linkEnd is the far end of one output port, packed into one word
+// (node<<8 | port) so the table stays small next to the VC arenas;
+// noLink marks an unconnected port.
+type linkEnd uint32
+
+const noLink = ^linkEnd(0)
+
+func (l linkEnd) node() int { return int(l >> 8) }
+func (l linkEnd) port() int { return int(l & 0xFF) }
 
 // nominee is one (input port, input VC) requesting an output port in
 // the switch-allocation stage.
@@ -283,6 +299,26 @@ func New(cfg Config) *Network {
 	n.rrIn = make([]int, lay.nodes*lay.inPorts)
 	n.rrOut = make([]int, lay.nodes*lay.ports)
 	n.sent = make([]int64, lay.nodes*lay.ports)
+	if lay.ports > 1<<8 || lay.nodes >= 1<<24 {
+		panic(fmt.Sprintf("network: %s has %d nodes of %d ports, the link table packs 2^24-1 nodes of 256 ports",
+			n.g.Name(), lay.nodes, lay.ports))
+	}
+	n.links = make([]linkEnd, lay.nodes*lay.ports)
+	for node := 0; node < lay.nodes; node++ {
+		for p := 0; p < lay.ports; p++ {
+			down := n.g.Neighbor(topology.NodeID(node), p)
+			if down == topology.Invalid {
+				n.links[node*lay.ports+p] = noLink
+				continue
+			}
+			dp, ok := n.g.PortTo(down, topology.NodeID(node))
+			if !ok {
+				panic(fmt.Sprintf("network: inconsistent topology %s: port %d of node %d leads to node %d, which has no port back",
+					n.g.Name(), p, node, down))
+			}
+			n.links[node*lay.ports+p] = linkEnd(down)<<8 | linkEnd(dp)
+		}
+	}
 	// One pooled backing arena for every link-attached VC buffer: a
 	// link VC never holds more than BufDepth flits, so each gets a
 	// fixed-capacity sub-slice (full slice expression — an append past
@@ -718,14 +754,10 @@ func (n *Network) applyMoves(moves []send) bool {
 			f.msg.Hops++
 		}
 		// Deliver into the downstream input buffer.
-		down := n.g.Neighbor(topology.NodeID(node), mv.outPort)
-		dp, ok := n.g.PortTo(down, topology.NodeID(node))
-		if !ok {
-			panic("network: inconsistent topology in applyMoves")
-		}
-		downSlot := dp*lay.vcs + mv.outVC
-		n.ins[int(down)*lay.inStride+downSlot].q.pushBack(f)
-		n.noteInput(int(down), downSlot)
+		down := n.links[node*lay.ports+mv.outPort]
+		downSlot := down.port()*lay.vcs + mv.outVC
+		n.ins[down.node()*lay.inStride+downSlot].q.pushBack(f)
+		n.noteInput(down.node(), downSlot)
 		if f.tail {
 			// The worm has fully left: release input route state and
 			// output ownership.
@@ -750,25 +782,22 @@ func (n *Network) creditReturnVC(node, p, v int) {
 	if p == n.lay.ports {
 		return // injection pseudo-port: no upstream link
 	}
-	up := n.g.Neighbor(topology.NodeID(node), p)
-	if up == topology.Invalid {
+	end := n.links[node*n.lay.ports+p]
+	if end == noLink {
 		return
 	}
-	upPort, ok := n.g.PortTo(up, topology.NodeID(node))
-	if !ok {
-		return
-	}
+	up, upPort := end.node(), end.port()
 	if n.rec != nil {
 		n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KCreditSent,
 			Node: int32(up), Msg: -1, Port: int16(upPort), VC: int16(v),
 			Arg: int32(n.cfg.CreditDelay)})
 	}
 	if n.cfg.CreditDelay <= 0 {
-		n.outs[n.lay.outIdx(int(up), upPort, v)].credits++
+		n.outs[n.lay.outIdx(up, upPort, v)].credits++
 		return
 	}
 	n.creditQueue = append(n.creditQueue, pendingCredit{
-		due: n.now + int64(n.cfg.CreditDelay), node: up, port: upPort, vc: v,
+		due: n.now + int64(n.cfg.CreditDelay), node: topology.NodeID(up), port: upPort, vc: v,
 	})
 }
 

@@ -1,7 +1,9 @@
 package network
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -757,4 +759,54 @@ func TestRuleLookupCountersExact(t *testing.T) {
 	if routec.Lookups != want {
 		t.Fatalf("rule-routec Lookups = %d, want %d", routec.Lookups, want)
 	}
+}
+
+// oneWayGraph hides the port back from node `to` to node `from`.
+type oneWayGraph struct {
+	topology.Graph
+	from, to topology.NodeID
+}
+
+func (g oneWayGraph) PortTo(n, o topology.NodeID) (int, bool) {
+	if n == g.to && o == g.from {
+		return 0, false
+	}
+	return g.Graph.PortTo(n, o)
+}
+
+// The far end of every output port is resolved once, in New: a topology
+// whose link has no port back is refused there, by name, instead of
+// panicking in the middle of a run — and on a consistent topology the
+// table agrees with the graph for every port.
+func TestNewResolvesLinksAndRefusesOneWayLink(t *testing.T) {
+	for _, g := range []topology.Graph{topology.NewMesh(4, 3), topology.NewTorus(3, 3), topology.NewHypercube(3)} {
+		n := New(Config{Graph: g, Algorithm: routing.NewUpDown(g)})
+		for node := 0; node < g.Nodes(); node++ {
+			for p := 0; p < g.Ports(); p++ {
+				end := n.links[node*g.Ports()+p]
+				down := g.Neighbor(topology.NodeID(node), p)
+				if down == topology.Invalid {
+					if end != noLink {
+						t.Fatalf("%s: unconnected port %d of node %d resolved to node %d", g.Name(), p, node, end.node())
+					}
+					continue
+				}
+				if dp, _ := g.PortTo(down, topology.NodeID(node)); end.node() != int(down) || end.port() != dp {
+					t.Fatalf("%s: port %d of node %d resolved to node %d port %d, graph says node %d port %d",
+						g.Name(), p, node, end.node(), end.port(), down, dp)
+				}
+			}
+		}
+	}
+	m := topology.NewMesh(3, 3)
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, want := range []string{"inconsistent topology", "port 1 of node 3", "node 4"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("panic %q does not name %q", msg, want)
+			}
+		}
+	}()
+	New(Config{Graph: oneWayGraph{Graph: m, from: 3, to: 4}, Algorithm: routing.NewXY(m)})
+	t.Fatal("New accepted a link with no port back")
 }

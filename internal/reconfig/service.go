@@ -44,13 +44,21 @@ type Decision struct {
 // shard is one independently locked engine replica. Each shard owns a
 // full engine instance (engines keep per-decision scratch state, so
 // they are single-threaded by construction) plus a scratch header, so
-// the steady-state decision path performs zero allocations.
+// the steady-state decision path performs zero allocations, and the
+// latencies of the decisions it served (merged across shards when
+// Metrics is read), so recording one takes no lock beyond mu.
 type shard struct {
 	mu    sync.Mutex
 	eng   routing.Algorithm
 	epoch uint64
 	hdr   routing.Header
+	lat   *metrics.Histogram
 }
+
+// newLatencyHistogram: decision latencies sit in the microsecond range;
+// 2µs bins up to 2ms keep the percentiles meaningful without tracking
+// raw samples.
+func newLatencyHistogram() *metrics.Histogram { return metrics.NewHistogram(2, 1000) }
 
 // Service is the concurrent decision engine behind cmd/routerd:
 // requests are spread round-robin over sharded engine replicas, and
@@ -77,9 +85,6 @@ type Service struct {
 	failed     atomic.Int64
 	unroutable atomic.Int64
 	reloads    atomic.Int64
-
-	latMu sync.Mutex
-	lat   *metrics.Histogram
 }
 
 // MetricsSnapshot is the JSON document served by routerd's /metrics.
@@ -104,20 +109,14 @@ func NewService(art *Artifact, g topology.Graph, nshards int) (*Service, error) 
 	if nshards <= 0 {
 		nshards = 1
 	}
-	s := &Service{
-		g: g,
-		// Decision latencies sit in the microsecond range; 2µs bins up
-		// to 2ms keep the percentiles meaningful without tracking raw
-		// samples.
-		lat: metrics.NewHistogram(2, 1000),
-	}
+	s := &Service{g: g}
 	engines, err := s.buildEngines(art, nshards)
 	if err != nil {
 		return nil, err
 	}
 	s.shards = make([]*shard, nshards)
 	for i := range s.shards {
-		s.shards[i] = &shard{eng: engines[i], epoch: art.Epoch}
+		s.shards[i] = &shard{eng: engines[i], epoch: art.Epoch, lat: newLatencyHistogram()}
 	}
 	s.epoch.Store(art.Epoch)
 	s.noteArtifact(art)
@@ -195,16 +194,13 @@ func (s *Service) Decide(req *DecisionRequest, buf []routing.Candidate) ([]routi
 		Hdr:    &sh.hdr,
 	}, buf)
 	epoch := sh.epoch
+	sh.lat.Add(float64(time.Since(start)) / float64(time.Microsecond))
 	sh.mu.Unlock()
-	elapsed := time.Since(start)
 
 	s.decisions.Add(1)
 	if len(out) == len(buf) {
 		s.unroutable.Add(1)
 	}
-	s.latMu.Lock()
-	s.lat.Add(float64(elapsed) / float64(time.Microsecond))
-	s.latMu.Unlock()
 	return out, epoch, nil
 }
 
@@ -310,11 +306,12 @@ func (s *Service) Metrics() MetricsSnapshot {
 	s.infoMu.Lock()
 	algo, name, sum := s.algo, s.name, s.checksum
 	s.infoMu.Unlock()
-	s.latMu.Lock()
-	p50 := s.lat.Percentile(0.50)
-	p95 := s.lat.Percentile(0.95)
-	p99 := s.lat.Percentile(0.99)
-	s.latMu.Unlock()
+	lat := newLatencyHistogram()
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		_ = lat.Merge(sh.lat) // same shape by construction
+		sh.mu.Unlock()
+	}
 	return MetricsSnapshot{
 		Algorithm:  algo,
 		Table:      name,
@@ -325,8 +322,8 @@ func (s *Service) Metrics() MetricsSnapshot {
 		Failed:     s.failed.Load(),
 		Unroutable: s.unroutable.Load(),
 		Reloads:    s.reloads.Load(),
-		LatencyP50: p50,
-		LatencyP95: p95,
-		LatencyP99: p99,
+		LatencyP50: lat.Percentile(0.50),
+		LatencyP95: lat.Percentile(0.95),
+		LatencyP99: lat.Percentile(0.99),
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/routing"
 	"repro/internal/rulesets"
 	"repro/internal/topology"
@@ -179,3 +180,151 @@ var errUnroutable = &unroutableError{}
 type unroutableError struct{}
 
 func (*unroutableError) Error() string { return "fault-free decision judged unroutable" }
+
+// The decision latencies live in per-shard histograms merged when
+// Metrics is read: the percentiles must be those of one histogram fed
+// the same samples, however the samples were spread over the shards.
+func TestServiceMetricsMergeShardLatencies(t *testing.T) {
+	svc, _, _ := newTestService(t, 3)
+	one := newLatencyHistogram()
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 5000; i++ {
+		v := rng.ExpFloat64() * 40 // microseconds; the tail reaches past many bins
+		if i%97 == 0 {
+			v = 5000 // overflow bin
+		}
+		one.Add(v)
+		svc.shards[rng.Intn(len(svc.shards))].lat.Add(v)
+	}
+	ms := svc.Metrics()
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"p50", ms.LatencyP50, one.Percentile(0.50)},
+		{"p95", ms.LatencyP95, one.Percentile(0.95)},
+		{"p99", ms.LatencyP99, one.Percentile(0.99)},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, one histogram over the same samples gives %v", c.name, c.got, c.want)
+		}
+	}
+	// Reading the metrics must not consume the shard histograms.
+	if again := svc.Metrics(); again != ms {
+		t.Errorf("second read differs: %+v vs %+v", again, ms)
+	}
+}
+
+// Decide records under the shard mutex while Metrics merges the shards:
+// run with -race this is the proof that no latency sample is written
+// outside a lock, and every decision must have left exactly one sample.
+func TestServiceConcurrentDecideAndMetrics(t *testing.T) {
+	svc, _, m := newTestService(t, 2)
+	const (
+		workers   = 4
+		perWorker = 500
+	)
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	done := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			buf := make([]routing.Candidate, 0, 8)
+			for i := 0; i < perWorker; i++ {
+				req := injectionRequest(rng, m.Nodes())
+				if _, _, err := svc.Decide(&req, buf[:0]); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(int64(w + 1))
+	}
+	go func() { wg.Wait(); close(done) }()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+			if ms := svc.Metrics(); ms.LatencyP50 > ms.LatencyP99 {
+				t.Errorf("p50 %v above p99 %v", ms.LatencyP50, ms.LatencyP99)
+			}
+		}
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	var samples int64
+	for _, sh := range svc.shards {
+		samples += sh.lat.Total()
+	}
+	if samples != workers*perWorker || svc.Metrics().Decisions != samples {
+		t.Fatalf("%d latency samples for %d decisions", samples, workers*perWorker)
+	}
+}
+
+// Every way the service installs or updates an engine must leave the
+// NAFTA engines' per-node fact records matching the fault state they
+// serve (rulesets.RuleNAFTA.CheckFacts): the live recompute, a prepared
+// reload whose fresh engines get the fault state before any shard sees
+// them, a plain reload followed by the recompute, and a failover-style
+// install of prebuilt engines. The shard engines are reachable only
+// from inside this package, which is why this twin of the campaign's
+// nafta_facts_test lives here.
+func TestServiceInstallsKeepNAFTAFactsFresh(t *testing.T) {
+	svc, art, m := newTestService(t, 2)
+	probe := routing.Request{Node: 0, InPort: routing.InjectionPort, Hdr: &routing.Header{Dst: 7, Length: 4}}
+	check := func(when string, wantFaults bool) {
+		t.Helper()
+		for i, sh := range svc.shards {
+			eng := sh.eng.(*rulesets.RuleNAFTA)
+			if err := eng.CheckFacts(); err != nil {
+				t.Fatalf("%s: shard %d: %v", when, i, err)
+			}
+			// One interpretation step is the fault-free decision.
+			if steps := eng.Steps(probe); (steps > 1) != wantFaults {
+				t.Fatalf("%s: shard %d decides in %d steps, engine knows faults = %v, want %v", when, i, steps, steps > 1, wantFaults)
+			}
+		}
+	}
+	check("fresh service", false)
+	f := fault.NewSet()
+	f.FailNode(m.Node(2, 2))
+	f.FailNode(m.Node(3, 3)) // concave: the completion deactivates (2,3) and (3,2)
+	f.FailLink(m.Node(4, 5), m.Node(5, 5))
+	svc.UpdateFaults(f)
+	check("UpdateFaults", true)
+
+	next := *art
+	next.Epoch = 0
+	if _, err := svc.ReloadPrepared(&next, f); err != nil {
+		t.Fatal(err)
+	}
+	check("ReloadPrepared", true)
+
+	if _, err := svc.Reload(&next); err != nil {
+		t.Fatal(err)
+	}
+	check("plain Reload (fault-free engines)", false)
+	svc.UpdateFaults(f)
+	check("Reload + UpdateFaults", true)
+
+	f2 := f.Clone()
+	f2.FailNode(m.Node(1, 0))
+	engines := make([]routing.Algorithm, svc.Shards())
+	for i := range engines {
+		eng, err := NewEngine(art, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.UpdateFaults(f2)
+		engines[i] = eng
+	}
+	if _, err := svc.InstallEngines(engines); err != nil {
+		t.Fatal(err)
+	}
+	check("InstallEngines", true)
+}

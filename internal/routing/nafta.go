@@ -1,6 +1,10 @@
 package routing
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
+
 	"repro/internal/fault"
 	"repro/internal/topology"
 )
@@ -27,8 +31,13 @@ type NAFTA struct {
 	mesh   *topology.Mesh
 	faults *fault.Set
 	blocks *fault.BlockInfo
-	dead   *fault.DeadEnds
 	dirs   *fault.DirStates
+	// xy is the node -> (x,y) table (the mesh never changes) and facts
+	// the per-node fault knowledge, rewritten in place by UpdateFaults
+	// and by nothing else. A decision reads facts[node] and two xy
+	// entries; it asks neither the mesh nor the fault set.
+	xy    [][2]int32
+	facts []naftaFacts
 
 	// MaxMisroutes bounds the detour budget per message; beyond it the
 	// message is dropped (livelock avoidance). Zero means the default
@@ -42,7 +51,11 @@ type NAFTA struct {
 
 // NewNAFTA builds NAFTA on mesh m with no faults.
 func NewNAFTA(m *topology.Mesh) *NAFTA {
-	n := &NAFTA{mesh: m}
+	n := &NAFTA{mesh: m, xy: make([][2]int32, m.Nodes()), facts: make([]naftaFacts, m.Nodes())}
+	for i := range n.xy {
+		x, y := m.XY(topology.NodeID(i))
+		n.xy[i] = [2]int32{int32(x), int32(y)}
+	}
 	n.UpdateFaults(fault.NewSet())
 	return n
 }
@@ -54,8 +67,34 @@ func (n *NAFTA) NumVCs() int  { return 2 }
 // safety gate.
 func (n *NAFTA) DeadlockRegime() string { return RegimeNAFTA }
 
-// UpdateFaults recomputes the fault blocks and dead-end states to
-// their fixpoint (diagnosis phase, assumption iv).
+// naftaFacts is what one node's Information Units hold between fault
+// events: the router-local copy of the rule program's fault registers
+// (node_state, lineblocked and clearrun of the node and its
+// neighbours). Nothing in it depends on a message; FactWords folds the
+// destination-relative part of a decision in. Ports are bit p of a
+// nibble.
+type naftaFacts struct {
+	// open: the hop through p is physically intact (link and both end
+	// nodes). free: open, and the neighbour is not deactivated by the
+	// convex completion; a deactivated neighbour is entered only when
+	// it is the destination.
+	open, free uint8
+	// sidePos/sideNeg, valid for the open ports: travelling through
+	// port t, the neighbour's propagated flag admits a message that
+	// still needs the perpendicular direction north or east (sidePos),
+	// south or west (sideNeg).
+	sidePos, sideNeg uint8
+	// runN/runS: the clear runs {east, west} of the north resp. south
+	// neighbour when that neighbour lies on the top resp. bottom border
+	// row, which is where the frozen-direction entry guard consults
+	// them; unbounded everywhere else, where the guard admits the hop.
+	runN, runS [2]int32
+}
+
+// UpdateFaults recomputes the fault blocks and the propagated
+// directional states to their fixpoint (diagnosis phase, assumption
+// iv) and rewrites every node's fact record from them in one linear
+// pass.
 func (n *NAFTA) UpdateFaults(f *fault.Set) {
 	n.faults = f
 	if n.DisableBlocks {
@@ -63,15 +102,162 @@ func (n *NAFTA) UpdateFaults(f *fault.Set) {
 	} else {
 		n.blocks = fault.BuildBlocks(n.mesh, f)
 	}
-	n.dead = fault.BuildDeadEnds(n.mesh, f, n.blocks)
 	n.dirs = fault.BuildDirStates(n.mesh, f, n.blocks)
+	w := n.mesh.W
+	steps := [topology.MeshPorts]int{w, 1, -w, -1} // node stride of each port
+	unbounded := [2]int32{math.MaxInt32, math.MaxInt32}
+	for i := range n.facts {
+		blocked, hard := n.dirs.PortBlocks(topology.NodeID(i))
+		fc := naftaFacts{open: ^hard & 0xF, free: ^blocked & 0xF, runN: unbounded, runS: unbounded}
+		for p, step := range steps {
+			if bit := uint8(1) << uint(p); fc.open&bit != 0 {
+				admits := ^n.dirs.Flags(topology.NodeID(i + step))
+				fc.sidePos |= admits & bit
+				fc.sideNeg |= admits >> 4 & bit
+			}
+		}
+		y := int(n.xy[i][1])
+		if y == n.mesh.H-2 {
+			fc.runN = n.clearRuns(i + w)
+		}
+		if y == 1 {
+			fc.runS = n.clearRuns(i - w)
+		}
+		n.facts[i] = fc
+	}
+	for _, id := range f.FaultyNodes() { // a failed node forwards nothing
+		if id >= 0 && int(id) < len(n.facts) {
+			n.facts[id].open, n.facts[id].free = 0, 0
+		}
+	}
+}
+
+func (n *NAFTA) clearRuns(nb int) [2]int32 {
+	return [2]int32{
+		int32(n.dirs.ClearRun(topology.East, topology.NodeID(nb))),
+		int32(n.dirs.ClearRun(topology.West, topology.NodeID(nb))),
+	}
 }
 
 // Blocks exposes the current fault-block state (evaluation harness).
 func (n *NAFTA) Blocks() *fault.BlockInfo { return n.blocks }
 
-// DeadEnds exposes the current dead-end state (evaluation harness).
-func (n *NAFTA) DeadEnds() *fault.DeadEnds { return n.dead }
+// DeadEnds derives the paper's coarse per-row/per-column dead-end
+// states for the current fault state (evaluation harness). Routing does
+// not consult them: on whole rows and columns they degenerate for
+// sparse fault patterns, and the per-node flags behind sidePos/sideNeg
+// implement the same protective intent with node-level accuracy.
+func (n *NAFTA) DeadEnds() *fault.DeadEnds { return fault.BuildDeadEnds(n.mesh, n.faults, n.blocks) }
+
+// FactWords is the fault knowledge of one routing decision as whole
+// words: the node's fact record with the destination-relative part
+// folded in. The rule-based NAFTA stores Avail, AvFault and MisOK
+// straight into its avail, avfault and misok input lines; the native
+// decision masks them with the turn model.
+type FactWords struct {
+	// SX, SY are the signs (-1, 0, +1) of the remaining distance.
+	SX, SY int
+	// VNet is the message's virtual network: assigned at injection,
+	// read from the header in flight.
+	VNet int
+	// Port nibbles (bit p = mesh port p), in PortFact's terms: Minimal;
+	// Usable; Usable && Sideways && EntryMinimal; Usable && Sideways &&
+	// EntryMisroute.
+	Minimal, Avail, AvFault, MisOK uint8
+}
+
+// naftaQuads holds, per pair of distance signs (index 3*sy+sx+4), the
+// port masks that depend on nothing else: the minimal ports, and the
+// travel ports whose still-needed perpendicular direction is north or
+// east (needPos), south or west (needNeg), or none (needNone: a
+// straight-line message, the sideways flag does not apply).
+type naftaQuad struct{ minimal, needPos, needNeg, needNone uint8 }
+
+var naftaQuads = func() (t [9]naftaQuad) {
+	const ns, ew = 1<<topology.North | 1<<topology.South, 1<<topology.East | 1<<topology.West
+	for sy := -1; sy <= 1; sy++ {
+		for sx := -1; sx <= 1; sx++ {
+			q := &t[3*sy+sx+4]
+			switch sx {
+			case 1:
+				q.minimal, q.needPos = 1<<topology.East, ns
+			case -1:
+				q.minimal, q.needNeg = 1<<topology.West, ns
+			default:
+				q.needNone = ns
+			}
+			switch sy {
+			case 1:
+				q.minimal, q.needPos = q.minimal|1<<topology.North, q.needPos|ew
+			case -1:
+				q.minimal, q.needNeg = q.minimal|1<<topology.South, q.needNeg|ew
+			default:
+				q.needNone |= ew
+			}
+		}
+	}
+	return t
+}()
+
+// toward returns the remaining signed distance from cur to dst and the
+// naftaQuads entry of its signs.
+func (n *NAFTA) toward(cur, dst topology.NodeID) (dx, dy int, q *naftaQuad) {
+	c, d := n.xy[cur], n.xy[dst]
+	dx, dy = int(d[0]-c[0]), int(d[1]-c[1])
+	return dx, dy, &naftaQuads[3*sign(dy)+sign(dx)+4]
+}
+
+func sign(v int) int {
+	switch {
+	case v < 0:
+		return -1
+	case v > 0:
+		return 1
+	}
+	return 0
+}
+
+// FactWords reads the decision's fault knowledge off the node's fact
+// record: a few loads, shifts and masks. CheckFacts holds it to the
+// per-call derivation PortFacts.
+func (n *NAFTA) FactWords(req Request) FactWords {
+	dx, dy, q := n.toward(req.Node, req.Hdr.Dst)
+	w := FactWords{SX: sign(dx), SY: sign(dy), VNet: req.Hdr.VNet, Minimal: q.minimal}
+	if req.InPort == InjectionPort { // vnetFor
+		w.VNet = VNSouthLast
+		if dy < 0 || dy == 0 && int(n.xy[req.Node][1]) == n.mesh.H-1 {
+			w.VNet = VNNorthLast
+		}
+	}
+	var isDst uint8 // the port whose neighbour is the destination
+	if dx*dx+dy*dy == 1 {
+		isDst = q.minimal
+	}
+	f := &n.facts[req.Node]
+	w.Avail = f.free | f.open&isDst
+	w.AvFault = w.Avail & (f.sidePos&q.needPos | f.sideNeg&q.needNeg | q.needNone | isDst)
+	w.MisOK = w.AvFault
+	// The frozen-direction entry guard: the hop away from the
+	// network's last direction must not strand the message on a border
+	// row from which the destination column cannot be reached. It
+	// refuses the hop as a misroute, and as a minimal move when it
+	// enters the destination row.
+	runs, port, enters := &f.runN, uint8(1<<topology.North), dy == 1
+	switch w.VNet {
+	case VNSouthLast:
+	case VNNorthLast:
+		runs, port, enters = &f.runS, 1<<topology.South, dy == -1
+	default:
+		return w
+	}
+	if dx > 0 && int(runs[0]) < dx || dx < 0 && int(runs[1]) < -dx {
+		w.MisOK &^= port
+		if enters {
+			w.AvFault &^= port
+		}
+	}
+	return w
+}
 
 // Steps reports the rule interpretations for this decision: one in the
 // fault-free network, two when fault state has to be consulted, three
@@ -82,8 +268,7 @@ func (n *NAFTA) Steps(req Request) int {
 	if n.faults.Empty() {
 		return 1
 	}
-	var tmp [topology.MeshPorts]Candidate
-	if len(n.minimalAppend(req, tmp[:0])) > 0 {
+	if w := n.FactWords(req); w.minimalPorts(req.InPort) != 0 {
 		return 2
 	}
 	return 3
@@ -94,24 +279,149 @@ func (n *NAFTA) NoteHop(req Request, chosen Candidate) {
 		req.Hdr.VNet = chosen.VC
 	}
 	// Track non-minimal hops: the path-length counter of Section 3.
-	if !n.isMinimalPort(req.Node, req.Hdr.Dst, chosen.Port) {
+	if _, _, q := n.toward(req.Node, req.Hdr.Dst); q.minimal>>uint(chosen.Port)&1 == 0 {
 		req.Hdr.Misroutes++
 		req.Hdr.Marked = true
 	}
 }
 
-// isMinimalPort reports whether port p leads strictly closer to dst —
-// the membership test of MinimalPorts without materialising the list.
-func (n *NAFTA) isMinimalPort(cur, dst topology.NodeID, p int) bool {
-	return p == n.neededHorizontal(cur, dst) || p == n.neededVertical(cur, dst)
-}
-
-func (n *NAFTA) maxMisroutes() int {
+// DetourBudget is the number of misroutes a message may make before it
+// is dropped (MaxMisroutes, or its default).
+func (n *NAFTA) DetourBudget() int {
 	if n.MaxMisroutes > 0 {
 		return n.MaxMisroutes
 	}
 	return 4 * (n.mesh.W + n.mesh.H)
 }
+
+// turnMask returns the ports the turn model leaves a message of
+// virtual network vnet that arrived through inPort: never straight back
+// (the previous router has just been tried; sending the message back
+// re-creates the same decision, a ping-pong livelock), and once it has
+// moved in the network's last direction only straight on.
+func turnMask(vnet, inPort int) uint8 {
+	if inPort == InjectionPort {
+		return 0xF
+	}
+	last := topology.OppositeMeshPort(inPort)
+	if vnet == VNSouthLast && last == topology.South || vnet == VNNorthLast && last == topology.North {
+		return 1 << uint(last)
+	}
+	return 0xF &^ (1 << uint(inPort))
+}
+
+// frozenPort is the last direction of virtual network vnet: after a hop
+// through it a message cannot turn any more.
+func frozenPort(vnet int) uint8 {
+	switch vnet {
+	case VNSouthLast:
+		return 1 << topology.South
+	case VNNorthLast:
+		return 1 << topology.North
+	}
+	return 0
+}
+
+// minimalPorts computes set2 ∩ set1: minimal ports that survive the
+// fault, block, sideways, turn-model and freeze restrictions. The
+// frozen direction is entered only as a straight shot at the
+// destination (same column), because afterwards the message cannot
+// turn.
+func (w *FactWords) minimalPorts(inPort int) uint8 {
+	m := w.AvFault & w.Minimal & turnMask(w.VNet, inPort)
+	if w.SX != 0 {
+		m &^= frozenPort(w.VNet)
+	}
+	return m
+}
+
+// misroutePorts computes the exception outputs: non-minimal ports that
+// keep the message routable (no 180-degree reversal, turn rules
+// respected, no disabled entry, never into the frozen direction —
+// there is no way back out of it).
+func (w *FactWords) misroutePorts(inPort int) uint8 {
+	return w.MisOK &^ w.Minimal & turnMask(w.VNet, inPort) &^ frozenPort(w.VNet)
+}
+
+func appendPorts(out []Candidate, ports uint8, vc int) []Candidate {
+	for ; ports != 0; ports &= ports - 1 {
+		out = append(out, Candidate{Port: bits.TrailingZeros8(ports), VC: vc})
+	}
+	return out
+}
+
+func (n *NAFTA) Route(req Request) []Candidate {
+	return n.RouteAppend(req, nil)
+}
+
+// RouteAppend is the allocation-free form of Route (BufferedAlgorithm).
+func (n *NAFTA) RouteAppend(req Request, buf []Candidate) []Candidate {
+	w := n.FactWords(req)
+	if m := w.minimalPorts(req.InPort); m != 0 {
+		// Offer horizontal ports first: vertical moves are the ones the
+		// turn model makes hard to undo, so the deterministic tie-break
+		// (and the FirstFit ablation selector) should delay them.
+		const horiz = 1<<topology.East | 1<<topology.West
+		return appendPorts(appendPorts(buf, m&horiz, w.VNet), m&^horiz, w.VNet)
+	}
+	// Exception path: misroute around the fault region, within the
+	// detour budget.
+	if req.Hdr.Misroutes >= n.DetourBudget() {
+		return buf
+	}
+	return appendPorts(buf, w.misroutePorts(req.InPort), w.VNet)
+}
+
+// CheckFacts compares the words every decision would read off the fact
+// records with the per-call reference derivation, for every node,
+// destination and virtual network. A difference means a path changed
+// the fault state without calling UpdateFaults. It costs O(nodes²)
+// PortFacts calls: an oracle for tests and the campaign.
+func (n *NAFTA) CheckFacts() error {
+	var hdr Header
+	for cur := range n.facts {
+		for dst := range n.facts {
+			for vnet := 0; vnet < n.NumVCs(); vnet++ {
+				hdr.Dst, hdr.VNet = topology.NodeID(dst), vnet
+				req := Request{Node: topology.NodeID(cur), Hdr: &hdr}
+				got, want := n.FactWords(req), factNibbles(n.PortFacts(req))
+				want.SX, want.SY, want.VNet = got.SX, got.SY, got.VNet
+				if got != want {
+					return fmt.Errorf("nafta: stale facts at node %d towards %d: the record gives %+v, the fault state %+v",
+						cur, dst, got, want)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// factNibbles packs the per-port reference facts into FactWords' port
+// nibbles (signs and virtual network left zero).
+func factNibbles(facts [topology.MeshPorts]PortFact) (w FactWords) {
+	for p, f := range facts {
+		bit := uint8(1) << uint(p)
+		if f.Minimal {
+			w.Minimal |= bit
+		}
+		if !f.Usable {
+			continue
+		}
+		w.Avail |= bit
+		if f.Sideways && f.EntryMinimal {
+			w.AvFault |= bit
+		}
+		if f.Sideways && f.EntryMisroute {
+			w.MisOK |= bit
+		}
+	}
+	return w
+}
+
+// The per-call reference derivation of the decision's fault knowledge.
+// It asks the mesh and the fault set for every port of every call, so
+// it is off the decision path: CheckFacts, the tests and the evaluation
+// harness are its callers.
 
 // disabled reports whether node m is unusable (faulty, or deactivated
 // by the convex completion).
@@ -132,46 +442,6 @@ func (n *NAFTA) hopOK(cur topology.NodeID, p int, dst topology.NodeID) bool {
 	}
 	if nb != dst && n.disabled(nb) {
 		return false
-	}
-	return true
-}
-
-// deadEndOK evaluates the paper's literal dead-end predicate ("a
-// message destined to north-east may not use a node in state
-// dead-end-east"). The predicate is exposed for the rule-base model
-// and the E6 experiment but is NOT used for candidate filtering: on
-// whole rows/columns it degenerates for sparse fault patterns (a
-// single fault in the border row marks the entire adjacent row), and
-// the per-node propagated flags of sidewaysOK implement the same
-// protective intent with node-level accuracy.
-func (n *NAFTA) deadEndOK(cur topology.NodeID, p int, dst topology.NodeID) bool {
-	nb := n.mesh.Neighbor(cur, p)
-	if nb == dst {
-		return true
-	}
-	nx, ny := n.mesh.XY(nb)
-	dx, dy := n.mesh.XY(dst)
-	// The state only matters for a message that must continue past nb
-	// in direction p AND still has an orthogonal component (the
-	// paper's "a message destined to north-east may not use a node in
-	// state dead-end-east").
-	switch p {
-	case topology.East:
-		if dx > nx && dy != ny && n.dead.NodeDeadEnd(nb, p) {
-			return false
-		}
-	case topology.West:
-		if dx < nx && dy != ny && n.dead.NodeDeadEnd(nb, p) {
-			return false
-		}
-	case topology.North:
-		if dy > ny && dx != nx && n.dead.NodeDeadEnd(nb, p) {
-			return false
-		}
-	case topology.South:
-		if dy < ny && dx != nx && n.dead.NodeDeadEnd(nb, p) {
-			return false
-		}
 	}
 	return true
 }
@@ -295,116 +565,10 @@ func (n *NAFTA) vertEntryOK(vnet int, cur topology.NodeID, p int, dst topology.N
 	return true
 }
 
-// lastDir returns the direction of the previous hop (the direction the
-// message was travelling when it arrived), or -1 at injection.
-func lastDir(inPort int) int {
-	if inPort == InjectionPort {
-		return -1
-	}
-	return topology.OppositeMeshPort(inPort)
-}
-
-// vnAllowed enforces the turn-model restriction of the message's
-// virtual network: once a message has moved in the network's "last"
-// direction it may only continue straight.
-func vnAllowed(vnet, last, p int) bool {
-	if vnet == VNSouthLast && last == topology.South {
-		return p == topology.South
-	}
-	if vnet == VNNorthLast && last == topology.North {
-		return p == topology.North
-	}
-	return true
-}
-
-// lastDirEntryOK guards entry into the frozen direction: in the
-// south-last network a message may move south only if that is a
-// straight shot at the destination (same column, destination south),
-// because afterwards it cannot turn any more. Mirror rule for north in
-// the north-last network.
-func (n *NAFTA) lastDirEntryOK(vnet int, cur topology.NodeID, p int, dst topology.NodeID) bool {
-	cx, cy := n.mesh.XY(cur)
-	dx, dy := n.mesh.XY(dst)
-	if vnet == VNSouthLast && p == topology.South {
-		return cx == dx && dy < cy
-	}
-	if vnet == VNNorthLast && p == topology.North {
-		return cx == dx && dy > cy
-	}
-	return true
-}
-
-// minimalAppend computes set2 ∩ set1 — minimal ports that survive the
-// fault, block, dead-end, turn-model and freeze restrictions — and
-// appends them to out without allocating.
-func (n *NAFTA) minimalAppend(req Request, out []Candidate) []Candidate {
-	vnet := n.vnet(req)
-	last := lastDir(req.InPort)
-	// Offer horizontal ports first: vertical moves are the ones the
-	// turn model makes hard to undo, so the deterministic tie-break
-	// (and the FirstFit ablation selector) should delay them.
-	ordered := [2]int{
-		n.neededHorizontal(req.Node, req.Hdr.Dst),
-		n.neededVertical(req.Node, req.Hdr.Dst),
-	}
-	for _, p := range ordered {
-		if p < 0 {
-			continue
-		}
-		if !vnAllowed(vnet, last, p) {
-			continue
-		}
-		// Never bounce straight back: the previous router has just
-		// been tried and sending the message back re-creates the same
-		// decision, a ping-pong livelock.
-		if last >= 0 && p == topology.OppositeMeshPort(last) {
-			continue
-		}
-		if !n.lastDirEntryOK(vnet, req.Node, p, req.Hdr.Dst) {
-			continue
-		}
-		if !n.hopOK(req.Node, p, req.Hdr.Dst) || !n.sidewaysOK(req.Node, p, req.Hdr.Dst) {
-			continue
-		}
-		if !n.vertEntryOK(vnet, req.Node, p, req.Hdr.Dst, true) {
-			continue
-		}
-		out = append(out, Candidate{Port: p, VC: vnet})
-	}
-	return out
-}
-
-// misrouteAppend computes the exception outputs: non-minimal ports
-// that keep the message routable (no 180-degree reversal, turn rules
-// respected, no disabled or dead-end entry).
-func (n *NAFTA) misrouteAppend(req Request, out []Candidate) []Candidate {
-	vnet := n.vnet(req)
-	last := lastDir(req.InPort)
-	for p := 0; p < n.mesh.Ports(); p++ {
-		if n.isMinimalPort(req.Node, req.Hdr.Dst, p) {
-			continue // not a misroute
-		}
-		if last >= 0 && p == topology.OppositeMeshPort(last) {
-			continue // 180-degree reversal
-		}
-		if !vnAllowed(vnet, last, p) {
-			continue
-		}
-		// Never misroute into the frozen direction: there is no way
-		// back out of it.
-		if (vnet == VNSouthLast && p == topology.South) ||
-			(vnet == VNNorthLast && p == topology.North) {
-			continue
-		}
-		if !n.hopOK(req.Node, p, req.Hdr.Dst) || !n.sidewaysOK(req.Node, p, req.Hdr.Dst) {
-			continue
-		}
-		if !n.vertEntryOK(vnet, req.Node, p, req.Hdr.Dst, false) {
-			continue
-		}
-		out = append(out, Candidate{Port: p, VC: vnet})
-	}
-	return out
+// isMinimalPort reports whether port p leads strictly closer to dst —
+// the membership test of MinimalPorts without materialising the list.
+func (n *NAFTA) isMinimalPort(cur, dst topology.NodeID, p int) bool {
+	return p == n.neededHorizontal(cur, dst) || p == n.neededVertical(cur, dst)
 }
 
 func (n *NAFTA) vnet(req Request) int {
@@ -412,23 +576,6 @@ func (n *NAFTA) vnet(req Request) int {
 		return vnetFor(n.mesh, req.Node, req.Hdr.Dst)
 	}
 	return req.Hdr.VNet
-}
-
-func (n *NAFTA) Route(req Request) []Candidate {
-	return n.RouteAppend(req, nil)
-}
-
-// RouteAppend is the allocation-free form of Route (BufferedAlgorithm).
-func (n *NAFTA) RouteAppend(req Request, buf []Candidate) []Candidate {
-	if out := n.minimalAppend(req, buf); len(out) > len(buf) {
-		return out
-	}
-	// Exception path: misroute around the fault region, within the
-	// detour budget.
-	if req.Hdr.Misroutes >= n.maxMisroutes() {
-		return buf
-	}
-	return n.misrouteAppend(req, buf)
 }
 
 // PortFact is the per-direction fault knowledge of one routing

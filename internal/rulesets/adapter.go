@@ -193,48 +193,35 @@ func (r *RuleNAFTA) UpdateFaults(f *fault.Set) {
 	r.native.UpdateFaults(f)
 }
 
+// CheckFacts is the oracle of the UpdateFaults precompute: the words
+// fillInputs stores are read off the native instance's per-node fact
+// records, which only UpdateFaults rewrites (routing.NAFTA.CheckFacts).
+func (r *RuleNAFTA) CheckFacts() error { return r.native.CheckFacts() }
+
 // fillInputs loads the rule-program input lines of one decision into
 // the flat input vector (signal slots were resolved at construction —
-// no map, no key building).
-func (r *RuleNAFTA) fillInputs(req routing.Request) {
-	facts := r.native.PortFacts(req)
-	cx, cy := r.mesh.XY(req.Node)
-	dx, dy := r.mesh.XY(req.Hdr.Dst)
-	vnet := r.native.VNetOf(req)
+// no map, no key building) and returns the message's virtual network.
+// The fault knowledge arrives as whole words from the native
+// instance's per-node records; nothing here asks the mesh or the fault
+// set.
+func (r *RuleNAFTA) fillInputs(req routing.Request) int {
+	w := r.native.FactWords(req)
 	lastdir := 4
 	if req.InPort != routing.InjectionPort {
 		lastdir = topology.OppositeMeshPort(req.InPort)
 	}
-	sign := func(v int) int64 { // signs = {neg, zero, pos}
-		switch {
-		case v < 0:
-			return 0
-		case v == 0:
-			return 1
-		default:
-			return 2
-		}
-	}
-	load := func(p int) int {
-		if r.loads == nil {
-			return 0
-		}
-		return r.loads.QueuedFlits(req.Node, p, 0)
-	}
-	vPort, hPort := -1, -1
-	if dy > cy {
-		vPort = topology.North
-	} else if dy < cy {
-		vPort = topology.South
-	}
-	if dx > cx {
-		hPort = topology.East
-	} else if dx < cx {
-		hPort = topology.West
-	}
+	// The adaptivity tie-break compares the loads of the two minimal
+	// outputs of a diagonal message.
 	vlight := false
-	if vPort >= 0 && hPort >= 0 {
-		vlight = load(vPort) < load(hPort)
+	if r.loads != nil && w.SX != 0 && w.SY != 0 {
+		vPort, hPort := topology.North, topology.East
+		if w.SY < 0 {
+			vPort = topology.South
+		}
+		if w.SX < 0 {
+			hPort = topology.West
+		}
+		vlight = r.loads.QueuedFlits(req.Node, vPort, 0) < r.loads.QueuedFlits(req.Node, hPort, 0)
 	}
 	msglen := req.Hdr.Length
 	if msglen > 31 {
@@ -242,30 +229,17 @@ func (r *RuleNAFTA) fillInputs(req routing.Request) {
 	}
 	iv, s := r.iv, &r.slots
 	iv.Begin()
-	iv.Set(s.dxsign, sign(dx-cx))
-	iv.Set(s.dysign, sign(dy-cy))
-	iv.Set(s.invnet, int64(vnet))
+	iv.Set(s.dxsign, int64(w.SX+1)) // signs = {neg, zero, pos}
+	iv.Set(s.dysign, int64(w.SY+1))
+	iv.Set(s.invnet, int64(w.VNet))
 	iv.Set(s.lastdir, int64(lastdir))
 	iv.Set(s.msglen, int64(msglen))
-	iv.SetBool(s.budget, req.Hdr.Misroutes < 4*(r.mesh.W+r.mesh.H))
+	iv.SetBool(s.budget, req.Hdr.Misroutes < r.native.DetourBudget())
 	iv.SetBool(s.vlight, vlight)
-	var avail, avfault, misok uint64
-	for p := 0; p < topology.MeshPorts; p++ {
-		f := &facts[p]
-		if !f.Usable {
-			continue
-		}
-		avail |= 1 << uint(p)
-		if f.Sideways && f.EntryMinimal {
-			avfault |= 1 << uint(p)
-		}
-		if f.Sideways && f.EntryMisroute {
-			misok |= 1 << uint(p)
-		}
-	}
-	iv.SetWord(s.avail, avail)
-	iv.SetWord(s.avfault, avfault)
-	iv.SetWord(s.misok, misok)
+	iv.SetWord(s.avail, uint64(w.Avail))
+	iv.SetWord(s.avfault, uint64(w.AvFault))
+	iv.SetWord(s.misok, uint64(w.MisOK))
+	return w.VNet
 }
 
 // decide runs one rule base over the input vector (see decideBase);
@@ -332,16 +306,16 @@ func (r *RuleNAFTA) Route(req routing.Request) []routing.Candidate {
 
 // RouteAppend is the allocation-free form of Route (BufferedAlgorithm).
 func (r *RuleNAFTA) RouteAppend(req routing.Request, buf []routing.Candidate) []routing.Candidate {
-	r.fillInputs(req)
+	vnet := r.fillInputs(req)
 	primary, primaryD := r.ft, r.ftD
 	if r.faults.Empty() {
 		primary, primaryD = r.ff, r.ffD
 	}
 	if port, ok := r.decide(req, primary, primaryD); ok {
-		return append(buf, routing.Candidate{Port: port, VC: r.native.VNetOf(req)})
+		return append(buf, routing.Candidate{Port: port, VC: vnet})
 	}
 	if port, ok := r.decide(req, r.ex, r.exD); ok {
-		return append(buf, routing.Candidate{Port: port, VC: r.native.VNetOf(req)})
+		return append(buf, routing.Candidate{Port: port, VC: vnet})
 	}
 	return buf
 }

@@ -266,3 +266,104 @@ func TestRuleRouteCCheckLinesDetectsStaleness(t *testing.T) {
 		t.Fatal("node state change behind the adapter's back went unnoticed")
 	}
 }
+
+// CheckFacts is the oracle of NAFTA's UpdateFaults precompute (the twin
+// of CheckLines): it must accept a fresh adapter and notice a fault set
+// mutated without UpdateFaults — a dead link (the open ports), a dead
+// node that makes the completion deactivate healthy neighbours (the
+// free ports, the sideways flags and the clear runs move with it).
+func TestRuleNAFTACheckFactsDetectsStaleness(t *testing.T) {
+	m := topology.NewMesh(6, 6)
+	r, err := NewRuleNAFTA(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fault.NewSet()
+	f.FailNode(m.Node(2, 2))
+	r.UpdateFaults(f)
+	if err := r.CheckFacts(); err != nil {
+		t.Fatalf("fresh facts rejected: %v", err)
+	}
+	f.FailLink(m.Node(4, 5), m.Node(5, 5))
+	if err := r.CheckFacts(); err == nil {
+		t.Fatal("link failed behind the adapter's back went unnoticed")
+	}
+	r.UpdateFaults(f)
+	if err := r.CheckFacts(); err != nil {
+		t.Fatalf("facts stale after UpdateFaults: %v", err)
+	}
+	f.FailNode(m.Node(3, 3))
+	if err := r.CheckFacts(); err == nil {
+		t.Fatal("node failed behind the adapter's back went unnoticed")
+	}
+	r.UpdateFaults(f)
+	if err := r.CheckFacts(); err != nil {
+		t.Fatalf("facts stale after UpdateFaults: %v", err)
+	}
+	f.RepairNode(m.Node(3, 3))
+	if err := r.CheckFacts(); err == nil {
+		t.Fatal("repair behind the adapter's back went unnoticed")
+	}
+}
+
+// walkUntilDropped forwards one message hop by hop on the first
+// candidate of every decision and returns the nodes visited; dropped
+// reports that a decision came back empty before the destination.
+func walkUntilDropped(alg routing.Algorithm, m *topology.Mesh, src, dst topology.NodeID) (path []topology.NodeID, dropped bool) {
+	hdr := &routing.Header{Src: src, Dst: dst, Length: 4}
+	cur, inPort := src, routing.InjectionPort
+	for len(path) < 4*m.Nodes() && cur != dst {
+		path = append(path, cur)
+		req := routing.Request{Node: cur, InPort: inPort, Hdr: hdr}
+		cands := alg.Route(req)
+		if len(cands) == 0 {
+			return path, true
+		}
+		alg.NoteHop(req, cands[0])
+		cur, inPort = m.Neighbor(cur, cands[0].Port), topology.OppositeMeshPort(cands[0].Port)
+	}
+	return path, false
+}
+
+// The detour budget is one number read from one place: a rule adapter
+// and a native instance built with the same MaxMisroutes drop a message
+// at the same hop (the adapter used to re-derive the default 4*(W+H)
+// and ignore MaxMisroutes). A fault chain forces five misroutes.
+func TestRuleNAFTAHonoursMaxMisroutes(t *testing.T) {
+	m := topology.NewMesh(8, 8)
+	f, err := fault.Chain(m, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := m.Node(0, 4), m.Node(0, 3)
+	for _, c := range []struct {
+		budget  int
+		dropped bool
+	}{{0, false}, {5, false}, {4, true}, {2, true}, {1, true}} {
+		native := routing.NewNAFTA(m)
+		native.MaxMisroutes = c.budget
+		native.UpdateFaults(f)
+		rule, err := NewRuleNAFTA(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rule.native.MaxMisroutes = c.budget
+		rule.UpdateFaults(f)
+		np, nd := walkUntilDropped(native, m, src, dst)
+		rp, rd := walkUntilDropped(rule, m, src, dst)
+		if nd != c.dropped || rd != c.dropped {
+			t.Fatalf("budget %d: native dropped=%v, rule dropped=%v, want %v (paths %v / %v)", c.budget, nd, rd, c.dropped, np, rp)
+		}
+		if len(np) != len(rp) {
+			t.Fatalf("budget %d: native gave up after %d hops (%v), the rule adapter after %d (%v)", c.budget, len(np), np, len(rp), rp)
+		}
+		for i := range np {
+			if np[i] != rp[i] {
+				t.Fatalf("budget %d: paths diverge at hop %d: %v vs %v", c.budget, i, np, rp)
+			}
+		}
+		if c.dropped && len(np) != c.budget+1 {
+			t.Fatalf("budget %d: dropped after %d hops, want %d", c.budget, len(np)-1, c.budget)
+		}
+	}
+}

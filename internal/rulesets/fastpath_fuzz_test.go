@@ -98,6 +98,27 @@ func FuzzRuleNAFTADifferential(f *testing.F) {
 		if !sameFirings(fastFired, interpFired) {
 			t.Fatalf("fired rules diverged: %v vs %v (req %+v hdr %+v)", fastFired, interpFired, reqF, hdr)
 		}
+		// The words both paths were fed come from the per-node fact
+		// records; hold them to the per-call derivation for this header
+		// (NoteHop has not run: hdr is as routed).
+		w := fast.native.FactWords(reqF)
+		var avail, avfault, misok uint8
+		for p, pf := range fast.native.PortFacts(reqF) {
+			if !pf.Usable {
+				continue
+			}
+			avail |= 1 << uint(p)
+			if pf.Sideways && pf.EntryMinimal {
+				avfault |= 1 << uint(p)
+			}
+			if pf.Sideways && pf.EntryMisroute {
+				misok |= 1 << uint(p)
+			}
+		}
+		if w.Avail != avail || w.AvFault != avfault || w.MisOK != misok || w.VNet != fast.native.VNetOf(reqF) {
+			t.Fatalf("fact words %+v, PortFacts give avail %04b avfault %04b misok %04b vnet %d (faults %v req %+v hdr %+v)",
+				w, avail, avfault, misok, fast.native.VNetOf(reqF), fs, reqF, hdr)
+		}
 	})
 }
 
