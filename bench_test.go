@@ -384,6 +384,17 @@ func BenchmarkNetworkStep(b *testing.B) {
 				h := topology.NewHypercube(10)
 				return h, routing.NewECube(h)
 			}},
+		// The sim-cube8-sat regime: rule-table ROUTE_C, five VC classes
+		// contended (e-cube above has one, so no VC round-robin).
+		{"cube8", []string{"saturating"},
+			func() (topology.Graph, routing.Algorithm) {
+				h := topology.NewHypercube(8)
+				alg, err := rulesets.NewRuleRouteC(h)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return h, alg
+			}},
 		{"cube14", []string{"low", "moderate"},
 			func() (topology.Graph, routing.Algorithm) {
 				h := topology.NewHypercube(14)

@@ -21,9 +21,11 @@
 #      equal a from-scratch recompute, and a failover-enabled campaign
 #      (25 scenarios per family) must be statistics-identical to the
 #      plain runs with the predicted flip/recompute counters
-#   9. mesh64x64 smoke (under -race): the large-topology regime the
-#      arena/active-set engine exists for — one ftsim run at 4096
-#      nodes must drain without a watchdog or livelock exit
+#   9. big-topology and saturation smokes (under -race): one ftsim run
+#      at 4096 nodes (mesh64x64, the regime the arena/active-set engine
+#      exists for) and one of rule-table ROUTE_C on an 8-cube past
+#      saturation (every VC contended: the credit-aware switch stage's
+#      regime) must each drain without a watchdog or livelock exit
 #  10. repo benchmark smoke: `go run ./bench --quick --reps 1`, then the
 #      same with `--trace 1` — the exit status is the gate (every
 #      workload builds, runs and passes its own output checks), so a
@@ -42,7 +44,9 @@
 #  13. (opt-in) bench regression gate: set BENCH_BASELINE to a
 #      committed snapshot, e.g. BENCH_BASELINE=BENCH_2026-08-06.json
 #      ./ci.sh, to re-run the benchmarks and fail on a >20% ns/op or
-#      bytes/op regression (cmd/benchjson -baseline). Set
+#      bytes/op regression (cmd/benchjson -baseline); the stepping
+#      engine's current baseline is BENCH_2026-10-03-switch-ready.json
+#      (BenchmarkNetworkStep, BenchmarkSimulatorThroughput). Set
 #      BENCH_FLEET_BASELINE=BENCH_2026-09-30-fleet-wire.json to gate
 #      the fleet decision path (memoization hit vs uncached, the batch
 #      wire encodings, the cache insert at capacity) the same way.
@@ -90,7 +94,7 @@ go test -race -count=1 -run 'TestFailoverFlipMatchesRecompute' ./internal/failov
 go run -race ./cmd/campaign -scenarios 25 -seed 1 -algo nafta -failover
 go run -race ./cmd/campaign -scenarios 25 -seed 1 -algo routec -failover
 
-echo "== mesh64x64 smoke (4096 nodes, -race)"
+echo "== mesh64x64 and saturated cube8 smokes (-race)"
 # ftsim exits 2 when the watchdog suspects a deadlock (set -e stops
 # there); "drained false" is a run the drain budget could not empty.
 big_out=$(go run -race ./cmd/ftsim -topo mesh64x64 -alg nafta -rate 0.02 -length 8 \
@@ -100,6 +104,16 @@ case "$big_out" in
 *)
 	echo "ci.sh: mesh64x64 run did not drain" >&2
 	printf '%s\n' "$big_out" >&2
+	exit 1
+	;;
+esac
+sat_out=$(go run -race ./cmd/ftsim -topo cube8 -alg rule-routec -rate 0.25 -length 8 \
+	-warmup 200 -measure 800 -seed 7)
+case "$sat_out" in
+*"drained true"*) ;;
+*)
+	echo "ci.sh: saturated cube8 rule-routec run did not drain" >&2
+	printf '%s\n' "$sat_out" >&2
 	exit 1
 	;;
 esac

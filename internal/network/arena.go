@@ -14,12 +14,18 @@ import "math/bits"
 //
 // Membership is derived state. Every mutation of an input VC's
 // stage-relevant fields funnels through noteInput, which re-evaluates
-// the four predicates for that one slot:
+// the five predicates for that one slot — except the per-flit
+// transitions whose outcome applyMoves knows and applies itself:
 //
 //   route: !routed && q.len() > 0 && q.front().head   (awaiting RC)
 //   va:    routed && !eject && !unroutable && outPort < 0  (awaiting VA)
 //   sa:    outPort >= 0 && q.len() > 0                (flits to switch)
 //   drain: routed && (eject || unroutable) && q.len() > 0
+//   ready: sa && credits[allocated output] > 0        (may be nominated)
+//
+// ready is the credit-enables-request wire: bare mask words indexed like
+// saSet.words, which also follow the credit counter — cleared when
+// applyMoves takes an output's last credit, re-armed by creditArrived.
 //
 // The decisionReady gate is deliberately NOT part of the predicates —
 // it is time-dependent, and stages check it live (a delayed decision
@@ -47,18 +53,56 @@ type layout struct {
 	// inStride/outStride are the per-node slot counts.
 	inStride  int
 	outStride int
+	vcMask    uint64  // low vcs bits: one port's field of a mask word
+	slotPort  []uint8 // slotPort[port*vcs+vc] = port: no stage divides
 }
 
 func newLayout(nodes, ports, vcs int) layout {
-	if vcs > 64 {
-		// switchNode extracts a per-port VC mask from the SA set's words,
-		// which requires a port's VC range to span at most two words.
-		panic("network: more than 64 VCs per port is not supported")
+	if vcs > 64 || ports > 63 {
+		// switchNode extracts per-port VC fields from the mask words (at
+		// most two words each) and keeps a request bit per input port.
+		panic("network: more than 64 VCs per port or 63 ports per node is not supported")
 	}
-	return layout{
+	l := layout{
 		nodes: nodes, ports: ports, vcs: vcs, inPorts: ports + 1,
 		inStride: (ports + 1) * vcs, outStride: ports * vcs,
+		vcMask:   ^uint64(0) >> (64 - uint(vcs)),
+		slotPort: make([]uint8, (ports+1)*vcs),
 	}
+	for slot := range l.slotPort {
+		l.slotPort[slot] = uint8(slot / vcs)
+	}
+	return l
+}
+
+// portVC splits a slot (port*vcs + vc) by table lookup.
+func (l *layout) portVC(slot int) (port, vc int) {
+	port = int(l.slotPort[slot])
+	return port, slot - port*l.vcs
+}
+
+// vcField extracts port's VC field from one node's mask words (which
+// start at words[base]; the field may straddle two of them), rotated
+// right by rr: bit i of the result is VC (rr+i) mod vcs.
+func (l *layout) vcField(words []uint64, base, port, rr int) uint64 {
+	bitpos := port * l.vcs
+	f := words[base+bitpos>>6] >> (bitpos & 63)
+	if rem := 64 - bitpos&63; rem < l.vcs {
+		f |= words[base+bitpos>>6+1] << rem
+	}
+	f &= l.vcMask
+	return (f>>uint(rr) | f<<uint(l.vcs-rr)) & l.vcMask
+}
+
+// nextPort returns the lowest input port >= from with a bit set in one
+// node's mask words, or -1.
+func (l *layout) nextPort(words []uint64, base, from int) int {
+	for bit := from * l.vcs; bit < l.inStride; bit = (bit>>6 + 1) << 6 {
+		if w := words[base+bit>>6] >> (bit & 63); w != 0 {
+			return int(l.slotPort[bit+bits.TrailingZeros64(w)])
+		}
+	}
+	return -1
 }
 
 // inIdx returns the ins-arena index of input (node, port, vc).
@@ -117,19 +161,6 @@ func (s *vcSet) set(node, slot int, member bool) {
 // has reports membership of (node, slot).
 func (s *vcSet) has(node, slot int) bool {
 	return s.words[node*s.wpn+slot>>6]&(1<<(slot&63)) != 0
-}
-
-// clear empties the set.
-func (s *vcSet) clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-	for i := range s.nodeBits {
-		s.nodeBits[i] = 0
-	}
-	for i := range s.count {
-		s.count[i] = 0
-	}
 }
 
 // size sums the per-node counts (peak sampling only, every 64 cycles).
@@ -192,12 +223,6 @@ func (s *nodeSet) set(node int, member bool) {
 	}
 }
 
-func (s *nodeSet) clear() {
-	for i := range s.bits {
-		s.bits[i] = 0
-	}
-}
-
 func (s *nodeSet) size() int {
 	t := 0
 	for _, w := range s.bits {
@@ -218,32 +243,53 @@ func (s *nodeSet) forEach(fn func(node int)) {
 	}
 }
 
-// noteInput re-derives the active-set memberships of one input slot
-// (slot = port*vcs + vc) from its current state. Every mutation of an
-// input VC's routed/eject/unroutable/outPort/queue state must be
-// followed by a noteInput of that slot.
+// noteInput re-derives the memberships, the alloc mirror and the ready
+// bit of one input slot (slot = port*vcs + vc) from its current state.
+// Every mutation of an input VC's routed/eject/unroutable/outPort/queue
+// state must be followed by a noteInput of that slot.
 func (n *Network) noteInput(node, slot int) {
-	ivc := &n.ins[node*n.lay.inStride+slot]
+	idx := node*n.lay.inStride + slot
+	ivc := &n.ins[idx]
 	qlen := ivc.q.len()
 	n.routeSet.set(node, slot, !ivc.routed && qlen > 0 && ivc.q.front().head)
 	n.vaSet.set(node, slot, ivc.routed && !ivc.eject && !ivc.unroutable && ivc.outPort < 0)
 	n.saSet.set(node, slot, ivc.outPort >= 0 && qlen > 0)
 	n.drainSet.set(node, slot, ivc.routed && (ivc.eject || ivc.unroutable) && qlen > 0)
+	n.alloc[idx] = -1
+	if ivc.outPort >= 0 {
+		n.alloc[idx] = int32(ivc.outPort*n.lay.vcs + ivc.outVC)
+	}
+	n.setReady(node, slot, ivc.outPort >= 0 && qlen > 0 && n.credits[node*n.lay.outStride+int(n.alloc[idx])] > 0)
 }
 
-// rebuildActiveSets re-derives every work list from scratch — the cold
-// path after fault surgery rewrites arbitrary VC state in place.
+// setReady sets or clears the ready bit of (node, slot).
+func (n *Network) setReady(node, slot int, on bool) {
+	w := &n.ready[node*n.saSet.wpn+slot>>6]
+	*w &^= 1 << (slot & 63)
+	if on {
+		*w |= 1 << (slot & 63)
+	}
+}
+
+// creditArrived returns one credit to output oi of node; a 0 -> 1
+// transition re-arms the owning input if it has flits to switch.
+func (n *Network) creditArrived(node, oi int) {
+	n.credits[oi]++
+	if out := &n.outs[oi]; n.credits[oi] == 1 && out.ownerInPort >= 0 {
+		if slot := out.ownerInPort*n.lay.vcs + out.ownerInVC; n.saSet.has(node, slot) {
+			n.setReady(node, slot, true)
+		}
+	}
+}
+
+// rebuildActiveSets re-derives every slot's memberships — the cold path
+// after fault surgery rewrites arbitrary VC state in place.
 func (n *Network) rebuildActiveSets() {
-	n.routeSet.clear()
-	n.vaSet.clear()
-	n.saSet.clear()
-	n.drainSet.clear()
-	n.injNodes.clear()
 	for node := 0; node < n.lay.nodes; node++ {
 		for slot := 0; slot < n.lay.inStride; slot++ {
 			n.noteInput(node, slot)
 		}
-		n.injNodes.set(node, len(n.injQ[node]) > 0)
+		n.injNodes.set(node, len(n.injQ[node].pending()) > 0)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/routing"
-	"repro/internal/topology"
 )
 
 // Deadlock analysis: the watchdog in Step flags missing progress; this
@@ -38,9 +37,10 @@ func (n *Network) waitEdges(node, p, v int) (edges []*Message, stuck bool) {
 		needCredit := routing.AllocNeedsCredit(n.alg)
 		stuck = true
 		for _, c := range ivc.candidates {
-			out := &n.outs[lay.outIdx(node, c.Port, c.VC)]
+			oi := lay.outIdx(node, c.Port, c.VC)
+			out := &n.outs[oi]
 			if out.free() {
-				if !needCredit || out.credits > 0 {
+				if !needCredit || n.credits[oi] > 0 {
 					// A claimable candidate: not stuck (merely waiting
 					// for switch allocation).
 					return nil, false
@@ -59,8 +59,7 @@ func (n *Network) waitEdges(node, p, v int) (edges []*Message, stuck bool) {
 		}
 		return edges, stuck
 	}
-	out := &n.outs[lay.outIdx(node, ivc.outPort, ivc.outVC)]
-	if out.credits > 0 {
+	if n.credits[lay.outIdx(node, ivc.outPort, ivc.outVC)] > 0 {
 		return nil, false
 	}
 	// Blocked on a full downstream buffer: wait on the worm at its
@@ -78,15 +77,11 @@ func (n *Network) waitEdges(node, p, v int) (edges []*Message, stuck bool) {
 // fed by output (port, vc) of node, or nil when the port has no usable
 // downstream buffer.
 func (n *Network) downstreamFront(node, port, vc int) *Message {
-	down := n.g.Neighbor(topology.NodeID(node), port)
-	if down < 0 {
+	end := n.links[node*n.lay.ports+port]
+	if end == noLink {
 		return nil
 	}
-	dp, ok := n.g.PortTo(down, topology.NodeID(node))
-	if !ok {
-		return nil
-	}
-	return n.ins[n.lay.inIdx(int(down), dp, vc)].frontMsg()
+	return n.ins[n.lay.inIdx(end.node(), end.port(), vc)].frontMsg()
 }
 
 // FindDeadlockCycle searches the wait-for graph for a cycle of stuck

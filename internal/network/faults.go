@@ -64,13 +64,13 @@ func (n *Network) ApplyFaults(f *fault.Set) {
 				killed[fl.msg] = true
 			}
 		}
-		for _, m := range n.injQ[node] {
+		for _, m := range n.injQ[node].pending() {
 			m.State = StateKilled
 			m.DoneTime = n.now
 			n.stats.Killed++
 			n.queued--
 		}
-		n.injQ[node] = nil
+		n.injQ[node] = msgQueue{}
 	}
 
 	// 2. Worms actively crossing a dead component: an output VC with
@@ -232,17 +232,10 @@ func (n *Network) recomputeCredits() {
 	lay := &n.lay
 	for node := 0; node < lay.nodes; node++ {
 		for p := 0; p < lay.ports; p++ {
-			down := n.g.Neighbor(topology.NodeID(node), p)
-			if down == topology.Invalid {
-				continue
-			}
-			dp, ok := n.g.PortTo(down, topology.NodeID(node))
-			if !ok {
-				continue
-			}
-			for v := 0; v < lay.vcs; v++ {
-				n.outs[lay.outIdx(node, p, v)].credits =
-					n.cfg.BufDepth - n.ins[lay.inIdx(int(down), dp, v)].q.len()
+			end := n.links[node*lay.ports+p]
+			for v := 0; end != noLink && v < lay.vcs; v++ {
+				n.credits[lay.outIdx(node, p, v)] =
+					int32(n.cfg.BufDepth - n.ins[lay.inIdx(end.node(), end.port(), v)].q.len())
 			}
 		}
 	}

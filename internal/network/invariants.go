@@ -11,6 +11,10 @@ import (
 // found, or nil.
 func (n *Network) CheckInvariants() error {
 	lay := &n.lay
+	creditsInFlight := make([]int, len(n.outs))
+	for _, c := range n.creditQueue {
+		creditsInFlight[c.out]++
+	}
 	for node := 0; node < lay.nodes; node++ {
 		for p := 0; p < lay.inPorts; p++ {
 			for v := 0; v < lay.vcs; v++ {
@@ -35,24 +39,20 @@ func (n *Network) CheckInvariants() error {
 		for p := 0; p < lay.ports; p++ {
 			down := n.g.Neighbor(topology.NodeID(node), p)
 			for v := 0; v < lay.vcs; v++ {
-				out := &n.outs[lay.outIdx(node, p, v)]
-				if out.credits < 0 || out.credits > n.cfg.BufDepth {
+				oi := lay.outIdx(node, p, v)
+				out, credits := &n.outs[oi], int(n.credits[oi])
+				if credits < 0 || credits > n.cfg.BufDepth {
 					return fmt.Errorf("node %d output (%d,%d): credits %d out of range",
-						node, p, v, out.credits)
+						node, p, v, credits)
 				}
 				if down >= 0 {
 					dp, ok := n.g.PortTo(down, topology.NodeID(node))
 					if ok {
 						occ := n.ins[lay.inIdx(int(down), dp, v)].q.len()
-						inFlight := 0
-						for _, c := range n.creditQueue {
-							if int(c.node) == node && c.port == p && c.vc == v {
-								inFlight++
-							}
-						}
-						if out.credits+occ+inFlight != n.cfg.BufDepth {
+						inFlight := creditsInFlight[oi]
+						if credits+occ+inFlight != n.cfg.BufDepth {
 							return fmt.Errorf("node %d output (%d,%d): credits %d + occupancy %d + in-flight %d != depth %d",
-								node, p, v, out.credits, occ, inFlight, n.cfg.BufDepth)
+								node, p, v, credits, occ, inFlight, n.cfg.BufDepth)
 						}
 					}
 				}
@@ -64,14 +64,20 @@ func (n *Network) CheckInvariants() error {
 					return fmt.Errorf("node %d output (%d,%d): owner message set but port free",
 						node, p, v)
 				}
+				// creditArrived re-arms the owner recorded here.
+				if !out.free() && n.alloc[lay.inIdx(node, out.ownerInPort, out.ownerInVC)] != int32(p*lay.vcs+v) {
+					return fmt.Errorf("node %d output (%d,%d): owner input (%d,%d) is not allocated to it",
+						node, p, v, out.ownerInPort, out.ownerInVC)
+				}
 			}
 		}
 	}
 	return n.checkActiveSets()
 }
 
-// checkActiveSets verifies that every active-set membership equals its
-// defining predicate over the current VC state, and that the injection
+// checkActiveSets verifies that every active-set membership and ready
+// bit equals its defining predicate over the current VC state, that the
+// alloc side array mirrors inputVC.outPort/outVC, and that the injection
 // work list covers every node with queued messages. The differential
 // test batteries call CheckInvariants every cycle, so any incremental
 // maintenance bug in noteInput or a missed noteInput call surfaces
@@ -98,12 +104,23 @@ func (n *Network) checkActiveSets() error {
 			if got := n.drainSet.has(node, slot); got != wantDrain {
 				return fmt.Errorf("node %d slot %d: drainSet membership %v, predicate %v", node, slot, got, wantDrain)
 			}
+			wantAlloc := int32(-1)
+			if ivc.outPort >= 0 {
+				wantAlloc = int32(ivc.outPort*lay.vcs + ivc.outVC)
+			}
+			if got := n.alloc[node*lay.inStride+slot]; got != wantAlloc {
+				return fmt.Errorf("node %d slot %d: alloc mirror %d, inputVC says %d", node, slot, got, wantAlloc)
+			}
+			wantReady := wantSA && n.credits[node*lay.outStride+int(wantAlloc)] > 0
+			if got := n.ready[node*n.saSet.wpn+slot>>6]&(1<<(slot&63)) != 0; got != wantReady {
+				return fmt.Errorf("node %d slot %d: ready bit %v, predicate %v", node, slot, got, wantReady)
+			}
 		}
 		// Injection bits are allowed to be stale-set (a faulty node's
 		// queue is nulled without clearing its bit; injectStage skips it),
 		// but a node with queued messages must never be missing.
-		if len(n.injQ[node]) > 0 && n.injNodes.bits[node>>6]&(1<<(node&63)) == 0 {
-			return fmt.Errorf("node %d: %d queued injections but not in injNodes", node, len(n.injQ[node]))
+		if q := len(n.injQ[node].pending()); q > 0 && n.injNodes.bits[node>>6]&(1<<(node&63)) == 0 {
+			return fmt.Errorf("node %d: %d queued injections but not in injNodes", node, q)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/fault"
 	"repro/internal/routing"
@@ -155,11 +156,8 @@ func (s *Stats) DeliveredRatio() float64 {
 // send describes one flit movement decided in the allocation phase and
 // applied atomically at the end of the cycle.
 type send struct {
-	from     int // source node
-	fromPort int
-	fromVC   int
-	outPort  int
-	outVC    int
+	from int32 // source node
+	slot int32 // its input slot; the output is the slot's allocation
 }
 
 // Network is the cycle-driven simulator instance.
@@ -182,7 +180,7 @@ type Network struct {
 	// outs[lay.outIdx(node, port, vc)] for the link ports only.
 	outs []outputVC
 	// injQ[node] is the source queue of not-yet-started messages.
-	injQ [][]*Message
+	injQ []msgQueue
 	// rrIn[node*lay.inPorts+port] is the round-robin pointer for
 	// nominating one VC per input port in SA; rrOut likewise
 	// (node*lay.ports+port) for picking one request per output port.
@@ -206,6 +204,13 @@ type Network struct {
 	drainSet vcSet
 	injNodes nodeSet
 	peaks    ActiveSetPeaks
+	// ready (indexed like saSet.words) holds the SA members whose output
+	// has a credit; credits[outIdx] counts the free downstream flit slots
+	// of each output VC; alloc[inIdx] mirrors inputVC's allocated output
+	// as a slot (outPort*vcs+outVC, -1 before VA).
+	ready   []uint64
+	credits []int32
+	alloc   []int32
 
 	// epochs is non-nil when the algorithm hands out table epochs
 	// (reconfig.Swapper); messages pin their admission epoch on
@@ -223,15 +228,15 @@ type Network struct {
 	pmFired bool
 	// Messages holds all records when cfg.RecordMessages is set.
 	Messages []*Message
-	// creditQueue holds in-flight credit returns when CreditDelay > 0
-	// (due cycle, upstream router/port/vc).
+	// creditQueue holds in-flight credit returns when CreditDelay > 0.
 	creditQueue []pendingCredit
-	// freeScratch backs allocStage's free-candidate filter; nomScratch
-	// backs switchStage's per-output nominee lists; moveScratch backs
-	// the per-cycle send list. All are reused every cycle.
+	// freeScratch backs allocStage's free-candidate filter; moveScratch
+	// the per-cycle send list; nomVC[inPort] and reqScratch[outPort]
+	// (input-port bits, left zeroed) switchNode's nominees.
 	freeScratch []routing.Candidate
-	nomScratch  [][]nominee
 	moveScratch []send
+	nomVC       []int
+	reqScratch  []uint64
 }
 
 // linkEnd is the far end of one output port, packed into one word
@@ -244,16 +249,11 @@ const noLink = ^linkEnd(0)
 func (l linkEnd) node() int { return int(l >> 8) }
 func (l linkEnd) port() int { return int(l & 0xFF) }
 
-// nominee is one (input port, input VC) requesting an output port in
-// the switch-allocation stage.
-type nominee struct{ port, vc int }
-
-// pendingCredit is one credit travelling back upstream.
+// pendingCredit is one credit travelling back upstream, to output
+// slot out (an outs index) of router node.
 type pendingCredit struct {
-	due  int64
-	node topology.NodeID
-	port int
-	vc   int
+	due       int64
+	node, out int
 }
 
 // New builds a network simulator from cfg, applying defaults.
@@ -295,7 +295,7 @@ func New(cfg Config) *Network {
 	lay := &n.lay
 	n.ins = make([]inputVC, lay.nodes*lay.inStride)
 	n.outs = make([]outputVC, lay.nodes*lay.outStride)
-	n.injQ = make([][]*Message, lay.nodes)
+	n.injQ = make([]msgQueue, lay.nodes)
 	n.rrIn = make([]int, lay.nodes*lay.inPorts)
 	n.rrOut = make([]int, lay.nodes*lay.ports)
 	n.sent = make([]int64, lay.nodes*lay.ports)
@@ -361,16 +361,21 @@ func New(cfg Config) *Network {
 	for i := range n.ins {
 		n.ins[i].resetRoute()
 	}
+	n.credits = make([]int32, len(n.outs))
 	for i := range n.outs {
 		n.outs[i].ownerInPort = -1
-		n.outs[i].ownerInVC = 0
-		n.outs[i].credits = cfg.BufDepth
+		n.credits[i] = int32(cfg.BufDepth)
 	}
+	n.alloc = make([]int32, len(n.ins))
 	n.routeSet = newVCSet(lay.nodes, lay.inStride)
 	n.vaSet = newVCSet(lay.nodes, lay.inStride)
 	n.saSet = newVCSet(lay.nodes, lay.inStride)
 	n.drainSet = newVCSet(lay.nodes, lay.inStride)
+	n.ready = make([]uint64, len(n.saSet.words))
 	n.injNodes = newNodeSet(lay.nodes)
+	n.nomVC = make([]int, lay.inPorts)
+	n.reqScratch = make([]uint64, lay.ports)
+	n.rebuildActiveSets()
 	if n.rec != nil {
 		n.rec.SetClock(n.Now)
 	}
@@ -415,7 +420,7 @@ func (n *Network) Inject(src, dst topology.NodeID, length int) *Message {
 	}
 	n.nextID++
 	n.stats.Injected++
-	n.injQ[src] = append(n.injQ[src], m)
+	n.injQ[src].buf = append(n.injQ[src].buf, m)
 	n.injNodes.set(int(src), true)
 	n.queued++
 	if n.cfg.RecordMessages {
@@ -435,7 +440,7 @@ func (n *Network) OutFree(node topology.NodeID, port, vc int) bool {
 // Credits returns the free downstream buffer slots of output
 // (port,vc).
 func (n *Network) Credits(node topology.NodeID, port, vc int) int {
-	return n.outs[n.lay.outIdx(int(node), port, vc)].credits
+	return int(n.credits[n.lay.outIdx(int(node), port, vc)])
 }
 
 // QueuedFlits returns the data volume still to pass output (port,vc).
@@ -510,9 +515,8 @@ func (n *Network) injectStage() {
 		if ivc.q.len() > 0 {
 			return // previous message still streaming
 		}
-		m := n.injQ[node][0]
-		n.injQ[node] = n.injQ[node][1:]
-		if len(n.injQ[node]) == 0 {
+		m := n.injQ[node].popFront()
+		if len(n.injQ[node].pending()) == 0 {
 			n.injNodes.set(node, false)
 		}
 		m.StartTime = n.now
@@ -551,7 +555,7 @@ func (n *Network) routeStage() {
 			n.noteInput(node, slot)
 			return
 		}
-		p, v := slot/n.lay.vcs, slot%n.lay.vcs
+		p, v := n.lay.portVC(slot)
 		req := n.requestFor(node, p, v, m)
 		steps := n.alg.Steps(req)
 		m.Steps += steps
@@ -604,8 +608,8 @@ func (n *Network) allocStage() {
 		outBase := node * n.lay.outStride
 		free := n.freeScratch[:0]
 		for _, c := range ivc.candidates {
-			out := &n.outs[outBase+c.Port*n.lay.vcs+c.VC]
-			if out.free() && (!needCredit || out.credits > 0) {
+			oi := outBase + c.Port*n.lay.vcs + c.VC
+			if n.outs[oi].free() && (!needCredit || n.credits[oi] > 0) {
 				free = append(free, c)
 			}
 		}
@@ -613,7 +617,7 @@ func (n *Network) allocStage() {
 		if len(free) == 0 {
 			return
 		}
-		p, v := slot/n.lay.vcs, slot%n.lay.vcs
+		p, v := n.lay.portVC(slot)
 		m := ivc.frontMsg()
 		chosen := n.sel.Select(n, topology.NodeID(node), free, &m.Hdr)
 		n.alg.NoteHop(n.requestFor(node, p, v, m), chosen)
@@ -634,14 +638,9 @@ func (n *Network) allocStage() {
 // output port grants one nominee; the result is the list of flit
 // movements of this cycle. Only nodes in the saSet (some input holds
 // an allocated output with flits queued) can nominate, so inactive
-// routers are skipped wholesale; within an active node the walk is the
-// full serial round-robin order — the rr pointers, blocked-event and
-// nomination behaviour are untouched.
+// routers are skipped wholesale.
 func (n *Network) switchStage() []send {
 	moves := n.moveScratch[:0]
-	if n.nomScratch == nil {
-		n.nomScratch = make([][]nominee, n.g.Ports())
-	}
 	n.saSet.forEachNode(func(node int) {
 		if n.faults.NodeFaulty(topology.NodeID(node)) {
 			return
@@ -653,85 +652,98 @@ func (n *Network) switchStage() []send {
 }
 
 // switchNode runs nomination and grant for one active router,
-// appending the granted movements to moves.
+// appending the granted movements to moves. Each input port nominates
+// the first ready VC at or after its round-robin pointer: its field of
+// the ready mask rotated by rrIn, lowest set bit. The credit-less SA
+// members a VC-by-VC walk would pass before that nominee (all of them
+// when nothing is ready) are the SA bits below it in the same rotation;
+// the recorder's once-per-episode KFlitBlocked events come from those.
 func (n *Network) switchNode(node int, moves []send) []send {
 	lay := &n.lay
-	nomineesByOut := n.nomScratch
+	vcs := lay.vcs
 	inBase := node * lay.inStride
-	outBase := node * lay.outStride
 	rrBase := node * lay.inPorts
-	rrOutBase := node * lay.ports
-	for op := range nomineesByOut {
-		nomineesByOut[op] = nomineesByOut[op][:0]
+	wBase := node * n.saSet.wpn
+	var opMask uint64 // output ports with at least one nominee
+	// Visit the input ports with a ready member; with a recorder every
+	// SA member's port, to note the blocking episodes.
+	walk := n.ready
+	if n.rec != nil {
+		walk = n.saSet.words
 	}
-	// Nomination: one VC per input port (round-robin fairness). The
-	// per-output nominee lists live in reused scratch storage (indexed
-	// by output port — grants are independent per output, so the fixed
-	// iteration order is behaviourally equivalent to the map it
-	// replaced). The serial walk's per-slot skip condition
-	// (outPort < 0 || empty queue) is exactly non-membership in the SA
-	// set, so the node's saSet mask words double as a port/VC skip mask:
-	// ports with no active VC cost one bit test, and within a port only
-	// active VCs are visited — in unchanged round-robin order.
-	saBase := node * n.saSet.wpn
-	vcMask := uint64(1)<<uint(lay.vcs) - 1
-	for p := 0; p < lay.inPorts; p++ {
-		vcs := lay.vcs
-		bitpos := p * vcs
-		pm := n.saSet.words[saBase+bitpos>>6] >> (bitpos & 63)
-		if rem := 64 - bitpos&63; rem < vcs {
-			pm |= n.saSet.words[saBase+bitpos>>6+1] << rem
-		}
-		pm &= vcMask
-		if pm == 0 {
-			continue
-		}
-		for off := 0; off < vcs; off++ {
-			v := (n.rrIn[rrBase+p] + off) % vcs
-			if pm&(1<<uint(v)) == 0 {
-				continue
+	for p := lay.nextPort(walk, wBase, 0); p >= 0; p = lay.nextPort(walk, wBase, p+1) {
+		rr := n.rrIn[rrBase+p]
+		rot := lay.vcField(n.ready, wBase, p, rr)
+		if n.rec != nil {
+			blocked := lay.vcField(n.saSet.words, wBase, p, rr) &^ rot
+			if rot != 0 {
+				blocked &= rot&-rot - 1
 			}
-			ivc := &n.ins[inBase+p*vcs+v]
-			out := &n.outs[outBase+ivc.outPort*vcs+ivc.outVC]
-			if out.credits <= 0 {
-				if n.rec != nil && !ivc.blockedNoted {
+			for ; blocked != 0; blocked &= blocked - 1 {
+				v := rr + bits.TrailingZeros64(blocked)
+				if v >= vcs {
+					v -= vcs
+				}
+				if ivc := &n.ins[inBase+p*vcs+v]; !ivc.blockedNoted {
 					ivc.blockedNoted = true
 					n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KFlitBlocked,
 						Node: int32(node), Msg: ivc.curMsg.ID,
 						Port: int16(ivc.outPort), VC: int16(ivc.outVC)})
 				}
+			}
+			if rot == 0 {
 				continue
 			}
-			nomineesByOut[ivc.outPort] = append(nomineesByOut[ivc.outPort], nominee{p, v})
-			n.rrIn[rrBase+p] = (v + 1) % vcs
-			break
 		}
+		v := rr + bits.TrailingZeros64(rot)
+		if v >= vcs {
+			v -= vcs
+		}
+		n.nomVC[p] = v
+		op := lay.slotPort[n.alloc[inBase+p*vcs+v]]
+		n.reqScratch[op] |= 1 << uint(p)
+		opMask |= 1 << op
+		if v++; v == vcs {
+			v = 0
+		}
+		n.rrIn[rrBase+p] = v
 	}
-	// Grant: one input per output port (optionally favouring
-	// fault-detoured messages, Section 3 Scheduling and Fairness).
-	for op, noms := range nomineesByOut {
-		if len(noms) == 0 {
-			continue
+	// Grant: one input per output port, ascending.
+	for ; opMask != 0; opMask &= opMask - 1 {
+		op := bits.TrailingZeros64(opMask)
+		req := n.reqScratch[op]
+		n.reqScratch[op] = 0
+		rr := n.rrOut[node*lay.ports+op]
+		n.rrOut[node*lay.ports+op] = rr + 1
+		p := bits.TrailingZeros64(req)
+		if req&(req-1) != 0 {
+			p = n.pickNominee(req, rr, inBase)
 		}
-		pick := noms[n.rrOut[rrOutBase+op]%len(noms)]
-		if n.cfg.FavorMarked {
-			start := n.rrOut[rrOutBase+op] % len(noms)
-			for off := 0; off < len(noms); off++ {
-				cand := noms[(start+off)%len(noms)]
-				if m := n.ins[inBase+cand.port*lay.vcs+cand.vc].curMsg; m != nil && m.Hdr.Marked {
-					pick = cand
-					break
+		moves = append(moves, send{int32(node), int32(p*vcs + n.nomVC[p])})
+	}
+	return moves
+}
+
+// pickNominee grants among several requesting input ports (the bits of
+// req): the (rr mod count)-th in port order or, with FavorMarked, the
+// first at or cyclically after it that carries a fault-detoured message
+// (Section 3, Scheduling and Fairness).
+func (n *Network) pickNominee(req uint64, rr, inBase int) int {
+	hi := req // req without its (rr mod count) lowest ports
+	for i := rr % bits.OnesCount64(req); i > 0; i-- {
+		hi &= hi - 1
+	}
+	if n.cfg.FavorMarked {
+		for _, part := range [2]uint64{hi, req &^ hi} {
+			for ; part != 0; part &= part - 1 {
+				p := bits.TrailingZeros64(part)
+				if m := n.ins[inBase+p*n.lay.vcs+n.nomVC[p]].curMsg; m != nil && m.Hdr.Marked {
+					return p
 				}
 			}
 		}
-		n.rrOut[rrOutBase+op]++
-		ivc := &n.ins[inBase+pick.port*lay.vcs+pick.vc]
-		moves = append(moves, send{
-			from: node, fromPort: pick.port, fromVC: pick.vc,
-			outPort: ivc.outPort, outVC: ivc.outVC,
-		})
 	}
-	return moves
+	return bits.TrailingZeros64(hi)
 }
 
 // applyMoves executes the collected sends: pop at the source, push at
@@ -740,38 +752,49 @@ func (n *Network) switchNode(node int, moves []send) []send {
 func (n *Network) applyMoves(moves []send) bool {
 	lay := &n.lay
 	for _, mv := range moves {
-		node := mv.from
-		srcSlot := mv.fromPort*lay.vcs + mv.fromVC
+		node, srcSlot := int(mv.from), int(mv.slot)
 		ivc := &n.ins[node*lay.inStride+srcSlot]
 		f := ivc.q.popFront()
 		ivc.blockedNoted = false
-		n.creditReturnVC(node, mv.fromPort, mv.fromVC)
-		out := &n.outs[lay.outIdx(node, mv.outPort, mv.outVC)]
-		out.credits--
+		fromPort, fromVC := lay.portVC(srcSlot)
+		n.creditReturnVC(node, fromPort, fromVC)
+		outPort, outVC := ivc.outPort, ivc.outVC
+		oi := lay.outIdx(node, outPort, outVC)
+		out := &n.outs[oi]
+		n.credits[oi]--
 		out.remaining--
-		n.sent[node*lay.ports+mv.outPort]++
+		n.sent[node*lay.ports+outPort]++
 		if f.head {
 			f.msg.Hops++
 		}
 		// Deliver into the downstream input buffer.
-		down := n.links[node*lay.ports+mv.outPort]
-		downSlot := down.port()*lay.vcs + mv.outVC
-		n.ins[down.node()*lay.inStride+downSlot].q.pushBack(f)
-		n.noteInput(down.node(), downSlot)
+		down := n.links[node*lay.ports+outPort]
+		downSlot := down.port()*lay.vcs + outVC
+		// A push behind queued flits changes no predicate of the slot.
+		dq := &n.ins[down.node()*lay.inStride+downSlot].q
+		dq.pushBack(f)
+		if dq.len() == 1 {
+			n.noteInput(down.node(), downSlot)
+		}
 		if f.tail {
 			// The worm has fully left: release input route state and
 			// output ownership.
 			ivc.resetRoute()
-			out.ownerInPort, out.ownerInVC = -1, -1
-			out.ownerMsg = nil
-			out.remaining = 0
+			n.releaseOutput(out)
 			if n.rec != nil {
 				n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KVCFreed,
 					Node: int32(node), Msg: f.msg.ID,
-					Port: int16(mv.outPort), VC: int16(mv.outVC)})
+					Port: int16(outPort), VC: int16(outVC)})
 			}
+			n.noteInput(node, srcSlot)
+		} else if ivc.q.len() == 0 {
+			// Mid-worm the slot stays routed and allocated: it can only
+			// leave SA (queue emptied) or lose readiness (last credit).
+			n.saSet.set(node, srcSlot, false)
+			n.setReady(node, srcSlot, false)
+		} else if n.credits[oi] == 0 {
+			n.setReady(node, srcSlot, false)
 		}
-		n.noteInput(node, srcSlot)
 	}
 	return len(moves) > 0
 }
@@ -792,13 +815,12 @@ func (n *Network) creditReturnVC(node, p, v int) {
 			Node: int32(up), Msg: -1, Port: int16(upPort), VC: int16(v),
 			Arg: int32(n.cfg.CreditDelay)})
 	}
+	oi := n.lay.outIdx(up, upPort, v)
 	if n.cfg.CreditDelay <= 0 {
-		n.outs[n.lay.outIdx(up, upPort, v)].credits++
+		n.creditArrived(up, oi)
 		return
 	}
-	n.creditQueue = append(n.creditQueue, pendingCredit{
-		due: n.now + int64(n.cfg.CreditDelay), node: topology.NodeID(up), port: upPort, vc: v,
-	})
+	n.creditQueue = append(n.creditQueue, pendingCredit{n.now + int64(n.cfg.CreditDelay), up, oi})
 }
 
 // deliverCredits applies due credit returns.
@@ -809,7 +831,7 @@ func (n *Network) deliverCredits() {
 	kept := n.creditQueue[:0]
 	for _, c := range n.creditQueue {
 		if c.due <= n.now {
-			n.outs[n.lay.outIdx(int(c.node), c.port, c.vc)].credits++
+			n.creditArrived(c.node, c.out)
 		} else {
 			kept = append(kept, c)
 		}
@@ -830,7 +852,7 @@ func (n *Network) drainStage() bool {
 		if n.now < ivc.decisionReady {
 			return
 		}
-		p, v := slot/n.lay.vcs, slot%n.lay.vcs
+		p, v := n.lay.portVC(slot)
 		f := ivc.q.popFront()
 		n.creditReturnVC(node, p, v)
 		progress = true

@@ -40,9 +40,10 @@ func (n *Network) PostMortem(reason string) *trace.Report {
 				if ivc.outPort < 0 {
 					free := false
 					for _, c := range ivc.candidates {
-						out := &n.outs[lay.outIdx(node, c.Port, c.VC)]
+						oi := lay.outIdx(node, c.Port, c.VC)
+						out := &n.outs[oi]
 						if out.free() {
-							if !needCredit || out.credits > 0 {
+							if !needCredit || n.credits[oi] > 0 {
 								free = true
 								break
 							}
@@ -63,8 +64,7 @@ func (n *Network) PostMortem(reason string) *trace.Report {
 					}
 					why = "no-free-vc"
 				} else {
-					out := &n.outs[lay.outIdx(node, ivc.outPort, ivc.outVC)]
-					if out.credits > 0 {
+					if n.credits[lay.outIdx(node, ivc.outPort, ivc.outVC)] > 0 {
 						continue
 					}
 					why = "no-credit"
@@ -119,13 +119,14 @@ func (n *Network) PostMortem(reason string) *trace.Report {
 		}
 		for p := 0; p < lay.ports; p++ {
 			for v := 0; v < lay.vcs; v++ {
-				out := &n.outs[lay.outIdx(node, p, v)]
-				if out.ownerMsg == nil && out.credits == n.cfg.BufDepth {
+				oi := lay.outIdx(node, p, v)
+				out, credits := &n.outs[oi], int(n.credits[oi])
+				if out.ownerMsg == nil && credits == n.cfg.BufDepth {
 					continue
 				}
 				st := trace.OutState{
 					Port: p, VC: v, Owner: -1,
-					Credits: out.credits, Remaining: out.remaining,
+					Credits: credits, Remaining: out.remaining,
 				}
 				if out.ownerMsg != nil {
 					st.Owner = out.ownerMsg.ID

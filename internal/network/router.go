@@ -52,6 +52,28 @@ func (q *flitQueue) slice() []flit { return q.buf[q.head:] }
 // fault surgery after filtering slice() in place).
 func (q *flitQueue) truncate(n int) { q.buf = q.buf[:q.head+n] }
 
+// msgQueue is one node's source queue, head-indexed like flitQueue: a
+// pop nils its slot and, once half the array is dead prefix, slides the
+// live messages back to the start, so the array is reused and keeps no
+// popped message reachable.
+type msgQueue struct {
+	buf  []*Message
+	head int
+}
+
+func (q *msgQueue) pending() []*Message { return q.buf[q.head:] }
+
+func (q *msgQueue) popFront() *Message {
+	m := q.buf[q.head]
+	q.buf[q.head] = nil
+	if q.head++; 2*q.head >= len(q.buf) {
+		live := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[live:])
+		q.buf, q.head = q.buf[:live], 0
+	}
+	return m
+}
+
 // inputVC is the receive side of one virtual channel of one input
 // port: a FIFO flit buffer plus the routing state of the message whose
 // head is (or will be) at the front.
@@ -112,8 +134,6 @@ type outputVC struct {
 	// ownerMsg is the message holding this output VC (nil when free);
 	// fault surgery uses it to release channels of killed worms.
 	ownerMsg *Message
-	// credits counts free flit slots in the downstream input buffer.
-	credits int
 	// remaining is the number of flits of the owning message that
 	// still have to pass this output (the NAFTA adaptivity
 	// criterion).

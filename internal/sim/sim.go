@@ -203,24 +203,28 @@ func Run(cfg Config) (Result, error) {
 		cfg.OnNetwork(net)
 	}
 
-	exclude := func(n topology.NodeID) bool {
-		if f.NodeFaulty(n) {
-			return true
-		}
+	// The generator skips faulty and deactivated nodes (assumption iii)
+	// — asked per node per cycle, so the answer is kept per node and
+	// re-derived only when a fault event or an engine swap can change it.
+	excluded := make([]bool, cfg.Graph.Nodes())
+	refreshExcluded := func() {
+		var blocks *fault.BlockInfo
 		if b, ok := cfg.Algorithm.(blocker); ok {
-			if blocks := b.Blocks(); blocks != nil && blocks.DisabledNode(n) {
-				return true
-			}
+			blocks = b.Blocks()
 		}
-		return false
+		for i := range excluded {
+			n := topology.NodeID(i)
+			excluded[i] = f.NodeFaulty(n) || (blocks != nil && blocks.DisabledNode(n))
+		}
 	}
+	refreshExcluded()
 	gen := &traffic.Generator{
 		Graph:   cfg.Graph,
 		Pattern: cfg.Pattern,
 		Rate:    cfg.Rate,
 		Length:  cfg.Length,
 		Rng:     rand.New(rand.NewSource(cfg.Seed)),
-		Exclude: exclude,
+		Exclude: func(n topology.NodeID) bool { return excluded[n] },
 	}
 	if err := gen.Validate(); err != nil {
 		return Result{}, err
@@ -232,6 +236,7 @@ func Run(cfg Config) (Result, error) {
 		}
 		if fired := sched.ApplyUpTo(net.Now(), f); len(fired) > 0 {
 			net.ApplyFaults(f)
+			refreshExcluded()
 		}
 	}
 	reconfigs := append([]Reconfig(nil), cfg.Reconfigs...)
@@ -248,6 +253,7 @@ func Run(cfg Config) (Result, error) {
 			if err := net.Reconfigure(next, rc.Force); err != nil {
 				return fmt.Errorf("sim: reconfig at cycle %d: %w", rc.At, err)
 			}
+			refreshExcluded()
 		}
 		return nil
 	}
