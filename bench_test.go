@@ -29,6 +29,7 @@ import (
 	"repro/internal/rulesets"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/traffic"
 )
 
 // BenchmarkTable1_NAFTARuleBases compiles the 11 NAFTA rule bases and
@@ -194,6 +195,37 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		cycles += res.Stats.Cycles
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
+}
+
+// selfAddressed spends a destination draw and returns the source, which
+// the generator discards: Tick's own walk without network.Inject (whose
+// Message allocation belongs to the network's budget).
+type selfAddressed struct{}
+
+func (selfAddressed) Name() string { return "self" }
+func (selfAddressed) Dest(src topology.NodeID, rng *rand.Rand) topology.NodeID {
+	rng.Int63()
+	return src
+}
+
+// BenchmarkGeneratorTick measures one cycle of Bernoulli injection on
+// the sim-mesh64-low shape (4096 nodes, 0.005 flits/node/cycle, length
+// 8: ~2.5 successes per cycle) with an Exclude predicate attached. It
+// must report 0 allocs/op.
+func BenchmarkGeneratorTick(b *testing.B) {
+	b.Run("mesh64-rate0.005", func(b *testing.B) {
+		m := topology.NewMesh(64, 64)
+		net := network.New(network.Config{Graph: m, Algorithm: routing.NewNAFTA(m)})
+		faulty := fault.NewSet()
+		faulty.FailNode(m.Node(7, 7))
+		g := &traffic.Generator{Graph: m, Pattern: selfAddressed{}, Rate: 0.005, Length: 8,
+			Rng: rand.New(rand.NewSource(1)), Exclude: faulty.NodeFaulty}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g.Tick(net)
+		}
+	})
 }
 
 // BenchmarkRouteDecision measures one NAFTA routing decision (the

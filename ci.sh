@@ -3,7 +3,9 @@
 #   1. go vet     static checks
 #   2. go build   everything compiles
 #   3. go test -race   full suite under the race detector (the trace
-#      subsystem's one-recorder-per-job discipline is only proven here)
+#      subsystem's one-recorder-per-job discipline is only proven here);
+#      it includes the frozen VA walk (TestAllocMatchesFrozenWalk) and
+#      the generator's statistical tests (internal/traffic)
 #   4. coverage floor: statement coverage of internal/... must stay
 #      >= COVER_FLOOR (baseline was 84.1% when the gate was added)
 #   5. campaign smoke (under -race): 25 randomized fault-injection
@@ -21,11 +23,13 @@
 #      equal a from-scratch recompute, and a failover-enabled campaign
 #      (25 scenarios per family) must be statistics-identical to the
 #      plain runs with the predicted flip/recompute counters
-#   9. big-topology and saturation smokes (under -race): one ftsim run
-#      at 4096 nodes (mesh64x64, the regime the arena/active-set engine
-#      exists for) and one of rule-table ROUTE_C on an 8-cube past
-#      saturation (every VC contended: the credit-aware switch stage's
-#      regime) must each drain without a watchdog or livelock exit
+#   9. big-topology and saturation smokes (under -race): ftsim runs at
+#      4096 nodes (mesh64x64, the regime the arena/active-set engine
+#      exists for) at 0.02 and at 0.005 flits/node/cycle (a few messages
+#      a cycle: the generator's geometric gaps span many nodes) and one
+#      of rule-table ROUTE_C on an 8-cube past saturation (every VC
+#      contended: the credit-aware switch stage's and the sleeping VA
+#      heads' regime) must each drain without a watchdog or livelock exit
 #  10. repo benchmark smoke: `go run ./bench --quick --reps 1`, then the
 #      same with `--trace 1` — the exit status is the gate (every
 #      workload builds, runs and passes its own output checks), so a
@@ -45,8 +49,9 @@
 #      committed snapshot, e.g. BENCH_BASELINE=BENCH_2026-08-06.json
 #      ./ci.sh, to re-run the benchmarks and fail on a >20% ns/op or
 #      bytes/op regression (cmd/benchjson -baseline); the stepping
-#      engine's current baseline is BENCH_2026-10-03-switch-ready.json
-#      (BenchmarkNetworkStep, BenchmarkSimulatorThroughput). Set
+#      engine's current baseline is
+#      BENCH_2026-10-03-event-inject-alloc.json (BenchmarkNetworkStep,
+#      BenchmarkSimulatorThroughput, BenchmarkGeneratorTick). Set
 #      BENCH_FLEET_BASELINE=BENCH_2026-09-30-fleet-wire.json to gate
 #      the fleet decision path (memoization hit vs uncached, the batch
 #      wire encodings, the cache insert at capacity) the same way.
@@ -97,26 +102,22 @@ go run -race ./cmd/campaign -scenarios 25 -seed 1 -algo routec -failover
 echo "== mesh64x64 and saturated cube8 smokes (-race)"
 # ftsim exits 2 when the watchdog suspects a deadlock (set -e stops
 # there); "drained false" is a run the drain budget could not empty.
-big_out=$(go run -race ./cmd/ftsim -topo mesh64x64 -alg nafta -rate 0.02 -length 8 \
-	-warmup 200 -measure 800 -seed 7)
-case "$big_out" in
-*"drained true"*) ;;
-*)
-	echo "ci.sh: mesh64x64 run did not drain" >&2
-	printf '%s\n' "$big_out" >&2
-	exit 1
-	;;
-esac
-sat_out=$(go run -race ./cmd/ftsim -topo cube8 -alg rule-routec -rate 0.25 -length 8 \
-	-warmup 200 -measure 800 -seed 7)
-case "$sat_out" in
-*"drained true"*) ;;
-*)
-	echo "ci.sh: saturated cube8 rule-routec run did not drain" >&2
-	printf '%s\n' "$sat_out" >&2
-	exit 1
-	;;
-esac
+must_drain() { # what it is, then the ftsim arguments
+	what=$1
+	shift
+	out=$(go run -race ./cmd/ftsim "$@" -length 8 -warmup 200 -measure 800 -seed 7)
+	case "$out" in
+	*"drained true"*) ;;
+	*)
+		echo "ci.sh: $what run did not drain" >&2
+		printf '%s\n' "$out" >&2
+		exit 1
+		;;
+	esac
+}
+must_drain mesh64x64 -topo mesh64x64 -alg nafta -rate 0.02
+must_drain "low-load mesh64x64" -topo mesh64x64 -alg nafta -rate 0.005
+must_drain "saturated cube8 rule-routec" -topo cube8 -alg rule-routec -rate 0.25
 
 echo "== repo benchmark smoke (bench --quick, untraced then traced)"
 go run ./bench --quick --reps 1

@@ -121,6 +121,9 @@ func TestRunFlagValidation(t *testing.T) {
 		{[]string{"-topo", "mesh4x4", "-pattern", "nosuch"}, "valid: uniform, transpose"},
 		{[]string{"-topo", "mesh4x4", "-trace", t.TempDir() + "/x", "-trace-format", "xml"}, "jsonl"},
 		{[]string{"-no-such-flag"}, "-no-such-flag"},
+		// NaN compares false both ways; the range check must still refuse it.
+		{[]string{"-topo", "mesh4x4", "-rate", "nan"}, "rate NaN out of range [0, 4]"},
+		{[]string{"-topo", "mesh4x4", "-rate", "4.5"}, "rate 4.500000 out of range [0, 4]"},
 		// Removed with the parallel stepping engine: rejected, not ignored.
 		{[]string{"-topo", "mesh4x4", "-workers", "2"}, "flag provided but not defined: -workers"},
 	}

@@ -269,10 +269,13 @@ func TestE11Quick(t *testing.T) {
 		}
 		prev = v
 	}
+	// The quick table is one seed of 1000 measured cycles: another
+	// random stream moves a row by about 0.005 (neghop16 read 0.987 and
+	// 0.992 on the two generator streams), so the tolerance is 0.01.
 	nafta, _ := strconv.ParseFloat(tb.Cell(4, 3), 64)
 	best, _ := strconv.ParseFloat(tb.Cell(3, 3), 64)
-	if nafta < best {
-		t.Fatalf("NAFTA (%v) should match or beat the best neghop (%v)", nafta, best)
+	if nafta < best-0.01 {
+		t.Fatalf("NAFTA (%v) should match or beat the best neghop (%v) within 0.01", nafta, best)
 	}
 }
 

@@ -1,0 +1,226 @@
+package network
+
+import (
+	"math/bits"
+	"slices"
+	"testing"
+
+	"repro/internal/routing"
+	"repro/internal/topology"
+	"repro/internal/trace"
+)
+
+// Frozen copy of the VC-allocation walk as it stood before PR 23 put
+// blocked heads to sleep (vaWait): every vaSet member re-filters its
+// candidates every cycle. It is the reference TestAllocMatchesFrozenWalk
+// holds allocStage to; do not "modernise" it. The only additions are the
+// three counters.
+type oldAlloc struct {
+	visits, blocked, creditLess int
+}
+
+func (o *oldAlloc) stage(n *Network) {
+	needCredit := routing.AllocNeedsCredit(n.alg)
+	n.vaSet.forEach(func(node, slot int) {
+		if n.faults.NodeFaulty(topology.NodeID(node)) {
+			return
+		}
+		ivc := &n.ins[node*n.lay.inStride+slot]
+		if n.now < ivc.decisionReady {
+			return
+		}
+		o.visits++
+		outBase := node * n.lay.outStride
+		free := n.freeScratch[:0]
+		for _, c := range ivc.candidates {
+			oi := outBase + c.Port*n.lay.vcs + c.VC
+			if n.outs[oi].free() && (!needCredit || n.credits[oi] > 0) {
+				free = append(free, c)
+			} else if n.outs[oi].free() {
+				o.creditLess++
+			}
+		}
+		n.freeScratch = free[:0] // selectors do not retain the slice
+		if len(free) == 0 {
+			o.blocked++
+			return
+		}
+		p, v := n.lay.portVC(slot)
+		m := ivc.frontMsg()
+		chosen := n.sel.Select(n, topology.NodeID(node), free, &m.Hdr)
+		n.alg.NoteHop(n.requestFor(node, p, v, m), chosen)
+		ivc.outPort, ivc.outVC = chosen.Port, chosen.VC
+		out := &n.outs[outBase+chosen.Port*n.lay.vcs+chosen.VC]
+		out.ownerInPort, out.ownerInVC = p, v
+		out.ownerMsg = m
+		out.remaining = m.Hdr.Length
+		n.noteInput(node, slot)
+		if n.rec != nil {
+			n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KVCAllocated,
+				Node: int32(node), Msg: m.ID, Port: int16(chosen.Port), VC: int16(chosen.VC)})
+		}
+	})
+}
+
+// allocCall is one observable act of the VA stage, in call order: the
+// selector asked (kind 's', nfree candidates offered), NoteHop told
+// (kind 'h', the input as port/vc) or KVCAllocated recorded (kind 'e').
+type allocCall struct {
+	kind             byte
+	node, port, vc   int
+	msg              int64
+	outPort, outVC   int
+	nfree, firstFree int
+}
+
+type allocLog struct{ calls []allocCall }
+
+func (l *allocLog) Emit(ev trace.Event) error {
+	if ev.Kind == trace.KVCAllocated {
+		l.calls = append(l.calls, allocCall{kind: 'e', node: int(ev.Node), msg: ev.Msg,
+			outPort: int(ev.Port), outVC: int(ev.VC)})
+	}
+	return nil
+}
+func (l *allocLog) Close() error { return nil }
+
+type loggedSelector struct {
+	inner routing.Selector
+	log   *allocLog
+}
+
+func (s loggedSelector) Name() string { return s.inner.Name() }
+func (s loggedSelector) Select(lv routing.LoadView, node topology.NodeID, cands []routing.Candidate, h *routing.Header) routing.Candidate {
+	chosen := s.inner.Select(lv, node, cands, h)
+	s.log.calls = append(s.log.calls, allocCall{kind: 's', node: int(node), outPort: chosen.Port, outVC: chosen.VC,
+		nfree: len(cands), firstFree: cands[0].Port*64 + cands[0].VC})
+	return chosen
+}
+
+// loggedAlg logs NoteHop; loggedMaze does the same around the concrete
+// maze engine so its credit-gated VA, flush and verdict methods stay
+// visible to the network.
+type loggedAlg struct {
+	routing.Algorithm
+	log *allocLog
+}
+
+func (a loggedAlg) NoteHop(req routing.Request, chosen routing.Candidate) {
+	a.log.calls = append(a.log.calls, allocCall{kind: 'h', node: int(req.Node), port: req.InPort, vc: req.InVC,
+		outPort: chosen.Port, outVC: chosen.VC})
+	a.Algorithm.NoteHop(req, chosen)
+}
+
+type loggedMaze struct {
+	*routing.Maze
+	log *allocLog
+}
+
+func (a loggedMaze) NoteHop(req routing.Request, chosen routing.Candidate) {
+	loggedAlg{a.Maze, a.log}.NoteHop(req, chosen)
+}
+
+// allocCases are the saturated switch configurations plus a faulted maze
+// mesh, the credit-gated regime.
+var allocCases = append(slices.Clone(switchCases), switchCase{
+	name: "mesh8-maze-faults", faults: 3, graph: func() (topology.Graph, routing.Algorithm) {
+		m := topology.NewMesh(8, 8)
+		alg, err := routing.NewMaze(m)
+		if err != nil {
+			panic(err)
+		}
+		return m, alg
+	}})
+
+// logged returns the case with its algorithm wrapped to log into l.
+func (c switchCase) logged(l *allocLog) switchCase {
+	inner := c.graph
+	c.graph = func() (topology.Graph, routing.Algorithm) {
+		g, alg := inner()
+		if mz, ok := alg.(*routing.Maze); ok {
+			return g, loggedMaze{mz, l}
+		}
+		return g, loggedAlg{alg, l}
+	}
+	return c
+}
+
+// TestAllocMatchesFrozenWalk steps twin saturated networks stage by
+// stage — one through allocStage, one through the frozen walk — across a
+// mid-run fault event, and requires every cycle's selector calls, NoteHop
+// calls and KVCAllocated events to agree in content and order, and the
+// output ownership to be the same afterwards.
+func TestAllocMatchesFrozenWalk(t *testing.T) {
+	const cycles = 120
+	for _, c := range allocCases {
+		for _, delay := range []int{0, 3} {
+			var nets [2]*Network
+			var logs [2]*allocLog
+			var refill [2]func()
+			for i := range nets {
+				logs[i] = &allocLog{}
+				g, _ := c.graph()
+				rec := trace.New(g.Nodes(), 8)
+				rec.SetSink(logs[i])
+				nets[i], refill[i] = c.logged(logs[i]).build(t, Config{BufDepth: 2, CreditDelay: delay,
+					Selector: loggedSelector{routing.MinQueue{}, logs[i]}, Recorder: rec})
+			}
+			old := &oldAlloc{}
+			slept, allocs := 0, 0
+			for cyc := 0; cyc < cycles; cyc++ {
+				if cyc == cycles/2 {
+					for _, n := range nets {
+						f := n.faults.Clone()
+						f.FailNode(topology.NodeID(n.lay.nodes / 3))
+						n.ApplyFaults(f)
+					}
+				}
+				for i, n := range nets {
+					refill[i]()
+					n.deliverCredits()
+					n.injectStage()
+					n.routeStage()
+					logs[i].calls = logs[i].calls[:0]
+				}
+				nets[0].allocStage()
+				old.stage(nets[1])
+				if !slices.Equal(logs[0].calls, logs[1].calls) {
+					t.Fatalf("%s delay %d cycle %d: VA acts differ\n got %v\nwant %v", c.name, delay, cyc, logs[0].calls, logs[1].calls)
+				}
+				allocs += len(logs[0].calls) / 3
+				for i := range nets[0].outs {
+					a, b := &nets[0].outs[i], &nets[1].outs[i]
+					if a.ownerInPort != b.ownerInPort || a.ownerInVC != b.ownerInVC || a.remaining != b.remaining ||
+						(a.ownerMsg == nil) != (b.ownerMsg == nil) || (a.ownerMsg != nil && a.ownerMsg.ID != b.ownerMsg.ID) {
+						t.Fatalf("%s delay %d cycle %d: output %d owned differently: %+v vs frozen %+v", c.name, delay, cyc, i, *a, *b)
+					}
+				}
+				for _, w := range nets[0].vaWait {
+					slept += bits.OnesCount64(w)
+				}
+				for _, n := range nets {
+					n.applyMoves(n.switchStage())
+					n.drainStage()
+					n.now++
+				}
+				if err := nets[0].CheckInvariants(); err != nil {
+					t.Fatalf("%s delay %d cycle %d: %v", c.name, delay, cyc, err)
+				}
+			}
+			if nets[0].Stats() != nets[1].Stats() {
+				t.Fatalf("%s delay %d: stats differ: %+v vs frozen %+v", c.name, delay, nets[0].Stats(), nets[1].Stats())
+			}
+			t.Logf("%s delay %d: %d allocations; frozen walk %d visits, %d blocked, %d free-but-credit-less candidates; %d head-cycles asleep",
+				c.name, delay, allocs, old.visits, old.blocked, old.creditLess, slept)
+			// The comparison is only worth its name where most visits of
+			// the old walk were wasted, and the sleepers were really asleep.
+			if 2*old.blocked < old.visits || allocs == 0 || slept == 0 {
+				t.Fatalf("%s delay %d too tame: %d of %d visits blocked, %d allocations, %d head-cycles asleep",
+					c.name, delay, old.blocked, old.visits, allocs, slept)
+			}
+			if routing.AllocNeedsCredit(nets[0].alg) && old.creditLess == 0 {
+				t.Fatalf("%s delay %d: no free-but-credit-less candidate met, the credit-gated stay-awake rule went untested", c.name, delay)
+			}
+		}
+	}
+}

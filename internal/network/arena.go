@@ -14,7 +14,7 @@ import "math/bits"
 //
 // Membership is derived state. Every mutation of an input VC's
 // stage-relevant fields funnels through noteInput, which re-evaluates
-// the five predicates for that one slot — except the per-flit
+// the six predicates for that one slot — except the per-flit
 // transitions whose outcome applyMoves knows and applies itself:
 //
 //   route: !routed && q.len() > 0 && q.front().head   (awaiting RC)
@@ -22,10 +22,17 @@ import "math/bits"
 //   sa:    outPort >= 0 && q.len() > 0                (flits to switch)
 //   drain: routed && (eject || unroutable) && q.len() > 0
 //   ready: sa && credits[allocated output] > 0        (may be nominated)
+//   wait:  va && every candidate's output VC is owned (asleep in VA)
 //
 // ready is the credit-enables-request wire: bare mask words indexed like
 // saSet.words, which also follow the credit counter — cleared when
 // applyMoves takes an output's last credit, re-armed by creditArrived.
+// wait (vaWait, indexed like vaSet.words) is set by the VA attempt that
+// found nothing unowned and cleared for the whole node when one of its
+// output VCs is released (the tail pop; fault surgery rebuilds). That is
+// exact: a sleeper's candidates are fixed until it is routed again, they
+// are all outputs of its own node, and allocation only takes outputs
+// away, so only a release at this node can change its attempt's result.
 //
 // The decisionReady gate is deliberately NOT part of the predicates —
 // it is time-dependent, and stages check it live (a delayed decision
@@ -176,7 +183,11 @@ func (s *vcSet) size() int {
 // Each summary and mask word is snapshotted before scanning, so fn may
 // remove the visited slot (or any slot of the visited node) and may add
 // members to other sets — but must not add members to THIS set.
-func (s *vcSet) forEach(fn func(node, slot int)) {
+func (s *vcSet) forEach(fn func(node, slot int)) { s.forEachExcept(nil, fn) }
+
+// forEachExcept is forEach over the members whose bit in skip (indexed
+// like words; nil skips nothing) is clear. fn may set skip bits.
+func (s *vcSet) forEachExcept(skip []uint64, fn func(node, slot int)) {
 	for wi, nw := range s.nodeBits {
 		for nw != 0 {
 			node := wi<<6 + bits.TrailingZeros64(nw)
@@ -184,6 +195,9 @@ func (s *vcSet) forEach(fn func(node, slot int)) {
 			base := node * s.wpn
 			for k := 0; k < s.wpn; k++ {
 				mw := s.words[base+k]
+				if skip != nil {
+					mw &^= skip[base+k]
+				}
 				for mw != 0 {
 					slot := k<<6 + bits.TrailingZeros64(mw)
 					mw &= mw - 1
@@ -260,6 +274,7 @@ func (n *Network) noteInput(node, slot int) {
 		n.alloc[idx] = int32(ivc.outPort*n.lay.vcs + ivc.outVC)
 	}
 	n.setReady(node, slot, ivc.outPort >= 0 && qlen > 0 && n.credits[node*n.lay.outStride+int(n.alloc[idx])] > 0)
+	n.vaWait[node*n.vaSet.wpn+slot>>6] &^= 1 << (slot & 63)
 }
 
 // setReady sets or clears the ready bit of (node, slot).

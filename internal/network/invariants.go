@@ -76,12 +76,13 @@ func (n *Network) CheckInvariants() error {
 }
 
 // checkActiveSets verifies that every active-set membership and ready
-// bit equals its defining predicate over the current VC state, that the
-// alloc side array mirrors inputVC.outPort/outVC, and that the injection
-// work list covers every node with queued messages. The differential
-// test batteries call CheckInvariants every cycle, so any incremental
-// maintenance bug in noteInput or a missed noteInput call surfaces
-// immediately instead of as a statistics drift.
+// bit equals its defining predicate over the current VC state, that a
+// head asleep in VA is a vaSet member with every candidate output owned,
+// that the alloc side array mirrors inputVC.outPort/outVC, and that the
+// injection work list covers every node with queued messages. The
+// differential test batteries call CheckInvariants every cycle, so any
+// incremental maintenance bug in noteInput or a missed noteInput call
+// surfaces immediately instead of as a statistics drift.
 func (n *Network) checkActiveSets() error {
 	lay := &n.lay
 	for node := 0; node < lay.nodes; node++ {
@@ -114,6 +115,16 @@ func (n *Network) checkActiveSets() error {
 			wantReady := wantSA && n.credits[node*lay.outStride+int(wantAlloc)] > 0
 			if got := n.ready[node*n.saSet.wpn+slot>>6]&(1<<(slot&63)) != 0; got != wantReady {
 				return fmt.Errorf("node %d slot %d: ready bit %v, predicate %v", node, slot, got, wantReady)
+			}
+			if n.vaWait[node*n.vaSet.wpn+slot>>6]&(1<<(slot&63)) != 0 {
+				if !wantVA {
+					return fmt.Errorf("node %d slot %d: vaWait bit on a slot outside the vaSet", node, slot)
+				}
+				for _, c := range ivc.candidates {
+					if n.outs[lay.outIdx(node, c.Port, c.VC)].free() {
+						return fmt.Errorf("node %d slot %d: asleep in VA while its candidate output (%d,%d) is free", node, slot, c.Port, c.VC)
+					}
+				}
 			}
 		}
 		// Injection bits are allowed to be stale-set (a faulty node's

@@ -207,8 +207,10 @@ type Network struct {
 	// ready (indexed like saSet.words) holds the SA members whose output
 	// has a credit; credits[outIdx] counts the free downstream flit slots
 	// of each output VC; alloc[inIdx] mirrors inputVC's allocated output
-	// as a slot (outPort*vcs+outVC, -1 before VA).
+	// as a slot (outPort*vcs+outVC, -1 before VA); vaWait (indexed like
+	// vaSet.words) holds the VA members asleep until their node's next release.
 	ready   []uint64
+	vaWait  []uint64
 	credits []int32
 	alloc   []int32
 
@@ -372,6 +374,7 @@ func New(cfg Config) *Network {
 	n.saSet = newVCSet(lay.nodes, lay.inStride)
 	n.drainSet = newVCSet(lay.nodes, lay.inStride)
 	n.ready = make([]uint64, len(n.saSet.words))
+	n.vaWait = make([]uint64, len(n.vaSet.words))
 	n.injNodes = newNodeSet(lay.nodes)
 	n.nomVC = make([]int, lay.inPorts)
 	n.reqScratch = make([]uint64, lay.ports)
@@ -591,13 +594,14 @@ func (n *Network) requestFor(node, p, v int, m *Message) routing.Request {
 
 // allocStage performs VA: routed-but-unallocated inputs (the vaSet)
 // try to claim a free output VC among their candidates, guided by the
-// selector.
+// selector. A head that finds every candidate owned sleeps (vaWait)
+// until an output VC of its node is released.
 func (n *Network) allocStage() {
 	// Credit-gated regimes (routing.CreditGatedVA) must not commit a
 	// head to an output VC with no downstream credit: their escape
 	// argument needs blocked heads to keep re-arbitrating.
 	needCredit := routing.AllocNeedsCredit(n.alg)
-	n.vaSet.forEach(func(node, slot int) {
+	n.vaSet.forEachExcept(n.vaWait, func(node, slot int) {
 		if n.faults.NodeFaulty(topology.NodeID(node)) {
 			return
 		}
@@ -607,14 +611,21 @@ func (n *Network) allocStage() {
 		}
 		outBase := node * n.lay.outStride
 		free := n.freeScratch[:0]
+		unowned := false
 		for _, c := range ivc.candidates {
 			oi := outBase + c.Port*n.lay.vcs + c.VC
-			if n.outs[oi].free() && (!needCredit || n.credits[oi] > 0) {
-				free = append(free, c)
+			if n.outs[oi].free() {
+				unowned = true
+				if !needCredit || n.credits[oi] > 0 {
+					free = append(free, c)
+				}
 			}
 		}
 		n.freeScratch = free[:0] // selectors do not retain the slice
 		if len(free) == 0 {
+			if !unowned {
+				n.vaWait[node*n.vaSet.wpn+slot>>6] |= 1 << (slot & 63)
+			}
 			return
 		}
 		p, v := n.lay.portVC(slot)
@@ -778,9 +789,10 @@ func (n *Network) applyMoves(moves []send) bool {
 		}
 		if f.tail {
 			// The worm has fully left: release input route state and
-			// output ownership.
+			// output ownership, and wake the node's heads asleep in VA.
 			ivc.resetRoute()
 			n.releaseOutput(out)
+			clear(n.vaWait[node*n.vaSet.wpn : (node+1)*n.vaSet.wpn])
 			if n.rec != nil {
 				n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KVCFreed,
 					Node: int32(node), Msg: f.msg.ID,

@@ -309,8 +309,9 @@ func TestReadySetMatchesPredicate(t *testing.T) {
 }
 
 // TestCheckInvariantsPolicesSwitchState: a stale ready bit, a missing
-// one, and a side-array entry that disagrees with its inputVC are each
-// reported.
+// one, a side-array entry that disagrees with its inputVC, and a VA
+// sleep bit on a slot outside the vaSet or on a head with a free
+// candidate are each reported.
 func TestCheckInvariantsPolicesSwitchState(t *testing.T) {
 	n, refill := switchCases[0].build(t, Config{BufDepth: 2})
 	refill()
@@ -353,4 +354,31 @@ func TestCheckInvariantsPolicesSwitchState(t *testing.T) {
 	corrupt("alloc entry disagreeing with inputVC",
 		func() { n.alloc[idx] = (was + 1) % int32(n.lay.outStride) },
 		func() { n.alloc[idx] = was })
+	// A head is awake with a free candidate only between a release and
+	// the next VA stage: step until a cycle ends on one.
+	awakeNode, awakeSlot := -1, -1
+	for cyc := 0; cyc < 200 && awakeNode < 0; cyc++ {
+		refill()
+		n.Step()
+		n.vaSet.forEach(func(node, slot int) {
+			for _, c := range n.ins[node*n.lay.inStride+slot].candidates {
+				if n.outs[n.lay.outIdx(node, c.Port, c.VC)].free() {
+					awakeNode, awakeSlot = node, slot
+				}
+			}
+		})
+	}
+	// An SA member (allocated) is never a VA member.
+	saNode, saSlot := -1, -1
+	n.saSet.forEach(func(node, slot int) { saNode, saSlot = node, slot })
+	if awakeNode < 0 || saNode < 0 {
+		t.Fatal("need a VA member with a free candidate and a slot outside the vaSet")
+	}
+	// Both bits are clear in a consistent state, so one toggle sets and
+	// the next restores.
+	toggle := func(node, slot int) func() {
+		return func() { n.vaWait[node*n.vaSet.wpn+slot>>6] ^= 1 << (slot & 63) }
+	}
+	corrupt("vaWait bit on a head with a free candidate", toggle(awakeNode, awakeSlot), toggle(awakeNode, awakeSlot))
+	corrupt("vaWait bit outside the vaSet", toggle(saNode, saSlot), toggle(saNode, saSlot))
 }

@@ -34,7 +34,7 @@ func TestFastPathMatchesInterpreterUnderFaultSchedule(t *testing.T) {
 				Algorithm:     alg,
 				Rate:          0.08,
 				Length:        6,
-				Seed:          31,
+				Seed:          34,
 				FaultSchedule: sched,
 				WarmupCycles:  300,
 				MeasureCycles: 1500,
@@ -76,7 +76,7 @@ func TestFastPathMatchesInterpreterUnderFaultSchedule(t *testing.T) {
 				Algorithm:     alg,
 				Rate:          0.12,
 				Length:        8,
-				Seed:          32,
+				Seed:          39,
 				FaultSchedule: sched,
 				WarmupCycles:  300,
 				MeasureCycles: 1500,

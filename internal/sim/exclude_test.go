@@ -12,11 +12,10 @@ import (
 	"repro/internal/topology"
 )
 
-// Run keeps the generator's "skip this node" answer per node and
-// re-derives it only after fault events and engine swaps. These tests
-// pin that against the per-call predicate it replaced: faulty, or
+// Run hands the generator a live "skip this node" predicate: faulty, or
 // disabled in the block view of the algorithm the run was configured
-// with.
+// with. These tests hold it to a predicate derived independently, cycle
+// by cycle, across fault events and engine swaps.
 
 // excludeEvents is a mesh with two diagonal faults up front (NAFTA
 // deactivates the healthy corners of their block), two more and a link
@@ -43,7 +42,7 @@ func excludeEvents(m *topology.Mesh, swapTo func() routing.Algorithm, at [5]int6
 type firingPattern struct {
 	t     *testing.T
 	now   func() int64
-	ref   func(topology.NodeID) bool // the per-call predicate
+	ref   func(topology.NodeID) bool // the test's own predicate
 	nodes int
 
 	cycle  int64
@@ -80,13 +79,13 @@ func (p *firingPattern) check() {
 	p.cycles++
 	for i := range p.want {
 		if p.fired[i] == p.want[i] {
-			p.t.Fatalf("cycle %d node %d: generator fired %v, per-call predicate excludes %v",
+			p.t.Fatalf("cycle %d node %d: generator fired %v, the predicate excludes %v",
 				p.cycle, i, p.fired[i], p.want[i])
 		}
 	}
 }
 
-func TestExcludeBitmapMatchesPredicate(t *testing.T) {
+func TestExcludePredicateFollowsEvents(t *testing.T) {
 	m := topology.NewMesh(8, 8)
 	sw := reconfig.NewSwapper(routing.NewNAFTA(m))
 	// NARA keeps no block view: after the first swap only faulty nodes
@@ -126,10 +125,10 @@ func TestExcludeBitmapMatchesPredicate(t *testing.T) {
 }
 
 // TestScheduleAndSwapResultPinned pins the whole Result of a run with a
-// mid-run fault schedule and an engine swap to the numbers the per-call
-// closure produced (taken at the parent commit of PR 22): the generator
-// must skip the same sources and destinations before and after every
-// event, drawing the same random stream.
+// mid-run fault schedule and two engine swaps (numbers taken when PR 23
+// moved the generator to geometric gaps, the one deliberate change of
+// the random stream): the generator must skip the same sources and
+// destinations before and after every event, drawing the same stream.
 func TestScheduleAndSwapResultPinned(t *testing.T) {
 	m := topology.NewMesh(8, 8)
 	sw := reconfig.NewSwapper(routing.NewNAFTA(m))
@@ -145,10 +144,10 @@ func TestScheduleAndSwapResultPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := sim.Result{
-		Stats: network.Stats{Cycles: 2000, Injected: 1296, Delivered: 1300, Dropped: 3, Killed: 1,
-			FlitsDelivered: 7802, HopsSum: 7969, StepsSum: 16321, MisroutesSum: 336, MarkedCount: 225,
-			LatencySum: 34422, NetLatencySum: 33845, MaxLatency: 101},
-		OfferedRate: 0.08, OfferedMessages: 1296, QueueGrowth: -8, Drained: true, Nodes: 64,
+		Stats: network.Stats{Cycles: 2000, Injected: 1335, Delivered: 1310, Dropped: 8, Killed: 2,
+			FlitsDelivered: 7858, HopsSum: 8029, StepsSum: 16478, MisroutesSum: 375, MarkedCount: 225,
+			LatencySum: 35950, NetLatencySum: 35060, MaxLatency: 115},
+		OfferedRate: 0.08, OfferedMessages: 1335, QueueGrowth: 15, Drained: true, Nodes: 64,
 	}
 	if res != want {
 		t.Fatalf("Result moved:\n got %#v\nwant %#v", res, want)

@@ -203,78 +203,59 @@ func Run(cfg Config) (Result, error) {
 		cfg.OnNetwork(net)
 	}
 
-	// The generator skips faulty and deactivated nodes (assumption iii)
-	// — asked per node per cycle, so the answer is kept per node and
-	// re-derived only when a fault event or an engine swap can change it.
-	excluded := make([]bool, cfg.Graph.Nodes())
-	refreshExcluded := func() {
-		var blocks *fault.BlockInfo
-		if b, ok := cfg.Algorithm.(blocker); ok {
-			blocks = b.Blocks()
-		}
-		for i := range excluded {
-			n := topology.NodeID(i)
-			excluded[i] = f.NodeFaulty(n) || (blocks != nil && blocks.DisabledNode(n))
-		}
-	}
-	refreshExcluded()
+	// The generator skips faulty and deactivated nodes (assumption iii);
+	// asked per message, the answer is read live and so follows every
+	// fault event and engine swap.
 	gen := &traffic.Generator{
 		Graph:   cfg.Graph,
 		Pattern: cfg.Pattern,
 		Rate:    cfg.Rate,
 		Length:  cfg.Length,
 		Rng:     rand.New(rand.NewSource(cfg.Seed)),
-		Exclude: func(n topology.NodeID) bool { return excluded[n] },
+		Exclude: func(n topology.NodeID) bool {
+			var blocks *fault.BlockInfo
+			if b, ok := cfg.Algorithm.(blocker); ok {
+				blocks = b.Blocks()
+			}
+			return f.NodeFaulty(n) || (blocks != nil && blocks.DisabledNode(n))
+		},
 	}
 	if err := gen.Validate(); err != nil {
 		return Result{}, err
 	}
 
-	applySchedule := func() {
-		if sched == nil {
-			return
-		}
-		if fired := sched.ApplyUpTo(net.Now(), f); len(fired) > 0 {
-			net.ApplyFaults(f)
-			refreshExcluded()
-		}
-	}
 	reconfigs := append([]Reconfig(nil), cfg.Reconfigs...)
 	sort.Slice(reconfigs, func(i, j int) bool { return reconfigs[i].At < reconfigs[j].At })
-	nextReconfig := 0
-	applyReconfigs := func() error {
-		for nextReconfig < len(reconfigs) && reconfigs[nextReconfig].At <= net.Now() {
-			rc := reconfigs[nextReconfig]
-			nextReconfig++
-			next, err := rc.Make()
-			if err != nil {
-				return fmt.Errorf("sim: reconfig at cycle %d: %w", rc.At, err)
+	// run steps cycles: due fault events and swaps, then injections.
+	run := func(cycles int64) error {
+		for i := int64(0); i < cycles; i++ {
+			if sched != nil && len(sched.ApplyUpTo(net.Now(), f)) > 0 {
+				net.ApplyFaults(f)
 			}
-			if err := net.Reconfigure(next, rc.Force); err != nil {
-				return fmt.Errorf("sim: reconfig at cycle %d: %w", rc.At, err)
+			for len(reconfigs) > 0 && reconfigs[0].At <= net.Now() {
+				rc := reconfigs[0]
+				reconfigs = reconfigs[1:]
+				next, err := rc.Make()
+				if err == nil {
+					err = net.Reconfigure(next, rc.Force)
+				}
+				if err != nil {
+					return fmt.Errorf("sim: reconfig at cycle %d: %w", rc.At, err)
+				}
 			}
-			refreshExcluded()
+			gen.Tick(net)
+			net.Step()
 		}
 		return nil
 	}
-	for i := int64(0); i < cfg.WarmupCycles; i++ {
-		applySchedule()
-		if err := applyReconfigs(); err != nil {
-			return Result{}, err
-		}
-		gen.Tick(net)
-		net.Step()
+	if err := run(cfg.WarmupCycles); err != nil {
+		return Result{}, err
 	}
 	before := net.Stats()
 	offeredBefore := gen.Offered
 	queueBefore := net.Queued() + net.InFlight()
-	for i := int64(0); i < cfg.MeasureCycles; i++ {
-		applySchedule()
-		if err := applyReconfigs(); err != nil {
-			return Result{}, err
-		}
-		gen.Tick(net)
-		net.Step()
+	if err := run(cfg.MeasureCycles); err != nil {
+		return Result{}, err
 	}
 	queueAfter := net.Queued() + net.InFlight()
 	// Snapshot BEFORE draining: the measurement window must only count

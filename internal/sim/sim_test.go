@@ -259,7 +259,7 @@ func TestFaultScheduleReusable(t *testing.T) {
 			Algorithm:     routing.NewNAFTA(m),
 			Rate:          0.08,
 			Length:        6,
-			Seed:          13,
+			Seed:          14,
 			FaultSchedule: sched,
 			WarmupCycles:  300,
 			MeasureCycles: 1500,

@@ -2,12 +2,13 @@
 // network simulator: the classic spatial patterns used in wormhole
 // routing evaluations (uniform random, transpose, bit complement, bit
 // reversal, tornado, hot spot, nearest neighbour) and a Bernoulli
-// injection process parameterised by offered load in flits per node
-// and cycle.
+// injection process (walked by geometric gaps) parameterised by offered
+// load in flits per node and cycle.
 package traffic
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 
@@ -106,12 +107,15 @@ func (n Neighbor) Dest(src topology.NodeID, rng *rand.Rand) topology.NodeID {
 	return src
 }
 
-// Generator drives Bernoulli message injection into a Network.
+// Generator drives Bernoulli message injection into a Network: every
+// (cycle, node) cell offers a message with probability Rate/Length. Tick
+// jumps from success to success by geometric gaps, one draw per message.
 type Generator struct {
 	Graph   topology.Graph
 	Pattern Pattern
 	// Rate is the offered load in flits per node per cycle; the
-	// per-cycle message probability per node is Rate/Length.
+	// per-cycle message probability per node is Rate/Length (1 or more:
+	// one message per eligible node per cycle).
 	Rate float64
 	// Length is the message length in flits (>= 2).
 	Length int
@@ -119,11 +123,24 @@ type Generator struct {
 	Rng *rand.Rand
 	// Exclude, when non-nil, suppresses sources and destinations for
 	// which it returns true (faulty or deactivated nodes, assumption
-	// iii of the fault model).
+	// iii of the fault model); it is asked only where a success lands.
 	Exclude func(topology.NodeID) bool
 
 	// Offered counts messages handed to the network.
 	Offered int64
+
+	// skip cells lie before the next success, counted from node 0 of the
+	// coming cycle; the gap was drawn for probability gapP (0: none yet).
+	skip int64
+	gapP float64
+}
+
+// validRate holds an offered load to g's port count (NaN fails too).
+func validRate(rate float64, g topology.Graph) error {
+	if !(rate >= 0 && rate <= float64(g.Ports())) {
+		return fmt.Errorf("traffic: rate %f out of range [0, %d]", rate, g.Ports())
+	}
+	return nil
 }
 
 // Validate checks the generator configuration.
@@ -134,34 +151,39 @@ func (g *Generator) Validate() error {
 	if g.Length < 2 {
 		return fmt.Errorf("traffic: message length %d < 2", g.Length)
 	}
-	if g.Rate < 0 || g.Rate > float64(g.Graph.Ports()) {
-		return fmt.Errorf("traffic: rate %f out of range", g.Rate)
-	}
-	return nil
+	return validRate(g.Rate, g.Graph)
+}
+
+// gap draws the failures before the next success of a Bernoulli(p)
+// sequence, floor(ln(1-U)/ln(1-p)), capped so sums cannot overflow; at
+// p = 1 the divisor is -Inf and every gap is 0.
+func (g *Generator) gap(p float64) int64 {
+	return int64(min(math.Log(1-g.Rng.Float64())/math.Log1p(-p), 1<<61))
 }
 
 // Tick injects this cycle's messages into net. Call once per
 // simulation cycle before net.Step().
 func (g *Generator) Tick(net *network.Network) {
-	p := g.Rate / float64(g.Length)
-	for s := 0; s < g.Graph.Nodes(); s++ {
-		src := topology.NodeID(s)
-		if g.Exclude != nil && g.Exclude(src) {
-			continue
-		}
-		if g.Rng.Float64() >= p {
-			continue
-		}
-		dst := g.Pattern.Dest(src, g.Rng)
-		if dst == src {
-			continue
-		}
-		if g.Exclude != nil && g.Exclude(dst) {
-			continue
-		}
-		net.Inject(src, dst, g.Length)
-		g.Offered++
+	p := min(g.Rate/float64(g.Length), 1)
+	if !(p > 0) {
+		g.gapP = 0 // the next positive rate draws afresh
+		return
 	}
+	if p != g.gapP {
+		g.gapP, g.skip = p, g.gap(p)
+	}
+	nodes := int64(g.Graph.Nodes())
+	for ; g.skip < nodes; g.skip += 1 + g.gap(p) {
+		src := topology.NodeID(g.skip)
+		if g.Exclude != nil && g.Exclude(src) {
+			continue // thinning: an excluded source's success is discarded
+		}
+		if dst := g.Pattern.Dest(src, g.Rng); dst != src && (g.Exclude == nil || !g.Exclude(dst)) {
+			net.Inject(src, dst, g.Length)
+			g.Offered++
+		}
+	}
+	g.skip -= nodes
 }
 
 // LengthDist draws message lengths (flits). Implementations must be
@@ -234,10 +256,7 @@ func (g *BurstyGenerator) Validate() error {
 	if g.MeanOn < 1 || g.MeanOff < 1 {
 		return fmt.Errorf("traffic: burst periods must be >= 1 cycle")
 	}
-	if g.Rate < 0 || g.Rate > float64(g.Graph.Ports()) {
-		return fmt.Errorf("traffic: rate %f out of range", g.Rate)
-	}
-	return nil
+	return validRate(g.Rate, g.Graph)
 }
 
 // Tick injects this cycle's messages.
