@@ -42,16 +42,19 @@
 #      (random quantifier bodies compiled with and without the mask
 #      step must agree on rule and fallback, internal/core),
 #      FuzzRuleRouteCDifferential (dense vs interpreted ROUTE_C
-#      decisions over random faults and headers, internal/rulesets) and
+#      decisions over random faults and headers, internal/rulesets),
 #      FuzzRuleNAFTADifferential (the same for NAFTA, plus the
 #      per-node fact words against the per-call PortFacts derivation)
+#      and FuzzMazeFastPath (the same for the maze family on a mesh, a
+#      torus and an irregular graph, traversal state in the header
+#      included)
 #  13. (opt-in) bench regression gate: set BENCH_BASELINE to a
-#      committed snapshot, e.g. BENCH_BASELINE=BENCH_2026-08-06.json
-#      ./ci.sh, to re-run the benchmarks and fail on a >20% ns/op or
-#      bytes/op regression (cmd/benchjson -baseline); the stepping
-#      engine's current baseline is
-#      BENCH_2026-10-03-event-inject-alloc.json (BenchmarkNetworkStep,
-#      BenchmarkSimulatorThroughput, BenchmarkGeneratorTick). Set
+#      committed snapshot to re-run the benchmarks and fail on a >20%
+#      ns/op or bytes/op regression (cmd/benchjson -baseline), e.g. the
+#      stepping engine's current baseline:
+#      BENCH_BASELINE=BENCH_2026-10-03-event-inject-alloc.json ./ci.sh
+#      (BenchmarkNetworkStep, BenchmarkSimulatorThroughput,
+#      BenchmarkGeneratorTick). Set
 #      BENCH_FLEET_BASELINE=BENCH_2026-09-30-fleet-wire.json to gate
 #      the fleet decision path (memoization hit vs uncached, the batch
 #      wire encodings, the cache insert at capacity) the same way.
@@ -126,10 +129,11 @@ go run ./bench --quick --reps 1 --trace 1
 echo "== batch-frame fuzz (10s, /decide/batch binary decoders)"
 go test -run '^$' -fuzz '^FuzzBatchFrame$' -fuzztime 10s ./internal/fleet
 
-echo "== decision fast-path fuzz (3 x 5s, mask compiler, ROUTE_C and NAFTA dense vs interpreted)"
+echo "== decision fast-path fuzz (4 x 5s, mask compiler, ROUTE_C, NAFTA and maze dense vs interpreted)"
 go test -run '^$' -fuzz '^FuzzDenseMaskDifferential$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzRuleRouteCDifferential$' -fuzztime 5s ./internal/rulesets
 go test -run '^$' -fuzz '^FuzzRuleNAFTADifferential$' -fuzztime 5s ./internal/rulesets
+go test -run '^$' -fuzz '^FuzzMazeFastPath$' -fuzztime 5s ./internal/rulesets
 
 if [ -n "${BENCH_BASELINE:-}" ]; then
 	echo "== benchjson -baseline $BENCH_BASELINE"

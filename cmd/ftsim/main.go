@@ -124,13 +124,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		rec.SetSink(sink)
 		// Rule-table algorithms additionally stream their fired rules.
-		switch a := alg.(type) {
-		case *rulesets.RuleNAFTA:
-			a.OnRuleFired, _ = rulesets.TraceRules(rec)
-		case *rulesets.RuleRouteC:
-			a.OnRuleFired, _ = rulesets.TraceRules(rec)
-		case *rulesets.RuleMaze:
-			a.OnRuleFired, _ = rulesets.TraceRules(rec)
+		if a, ok := alg.(rulesets.Adapter); ok {
+			a.RuleEngine().OnRuleFired, _ = rulesets.TraceRules(rec)
 		}
 	}
 

@@ -215,30 +215,24 @@ func DefaultFactory(s *Scenario, oracle bool) (routing.Algorithm, func(*network.
 	if err != nil {
 		return nil, nil, err
 	}
+	var alg rulesets.Adapter
+	var attach func(*network.Network)
 	switch s.Algo {
 	case AlgoNAFTA:
-		alg, err := rulesets.NewRuleNAFTA(g.(*topology.Mesh))
-		if err != nil {
-			return nil, nil, err
-		}
-		alg.DisableFast = oracle
-		return alg, func(n *network.Network) { alg.AttachLoads(n) }, nil
+		nafta, e := rulesets.NewRuleNAFTA(g.(*topology.Mesh))
+		alg, err, attach = nafta, e, func(n *network.Network) { nafta.AttachLoads(n) }
 	case AlgoRouteC:
-		alg, err := rulesets.NewRuleRouteC(g.(*topology.Hypercube))
-		if err != nil {
-			return nil, nil, err
-		}
-		alg.DisableFast = oracle
-		return alg, nil, nil
+		alg, err = rulesets.NewRuleRouteC(g.(*topology.Hypercube))
 	case AlgoMaze:
-		alg, err := rulesets.NewRuleMaze(g)
-		if err != nil {
-			return nil, nil, err
-		}
-		alg.DisableFast = oracle
-		return alg, nil, nil
+		alg, err = rulesets.NewRuleMaze(g)
+	default:
+		return nil, nil, fmt.Errorf("campaign: unknown algo %q (valid: %v)", s.Algo, Algos)
 	}
-	return nil, nil, fmt.Errorf("campaign: unknown algo %q (valid: %v)", s.Algo, Algos)
+	if err != nil {
+		return nil, nil, err
+	}
+	alg.RuleEngine().DisableFast = oracle
+	return alg, attach, nil
 }
 
 // reference builds the native reference implementation the drop oracle

@@ -238,20 +238,27 @@ func (s *Service) ReloadPrepared(art *Artifact, f *fault.Set) (uint64, error) {
 	if art.Epoch > newEpoch {
 		newEpoch = art.Epoch
 	}
+	s.flip(engines, newEpoch)
+	s.reloads.Add(1)
+	s.noteArtifact(art)
+	return newEpoch, nil
+}
+
+// flip exchanges every shard's engine for engines[i] under the shard
+// lock, retires the old engines' dense tables and publishes epoch. The
+// caller holds reloadMu and has checked len(engines).
+func (s *Service) flip(engines []routing.Algorithm, epoch uint64) {
 	for i, sh := range s.shards {
 		sh.mu.Lock()
 		old := sh.eng
 		sh.eng = engines[i]
-		sh.epoch = newEpoch
+		sh.epoch = epoch
 		sh.mu.Unlock()
 		if inv, ok := old.(tableInvalidator); ok {
 			inv.InvalidateTables()
 		}
 	}
-	s.epoch.Store(newEpoch)
-	s.reloads.Add(1)
-	s.noteArtifact(art)
-	return newEpoch, nil
+	s.epoch.Store(epoch)
 }
 
 // InstallEngines atomically flips every shard to the prebuilt engines
@@ -270,17 +277,7 @@ func (s *Service) InstallEngines(engines []routing.Algorithm) (uint64, error) {
 		return s.epoch.Load(), fmt.Errorf("reconfig: %d engines for %d shards", len(engines), len(s.shards))
 	}
 	newEpoch := s.epoch.Load() + 1
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		old := sh.eng
-		sh.eng = engines[i]
-		sh.epoch = newEpoch
-		sh.mu.Unlock()
-		if inv, ok := old.(tableInvalidator); ok {
-			inv.InvalidateTables()
-		}
-	}
-	s.epoch.Store(newEpoch)
+	s.flip(engines, newEpoch)
 	return newEpoch, nil
 }
 

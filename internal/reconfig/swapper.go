@@ -137,20 +137,8 @@ func (s *Swapper) Swap(next routing.Algorithm, force bool) (oldEpoch, newEpoch u
 	if s.faults != nil {
 		next.UpdateFaults(s.faults)
 	}
-	if la, ok := next.(loadAttacher); ok && s.loads != nil {
-		la.AttachLoads(s.loads)
-	}
-	ne := &epochEngine{epoch: cur.epoch + 1, alg: next}
-	s.live[ne.epoch] = ne
-	s.cur.Store(ne)
-	s.swaps.Add(1)
-	for _, f := range s.onSwap {
-		f(cur.epoch, ne.epoch)
-	}
-	if cur.pinned.Load() == 0 {
-		s.retireLocked(cur)
-	}
-	return cur.epoch, ne.epoch, nil
+	oldEpoch, newEpoch = s.install(cur, next)
+	return oldEpoch, newEpoch, nil
 }
 
 // SwapPrecomputed installs an engine that already carries the
@@ -179,6 +167,15 @@ func (s *Swapper) SwapPrecomputed(next routing.Algorithm, f *fault.Set) (oldEpoc
 			e.alg.UpdateFaults(f)
 		}
 	}
+	oldEpoch, newEpoch = s.install(cur, next)
+	return oldEpoch, newEpoch, nil
+}
+
+// install makes next, whose fault state the caller has settled, the
+// current engine one epoch after cur: it gets the attached load view
+// before it becomes visible, and cur retires at once when no worm is
+// pinned to it. s.mu must be held.
+func (s *Swapper) install(cur *epochEngine, next routing.Algorithm) (oldEpoch, newEpoch uint64) {
 	if la, ok := next.(loadAttacher); ok && s.loads != nil {
 		la.AttachLoads(s.loads)
 	}
@@ -186,13 +183,13 @@ func (s *Swapper) SwapPrecomputed(next routing.Algorithm, f *fault.Set) (oldEpoc
 	s.live[ne.epoch] = ne
 	s.cur.Store(ne)
 	s.swaps.Add(1)
-	for _, fn := range s.onSwap {
-		fn(cur.epoch, ne.epoch)
+	for _, f := range s.onSwap {
+		f(cur.epoch, ne.epoch)
 	}
 	if cur.pinned.Load() == 0 {
 		s.retireLocked(cur)
 	}
-	return cur.epoch, ne.epoch, nil
+	return cur.epoch, ne.epoch
 }
 
 // retireLocked removes a quiesced epoch; s.mu must be held.

@@ -49,9 +49,10 @@ func mazeTestGraphs(t *testing.T) []struct {
 }
 
 // Every decision of a full walk must agree across the native engine,
-// the dense fast path and the interpreted reference path — and
-// reachable pairs must be delivered, unreachable ones unanimously
-// certified.
+// the dense fast path and the interpreted reference path — the two rule
+// paths also in the rules they fire, in order, and in their lookup
+// counts — and reachable pairs must be delivered, unreachable ones
+// unanimously certified.
 func TestRuleMazeMatchesNativeWalks(t *testing.T) {
 	for _, tc := range mazeTestGraphs(t) {
 		g := tc.g
@@ -71,6 +72,9 @@ func TestRuleMazeMatchesNativeWalks(t *testing.T) {
 			t.Fatal(err)
 		}
 		interp.DisableFast = true
+		var fastFired, interpFired []firing
+		fast.OnRuleFired = recordFirings(&fastFired)
+		interp.OnRuleFired = recordFirings(&interpFired)
 		native.UpdateFaults(tc.f)
 		fast.UpdateFaults(tc.f)
 		interp.UpdateFaults(tc.f)
@@ -95,11 +99,18 @@ func TestRuleMazeMatchesNativeWalks(t *testing.T) {
 					delivered = true
 					break
 				}
+				fastFired, interpFired = fastFired[:0], interpFired[:0]
 				a := fast.Route(req)
 				b := interp.Route(req)
 				c := native.Route(req)
 				if !sameCands(a, b) || !sameCands(a, c) {
 					t.Fatalf("%s %d->%d at %d: fast %v interp %v native %v", g.Name(), src, dst, req.Node, a, b, c)
+				}
+				if !sameFirings(fastFired, interpFired) || len(fastFired) != len(a) {
+					t.Fatalf("%s %d->%d at %d: fired %v vs %v for %v", g.Name(), src, dst, req.Node, fastFired, interpFired, a)
+				}
+				if fast.Lookups != interp.Lookups {
+					t.Fatalf("%s %d->%d at %d: lookups %d vs %d", g.Name(), src, dst, req.Node, fast.Lookups, interp.Lookups)
 				}
 				if len(a) == 0 {
 					if !fast.UnreachableVerdict(req) || !native.UnreachableVerdict(req) {

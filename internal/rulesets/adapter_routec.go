@@ -26,42 +26,20 @@ import (
 // without a new UpdateFaults leaves them stale (CheckLines is the
 // oracle).
 //
-// Like RuleNAFTA, decisions run on the dense fast path with a
-// transparent fallback to the interpreted reference path on a pooled
-// scratch Machine; DisableFast pins every decision to the reference
-// path.
+// Decisions run on the embedded Engine, two lookups each.
 type RuleRouteC struct {
+	Engine
 	cube   *topology.Hypercube
 	native *routing.RouteC
-	prog   *Program
-	dir    *core.CompiledBase
-	vc     *core.CompiledBase
-	faults *fault.Set
 
 	// slots and modes are immutable after construction, nodes between
-	// UpdateFaults calls; the rest is per-decision scratch: the flat
-	// input vector, the dense decision tables (whose lookup scratch is
-	// per-instance), the pooled reference-path Machine and the decide_vc
-	// argument in both conventions.
-	slots     cubeSlots
-	modes     []cubeMode // by decide_dir RETURN ordinal
-	nodes     []cubeNode
-	iv        *core.InputVector
-	dirD, vcD *core.DenseTable
-	scratch   *core.Machine
-	vcArgs    []rules.Value
-	vcDargs   []int64
-
-	// DisableFast forces the interpreted reference path (the oracle of
-	// the differential tests).
-	DisableFast bool
-
-	// Lookups counts rule-table lookups (two per decision).
-	Lookups int64
-	// OnRuleFired, when non-nil, observes every successful rule-table
-	// lookup (deciding node, base name, fired rule index); the flight
-	// recorder attaches here.
-	OnRuleFired func(node topology.NodeID, base string, rule int)
+	// UpdateFaults calls; vcArgs and vcDargs are per-decision scratch,
+	// the decide_vc argument in both conventions.
+	slots   cubeSlots
+	modes   []cubeMode // by decide_dir RETURN ordinal
+	nodes   []cubeNode
+	vcArgs  []rules.Value
+	vcDargs []int64
 }
 
 // cubeSlots holds the input-vector places of the ROUTE_C decision
@@ -116,6 +94,12 @@ type cubeNode struct {
 // must carry tables for.
 var RouteCDecisionBases = []string{"decide_dir", "decide_vc"}
 
+// The Engine's indices of RouteCDecisionBases.
+const (
+	cubeDir = iota // decide_dir
+	cubeVC         // decide_vc
+)
+
 // NewRuleRouteC compiles ROUTE_C for cube h (adaptivity width 2).
 func NewRuleRouteC(h *topology.Hypercube) (*RuleRouteC, error) {
 	p, err := LoadRouteC(h.Dim, 2)
@@ -128,68 +112,27 @@ func NewRuleRouteC(h *topology.Hypercube) (*RuleRouteC, error) {
 // NewRuleRouteCFromProgram binds an already analysed ROUTE_C program
 // to cube h. tables optionally supplies precompiled decision tables
 // (keyed by base name, bound to p.Checked); missing entries are
-// compiled in-process. The program's cube dimension must match h.Dim.
+// compiled in-process. A program of another cube dimension than h.Dim
+// is refused.
 func NewRuleRouteCFromProgram(h *topology.Hypercube, p *Program, tables map[string]*core.CompiledBase) (*RuleRouteC, error) {
 	r := &RuleRouteC{
 		cube:   h,
 		native: routing.NewRouteC(h),
-		prog:   p,
-		faults: fault.NewSet(),
 		nodes:  make([]cubeNode, h.Nodes()),
 
 		vcArgs:  make([]rules.Value, 1),
 		vcDargs: make([]int64, 1),
 	}
-	var err error
-	for _, b := range []struct {
-		name string
-		dst  **core.CompiledBase
-	}{
-		{RouteCDecisionBases[0], &r.dir},
-		{RouteCDecisionBases[1], &r.vc},
-	} {
-		cb := tables[b.name]
-		if cb == nil {
-			if cb, err = core.CompileBase(p.Checked, b.name, core.CompileOptions{}); err != nil {
-				return nil, err
-			}
-		}
-		*b.dst = cb
-	}
-	layout := core.NewInputLayout(p.Checked)
-	r.iv = core.NewInputVector(layout)
-	r.scratch = core.NewMachine(p.Checked, r.iv.Provider())
-	if dt, err := r.dir.CompileDense(layout); err == nil {
-		r.dirD = dt
-	}
-	if dt, err := r.vc.CompileDense(layout); err == nil {
-		r.vcD = dt
-	}
-	in := &r.slots
-	for _, e := range []struct {
-		name string
-		dst  *int
-	}{
-		{"diffb", &in.diffb}, {"upb", &in.upb}, {"okl", &in.okl},
-		{"nbsafe", &in.nbsafe}, {"notback", &in.notback},
-	} {
-		if *e.dst, err = layout.WordOf(e.name); err != nil {
-			return nil, err
-		}
-		// The words carry one bit per cube dimension.
-		if _, err = layout.SlotOf(e.name, int64(h.Dim-1)); err != nil {
-			return nil, err
-		}
-	}
-	for _, e := range []struct {
-		name string
-		dst  *int
-	}{
-		{"phase", &in.phase}, {"level", &in.level}, {"taking_detour", &in.takingDetour},
-	} {
-		if *e.dst, err = layout.SlotOf(e.name); err != nil {
-			return nil, err
-		}
+	in, d := &r.slots, h.Dim // the words carry one bit per cube dimension
+	err := r.bind(r.native, p, tables, RouteCDecisionBases, []place{
+		{name: "diffb", elems: d, at: &in.diffb}, {name: "upb", elems: d, at: &in.upb},
+		{name: "okl", elems: d, at: &in.okl}, {name: "nbsafe", elems: d, at: &in.nbsafe},
+		{name: "notback", elems: d, at: &in.notback},
+		{name: "phase", at: &in.phase}, {name: "level", at: &in.level},
+		{name: "taking_detour", at: &in.takingDetour},
+	})
+	if err != nil {
+		return nil, err
 	}
 	modes := p.Checked.SymbolSets["modes"]
 	if modes == nil {
@@ -205,36 +148,12 @@ func NewRuleRouteCFromProgram(h *topology.Hypercube, p *Program, tables map[stri
 }
 
 func (r *RuleRouteC) Name() string { return "rule-routec" }
-func (r *RuleRouteC) NumVCs() int  { return r.native.NumVCs() }
-
-// FastPathActive reports whether both decision bases compiled to the
-// dense fast path.
-func (r *RuleRouteC) FastPathActive() bool { return r.dirD != nil && r.vcD != nil }
-
-// DeadlockRegime tags the adapter with the native ROUTE_C discipline:
-// rule and native engines are mutually hot-swappable.
-func (r *RuleRouteC) DeadlockRegime() string { return r.native.DeadlockRegime() }
-
-// InvalidateTables retires the adapter's dense tables; any later
-// fast-path lookup on this instance panics (see RuleNAFTA).
-func (r *RuleRouteC) InvalidateTables() {
-	for _, dt := range []*core.DenseTable{r.dirD, r.vcD} {
-		if dt != nil {
-			dt.Invalidate()
-		}
-	}
-}
 
 // Steps is always two interpretations (decide_dir, decide_vc).
 func (r *RuleRouteC) Steps(routing.Request) int { return 2 }
 
-func (r *RuleRouteC) NoteHop(req routing.Request, chosen routing.Candidate) {
-	r.native.NoteHop(req, chosen)
-}
-
 func (r *RuleRouteC) UpdateFaults(f *fault.Set) {
-	r.faults = f
-	r.native.UpdateFaults(f)
+	r.Engine.UpdateFaults(f)
 	r.rebuildNodes()
 }
 
@@ -301,17 +220,6 @@ func (r *RuleRouteC) CheckLines() error {
 	return nil
 }
 
-// decide runs one compiled table over the current input vector and
-// returns the RETURN value ordinal (see decideBase).
-func (r *RuleRouteC) decide(node topology.NodeID, cb *core.CompiledBase, dt *core.DenseTable,
-	args []rules.Value, dargs []int64) (int64, bool) {
-	r.Lookups++
-	if r.DisableFast {
-		dt = nil
-	}
-	return decideBase(r.prog.Checked, cb, dt, r.iv, r.scratch, args, dargs, node, r.OnRuleFired)
-}
-
 func (r *RuleRouteC) Route(req routing.Request) []routing.Candidate {
 	return r.RouteAppend(req, nil)
 }
@@ -337,7 +245,7 @@ func (r *RuleRouteC) RouteAppend(req routing.Request, buf []routing.Candidate) [
 	iv.Set(in.phase, int64(req.Hdr.Phase))
 	iv.Set(in.level, int64(req.Hdr.DetourLevel))
 	iv.Set(in.takingDetour, 0)
-	modeOrd, ok := r.decide(req.Node, r.dir, r.dirD, nil, nil)
+	modeOrd, ok := r.decide(req.Node, cubeDir, nil, nil)
 	if !ok || modeOrd >= int64(len(r.modes)) {
 		return buf
 	}
@@ -373,7 +281,7 @@ func (r *RuleRouteC) RouteAppend(req routing.Request, buf []routing.Candidate) [
 			outPhase = 0
 		}
 		iv.Set(in.phase, outPhase)
-		vcOrd, ok := r.decide(req.Node, r.vc, r.vcD, r.vcArgs, r.vcDargs)
+		vcOrd, ok := r.decide(req.Node, cubeVC, r.vcArgs, r.vcDargs)
 		if !ok {
 			return buf[:start]
 		}

@@ -367,3 +367,33 @@ func TestRuleNAFTAHonoursMaxMisroutes(t *testing.T) {
 		}
 	}
 }
+
+// A program generated for another cube dimension or port count must not
+// bind: with one element fewer the adapter would store lines the tables
+// never read, with one more the tables would read lines it never stores.
+func TestFromProgramRefusesOtherElementCount(t *testing.T) {
+	cube, mesh := topology.NewHypercube(4), topology.NewMesh(4, 4)
+	for _, delta := range []int{-1, 0, 1} {
+		pc, err := LoadRouteC(cube.Dim+delta, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm, err := LoadMaze(mesh.Ports() + delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, errC := NewRuleRouteCFromProgram(cube, pc, nil)
+		_, errM := NewRuleMazeFromProgram(mesh, pm, nil)
+		for _, tc := range []struct {
+			what string
+			err  error
+		}{
+			{"ROUTE_C program of dimension", errC},
+			{"maze program of port count", errM},
+		} {
+			if (tc.err == nil) != (delta == 0) {
+				t.Errorf("%s %+d from the topology's: bind error %v", tc.what, delta, tc.err)
+			}
+		}
+	}
+}

@@ -11,23 +11,77 @@ import (
 	"repro/internal/trace"
 )
 
+// What the shared Engine promises, over all three families at once.
 // The perf claims of the dense fast path rest on it actually engaging:
-// every decision base of both adapters must compile to a DenseTable.
+// every decision base must compile to a DenseTable and a fast-path
+// RouteAppend must not allocate. Retiring the adapter must retire every
+// one of its bases — the next fast-path lookup panics on each — while
+// the interpreted reference path keeps routing as before.
 func TestRuleAdaptersFastPathActive(t *testing.T) {
-	n, err := NewRuleNAFTA(topology.NewMesh(8, 8))
+	mesh, cube := topology.NewMesh(8, 8), topology.NewHypercube(5)
+	nafta, err := NewRuleNAFTA(mesh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !n.FastPathActive() {
-		t.Fatal("rule-nafta decision bases did not compile to the dense fast path")
-	}
-	c, err := NewRuleRouteC(topology.NewHypercube(5))
+	routec, err := NewRuleRouteC(cube)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.FastPathActive() {
-		t.Fatal("rule-routec decision bases did not compile to the dense fast path")
+	maze, err := NewRuleMaze(mesh)
+	if err != nil {
+		t.Fatal(err)
 	}
+	meshFaults := fault.NewSet()
+	meshFaults.FailNode(mesh.Node(4, 4))
+	cubeFaults := fault.NewSet()
+	cubeFaults.FailNode(3)
+	meshReq := routing.Request{Node: mesh.Node(3, 3), InPort: topology.West,
+		Hdr: &routing.Header{Src: mesh.Node(0, 0), Dst: mesh.Node(7, 7), Length: 4}}
+	cubeReq := routing.Request{Node: 4, InPort: 1, Hdr: &routing.Header{Src: 4, Dst: 31, Length: 4}}
+	for _, tc := range []struct {
+		alg    Adapter
+		faults *fault.Set
+		req    routing.Request
+	}{
+		{nafta, meshFaults, meshReq},
+		{routec, cubeFaults, cubeReq},
+		{maze, meshFaults, meshReq},
+	} {
+		name, e := tc.alg.Name(), tc.alg.RuleEngine()
+		if !e.FastPathActive() {
+			t.Fatalf("%s: decision bases did not compile to the dense fast path", name)
+		}
+		tc.alg.UpdateFaults(tc.faults)
+		buf := make([]routing.Candidate, 0, 8)
+		allocs := testing.AllocsPerRun(200, func() { buf = tc.alg.RouteAppend(tc.req, buf[:0]) })
+		if allocs != 0 {
+			t.Errorf("%s: RouteAppend allocates %.1f/op, want 0", name, allocs)
+		}
+		if len(buf) == 0 {
+			t.Fatalf("%s: expected candidates", name)
+		}
+		want := append([]routing.Candidate(nil), buf...)
+
+		e.InvalidateTables()
+		for b := range e.bases {
+			if !panics(func() { e.decide(tc.req.Node, b, nil, nil) }) {
+				t.Errorf("%s: base %s still answers fast-path lookups after InvalidateTables", name, e.bases[b].cb.Base)
+			}
+		}
+		if !panics(func() { tc.alg.RouteAppend(tc.req, nil) }) {
+			t.Errorf("%s: RouteAppend routed on retired tables", name)
+		}
+		e.DisableFast = true
+		if got := tc.alg.RouteAppend(tc.req, nil); !sameCands(got, want) {
+			t.Errorf("%s: interpreted path after InvalidateTables gives %v, want %v", name, got, want)
+		}
+	}
+}
+
+func panics(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
 }
 
 // firing is one observed OnRuleFired invocation.

@@ -94,6 +94,12 @@ var MazeMeta = []BaseMeta{
 // tables for.
 var MazeDecisionBases = []string{"maze_move", "maze_escape"}
 
+// The Engine's indices of MazeDecisionBases.
+const (
+	mazeMove = iota
+	mazeEscape
+)
+
 // LoadMaze parses and analyses the maze program for a port count.
 func LoadMaze(ports int) (*Program, error) {
 	return Load("MAZE", MazeSource(ports), MazeMeta)
