@@ -503,11 +503,10 @@ func BenchmarkFailover(b *testing.B) {
 		b.Fatal(err)
 	}
 	newPlane := func(b *testing.B, sw *reconfig.Swapper) *failover.Plane {
-		p, err := failover.NewPlane(bundle, g, failover.PlaneOptions{Lanes: 1})
+		p, err := failover.NewPlane(bundle, g, sw, failover.PlaneOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		p.Bind(failover.ForSwapper(sw))
 		return p
 	}
 	initial, err := reconfig.NewEngine(art, g)

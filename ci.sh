@@ -4,41 +4,36 @@
 #   2. go build   everything compiles
 #   3. go test -race   full suite under the race detector (the trace
 #      subsystem's one-recorder-per-job discipline is only proven here);
-#      it includes the frozen VA walk (TestAllocMatchesFrozenWalk) and
-#      the generator's statistical tests (internal/traffic)
+#      it includes the frozen VA walk (TestAllocMatchesFrozenWalk),
+#      the generator's statistical tests (internal/traffic) and the
+#      fleet's scatter-vs-single-node rollout, reload-under-load and
+#      flip-vs-rollback race tests (internal/fleet)
 #   4. coverage floor: statement coverage of internal/... must stay
 #      >= COVER_FLOOR (baseline was 84.1% when the gate was added)
 #   5. campaign smoke (under -race): 25 randomized fault-injection
 #      scenarios per algorithm family must pass every conformance
 #      oracle
-#   6. routerd smoke (under -race): the decision service serves 1k
-#      batched decisions while the table artifact is hot-reloaded
-#      mid-load; zero failed decisions and an advanced epoch required
-#   7. fleet smoke (under -race): 3 in-process shard-owning replicas
-#      answer 1k+ scattered decisions bit-identically to a single-node
-#      reference across a hot push/canary/promote/rollback cycle, with
-#      zero canary divergence and verified memoization hits
-#   8. failover smoke (under -race): every enumerated fault class of
+#   6. failover smoke (under -race): every enumerated fault class of
 #      both families must resolve to a backup flip whose decisions
 #      equal a from-scratch recompute, and a failover-enabled campaign
 #      (25 scenarios per family) must be statistics-identical to the
 #      plain runs with the predicted flip/recompute counters
-#   9. big-topology and saturation smokes (under -race): ftsim runs at
+#   7. big-topology and saturation smokes (under -race): ftsim runs at
 #      4096 nodes (mesh64x64, the regime the arena/active-set engine
 #      exists for) at 0.02 and at 0.005 flits/node/cycle (a few messages
 #      a cycle: the generator's geometric gaps span many nodes) and one
 #      of rule-table ROUTE_C on an 8-cube past saturation (every VC
 #      contended: the credit-aware switch stage's and the sleeping VA
 #      heads' regime) must each drain without a watchdog or livelock exit
-#  10. repo benchmark smoke: `go run ./bench --quick --reps 1`, then the
+#   8. repo benchmark smoke: `go run ./bench --quick --reps 1`, then the
 #      same with `--trace 1` — the exit status is the gate (every
 #      workload builds, runs and passes its own output checks), so a
 #      change that breaks the frozen benchmark fails here first
-#  11. batch-frame fuzz: 10 s of FuzzBatchFrame on the /decide/batch
+#   9. batch-frame fuzz: 10 s of FuzzBatchFrame on the /decide/batch
 #      binary frame decoders (request and response) — no panic, and
 #      whatever decodes must encode back to the same bytes; a failing
 #      input is written under internal/fleet/testdata/fuzz
-#  12. decision fast-path fuzz: 5 s each of FuzzDenseMaskDifferential
+#  10. decision fast-path fuzz: 5 s each of FuzzDenseMaskDifferential
 #      (random quantifier bodies compiled with and without the mask
 #      step must agree on rule and fallback, internal/core),
 #      FuzzRuleRouteCDifferential (dense vs interpreted ROUTE_C
@@ -48,7 +43,7 @@
 #      and FuzzMazeFastPath (the same for the maze family on a mesh, a
 #      torus and an irregular graph, traversal state in the header
 #      included)
-#  13. (opt-in) bench regression gate: set BENCH_BASELINE to a
+#  11. (opt-in) bench regression gate: set BENCH_BASELINE to a
 #      committed snapshot to re-run the benchmarks and fail on a >20%
 #      ns/op or bytes/op regression (cmd/benchjson -baseline), e.g. the
 #      stepping engine's current baseline:
@@ -90,12 +85,6 @@ go run -race ./cmd/campaign -scenarios 25 -seed 1 -algo routec
 # partitioning fault patterns; the guaranteed-delivery oracle requires
 # every drop to carry a true unreachability verdict (zero sacrifices).
 go run -race ./cmd/campaign -scenarios 25 -seed 1 -algo maze
-
-echo "== routerd smoke (1k batched decisions across a hot reload, -race)"
-go run -race ./cmd/routerd -smoke -requests 1000 -batch 32
-
-echo "== fleet smoke (3 replicas, scatter/gather vs single-node, canary+rollback, -race)"
-go run -race ./cmd/fleetload -smoke
 
 echo "== failover smoke (flip-vs-recompute equivalence per fault class, -race)"
 go test -race -count=1 -run 'TestFailoverFlipMatchesRecompute' ./internal/failover/

@@ -31,43 +31,33 @@
 // never scrape prose. On SIGINT/SIGTERM the server stops accepting
 // connections and drains in-flight decisions for up to -drain before
 // exiting — a fleet replica can be rolled without failing a batch.
-//
-// The -smoke flag runs the built-in load generator against an
-// in-process server: workers stream batched decisions while the table
-// artifact is hot-reloaded mid-load, and the run fails unless every
-// decision succeeded and the epoch advanced.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/reconfig"
-	"repro/internal/routing"
 	"repro/internal/topology"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
-func run(argv []string, stdout, stderr io.Writer) int {
+func run(argv []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("routerd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -83,11 +73,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		maxBatch  = fs.Int("max-batch", 4096, "largest accepted /decide/batch")
 		drain     = fs.Duration("drain", 5*time.Second, "in-flight drain budget on SIGINT/SIGTERM")
 		pprof     = fs.Bool("pprof", false, "mount net/http/pprof profiling endpoints under /debug/pprof/")
-		smoke     = fs.Bool("smoke", false, "run the load generator against an in-process server and exit")
-		requests  = fs.Int("requests", 1000, "smoke: total decisions to issue")
-		batch     = fs.Int("batch", 32, "smoke: decisions per batch request")
-		workers   = fs.Int("workers", 8, "smoke: concurrent load workers")
-		seed      = fs.Int64("seed", 1, "smoke: traffic seed")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -130,13 +115,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return die(err)
 	}
 
-	if *smoke {
-		if err := runSmoke(srv, art, stdout, *requests, *batch, *workers, *seed); err != nil {
-			return die(fmt.Errorf("smoke: %w", err))
-		}
-		return 0
-	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return die(err)
@@ -147,7 +125,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		planeNote = fmt.Sprintf(", %d failover classes", p.CoveredClasses())
 	}
 	log.Printf("routerd: serving %s (%s) on %s, shard %s, %d engine lanes, epoch %d, sha256:%.12s%s",
-		art.Name, g.Name(), ln.Addr(), srv.Shard(), srv.Service().Shards(), srv.Service().Epoch(), sum, planeNote)
+		art.Name, g.Name(), ln.Addr(), srv.Shard(), srv.Service().Lanes(), srv.Service().Epoch(), sum, planeNote)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -180,177 +158,4 @@ func serve(ctx context.Context, ln net.Listener, handler http.Handler, drain tim
 	}
 	<-errc // Serve has returned ErrServerClosed
 	return nil
-}
-
-// Wire aliases so callers of the main package's test helpers read
-// naturally; the types live in internal/fleet.
-type (
-	Decision     = fleet.Decision
-	FaultRequest = fleet.FaultRequest
-)
-
-// runSmoke drives the built-in load generator: workers stream batched
-// decisions over real HTTP while the artifact is hot-reloaded halfway
-// through, then the counters are checked.
-func runSmoke(srv *fleet.Server, art *reconfig.Artifact, stdout io.Writer, requests, batchSize, workers int, seed int64) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv.Mux()}
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
-	base := "http://" + ln.Addr().String()
-	svc := srv.Service()
-	nodes := srv.Graph().Nodes()
-
-	// The reload payload: the same program stamped as the next epoch —
-	// a same-regime swap, which is what a live re-program looks like.
-	next := *art
-	next.Epoch = svc.Epoch() + 1
-	var artBytes bytes.Buffer
-	if err := next.Encode(&artBytes); err != nil {
-		return err
-	}
-
-	startEpoch := svc.Epoch()
-	batches := make(chan []reconfig.DecisionRequest, workers)
-	go func() {
-		rng := rand.New(rand.NewSource(seed))
-		left := requests
-		for left > 0 {
-			n := batchSize
-			if n > left {
-				n = left
-			}
-			b := make([]reconfig.DecisionRequest, n)
-			for i := range b {
-				b[i] = randomRequest(rng, nodes)
-			}
-			batches <- b
-			left -= n
-		}
-		close(batches)
-	}()
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		done     int
-		reloaded bool
-	)
-	client := &http.Client{Timeout: 30 * time.Second}
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range batches {
-				payload, _ := json.Marshal(b)
-				resp, err := client.Post(base+"/decide/batch", "application/json", bytes.NewReader(payload))
-				if err != nil {
-					fail(err)
-					return
-				}
-				var out []Decision
-				err = json.NewDecoder(resp.Body).Decode(&out)
-				resp.Body.Close()
-				if err != nil {
-					fail(err)
-					return
-				}
-				if len(out) != len(b) {
-					fail(fmt.Errorf("batch of %d answered with %d decisions", len(b), len(out)))
-					return
-				}
-				for i, d := range out {
-					if d.Error != "" {
-						fail(fmt.Errorf("decision failed: %s", d.Error))
-						return
-					}
-					if d.Unroutable {
-						fail(fmt.Errorf("fault-free request %+v judged unroutable", b[i]))
-						return
-					}
-				}
-				mu.Lock()
-				done += len(b)
-				trigger := !reloaded && done >= requests/2
-				if trigger {
-					reloaded = true
-				}
-				mu.Unlock()
-				if trigger {
-					resp, err := client.Post(base+"/reload", "application/octet-stream", bytes.NewReader(artBytes.Bytes()))
-					if err != nil {
-						fail(fmt.Errorf("hot reload: %w", err))
-						return
-					}
-					body, _ := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						fail(fmt.Errorf("hot reload: %s: %s", resp.Status, bytes.TrimSpace(body)))
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-
-	m := svc.Metrics()
-	switch {
-	case m.Failed != 0:
-		return fmt.Errorf("%d failed decisions", m.Failed)
-	case m.Unroutable != 0:
-		return fmt.Errorf("%d unroutable decisions under a fault-free table", m.Unroutable)
-	case !reloaded:
-		return fmt.Errorf("load finished before the hot reload fired")
-	case m.Epoch <= startEpoch:
-		return fmt.Errorf("epoch did not advance across the reload (still %d)", m.Epoch)
-	}
-	cacheNote := ""
-	if c := srv.Registry().Cache(); c != nil {
-		cm := c.Metrics()
-		// With the cache on, served decisions = service decisions + hits;
-		// the smoke still demands every issued decision was answered.
-		if m.Decisions+cm.Hits != int64(requests) {
-			return fmt.Errorf("issued %d decisions, served %d (+%d memoized)", requests, m.Decisions, cm.Hits)
-		}
-		cacheNote = fmt.Sprintf(", %d memoized (%.0f%% hit)", cm.Hits, 100*cm.HitRate)
-	} else if m.Decisions != int64(requests) {
-		return fmt.Errorf("issued %d decisions, served %d", requests, m.Decisions)
-	}
-	fmt.Fprintf(stdout, "smoke ok: %d decisions across %d workers, hot reload epoch %d -> %d, p50 %.1fus p99 %.1fus%s\n",
-		int64(requests), workers, startEpoch, m.Epoch, m.LatencyP50, m.LatencyP99, cacheNote)
-	return nil
-}
-
-// randomRequest builds a fault-free injection-time decision request
-// (in_port = injection, clean header), which every builtin table must
-// be able to route.
-func randomRequest(rng *rand.Rand, nodes int) reconfig.DecisionRequest {
-	src := rng.Intn(nodes)
-	dst := rng.Intn(nodes)
-	for dst == src {
-		dst = rng.Intn(nodes)
-	}
-	return reconfig.DecisionRequest{
-		Node:   src,
-		InPort: routing.InjectionPort,
-		InVC:   0,
-		Src:    src,
-		Dst:    dst,
-		Length: 4,
-	}
 }

@@ -9,8 +9,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -58,8 +56,8 @@ func postJSON(t *testing.T, ts *httptest.Server, path string, body any) (*http.R
 }
 
 func TestFailoverFlagValidation(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	code := run([]string{"-failover", "sideways", "-smoke"}, &out, &errBuf)
+	var errBuf bytes.Buffer
+	code := run([]string{"-failover", "sideways"}, &errBuf)
 	if code == 0 {
 		t.Fatal("bogus -failover mode accepted")
 	}
@@ -77,7 +75,7 @@ func TestFaultEndpointFlipsCoveredClass(t *testing.T) {
 	defer ts.Close()
 
 	// Node 7 is a covered single-node class: must flip.
-	resp, body := postJSON(t, ts, "/fault", FaultRequest{Nodes: []int{7}})
+	resp, body := postJSON(t, ts, "/fault", fleet.FaultRequest{Nodes: []int{7}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("%s: %s", resp.Status, body)
 	}
@@ -99,7 +97,7 @@ func TestFaultEndpointFlipsCoveredClass(t *testing.T) {
 	_, body = postJSON(t, ts, "/decide", reconfig.DecisionRequest{
 		Node: 6, InPort: -1, Src: 6, Dst: 8, Length: 4,
 	})
-	var d Decision
+	var d fleet.Decision
 	if err := json.Unmarshal(body, &d); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +107,7 @@ func TestFaultEndpointFlipsCoveredClass(t *testing.T) {
 
 	// A two-node state matches no enumerated class: falls back to
 	// live recompute, flipped=false.
-	resp, body = postJSON(t, ts, "/fault", FaultRequest{Nodes: []int{7, 12}})
+	resp, body = postJSON(t, ts, "/fault", fleet.FaultRequest{Nodes: []int{7, 12}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("%s: %s", resp.Status, body)
 	}
@@ -158,7 +156,7 @@ func TestFaultEndpointWithoutPlane(t *testing.T) {
 	ts := httptest.NewServer(srv.Mux())
 	defer ts.Close()
 
-	resp, body := postJSON(t, ts, "/fault", FaultRequest{Nodes: []int{7}})
+	resp, body := postJSON(t, ts, "/fault", fleet.FaultRequest{Nodes: []int{7}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("%s: %s", resp.Status, body)
 	}
@@ -175,7 +173,7 @@ func TestFaultEndpointWithoutPlane(t *testing.T) {
 	_, body = postJSON(t, ts, "/decide", reconfig.DecisionRequest{
 		Node: 6, InPort: -1, Src: 6, Dst: 8, Length: 4,
 	})
-	var d Decision
+	var d fleet.Decision
 	if err := json.Unmarshal(body, &d); err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +189,11 @@ func TestFaultEndpointValidation(t *testing.T) {
 	ts := httptest.NewServer(srv.Mux())
 	defer ts.Close()
 
-	resp, body := postJSON(t, ts, "/fault", FaultRequest{Nodes: []int{99}})
+	resp, body := postJSON(t, ts, "/fault", fleet.FaultRequest{Nodes: []int{99}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range node accepted: %s %s", resp.Status, body)
 	}
-	resp, body = postJSON(t, ts, "/fault", FaultRequest{Links: [][2]int{{0, -3}}})
+	resp, body = postJSON(t, ts, "/fault", fleet.FaultRequest{Links: [][2]int{{0, -3}}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range link accepted: %s %s", resp.Status, body)
 	}
@@ -207,7 +205,7 @@ func TestReloadAcceptsBundle(t *testing.T) {
 	defer ts.Close()
 
 	// Consume a backup, then reload: the rebuilt plane must be fresh.
-	postJSON(t, ts, "/fault", FaultRequest{Nodes: []int{7}})
+	postJSON(t, ts, "/fault", fleet.FaultRequest{Nodes: []int{7}})
 	if srv.Plane().Flips() != 1 {
 		t.Fatal("setup flip missing")
 	}
@@ -267,41 +265,6 @@ func TestReloadRejectsMismatchedBundleTopology(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("6x6 bundle accepted on a 5x4 server: %s", resp.Status)
 	}
-}
-
-func TestSmokeRunsWithBundleArtifact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("in-process HTTP load in -short mode")
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "nafta.bdl")
-	art, err := reconfig.Build("nafta", reconfig.BuildOptions{Epoch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bundle, err := failover.BuildBundle(art, topology.NewMesh(5, 4), []string{"node"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeBundle(path, bundle); err != nil {
-		t.Fatal(err)
-	}
-	var out, errBuf bytes.Buffer
-	code := run([]string{"-artifact", path, "-smoke", "-requests", "200", "-workers", "4"}, &out, &errBuf)
-	if code != 0 {
-		t.Fatalf("smoke over a bundle failed (%d): %s", code, errBuf.String())
-	}
-	if !strings.Contains(out.String(), "smoke ok") {
-		t.Fatalf("smoke output: %s", out.String())
-	}
-}
-
-func writeBundle(path string, b *failover.Bundle) error {
-	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // TestServeDrainsInflight exercises the SIGTERM path: serve must let

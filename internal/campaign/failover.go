@@ -133,7 +133,7 @@ func expectedFlips(s *Scenario, plane *failover.Plane) (flips, recomputes int64)
 
 // buildFailoverConfig assembles the scenario's failover run: the
 // factory engine wrapped in an epoch swapper, a plane precompiled for
-// the scenario's fault states bound to it, and the plane forwarded as
+// the scenario's fault states that flips into it, and the plane forwarded as
 // the network's fault handler. planeSlot receives the plane for the
 // post-run counter checks.
 func buildFailoverConfig(s *Scenario, factory AlgFactory,
@@ -151,11 +151,10 @@ func buildFailoverConfig(s *Scenario, factory AlgFactory,
 	if err != nil {
 		return sim.Config{}, err
 	}
-	plane, err := failover.NewPlane(bundle, cfg.Graph, failover.PlaneOptions{Lanes: 1})
+	plane, err := failover.NewPlane(bundle, cfg.Graph, sw, failover.PlaneOptions{})
 	if err != nil {
 		return sim.Config{}, err
 	}
-	plane.Bind(failover.ForSwapper(sw))
 	cfg.Failover = plane
 	if planeSlot != nil {
 		*planeSlot = plane

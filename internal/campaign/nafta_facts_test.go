@@ -27,8 +27,8 @@ import (
 // the serving engine right after every swap or flip, and right after
 // every fault event the failover plane resolved (which also reaches the
 // plane's precompiled engines). The decision service's installs
-// (ReloadPrepared, InstallEngines) are held to the same oracle in
-// internal/reconfig, where the shard engines can be reached.
+// (Reload, Install) are held to the same oracle in internal/reconfig,
+// where the shard engines can be reached.
 func TestRuleNAFTAFactsFreshAcrossFaultEvents(t *testing.T) {
 	m := topology.NewMesh(6, 6)
 	s := Scenario{

@@ -250,7 +250,11 @@ func TestBundleTopologyMismatchRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewPlane(b, topology.NewMesh(6, 6), PlaneOptions{}); err == nil {
+	eng, err := reconfig.NewEngine(art, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPlane(b, topology.NewMesh(6, 6), reconfig.NewSwapper(eng), PlaneOptions{}); err == nil {
 		t.Fatal("4x4 bundle accepted on a 6x6 plane")
 	}
 }
@@ -321,12 +325,8 @@ func TestFailoverFlipMatchesRecompute(t *testing.T) {
 	for _, fam := range fams {
 		fam := fam
 		t.Run(fam.name, func(t *testing.T) {
-			plane, err := NewPlane(fam.b, fam.g, PlaneOptions{Lanes: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
 			// One builder amortises program analysis for the per-class
-			// reference engines and the swappers' initial engines.
+			// reference engines and the swapper's initial engine.
 			eb, err := reconfig.NewEngineBuilder(fam.art, fam.g)
 			if err != nil {
 				t.Fatal(err)
@@ -335,17 +335,19 @@ func TestFailoverFlipMatchesRecompute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// One swapper takes every class's flip in turn: each flip
+			// retires the previous class's engine (tables invalidated),
+			// which is never consulted again.
+			sw := reconfig.NewSwapper(initial)
+			plane, err := NewPlane(fam.b, fam.g, sw, PlaneOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			classes := plane.Classes()
 			if len(classes) == 0 {
 				t.Fatal("plane covers nothing")
 			}
 			for _, c := range classes {
-				// The initial engine never decides here, so one instance
-				// can seed every per-class swapper (it is retired —
-				// tables invalidated — on each flip, which only matters
-				// to engines that keep routing).
-				sw := reconfig.NewSwapper(initial)
-				plane.Bind(ForSwapper(sw))
 				set := c.Set()
 				if !plane.Covered(set) {
 					t.Fatalf("class %s not covered by its own plane", c.String())
@@ -377,8 +379,13 @@ func TestFailoverFlipMatchesRecompute(t *testing.T) {
 func TestPlaneFallbackPaths(t *testing.T) {
 	m := topology.NewMesh(4, 4)
 	art, b := buildNAFTABundle(t, m, []string{KindNode})
+	eng, err := reconfig.NewEngine(art, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := reconfig.NewSwapper(eng)
 	// Filter the plane down to node 5 only.
-	plane, err := NewPlane(b, m, PlaneOptions{Filter: func(c Class) bool {
+	plane, err := NewPlane(b, m, sw, PlaneOptions{Filter: func(c Class) bool {
 		return len(c.Nodes) == 1 && c.Nodes[0] == 5
 	}})
 	if err != nil {
@@ -387,12 +394,6 @@ func TestPlaneFallbackPaths(t *testing.T) {
 	if plane.CoveredClasses() != 1 {
 		t.Fatalf("filter kept %d classes", plane.CoveredClasses())
 	}
-	eng, err := reconfig.NewEngine(art, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := reconfig.NewSwapper(eng)
-	plane.Bind(ForSwapper(sw))
 
 	// Empty set: recompute path, uncounted.
 	if plane.OnFault(fault.NewSet()) {
@@ -440,14 +441,12 @@ func TestPlaneWithServiceInstaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plane, err := NewPlane(b, m, PlaneOptions{
-		Lanes:  svc.Shards(),
+	plane, err := NewPlane(b, m, svc, PlaneOptions{
 		Filter: func(c Class) bool { return len(c.Nodes) == 1 && c.Nodes[0] <= 3 },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plane.Bind(ForService(svc))
 
 	before := svc.Epoch()
 	f := fault.NewSet()
@@ -480,21 +479,6 @@ func TestPlaneWithServiceInstaller(t *testing.T) {
 	if plane.Recomputes() != 1 {
 		t.Fatalf("recomputes = %d", plane.Recomputes())
 	}
-}
-
-func TestPlaneUnboundPanics(t *testing.T) {
-	m := topology.NewMesh(4, 4)
-	_, b := buildNAFTABundle(t, m, []string{KindNode})
-	plane, err := NewPlane(b, m, PlaneOptions{Filter: func(c Class) bool { return false }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("OnFault before Bind did not panic")
-		}
-	}()
-	plane.OnFault(fault.NewSet())
 }
 
 func TestBackupClassRoundTrip(t *testing.T) {

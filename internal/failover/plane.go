@@ -13,41 +13,23 @@ import (
 	"repro/internal/topology"
 )
 
-// Installer abstracts the two engine hosts the plane can flip into:
-// the simulator's epoch Swapper and routerd's sharded Service. Install
-// receives one prebuilt engine per lane and the observed fault set;
-// Recompute is the measured fall-back — run the live diagnosis
+// Host is an engine holder the plane flips into: the simulator's
+// reconfig.Swapper (one lane), routerd's sharded reconfig.Service or a
+// fleet Registry (one lane per shard). A host remembers the cumulative
+// fault state, and every engine it installs already knows it. Install
+// takes one prebuilt engine per lane together with the observed fault
+// set; UpdateFaults is the measured fall-back — the live diagnosis
 // fixpoint on the engines already serving.
-type Installer interface {
+type Host interface {
+	Lanes() int
 	Install(engines []routing.Algorithm, f *fault.Set) error
-	Recompute(f *fault.Set)
+	UpdateFaults(f *fault.Set)
 }
 
-// swapperInstaller flips through reconfig.Swapper.SwapPrecomputed
-// (one lane: the simulator decides single-threaded per network).
-type swapperInstaller struct{ sw *reconfig.Swapper }
-
-func (i swapperInstaller) Install(engines []routing.Algorithm, f *fault.Set) error {
-	_, _, err := i.sw.SwapPrecomputed(engines[0], f)
-	return err
-}
-func (i swapperInstaller) Recompute(f *fault.Set) { i.sw.UpdateFaults(f) }
-
-// ForSwapper adapts an epoch swapper as a one-lane installer.
-func ForSwapper(sw *reconfig.Swapper) Installer { return swapperInstaller{sw} }
-
-// serviceInstaller flips through reconfig.Service.InstallEngines (one
-// lane per shard).
-type serviceInstaller struct{ svc *reconfig.Service }
-
-func (i serviceInstaller) Install(engines []routing.Algorithm, f *fault.Set) error {
-	_, err := i.svc.InstallEngines(engines)
-	return err
-}
-func (i serviceInstaller) Recompute(f *fault.Set) { i.svc.UpdateFaults(f) }
-
-// ForService adapts a decision service as a shards-lane installer.
-func ForService(svc *reconfig.Service) Installer { return serviceInstaller{svc} }
+var (
+	_ Host = (*reconfig.Swapper)(nil)
+	_ Host = (*reconfig.Service)(nil)
+)
 
 // backup is one precompiled class: its engines (one per lane) carry
 // the class's post-fault distributed state, applied eagerly at plane
@@ -65,9 +47,6 @@ type backup struct {
 
 // PlaneOptions tune plane construction.
 type PlaneOptions struct {
-	// Lanes is the number of engine instances built per class: 1 for a
-	// Swapper host, Service.Shards() for a Service host. Defaults to 1.
-	Lanes int
 	// Filter, when set, keeps only classes it accepts — the campaign
 	// uses it to precompile exactly the classes a scenario can hit.
 	Filter func(Class) bool
@@ -84,8 +63,8 @@ type PlaneOptions struct {
 // Concurrency: OnFault serializes on the plane mutex. The simulator
 // calls it from the network goroutine; routerd from HTTP handlers.
 type Plane struct {
-	bundle    *Bundle
-	installer Installer
+	bundle *Bundle
+	host   Host
 
 	mu      sync.Mutex
 	classes map[string]*backup
@@ -116,13 +95,13 @@ type PlaneMetrics struct {
 	RecomputeP999   float64 `json:"recompute_us_p999"`
 }
 
-// NewPlane precompiles the bundle's backup engines against topology g:
-// one EngineBuilder per lane amortises program analysis and table
-// deserialization across all classes, each engine gets its class's
-// fault set applied (the diagnosis fixpoint runs HERE, at load time),
-// and the finished engines wait in a map keyed by canonical fault key.
-// Bind an installer before the first OnFault.
-func NewPlane(b *Bundle, g topology.Graph, opts PlaneOptions) (*Plane, error) {
+// NewPlane precompiles the bundle's backup engines against topology g
+// for host: one EngineBuilder per host lane amortises program analysis
+// and table deserialization across all classes, each engine gets its
+// class's fault set applied (the diagnosis fixpoint runs HERE, at load
+// time), and the finished engines wait in a map keyed by canonical
+// fault key.
+func NewPlane(b *Bundle, g topology.Graph, host Host, opts PlaneOptions) (*Plane, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
@@ -133,10 +112,7 @@ func NewPlane(b *Bundle, g topology.Graph, opts PlaneOptions) (*Plane, error) {
 	if g.Name() != want.Name() {
 		return nil, fmt.Errorf("failover: bundle enumerated on %s, plane built on %s", want.Name(), g.Name())
 	}
-	lanes := opts.Lanes
-	if lanes <= 0 {
-		lanes = 1
-	}
+	lanes := host.Lanes()
 	// Shared builders for backups that inherit the primary's tables
 	// (today: all of them); a backup shipping its own Bases gets
 	// dedicated builders below.
@@ -150,6 +126,7 @@ func NewPlane(b *Bundle, g topology.Graph, opts PlaneOptions) (*Plane, error) {
 	}
 	p := &Plane{
 		bundle:     b,
+		host:       host,
 		classes:    make(map[string]*backup),
 		flipHist:   metrics.NewHistogram(0.5, 2000),
 		recompHist: metrics.NewHistogram(5, 2000),
@@ -192,9 +169,6 @@ func NewPlane(b *Bundle, g topology.Graph, opts PlaneOptions) (*Plane, error) {
 	return p, nil
 }
 
-// Bind attaches the engine host the plane flips into.
-func (p *Plane) Bind(inst Installer) { p.installer = inst }
-
 // CoveredClasses returns the number of precompiled classes.
 func (p *Plane) CoveredClasses() int {
 	p.mu.Lock()
@@ -229,11 +203,8 @@ func (p *Plane) Classes() []Class {
 // counted — it is fault *clearing*, which no backup anticipates.
 // This is the network.FaultHandler hook.
 func (p *Plane) OnFault(f *fault.Set) bool {
-	if p.installer == nil {
-		panic("failover: plane used before Bind")
-	}
 	if f == nil || f.Empty() {
-		p.installer.Recompute(f)
+		p.host.UpdateFaults(f)
 		return false
 	}
 	p.mu.Lock()
@@ -247,7 +218,7 @@ func (p *Plane) OnFault(f *fault.Set) bool {
 
 	if bk != nil {
 		start := time.Now()
-		err := p.installer.Install(bk.engines, f)
+		err := p.host.Install(bk.engines, f)
 		elapsed := time.Since(start)
 		if err == nil {
 			p.flips.Add(1)
@@ -260,7 +231,7 @@ func (p *Plane) OnFault(f *fault.Set) bool {
 		// recompute path so the network still converges on f.
 	}
 	start := time.Now()
-	p.installer.Recompute(f)
+	p.host.UpdateFaults(f)
 	elapsed := time.Since(start)
 	p.recomputes.Add(1)
 	p.histMu.Lock()

@@ -15,8 +15,8 @@ import (
 	"repro/internal/reconfig"
 )
 
-// Client is the fleet-side library behind cmd/fleetload and any Go
-// caller of a routerd replica set: it knows the replica URLs in shard
+// Client is the fleet-side library behind the repository benchmark and
+// any Go caller of a routerd replica set: it knows the replica URLs in shard
 // order, scatters a decision batch by node ownership, gathers the
 // answers back into request order, and retries a down replica with
 // exponential backoff before giving up. Replica i must be running

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -273,14 +274,50 @@ func TestClientContextCancelsBackoff(t *testing.T) {
 	}
 }
 
+// scatterMatches sends reqs through the client and holds every answer
+// to the single-node reference service, bit for bit.
+func scatterMatches(t *testing.T, client *Client, ref *reconfig.Service, reqs []reconfig.DecisionRequest, phase string) {
+	t.Helper()
+	out, err := client.DecideBatch(context.Background(), reqs)
+	if err != nil {
+		t.Fatalf("%s: %v", phase, err)
+	}
+	for i := range reqs {
+		want, _, err := ref.Decide(&reqs[i], nil)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", phase, err)
+		}
+		if out[i].Error != "" || out[i].Unroutable != (len(want) == 0) || !candidatesEqual(out[i].Candidates, want) {
+			t.Fatalf("%s: request %+v: fleet answered %+v, reference %+v", phase, reqs[i], out[i], want)
+		}
+	}
+}
+
+// TestClientFleetRollout drives a hot push/canary/promote/rollback
+// cycle over three shard-owning replicas. The rollout pushes the same
+// program, so in every phase a scattered batch must answer exactly as
+// a single-node reference service does; the canary must sample and
+// never diverge, no replica may be sent a node it does not own, and a
+// repeated batch must hit the memoization cache on every replica.
 func TestClientFleetRollout(t *testing.T) {
 	client, servers := testFleet(t, 3)
 	g := servers[0].Graph()
-	art := buildArt(t, "nafta", 2, g)
-	payload := encodeArt(t, art)
+	ref, err := reconfig.NewService(buildArt(t, "nafta", 1, g), g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	batch := func() []reconfig.DecisionRequest {
+		reqs := make([]reconfig.DecisionRequest, 48)
+		for i := range reqs {
+			reqs[i] = randomDifferentialRequest(rng, g)
+		}
+		return reqs
+	}
+	scatterMatches(t, client, ref, batch(), "before the rollout")
 
 	ctx := context.Background()
-	v, err := client.Push(ctx, payload)
+	v, err := client.Push(ctx, encodeArt(t, buildArt(t, "nafta", 2, g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,6 +327,16 @@ func TestClientFleetRollout(t *testing.T) {
 	if err := client.Canary(ctx, v, 0.5); err != nil {
 		t.Fatal(err)
 	}
+	scatterMatches(t, client, ref, batch(), "under canary")
+	for i := range servers {
+		st, err := client.RegistryStatus(ctx, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Canary == nil || st.Canary.Diverged != 0 || st.Canary.Sampled == 0 {
+			t.Fatalf("replica %d: same-program canary %+v, want samples and no divergence", i, st.Canary)
+		}
+	}
 	if err := client.Promote(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -298,10 +345,11 @@ func TestClientFleetRollout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Serving != 2 {
-			t.Fatalf("replica %d serving v%d after fleet promote", i, st.Serving)
+		if st.Serving != 2 || st.Previous != 1 {
+			t.Fatalf("replica %d serving v%d (previous v%d) after fleet promote, want v2/v1", i, st.Serving, st.Previous)
 		}
 	}
+	scatterMatches(t, client, ref, batch(), "after promote")
 	if err := client.Rollback(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -311,4 +359,26 @@ func TestClientFleetRollout(t *testing.T) {
 			t.Fatalf("replica %d serving v%d after fleet rollback", i, st.Serving)
 		}
 	}
+	scatterMatches(t, client, ref, batch(), "after rollback")
+
+	// The gate the fleet smoke ended on: a repeated batch still matches
+	// the reference, every replica served part of it from its cache, and
+	// none was ever sent a node it does not own.
+	t.Run("smoke gate", func(t *testing.T) {
+		repeat := batch()
+		scatterMatches(t, client, ref, repeat, "repeated batch, first pass")
+		scatterMatches(t, client, ref, repeat, "repeated batch, second pass")
+		for i := range servers {
+			var doc MetricsDoc
+			if err := client.Metrics(ctx, i, &doc); err != nil {
+				t.Fatal(err)
+			}
+			if doc.Cache == nil || doc.Cache.Hits == 0 {
+				t.Fatalf("replica %d: repeated batch produced no cache hits (%+v)", i, doc.Cache)
+			}
+			if doc.Misdirected != 0 {
+				t.Fatalf("replica %d answered %d misdirected decisions", i, doc.Misdirected)
+			}
+		}
+	})
 }

@@ -95,16 +95,14 @@ type RegistryStatus struct {
 // from the candidate with the live fault state pre-applied, and
 // Rollback restores the previously serving version in one call.
 type Registry struct {
-	g      topology.Graph
-	nshard int
-	svc    *reconfig.Service
-	cache  *Cache
+	g     topology.Graph
+	svc   *reconfig.Service
+	cache *Cache
 
 	mu       sync.Mutex
 	versions []*Version
 	serving  int
 	previous int
-	faults   *fault.Set // last applied cumulative fault state
 
 	canary atomic.Pointer[canaryRun]
 }
@@ -128,7 +126,7 @@ func NewRegistry(art *reconfig.Artifact, g topology.Graph, opts RegistryOptions)
 	if err != nil {
 		return nil, err
 	}
-	r := &Registry{g: g, nshard: svc.Shards(), svc: svc, cache: NewCache(opts.CacheEntries)}
+	r := &Registry{g: g, svc: svc, cache: NewCache(opts.CacheEntries)}
 	v, err := r.push(art)
 	if err != nil {
 		return nil, err
@@ -276,12 +274,12 @@ func (r *Registry) StartCanary(id int, fraction float64) error {
 	if err != nil {
 		return err
 	}
-	svc, err := reconfig.NewService(v.art, r.g, r.nshard)
+	svc, err := reconfig.NewService(v.art, r.g, r.svc.Lanes())
 	if err != nil {
 		return err
 	}
-	if r.faults != nil && !r.faults.Empty() {
-		svc.UpdateFaults(r.faults)
+	if f := r.svc.Faults(); f != nil && !f.Empty() {
+		svc.UpdateFaults(f)
 	}
 	numer := uint64(fraction*canaryFractionDenom + 0.5)
 	if numer == 0 {
@@ -375,14 +373,14 @@ func (r *Registry) Reload(art *reconfig.Artifact) (uint64, error) {
 	return r.activate(v)
 }
 
-// activate makes v the serving version (registry lock held): engines
-// are built from the artifact, the live fault state is applied to them
-// off to the side, the service flips atomically, and the memoization
-// cache is invalidated last — mutate-then-invalidate, so a cache miss
-// that observes the new generation is guaranteed to decide on the new
+// activate makes v the serving version (registry lock held): the
+// service reloads from the artifact, its engines knowing the live
+// fault state before they serve, and the memoization cache is
+// invalidated last — mutate-then-invalidate, so a cache miss that
+// observes the new generation is guaranteed to decide on the new
 // engines.
 func (r *Registry) activate(v *Version) (uint64, error) {
-	epoch, err := r.svc.ReloadPrepared(v.art, r.faults)
+	epoch, err := r.svc.Reload(v.art)
 	if err != nil {
 		return epoch, err
 	}
@@ -397,23 +395,17 @@ func (r *Registry) activate(v *Version) (uint64, error) {
 }
 
 // UpdateFaults applies a cumulative fault state to the incumbent (live
-// recompute) and to any canary candidate, remembers it for future
-// activations, and invalidates the cache. This is also the failover
-// plane's Recompute hook.
+// recompute; the service records it for future activations) and to
+// any canary candidate, and invalidates the cache. This is also the
+// failover plane's recompute path.
 func (r *Registry) UpdateFaults(f *fault.Set) {
 	if f == nil {
 		f = fault.NewSet()
 	}
 	r.mu.Lock()
-	r.noteFaults(f)
-	r.mu.Unlock()
+	defer r.mu.Unlock()
 	r.svc.UpdateFaults(f)
-	if c := r.canary.Load(); c != nil {
-		c.svc.UpdateFaults(f)
-	}
-	if r.cache != nil {
-		r.cache.Invalidate()
-	}
+	r.settle(f)
 }
 
 // Install is the failover plane's flip hook: precompiled backup
@@ -424,32 +416,29 @@ func (r *Registry) UpdateFaults(f *fault.Set) {
 // incumbent against a recomputed candidate, exactly the equivalence
 // the failover tests certify.
 func (r *Registry) Install(engines []routing.Algorithm, f *fault.Set) error {
-	if _, err := r.svc.InstallEngines(engines); err != nil {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.svc.Install(engines, f); err != nil {
 		return err
 	}
-	r.mu.Lock()
-	r.noteFaults(f)
-	r.mu.Unlock()
+	r.settle(f)
+	return nil
+}
+
+// Lanes is the serving service's shard count: Install takes one
+// engine per shard.
+func (r *Registry) Lanes() int { return r.svc.Lanes() }
+
+// settle brings the canary candidate to the fault state f the
+// incumbent just took and invalidates the cache (registry lock held,
+// so a StartCanary cannot slip between the two).
+func (r *Registry) settle(f *fault.Set) {
 	if c := r.canary.Load(); c != nil {
 		c.svc.UpdateFaults(f)
 	}
 	if r.cache != nil {
 		r.cache.Invalidate()
 	}
-	return nil
-}
-
-// Recompute implements failover.Installer.
-func (r *Registry) Recompute(f *fault.Set) { r.UpdateFaults(f) }
-
-// noteFaults remembers the cumulative fault state (registry lock
-// held). The set is cloned: callers reuse and mutate theirs.
-func (r *Registry) noteFaults(f *fault.Set) {
-	if f == nil {
-		r.faults = nil
-		return
-	}
-	r.faults = f.Clone()
 }
 
 // Status snapshots the registry for GET /registry.

@@ -1,9 +1,12 @@
 package fleet
 
 import (
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/failover"
 	"repro/internal/fault"
 	"repro/internal/reconfig"
 	"repro/internal/routing"
@@ -317,5 +320,101 @@ func TestRegistryStatus(t *testing.T) {
 	}
 	if r.Canary() != nil {
 		t.Fatal("canary survived stop")
+	}
+}
+
+// TestFaultFlipRacesRollback races a failover flip of a covered class
+// against a rollback on one registry, round after round, and then holds
+// every served injection decision to a from-scratch recompute under the
+// final fault set. The service records the flipped-in fault set in the
+// flip's own critical section, so the rollback's reload either precedes
+// the flip or builds engines that already know the fault; a record
+// taken after the flip would leave a window in which the reload
+// installs fault-free tables.
+func TestFaultFlipRacesRollback(t *testing.T) {
+	g := topology.NewMesh(5, 4)
+	art := buildArt(t, "nafta", 1, g)
+	bundle, err := failover.BuildBundle(art, g, []string{failover.KindNode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRegistry(art, g, RegistryOptions{Shards: 2, CacheEntries: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := r.Push(buildArt(t, "nafta", 2, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.StartCanary(v.ID, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	eb, err := reconfig.NewEngineBuilder(art, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := 200
+	if testing.Short() {
+		rounds = 20
+	}
+	for round := 0; round < rounds; round++ {
+		node := topology.NodeID(round % g.Nodes())
+		r.UpdateFaults(fault.NewSet())
+		plane, err := failover.NewPlane(bundle, g, r, failover.PlaneOptions{Filter: func(c failover.Class) bool {
+			return len(c.Nodes) == 1 && c.Nodes[0] == node
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := fault.NewSet()
+		f.FailNode(node)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			if !plane.OnFault(f) {
+				t.Error("covered class did not flip")
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < round%7*50; i++ { // stagger the two sides
+				runtime.Gosched()
+			}
+			if _, err := r.Rollback(); err != nil {
+				t.Error(err)
+			}
+		}()
+		close(start)
+		wg.Wait()
+
+		ref, err := eb.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.UpdateFaults(f)
+		for src := 0; src < g.Nodes(); src++ {
+			for dst := 0; dst < g.Nodes(); dst++ {
+				if src == dst {
+					continue
+				}
+				req := injectReq(src, dst)
+				got, _, err := r.Decide(&req, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hdr := routing.Header{Src: topology.NodeID(src), Dst: topology.NodeID(dst), Length: req.Length}
+				want := routing.RouteInto(ref, routing.Request{Node: topology.NodeID(src), InPort: routing.InjectionPort, Hdr: &hdr}, nil)
+				if !candidatesEqual(got, want) {
+					t.Fatalf("round %d (node %d failed): %d->%d served %+v, recompute %+v", round, node, src, dst, got, want)
+				}
+			}
+		}
 	}
 }

@@ -44,8 +44,8 @@ type Options struct {
 }
 
 // Server is one fleet replica: the registry-fronted decision service
-// plus its HTTP surface. cmd/routerd runs exactly one; cmd/fleetload
-// spins several in-process.
+// plus its HTTP surface. cmd/routerd runs exactly one; the repository
+// benchmark and the fleet tests spin several in-process.
 type Server struct {
 	reg      *Registry
 	g        topology.Graph
@@ -65,8 +65,8 @@ type Server struct {
 
 // NewServer builds a replica serving art on g. When bundle is non-nil
 // and FailoverMode is auto, the per-fault-class backup engines are
-// precompiled and bound through the registry (so a flip invalidates
-// the memoization cache like any other epoch event).
+// precompiled for the registry, which the plane flips into (so a flip
+// invalidates the memoization cache like any other epoch event).
 func NewServer(art *reconfig.Artifact, bundle *failover.Bundle, g topology.Graph, opts Options) (*Server, error) {
 	if opts.FailoverMode == "" {
 		opts.FailoverMode = "auto"
@@ -134,14 +134,14 @@ func (s *Server) Plane() *failover.Plane {
 	return s.plane
 }
 
-// installBundle precompiles the bundle's backup engines and binds the
-// plane through the registry (one engine lane per service shard).
+// installBundle precompiles the bundle's backup engines for the
+// registry (one engine lane per service shard), which the plane then
+// flips into.
 func (s *Server) installBundle(bundle *failover.Bundle) error {
-	plane, err := failover.NewPlane(bundle, s.g, failover.PlaneOptions{Lanes: s.reg.Service().Shards()})
+	plane, err := failover.NewPlane(bundle, s.g, s.reg, failover.PlaneOptions{})
 	if err != nil {
 		return err
 	}
-	plane.Bind(s.reg)
 	s.planeMu.Lock()
 	s.plane = plane
 	s.planeMu.Unlock()
@@ -546,8 +546,8 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // LoadOrBuild reads an artifact or bundle file, or compiles the
-// builtin program of the requested family when path is empty — the
-// shared startup path of routerd and fleetload.
+// builtin program of the requested family when path is empty —
+// routerd's startup path.
 func LoadOrBuild(path, algo string, opts reconfig.BuildOptions) (*reconfig.Artifact, *failover.Bundle, error) {
 	if path == "" {
 		art, err := reconfig.Build(algo, opts)

@@ -3,8 +3,12 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/failover"
@@ -285,4 +289,121 @@ func encodeBundle(t *testing.T, art *reconfig.Artifact, g topology.Graph) []byte
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestReloadUnderBatchLoad hot-reloads the served file over HTTP while
+// workers stream JSON /decide/batch load: every fault-free injection
+// decision must succeed and be routable, the epoch must advance, and
+// every issued decision must be answered either by the engines or by
+// the memoization cache. The bundle row reloads a failover bundle,
+// which also rebuilds the plane.
+func TestReloadUnderBatchLoad(t *testing.T) {
+	g := topology.NewMesh(5, 4)
+	art := buildArt(t, "nafta", 1, g)
+	next := *art
+	next.Epoch = 2
+	for _, bundled := range []bool{false, true} {
+		name, payload := "artifact", encodeArt(t, &next)
+		var bundle *failover.Bundle
+		if bundled {
+			name, payload = "bundle", encodeBundle(t, &next, g)
+			var err error
+			if bundle, err = failover.BuildBundle(art, g, []string{failover.KindNode}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Run(name, func(t *testing.T) {
+			srv, err := NewServer(art, bundle, g, Options{Shards: 2, CacheEntries: 1024})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Mux())
+			defer ts.Close()
+			const workers, batches, size = 4, 8, 32
+			const total = workers * batches * size
+			startEpoch := srv.Service().Epoch()
+			var (
+				issued atomic.Int64
+				reload sync.Once
+				wg     sync.WaitGroup
+			)
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(w)))
+					for b := 0; b < batches; b++ {
+						reqs := make([]reconfig.DecisionRequest, size)
+						for i := range reqs {
+							src := rng.Intn(g.Nodes())
+							reqs[i] = injectReq(src, (src+1+rng.Intn(g.Nodes()-1))%g.Nodes())
+						}
+						if err := postBatch(ts, reqs); err != nil {
+							t.Error(err)
+							return
+						}
+						if issued.Add(size) >= total/2 {
+							reload.Do(func() {
+								resp, err := http.Post(ts.URL+"/reload", "application/octet-stream", bytes.NewReader(payload))
+								if err != nil {
+									t.Error(err)
+									return
+								}
+								resp.Body.Close()
+								if resp.StatusCode != http.StatusOK {
+									t.Errorf("hot reload: %s", resp.Status)
+								}
+							})
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			m := srv.Service().Metrics()
+			hits := srv.Registry().Cache().Metrics().Hits
+			switch {
+			case m.Failed != 0 || m.Unroutable != 0:
+				t.Fatalf("%d failed, %d unroutable decisions under a fault-free table", m.Failed, m.Unroutable)
+			case m.Epoch <= startEpoch:
+				t.Fatalf("epoch did not advance across the reload (still %d)", m.Epoch)
+			case m.Decisions+hits != total:
+				t.Fatalf("issued %d decisions, served %d (+%d memoized)", total, m.Decisions, hits)
+			}
+			if bundled {
+				if p := srv.Plane(); p == nil || p.Flips() != 0 || p.CoveredClasses() != g.Nodes() {
+					t.Fatal("bundle reload did not rebuild a fresh plane")
+				}
+			}
+		})
+	}
+}
+
+// postBatch sends one JSON /decide/batch and requires an answer per
+// request, none failed and none unroutable.
+func postBatch(ts *httptest.Server, reqs []reconfig.DecisionRequest) error {
+	payload, err := json.Marshal(reqs)
+	if err != nil {
+		return err
+	}
+	resp, err := http.Post(ts.URL+"/decide/batch", "application/json", bytes.NewReader(payload))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	var out []Decision
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return err
+	}
+	if len(out) != len(reqs) {
+		return fmt.Errorf("batch of %d answered with %d decisions", len(reqs), len(out))
+	}
+	for i, d := range out {
+		if d.Error != "" || d.Unroutable {
+			return fmt.Errorf("fault-free request %+v answered %+v", reqs[i], d)
+		}
+	}
+	return nil
 }

@@ -93,11 +93,11 @@ func (h *Histogram) Add(v float64) {
 }
 
 // Merge folds o's counts into h. The two histograms must have the
-// same shape (bin width and bin count) — fleetload merges per-worker
-// latency histograms recorded lock-free into one fleet-wide
-// distribution, and a shape mismatch would silently shift every
-// percentile, so it is an error rather than a best-effort rebin. A nil
-// or empty o is a no-op.
+// same shape (bin width and bin count) — the decision service merges
+// per-shard latency histograms, each recorded under its own shard
+// lock, into one service-wide distribution, and a shape mismatch
+// would silently shift every percentile, so it is an error rather
+// than a best-effort rebin. A nil or empty o is a no-op.
 func (h *Histogram) Merge(o *Histogram) error {
 	if o == nil || o.total == 0 {
 		return nil

@@ -181,8 +181,8 @@ func TestPercentileP999Tail(t *testing.T) {
 }
 
 // Merge must be exactly equivalent to having recorded every sample
-// into one histogram — fleetload's cross-worker aggregation depends on
-// the merged percentiles matching a single-writer run.
+// into one histogram — the decision service's cross-shard aggregation
+// depends on the merged percentiles matching a single-writer run.
 func TestHistogramMerge(t *testing.T) {
 	whole := NewHistogram(10, 5)
 	a := NewHistogram(10, 5)

@@ -71,9 +71,12 @@ type Service struct {
 	shards []*shard
 	rr     atomic.Uint64
 
-	// reloadMu serializes Reload against itself; decisions only take
-	// shard locks.
+	// reloadMu serializes Reload, Install and UpdateFaults against each
+	// other and guards faults, the cumulative fault state every engine
+	// the service installs already knows; decisions only take shard
+	// locks.
 	reloadMu sync.Mutex
+	faults   *fault.Set
 	epoch    atomic.Uint64
 
 	infoMu   sync.Mutex
@@ -205,33 +208,24 @@ func (s *Service) Decide(req *DecisionRequest, buf []routing.Candidate) ([]routi
 }
 
 // Reload atomically swaps every shard to engines built from art. The
-// new engines are fully constructed before any shard lock is taken, so
-// the per-shard critical section is a pointer exchange; a decision in
-// flight on a shard finishes on the old engine, the next one sees the
-// new tables. The epoch moves to max(current+1, art.Epoch) and the old
-// engines' dense tables are invalidated.
+// new engines are fully constructed, and given the recorded fault
+// state, before any shard lock is taken: the diagnosis fixpoint runs
+// off to the side, so the per-shard critical section is a pointer
+// exchange and no shard ever serves fresh tables that do not know the
+// live faults. A decision in flight on a shard finishes on the old
+// engine, the next one sees the new tables. The epoch moves to
+// max(current+1, art.Epoch) and the old engines' dense tables are
+// invalidated.
 func (s *Service) Reload(art *Artifact) (uint64, error) {
-	return s.ReloadPrepared(art, nil)
-}
-
-// ReloadPrepared is Reload with the cumulative fault state f applied
-// to the new engines *before* any shard sees them: the diagnosis
-// fixpoint runs on the freshly built engines off to the side, then the
-// per-shard flip installs tables that already know the faults. This is
-// how the fleet registry rolls a new table version out against live
-// fault state without a window in which fresh engines serve fault-free
-// tables (the correctness cliff a plain Reload+UpdateFaults sequence
-// would open). A nil f is a plain reload.
-func (s *Service) ReloadPrepared(art *Artifact, f *fault.Set) (uint64, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	engines, err := s.buildEngines(art, len(s.shards))
 	if err != nil {
 		return s.epoch.Load(), err
 	}
-	if f != nil && !f.Empty() {
+	if s.faults != nil && !s.faults.Empty() {
 		for _, eng := range engines {
-			eng.UpdateFaults(f)
+			eng.UpdateFaults(s.faults)
 		}
 	}
 	newEpoch := s.epoch.Load() + 1
@@ -261,31 +255,36 @@ func (s *Service) flip(engines []routing.Algorithm, epoch uint64) {
 	s.epoch.Store(epoch)
 }
 
-// InstallEngines atomically flips every shard to the prebuilt engines
-// — the failover fast path behind routerd's /fault endpoint. Unlike
-// Reload, nothing is compiled, deserialized or replayed here: the
-// engines were constructed when the failover bundle was loaded and
-// already carry their post-fault state, so the per-shard critical
-// section is a pointer exchange. len(engines) must equal the shard
-// count (the failover plane builds one engine lane per shard). The
+// Install atomically flips every shard to prebuilt engines that
+// already carry the post-fault state for f — the failover fast path
+// behind routerd's /fault endpoint. Unlike Reload, nothing is
+// compiled, deserialized or replayed here: the engines were
+// constructed when the failover bundle was loaded, so the per-shard
+// critical section is a pointer exchange. f is recorded in the same
+// critical section, so a Reload racing the flip either precedes it or
+// builds engines that know f. len(engines) must equal Lanes(). The
 // epoch advances by one and the old engines' dense tables are
 // invalidated.
-func (s *Service) InstallEngines(engines []routing.Algorithm) (uint64, error) {
+func (s *Service) Install(engines []routing.Algorithm, f *fault.Set) error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	if len(engines) != len(s.shards) {
-		return s.epoch.Load(), fmt.Errorf("reconfig: %d engines for %d shards", len(engines), len(s.shards))
+		return fmt.Errorf("reconfig: %d engines for %d shards", len(engines), len(s.shards))
 	}
-	newEpoch := s.epoch.Load() + 1
-	s.flip(engines, newEpoch)
-	return newEpoch, nil
+	s.faults = cloneFaults(f)
+	s.flip(engines, s.epoch.Load()+1)
+	return nil
 }
 
-// UpdateFaults runs the live-recompute fallback on every shard engine:
-// the diagnosis fixpoint for fault set f, serialized per shard so
-// decisions in flight finish first. This is the slow path the failover
-// plane measures against for uncovered fault classes.
+// UpdateFaults records the cumulative fault set f and runs the
+// live-recompute fallback on every shard engine: the diagnosis
+// fixpoint for f, serialized per shard so decisions in flight finish
+// first. This is the slow path the failover plane measures against for
+// uncovered fault classes.
 func (s *Service) UpdateFaults(f *fault.Set) {
+	s.reloadMu.Lock()
+	defer s.reloadMu.Unlock()
+	s.faults = cloneFaults(f)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sh.eng.UpdateFaults(f)
@@ -293,9 +292,26 @@ func (s *Service) UpdateFaults(f *fault.Set) {
 	}
 }
 
-// Shards returns the number of engine replicas (one failover engine
-// lane is needed per shard).
-func (s *Service) Shards() int { return len(s.shards) }
+// Faults returns a copy of the recorded cumulative fault set (nil when
+// none was ever applied).
+func (s *Service) Faults() *fault.Set {
+	s.reloadMu.Lock()
+	defer s.reloadMu.Unlock()
+	return cloneFaults(s.faults)
+}
+
+// cloneFaults copies f so the holder's record survives the caller
+// reusing and mutating its set; nil stays nil.
+func cloneFaults(f *fault.Set) *fault.Set {
+	if f == nil {
+		return nil
+	}
+	return f.Clone()
+}
+
+// Lanes returns the number of engine replicas: an Install takes one
+// engine per shard.
+func (s *Service) Lanes() int { return len(s.shards) }
 
 // Metrics returns a consistent-enough snapshot of the service
 // counters (individual counters are exact; the set is not atomic).

@@ -268,11 +268,11 @@ func TestServiceConcurrentDecideAndMetrics(t *testing.T) {
 
 // Every way the service installs or updates an engine must leave the
 // NAFTA engines' per-node fact records matching the fault state they
-// serve (rulesets.RuleNAFTA.CheckFacts): the live recompute, a prepared
-// reload whose fresh engines get the fault state before any shard sees
-// them, a plain reload followed by the recompute, and a failover-style
-// install of prebuilt engines. The shard engines are reachable only
-// from inside this package, which is why this twin of the campaign's
+// serve (rulesets.RuleNAFTA.CheckFacts): the live recompute, a reload
+// whose fresh engines get the recorded fault state before any shard
+// sees them, a failover-style install of prebuilt engines, and the
+// fault-clearing recompute. The shard engines are reachable only from
+// inside this package, which is why this twin of the campaign's
 // nafta_facts_test lives here.
 func TestServiceInstallsKeepNAFTAFactsFresh(t *testing.T) {
 	svc, art, m := newTestService(t, 2)
@@ -298,23 +298,23 @@ func TestServiceInstallsKeepNAFTAFactsFresh(t *testing.T) {
 	svc.UpdateFaults(f)
 	check("UpdateFaults", true)
 
+	// The service remembers f: a copy, so the caller may reuse its set.
+	f.FailNode(m.Node(0, 5))
+	if got := svc.Faults(); got.NodeCount() != 2 || got.LinkCount() != 1 {
+		t.Fatalf("recorded fault set %v, want the 2 nodes and 1 link applied", got)
+	}
+	f.RepairNode(m.Node(0, 5))
+
 	next := *art
 	next.Epoch = 0
-	if _, err := svc.ReloadPrepared(&next, f); err != nil {
-		t.Fatal(err)
-	}
-	check("ReloadPrepared", true)
-
 	if _, err := svc.Reload(&next); err != nil {
 		t.Fatal(err)
 	}
-	check("plain Reload (fault-free engines)", false)
-	svc.UpdateFaults(f)
-	check("Reload + UpdateFaults", true)
+	check("Reload (recorded faults applied before the flip)", true)
 
 	f2 := f.Clone()
 	f2.FailNode(m.Node(1, 0))
-	engines := make([]routing.Algorithm, svc.Shards())
+	engines := make([]routing.Algorithm, svc.Lanes())
 	for i := range engines {
 		eng, err := NewEngine(art, m)
 		if err != nil {
@@ -323,8 +323,25 @@ func TestServiceInstallsKeepNAFTAFactsFresh(t *testing.T) {
 		eng.UpdateFaults(f2)
 		engines[i] = eng
 	}
-	if _, err := svc.InstallEngines(engines); err != nil {
+	if err := svc.Install(engines[:1], f2); err == nil {
+		t.Fatal("Install accepted one engine for two shards")
+	}
+	if err := svc.Install(engines, f2); err != nil {
 		t.Fatal(err)
 	}
-	check("InstallEngines", true)
+	check("Install", true)
+	if !svc.Faults().NodeFaulty(m.Node(1, 0)) {
+		t.Fatal("Install did not record the flipped-in fault set")
+	}
+	if _, err := svc.Reload(&next); err != nil {
+		t.Fatal(err)
+	}
+	check("Reload after Install", true)
+
+	svc.UpdateFaults(fault.NewSet())
+	check("UpdateFaults clearing every fault", false)
+	if _, err := svc.Reload(&next); err != nil {
+		t.Fatal(err)
+	}
+	check("Reload after clearing", false)
 }

@@ -113,6 +113,12 @@ func TestSwapperRegimeGate(t *testing.T) {
 	if _, _, err := s.Swap(c, false); !errors.Is(err, ErrRegimeMismatch) {
 		t.Fatalf("incompatible regimes swapped: %v", err)
 	}
+	if err := s.Install([]routing.Algorithm{c}, nil); !errors.Is(err, ErrRegimeMismatch) {
+		t.Fatalf("incompatible precompiled engine installed: %v", err)
+	}
+	if err := s.Install([]routing.Algorithm{a, a}, nil); err == nil {
+		t.Fatal("one-lane swapper installed two engines")
+	}
 	if s.CurrentEpoch() != 1 || s.Current() != routing.Algorithm(a) {
 		t.Fatal("refused swap still changed the engine")
 	}
@@ -145,6 +151,24 @@ func TestSwapperReplaysStateOntoNewEngines(t *testing.T) {
 	}
 	if b.loads == nil {
 		t.Fatal("load view not replayed onto the swapped-in engine")
+	}
+	// A precompiled engine is installed as is, and its fault set is the
+	// one replayed onto engines swapped in after it.
+	fs2 := fs.Clone()
+	fs2.FailNode(4)
+	pre := &fakeAlg{name: "pre", regime: "r"}
+	if err := s.Install([]routing.Algorithm{pre}, fs2); err != nil {
+		t.Fatal(err)
+	}
+	if pre.faults != nil {
+		t.Fatal("precompiled engine replayed with UpdateFaults")
+	}
+	d := &fakeAlg{name: "d", regime: "r"}
+	if _, _, err := s.Swap(d, false); err != nil {
+		t.Fatal(err)
+	}
+	if d.faults != fs2 {
+		t.Fatal("installed fault state not replayed onto the next swapped-in engine")
 	}
 }
 
