@@ -244,7 +244,7 @@ func BenchmarkRouteDecision(b *testing.B) {
 	buf := make([]routing.Candidate, 0, topology.MeshPorts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = routing.RouteInto(alg, req, buf[:0])
+		buf = alg.RouteAppend(req, buf[:0])
 		if len(buf) == 0 {
 			b.Fatal("no candidates")
 		}
@@ -327,7 +327,7 @@ func BenchmarkRuleDecision(b *testing.B) {
 			alg := routing.NewRouteC(h)
 			alg.UpdateFaults(f)
 			for i := 0; i < b.N; i++ {
-				if len(alg.Route(req)) == 0 {
+				if len(alg.RouteAppend(req, nil)) == 0 {
 					b.Fatal("no candidates")
 				}
 			}

@@ -21,10 +21,12 @@
 #   7. big-topology and saturation smokes (under -race): ftsim runs at
 #      4096 nodes (mesh64x64, the regime the arena/active-set engine
 #      exists for) at 0.02 and at 0.005 flits/node/cycle (a few messages
-#      a cycle: the generator's geometric gaps span many nodes) and one
-#      of rule-table ROUTE_C on an 8-cube past saturation (every VC
+#      a cycle: the generator's geometric gaps span many nodes), one of
+#      rule-table ROUTE_C on an 8-cube past saturation (every VC
 #      contended: the credit-aware switch stage's and the sleeping VA
-#      heads' regime) must each drain without a watchdog or livelock exit
+#      heads' regime) and one of rule-table NAFTA on a 16x16 mesh with
+#      node faults (its load view and block view as the network hands
+#      them over) must each drain without a watchdog or livelock exit
 #   8. repo benchmark smoke: `go run ./bench --quick --reps 1`, then the
 #      same with `--trace 1` — the exit status is the gate (every
 #      workload builds, runs and passes its own output checks), so a
@@ -91,7 +93,7 @@ go test -race -count=1 -run 'TestFailoverFlipMatchesRecompute' ./internal/failov
 go run -race ./cmd/campaign -scenarios 25 -seed 1 -algo nafta -failover
 go run -race ./cmd/campaign -scenarios 25 -seed 1 -algo routec -failover
 
-echo "== mesh64x64 and saturated cube8 smokes (-race)"
+echo "== mesh64x64, saturated cube8 and faulty rule-nafta smokes (-race)"
 # ftsim exits 2 when the watchdog suspects a deadlock (set -e stops
 # there); "drained false" is a run the drain budget could not empty.
 must_drain() { # what it is, then the ftsim arguments
@@ -110,6 +112,7 @@ must_drain() { # what it is, then the ftsim arguments
 must_drain mesh64x64 -topo mesh64x64 -alg nafta -rate 0.02
 must_drain "low-load mesh64x64" -topo mesh64x64 -alg nafta -rate 0.005
 must_drain "saturated cube8 rule-routec" -topo cube8 -alg rule-routec -rate 0.25
+must_drain "rule-nafta under node faults" -topo mesh16x16 -alg rule-nafta -faults 4 -rate 0.05
 
 echo "== repo benchmark smoke (bench --quick, untraced then traced)"
 go run ./bench --quick --reps 1

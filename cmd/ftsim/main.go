@@ -80,7 +80,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return die(stderr, err)
 	}
-	alg, attach, err := parseAlg(*algName, g)
+	alg, err := parseAlg(*algName, g)
 	if err != nil {
 		return die(stderr, err)
 	}
@@ -129,7 +129,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	_ = attach // the sim package wires the load view internally via network.New
 	// -perf wants the network itself (cycle count, active-set peaks),
 	// which sim.Run builds internally; OnNetwork hands it out.
 	var net *network.Network
@@ -283,88 +282,68 @@ func parseTopo(s string) (topology.Graph, error) {
 	return nil, fmt.Errorf("unknown topology %q (valid forms: %s)", s, strings.Join(topoForms, ", "))
 }
 
-func parseAlg(s string, g topology.Graph) (routing.Algorithm, func(*network.Network), error) {
+func parseAlg(s string, g topology.Graph) (routing.Algorithm, error) {
 	mesh, isMesh := g.(*topology.Mesh)
 	cube, isCube := g.(*topology.Hypercube)
 	switch s {
 	case "xy":
 		if !isMesh {
-			return nil, nil, fmt.Errorf("xy needs a mesh")
+			return nil, fmt.Errorf("xy needs a mesh")
 		}
-		return routing.NewXY(mesh), nil, nil
+		return routing.NewXY(mesh), nil
 	case "nara":
 		if !isMesh {
-			return nil, nil, fmt.Errorf("nara needs a mesh")
+			return nil, fmt.Errorf("nara needs a mesh")
 		}
-		return routing.NewNARA(mesh), nil, nil
+		return routing.NewNARA(mesh), nil
 	case "nafta":
 		if !isMesh {
-			return nil, nil, fmt.Errorf("nafta needs a mesh")
+			return nil, fmt.Errorf("nafta needs a mesh")
 		}
-		return routing.NewNAFTA(mesh), nil, nil
+		return routing.NewNAFTA(mesh), nil
 	case "rule-nafta":
 		if !isMesh {
-			return nil, nil, fmt.Errorf("rule-nafta needs a mesh")
+			return nil, fmt.Errorf("rule-nafta needs a mesh")
 		}
-		alg, err := rulesets.NewRuleNAFTA(mesh)
-		if err != nil {
-			return nil, nil, err
-		}
-		return alg, func(n *network.Network) { alg.AttachLoads(n) }, nil
+		return rulesets.NewRuleNAFTA(mesh)
 	case "maze":
-		alg, err := routing.NewMaze(g)
-		if err != nil {
-			return nil, nil, err
-		}
-		return alg, nil, nil
+		return routing.NewMaze(g)
 	case "rule-maze":
-		alg, err := rulesets.NewRuleMaze(g)
-		if err != nil {
-			return nil, nil, err
-		}
-		return alg, nil, nil
+		return rulesets.NewRuleMaze(g)
 	case "tree":
-		return routing.NewTree(g), nil, nil
+		return routing.NewTree(g), nil
 	case "updown":
-		return routing.NewUpDown(g), nil, nil
+		return routing.NewUpDown(g), nil
 	case "torusdor":
 		torus, isTorus := g.(*topology.Torus)
 		if !isTorus {
-			return nil, nil, fmt.Errorf("torusdor needs a torus")
+			return nil, fmt.Errorf("torusdor needs a torus")
 		}
-		return routing.NewTorusDOR(torus), nil, nil
+		return routing.NewTorusDOR(torus), nil
 	case "ecube":
 		if !isCube {
-			return nil, nil, fmt.Errorf("ecube needs a hypercube")
+			return nil, fmt.Errorf("ecube needs a hypercube")
 		}
-		return routing.NewECube(cube), nil, nil
+		return routing.NewECube(cube), nil
 	case "routec":
 		if !isCube {
-			return nil, nil, fmt.Errorf("routec needs a hypercube")
+			return nil, fmt.Errorf("routec needs a hypercube")
 		}
-		return routing.NewRouteC(cube), nil, nil
+		return routing.NewRouteC(cube), nil
 	case "rule-routec":
 		if !isCube {
-			return nil, nil, fmt.Errorf("rule-routec needs a hypercube")
+			return nil, fmt.Errorf("rule-routec needs a hypercube")
 		}
-		alg, err := rulesets.NewRuleRouteC(cube)
-		if err != nil {
-			return nil, nil, err
-		}
-		return alg, nil, nil
+		return rulesets.NewRuleRouteC(cube)
 	case "neghop":
-		alg, err := routing.NewNegHop(g, g.Ports()*3)
-		if err != nil {
-			return nil, nil, err
-		}
-		return alg, nil, nil
+		return routing.NewNegHop(g, g.Ports()*3)
 	case "routec-nft":
 		if !isCube {
-			return nil, nil, fmt.Errorf("routec-nft needs a hypercube")
+			return nil, fmt.Errorf("routec-nft needs a hypercube")
 		}
-		return routing.NewRouteCNFT(cube), nil, nil
+		return routing.NewRouteCNFT(cube), nil
 	}
-	return nil, nil, fmt.Errorf("unknown algorithm %q (valid: %s)", s, strings.Join(algNames, ", "))
+	return nil, fmt.Errorf("unknown algorithm %q (valid: %s)", s, strings.Join(algNames, ", "))
 }
 
 func parsePattern(s string, g topology.Graph) (traffic.Pattern, error) {

@@ -46,13 +46,13 @@ func TestParseAlg(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
 	cube := topology.NewHypercube(4)
 	for _, name := range []string{"xy", "nara", "nafta", "rule-nafta", "maze", "rule-maze", "tree", "neghop"} {
-		alg, _, err := parseAlg(name, mesh)
+		alg, err := parseAlg(name, mesh)
 		if err != nil || alg == nil {
 			t.Errorf("parseAlg(%q, mesh): %v", name, err)
 		}
 	}
 	for _, name := range []string{"ecube", "routec", "rule-routec", "routec-nft", "tree", "neghop"} {
-		alg, _, err := parseAlg(name, cube)
+		alg, err := parseAlg(name, cube)
 		if err != nil || alg == nil {
 			t.Errorf("parseAlg(%q, cube): %v", name, err)
 		}
@@ -67,20 +67,20 @@ func TestParseAlg(t *testing.T) {
 	}
 	for _, g := range []topology.Graph{torus, irr} {
 		for _, name := range []string{"maze", "rule-maze"} {
-			alg, _, err := parseAlg(name, g)
+			alg, err := parseAlg(name, g)
 			if err != nil || alg == nil {
 				t.Errorf("parseAlg(%q, %s): %v", name, g.Name(), err)
 			}
 		}
 	}
 	// Topology mismatches must be rejected.
-	if _, _, err := parseAlg("xy", cube); err == nil {
+	if _, err := parseAlg("xy", cube); err == nil {
 		t.Error("xy on a cube should fail")
 	}
-	if _, _, err := parseAlg("routec", mesh); err == nil {
+	if _, err := parseAlg("routec", mesh); err == nil {
 		t.Error("routec on a mesh should fail")
 	}
-	if _, _, err := parseAlg("nosuch", mesh); err == nil {
+	if _, err := parseAlg("nosuch", mesh); err == nil {
 		t.Error("unknown algorithm should fail")
 	}
 }

@@ -32,11 +32,12 @@ func main() {
 	tb := metrics.NewTable("Irregular cluster fabric, 0.10 flits/node/cycle, switch 13 dies at cycle 1500",
 		"algorithm", "reconfigurations", "killed", "delivered", "avg latency", "links used")
 
-	for _, mk := range []func() routing.Algorithm{
-		func() routing.Algorithm { return routing.NewTree(fabric) },
-		func() routing.Algorithm { return routing.NewUpDown(fabric) },
-	} {
-		alg := mk()
+	tree, updown := routing.NewTree(fabric), routing.NewUpDown(fabric)
+	for _, run := range []struct {
+		alg      routing.Algorithm
+		rebuilds *int // global reconfigurations so far
+	}{{tree, &tree.Rebuilds}, {updown, &updown.Rebuilds}} {
+		alg := run.alg
 		net := network.New(network.Config{Graph: fabric, Algorithm: alg})
 		f := fault.NewSet()
 		gen := &traffic.Generator{
@@ -59,15 +60,8 @@ func main() {
 			log.Fatalf("%s: network did not drain", alg.Name())
 		}
 		st := net.Stats()
-		rebuilds := 0
-		switch a := alg.(type) {
-		case *routing.Tree:
-			rebuilds = a.Rebuilds
-		case *routing.UpDown:
-			rebuilds = a.Rebuilds
-		}
 		u := net.Utilization()
-		tb.AddRow(alg.Name(), rebuilds, st.Killed,
+		tb.AddRow(alg.Name(), *run.rebuilds, st.Killed,
 			fmt.Sprintf("%.3f", st.DeliveredRatio()),
 			fmt.Sprintf("%.1f", st.AvgLatency()),
 			fmt.Sprintf("%d/%d", u.UsedLinks, u.Links))

@@ -20,6 +20,7 @@ import (
 // of a mesh on a single virtual channel — the textbook deadlock-prone
 // discipline (a cyclic channel dependency with nothing to break it).
 type clockwiseRing struct {
+	routing.Defaults
 	m *topology.Mesh
 }
 
@@ -29,7 +30,7 @@ func (r *clockwiseRing) Steps(routing.Request) int                  { return 1 }
 func (r *clockwiseRing) NoteHop(routing.Request, routing.Candidate) {}
 func (r *clockwiseRing) UpdateFaults(*fault.Set)                    {}
 
-func (r *clockwiseRing) Route(req routing.Request) []routing.Candidate {
+func (r *clockwiseRing) RouteAppend(req routing.Request, buf []routing.Candidate) []routing.Candidate {
 	x, y := r.m.XY(req.Node)
 	w, h := r.m.W, r.m.H
 	var port int
@@ -43,7 +44,7 @@ func (r *clockwiseRing) Route(req routing.Request) []routing.Candidate {
 	default:
 		port = topology.South
 	}
-	return []routing.Candidate{{Port: port, VC: 0}}
+	return append(buf, routing.Candidate{Port: port, VC: 0})
 }
 
 func main() {

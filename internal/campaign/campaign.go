@@ -205,34 +205,32 @@ func (s *Scenario) withAtoms(keep []int) Scenario {
 // deliberately broken wrappers here; the default factory builds the
 // rule-table adapters (RuleNAFTA / RuleRouteC), with oracle selecting
 // the interpreted reference path (DisableFast).
-type AlgFactory func(s *Scenario, oracle bool) (routing.Algorithm, func(*network.Network), error)
+type AlgFactory func(s *Scenario, oracle bool) (routing.Algorithm, error)
 
 // DefaultFactory is the production AlgFactory: the compiled rule-table
 // adapter of the scenario's family, fast path on (oracle=false) or
 // pinned to the interpreter (oracle=true).
-func DefaultFactory(s *Scenario, oracle bool) (routing.Algorithm, func(*network.Network), error) {
+func DefaultFactory(s *Scenario, oracle bool) (routing.Algorithm, error) {
 	g, err := s.Graph()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var alg rulesets.Adapter
-	var attach func(*network.Network)
 	switch s.Algo {
 	case AlgoNAFTA:
-		nafta, e := rulesets.NewRuleNAFTA(g.(*topology.Mesh))
-		alg, err, attach = nafta, e, func(n *network.Network) { nafta.AttachLoads(n) }
+		alg, err = rulesets.NewRuleNAFTA(g.(*topology.Mesh))
 	case AlgoRouteC:
 		alg, err = rulesets.NewRuleRouteC(g.(*topology.Hypercube))
 	case AlgoMaze:
 		alg, err = rulesets.NewRuleMaze(g)
 	default:
-		return nil, nil, fmt.Errorf("campaign: unknown algo %q (valid: %v)", s.Algo, Algos)
+		return nil, fmt.Errorf("campaign: unknown algo %q (valid: %v)", s.Algo, Algos)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	alg.RuleEngine().DisableFast = oracle
-	return alg, attach, nil
+	return alg, nil
 }
 
 // reference builds the native reference implementation the drop oracle
@@ -333,7 +331,7 @@ func buildConfig(s *Scenario, oracle bool, factory AlgFactory, netSlot **network
 	if err != nil {
 		return sim.Config{}, err
 	}
-	alg, attach, err := factory(s, oracle)
+	alg, err := factory(s, oracle)
 	if err != nil {
 		return sim.Config{}, err
 	}
@@ -345,11 +343,8 @@ func buildConfig(s *Scenario, oracle bool, factory AlgFactory, netSlot **network
 		alg = reconfig.NewSwapper(alg)
 		for _, at := range s.Swaps {
 			reconfigs = append(reconfigs, sim.Reconfig{
-				At: at,
-				Make: func() (routing.Algorithm, error) {
-					next, _, err := factory(s, oracle)
-					return next, err
-				},
+				At:   at,
+				Make: func() (routing.Algorithm, error) { return factory(s, oracle) },
 			})
 		}
 	}
@@ -369,9 +364,6 @@ func buildConfig(s *Scenario, oracle bool, factory AlgFactory, netSlot **network
 		TrackLatencies:    true, // the oracles audit per-message records
 		Recorder:          trace.New(g.Nodes(), 64),
 		OnNetwork: func(n *network.Network) {
-			if attach != nil {
-				attach(n)
-			}
 			if netSlot != nil {
 				*netSlot = n
 			}
@@ -525,30 +517,29 @@ func auditMessages(s *Scenario, res *sim.Result, net *network.Network) []Violati
 		}
 	}
 	sort.SliceStable(drops, func(i, j int) bool { return drops[i].DoneTime < drops[j].DoneTime })
-	judge, canJudge := ref.(routing.UnreachableJudge)
 	lastT := int64(-1)
 	for _, m := range drops {
 		if m.DoneTime != lastT {
 			ref.UpdateFaults(s.FaultStateAt(m.DoneTime))
 			lastT = m.DoneTime
 		}
-		hdr := m.Hdr // replay on a copy; Route must not mutate it anyway
+		hdr := m.Hdr // replay on a copy; RouteAppend must not mutate it anyway
 		req := routing.Request{Node: m.DropNode, InPort: m.DropInPort, InVC: m.DropInVC, Hdr: &hdr}
-		if canJudge {
-			// A reference that can certify unreachability justifies a
-			// drop exactly by that verdict. (Replaying Route would be
-			// wrong here: the maze header's traversal state is guarded
+		if s.Algo == AlgoMaze {
+			// The maze family certifies unreachability, so a drop is
+			// justified exactly by that verdict. (Replaying the route
+			// would be wrong here: the maze header's traversal state is guarded
 			// by an engine-local epoch stamp, which a freshly built
 			// reference — whose own epoch counter advanced differently —
 			// would misread as stale.)
-			if !judge.UnreachableVerdict(req) {
+			if !ref.UnreachableVerdict(req) {
 				vio = append(vio, Violation{Kind: "unjustified-drop",
 					Detail: fmt.Sprintf("message %d (%d->%d) dropped at node %d in=(%d,%d) cycle %d, but reference %s certifies the destination reachable",
 						m.ID, m.Hdr.Src, m.Hdr.Dst, m.DropNode, m.DropInPort, m.DropInVC, m.DoneTime, ref.Name())})
 			}
 			continue
 		}
-		cands := ref.Route(req)
+		cands := ref.RouteAppend(req, nil)
 		if len(cands) > 0 {
 			vio = append(vio, Violation{Kind: "unjustified-drop",
 				Detail: fmt.Sprintf("message %d (%d->%d) dropped at node %d in=(%d,%d) cycle %d, but reference %s offers %d candidate(s)",

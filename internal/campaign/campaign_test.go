@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/network"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
@@ -89,30 +88,25 @@ func TestGenerateDeterministic(t *testing.T) {
 
 // brokenAlg wraps a conformant algorithm and refuses to route anything
 // once a designated poison node is in the fault set — the model of a
-// broken rule table the campaign exists to catch. It deliberately
-// implements only routing.Algorithm (no RouteAppend), so the network
-// cannot bypass the broken Route via the buffered fast path.
+// broken rule table the campaign exists to catch. It embeds the
+// algorithm it sabotages, so everything but the decision is the real
+// engine's.
 type brokenAlg struct {
-	inner  routing.Algorithm
+	routing.Algorithm
 	poison topology.NodeID
 	bad    bool
 }
 
-func (b *brokenAlg) Name() string                { return b.inner.Name() }
-func (b *brokenAlg) NumVCs() int                 { return b.inner.NumVCs() }
-func (b *brokenAlg) Steps(r routing.Request) int { return b.inner.Steps(r) }
-func (b *brokenAlg) NoteHop(r routing.Request, c routing.Candidate) {
-	b.inner.NoteHop(r, c)
-}
 func (b *brokenAlg) UpdateFaults(f *fault.Set) {
 	b.bad = f.NodeFaulty(b.poison)
-	b.inner.UpdateFaults(f)
+	b.Algorithm.UpdateFaults(f)
 }
-func (b *brokenAlg) Route(r routing.Request) []routing.Candidate {
+
+func (b *brokenAlg) RouteAppend(r routing.Request, buf []routing.Candidate) []routing.Candidate {
 	if b.bad {
-		return nil
+		return buf
 	}
-	return b.inner.Route(r)
+	return b.Algorithm.RouteAppend(r, buf)
 }
 
 // A deliberately broken wrapper must (1) trip the unjustified-drop
@@ -125,8 +119,8 @@ func TestBrokenWrapperShrinksAndReplays(t *testing.T) {
 	opts := Options{
 		Algo: AlgoNAFTA,
 		Seed: 1,
-		Factory: func(s *Scenario, oracle bool) (routing.Algorithm, func(*network.Network), error) {
-			return &brokenAlg{inner: routing.NewNAFTA(m), poison: poison}, nil, nil
+		Factory: func(s *Scenario, oracle bool) (routing.Algorithm, error) {
+			return &brokenAlg{Algorithm: routing.NewNAFTA(m), poison: poison}, nil
 		},
 	}
 	s := Scenario{

@@ -93,30 +93,29 @@ func TestDeliveryOraclePartitionedTorus(t *testing.T) {
 }
 
 // silentDropAlg models a mutated adapter that starts swallowing
-// messages once a designated poison node is in the fault set: Route
-// returns no candidates, but unlike the real maze engine it issues no
-// unreachability verdict (it implements only routing.Algorithm, so the
-// network records plain drops). The delivery oracle must call these
-// what they are — sacrifices.
+// messages once a designated poison node is in the fault set:
+// RouteAppend appends no candidate although the destination is
+// reachable, so the real maze engine's verdict it embeds stays false
+// and the network records plain drops. Everything else — the credit
+// gate and the flush included — is the engine's, so the mutant runs the
+// same VA discipline as what it mutates. The delivery oracle must call
+// these drops what they are — sacrifices.
 type silentDropAlg struct {
-	inner  routing.Algorithm
+	routing.Algorithm
 	poison topology.NodeID
 	bad    bool
 }
 
-func (b *silentDropAlg) Name() string                                   { return b.inner.Name() }
-func (b *silentDropAlg) NumVCs() int                                    { return b.inner.NumVCs() }
-func (b *silentDropAlg) Steps(r routing.Request) int                    { return b.inner.Steps(r) }
-func (b *silentDropAlg) NoteHop(r routing.Request, c routing.Candidate) { b.inner.NoteHop(r, c) }
 func (b *silentDropAlg) UpdateFaults(f *fault.Set) {
 	b.bad = f.NodeFaulty(b.poison)
-	b.inner.UpdateFaults(f)
+	b.Algorithm.UpdateFaults(f)
 }
-func (b *silentDropAlg) Route(r routing.Request) []routing.Candidate {
+
+func (b *silentDropAlg) RouteAppend(r routing.Request, buf []routing.Candidate) []routing.Candidate {
 	if b.bad {
-		return nil
+		return buf
 	}
-	return b.inner.Route(r)
+	return b.Algorithm.RouteAppend(r, buf)
 }
 
 // lyingJudgeAlg goes one step further: it swallows messages AND stamps
@@ -144,12 +143,12 @@ func TestDeliveryOracleCatchesSilentDrops(t *testing.T) {
 	poison := m.Node(2, 2)
 	s := mazeSabotageScenario(m, poison)
 	opts := Options{
-		Factory: func(s *Scenario, oracle bool) (routing.Algorithm, func(*network.Network), error) {
+		Factory: func(s *Scenario, oracle bool) (routing.Algorithm, error) {
 			inner, err := routing.NewMaze(m)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			return &silentDropAlg{inner: inner, poison: poison}, nil, nil
+			return &silentDropAlg{Algorithm: inner, poison: poison}, nil
 		},
 	}
 	vio, st := evaluateWithStats(t, &s, &opts)
@@ -176,14 +175,12 @@ func TestDeliveryOracleCatchesFalseVerdicts(t *testing.T) {
 	poison := m.Node(2, 2)
 	s := mazeSabotageScenario(m, poison)
 	opts := Options{
-		Factory: func(s *Scenario, oracle bool) (routing.Algorithm, func(*network.Network), error) {
+		Factory: func(s *Scenario, oracle bool) (routing.Algorithm, error) {
 			inner, err := routing.NewMaze(m)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			a := &lyingJudgeAlg{}
-			a.inner, a.poison = inner, poison
-			return a, nil, nil
+			return &lyingJudgeAlg{silentDropAlg{Algorithm: inner, poison: poison}}, nil
 		},
 	}
 	vio, st := evaluateWithStats(t, &s, &opts)

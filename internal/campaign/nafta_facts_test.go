@@ -90,10 +90,10 @@ func TestRuleNAFTAFactsFreshAcrossFaultEvents(t *testing.T) {
 		return due
 	}
 	lastDue := 0
-	factory := func(s *Scenario, oracle bool) (routing.Algorithm, func(*network.Network), error) {
+	factory := func(s *Scenario, oracle bool) (routing.Algorithm, error) {
 		alg, err := rulesets.NewRuleNAFTA(m)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		decisions := 0
 		alg.OnRuleFired = func(topology.NodeID, string, int) {
@@ -104,7 +104,7 @@ func TestRuleNAFTAFactsFreshAcrossFaultEvents(t *testing.T) {
 			decisions++
 			lastDue = due
 		}
-		return alg, func(n *network.Network) { alg.AttachLoads(n) }, nil
+		return alg, nil
 	}
 	for _, withFailover := range []bool{false, true} {
 		checks, lastDue, net = 0, 0, nil

@@ -51,10 +51,10 @@ func TestRuleRouteCLinesFreshAcrossFaultEvents(t *testing.T) {
 		Swaps: []int64{300, 450, 650},
 	}
 	decisions := 0
-	factory := func(s *Scenario, oracle bool) (routing.Algorithm, func(*network.Network), error) {
+	factory := func(s *Scenario, oracle bool) (routing.Algorithm, error) {
 		alg, err := rulesets.NewRuleRouteC(topology.NewHypercube(s.CubeDim))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		alg.OnRuleFired = func(node topology.NodeID, base string, _ int) {
 			if base != rulesets.RouteCDecisionBases[0] {
@@ -65,7 +65,7 @@ func TestRuleRouteCLinesFreshAcrossFaultEvents(t *testing.T) {
 				t.Fatalf("decision at node %d: %v", node, err)
 			}
 		}
-		return alg, nil, nil
+		return alg, nil
 	}
 	for _, withFailover := range []bool{false, true} {
 		decisions = 0

@@ -290,7 +290,7 @@ func walkOnce(g topology.Graph, alg routing.Algorithm, src, dst topology.NodeID,
 	req := routing.Request{Node: src, InPort: routing.InjectionPort, Hdr: hdr}
 	hops := 0
 	for req.Node != dst {
-		cands := alg.Route(req)
+		cands := alg.RouteAppend(req, nil)
 		if len(cands) == 0 {
 			return false, hops
 		}

@@ -283,8 +283,8 @@ func requireSameDecisions(t *testing.T, label string, g topology.Graph, a, bEng 
 				reqA := routing.Request{Node: topology.NodeID(n), InPort: inPort, InVC: 0, Hdr: &hdrA}
 				reqB := reqA
 				reqB.Hdr = &hdrB
-				bufA = routing.RouteInto(a, reqA, bufA[:0])
-				bufB = routing.RouteInto(bEng, reqB, bufB[:0])
+				bufA = a.RouteAppend(reqA, bufA[:0])
+				bufB = bEng.RouteAppend(reqB, bufB[:0])
 				if len(bufA) != len(bufB) {
 					t.Fatalf("%s: node %d dst %d in %d: flip gives %v, recompute gives %v",
 						label, n, d, inPort, bufA, bufB)

@@ -410,7 +410,7 @@ func TestFaultFlipRacesRollback(t *testing.T) {
 					t.Fatal(err)
 				}
 				hdr := routing.Header{Src: topology.NodeID(src), Dst: topology.NodeID(dst), Length: req.Length}
-				want := routing.RouteInto(ref, routing.Request{Node: topology.NodeID(src), InPort: routing.InjectionPort, Hdr: &hdr}, nil)
+				want := ref.RouteAppend(routing.Request{Node: topology.NodeID(src), InPort: routing.InjectionPort, Hdr: &hdr}, nil)
 				if !candidatesEqual(got, want) {
 					t.Fatalf("round %d (node %d failed): %d->%d served %+v, recompute %+v", round, node, src, dst, got, want)
 				}

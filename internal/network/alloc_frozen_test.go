@@ -20,7 +20,7 @@ type oldAlloc struct {
 }
 
 func (o *oldAlloc) stage(n *Network) {
-	needCredit := routing.AllocNeedsCredit(n.alg)
+	needCredit := n.alg.AllocNeedsCredit()
 	n.vaSet.forEach(func(node, slot int) {
 		if n.faults.NodeFaulty(topology.NodeID(node)) {
 			return
@@ -218,7 +218,7 @@ func TestAllocMatchesFrozenWalk(t *testing.T) {
 				t.Fatalf("%s delay %d too tame: %d of %d visits blocked, %d allocations, %d head-cycles asleep",
 					c.name, delay, old.blocked, old.visits, allocs, slept)
 			}
-			if routing.AllocNeedsCredit(nets[0].alg) && old.creditLess == 0 {
+			if nets[0].alg.AllocNeedsCredit() && old.creditLess == 0 {
 				t.Fatalf("%s delay %d: no free-but-credit-less candidate met, the credit-gated stay-awake rule went untested", c.name, delay)
 			}
 		}

@@ -1,10 +1,6 @@
 package network
 
-import (
-	"sort"
-
-	"repro/internal/routing"
-)
+import "sort"
 
 // Deadlock analysis: the watchdog in Step flags missing progress; this
 // file provides the precise check used by the test suite. A wormhole
@@ -34,7 +30,7 @@ func (n *Network) waitEdges(node, p, v int) (edges []*Message, stuck bool) {
 		if len(ivc.candidates) == 0 {
 			return nil, false
 		}
-		needCredit := routing.AllocNeedsCredit(n.alg)
+		needCredit := n.alg.AllocNeedsCredit()
 		stuck = true
 		for _, c := range ivc.candidates {
 			oi := lay.outIdx(node, c.Port, c.VC)

@@ -13,6 +13,7 @@ import (
 // ring of a mesh with a single virtual channel — the textbook
 // deadlock-prone discipline (a cyclic channel dependency).
 type ringAlg struct {
+	routing.Defaults
 	m *topology.Mesh
 }
 
@@ -22,9 +23,9 @@ func (r *ringAlg) Steps(routing.Request) int                  { return 1 }
 func (r *ringAlg) NoteHop(routing.Request, routing.Candidate) {}
 func (r *ringAlg) UpdateFaults(*fault.Set)                    {}
 
-// Route follows the ring clockwise: east along the bottom, north up
-// the right edge, west along the top, south down the left edge.
-func (r *ringAlg) Route(req routing.Request) []routing.Candidate {
+// RouteAppend follows the ring clockwise: east along the bottom, north
+// up the right edge, west along the top, south down the left edge.
+func (r *ringAlg) RouteAppend(req routing.Request, buf []routing.Candidate) []routing.Candidate {
 	x, y := r.m.XY(req.Node)
 	w, h := r.m.W, r.m.H
 	var port int
@@ -38,7 +39,7 @@ func (r *ringAlg) Route(req routing.Request) []routing.Candidate {
 	default:
 		port = topology.South
 	}
-	return []routing.Candidate{{Port: port, VC: 0}}
+	return append(buf, routing.Candidate{Port: port, VC: 0})
 }
 
 // TestDeadlockDetectorFindsRingDeadlock drives the deliberately broken

@@ -2,7 +2,6 @@ package network
 
 import (
 	"repro/internal/fault"
-	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -101,14 +100,12 @@ func (n *Network) ApplyFaults(f *fault.Set) {
 	// are removed like worms touching the failure itself; the recovery
 	// protocol of assumption iv reinjects them. Letting them survive
 	// could close a wait cycle across the two orientations
-	// (routing.ReconfigFlusher). Every in-flight worm has at least one
+	// (Algorithm.FlushOnFault). Every in-flight worm has at least one
 	// buffered flit, so sweeping the input queues sees each one.
-	if flusher, ok := n.alg.(routing.ReconfigFlusher); ok {
-		for i := range n.ins {
-			for _, flt := range n.ins[i].q.slice() {
-				if !killed[flt.msg] && flusher.FlushOnFault(&flt.msg.Hdr) {
-					killed[flt.msg] = true
-				}
+	for i := range n.ins {
+		for _, flt := range n.ins[i].q.slice() {
+			if !killed[flt.msg] && n.alg.FlushOnFault(&flt.msg.Hdr) {
+				killed[flt.msg] = true
 			}
 		}
 	}

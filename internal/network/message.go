@@ -77,9 +77,9 @@ type Message struct {
 	DropInPort int
 	DropInVC   int
 	// Unreachable marks the drop as a certified unreachability verdict:
-	// the algorithm implements routing.UnreachableJudge and confirmed at
-	// the unroutable decision that the destination is disconnected on
-	// the post-fault graph. The guaranteed-delivery oracle accepts only
+	// the algorithm's UnreachableVerdict confirmed at the unroutable
+	// decision that the destination is disconnected on the post-fault
+	// graph. The guaranteed-delivery oracle accepts only
 	// such drops for the maze family.
 	Unreachable bool
 

@@ -99,10 +99,10 @@ type Stats struct {
 	NetLatencySum  int64 // network-only latency of delivered
 	MaxLatency     int64
 	// Unreachable counts dropped messages whose drop was a certified
-	// unreachability verdict: the routing algorithm implements
-	// routing.UnreachableJudge and confirmed, at the failing decision,
-	// that the destination is disconnected from the deciding node on
-	// the post-fault graph. The guaranteed-delivery campaign oracle
+	// unreachability verdict: the routing algorithm's
+	// UnreachableVerdict confirmed, at the failing decision, that the
+	// destination is disconnected from the deciding node on the
+	// post-fault graph. The guaranteed-delivery campaign oracle
 	// requires Dropped == Unreachable for the maze family (zero
 	// sacrifices).
 	Unreachable int64
@@ -382,7 +382,7 @@ func New(cfg Config) *Network {
 	if n.rec != nil {
 		n.rec.SetClock(n.Now)
 	}
-	n.attachReconfig(cfg.Algorithm)
+	n.attachEngine(cfg.Algorithm)
 	return n
 }
 
@@ -562,13 +562,11 @@ func (n *Network) routeStage() {
 		req := n.requestFor(node, p, v, m)
 		steps := n.alg.Steps(req)
 		m.Steps += steps
-		ivc.candidates = routing.RouteInto(n.alg, req, ivc.candidates[:0])
+		ivc.candidates = n.alg.RouteAppend(req, ivc.candidates[:0])
 		ivc.routed = true
 		ivc.unroutable = len(ivc.candidates) == 0
-		if ivc.unroutable {
-			if judge, ok := n.alg.(routing.UnreachableJudge); ok && judge.UnreachableVerdict(req) {
-				m.Unreachable = true
-			}
+		if ivc.unroutable && n.alg.UnreachableVerdict(req) {
+			m.Unreachable = true
 		}
 		ivc.decisionReady = n.now + int64(steps*n.cfg.DecisionCyclesPerStep)
 		n.noteInput(node, slot)
@@ -597,10 +595,10 @@ func (n *Network) requestFor(node, p, v int, m *Message) routing.Request {
 // selector. A head that finds every candidate owned sleeps (vaWait)
 // until an output VC of its node is released.
 func (n *Network) allocStage() {
-	// Credit-gated regimes (routing.CreditGatedVA) must not commit a
-	// head to an output VC with no downstream credit: their escape
-	// argument needs blocked heads to keep re-arbitrating.
-	needCredit := routing.AllocNeedsCredit(n.alg)
+	// Credit-gated regimes (Algorithm.AllocNeedsCredit) must not
+	// commit a head to an output VC with no downstream credit: their
+	// escape argument needs blocked heads to keep re-arbitrating.
+	needCredit := n.alg.AllocNeedsCredit()
 	n.vaSet.forEachExcept(n.vaWait, func(node, slot int) {
 		if n.faults.NodeFaulty(topology.NodeID(node)) {
 			return

@@ -232,7 +232,7 @@ func TestFaultMidFlightKillsCrossingWorms(t *testing.T) {
 }
 
 // flushAlg wraps a routing algorithm and flags marked messages for
-// removal at fault events (routing.ReconfigFlusher), standing in for
+// removal at fault events (Algorithm.FlushOnFault), standing in for
 // an engine whose escape orientation the event invalidates.
 type flushAlg struct{ routing.Algorithm }
 
@@ -585,11 +585,13 @@ func TestCreditDelayInvariants(t *testing.T) {
 
 // unroutableAlg declares every message unroutable: the network absorbs
 // them one flit per cycle through the drain stage.
-type unroutableAlg struct{}
+type unroutableAlg struct{ routing.Defaults }
 
-func (unroutableAlg) Name() string                               { return "none" }
-func (unroutableAlg) NumVCs() int                                { return 1 }
-func (unroutableAlg) Route(routing.Request) []routing.Candidate  { return nil }
+func (unroutableAlg) Name() string { return "none" }
+func (unroutableAlg) NumVCs() int  { return 1 }
+func (unroutableAlg) RouteAppend(_ routing.Request, buf []routing.Candidate) []routing.Candidate {
+	return buf
+}
 func (unroutableAlg) Steps(routing.Request) int                  { return 1 }
 func (unroutableAlg) NoteHop(routing.Request, routing.Candidate) {}
 func (unroutableAlg) UpdateFaults(*fault.Set)                    {}

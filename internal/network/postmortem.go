@@ -1,9 +1,6 @@
 package network
 
-import (
-	"repro/internal/routing"
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // defaultLivelockCheckInterval is the default of
 // Config.LivelockCheckInterval: how often (in cycles) the livelock age
@@ -26,7 +23,7 @@ func (n *Network) PostMortem(reason string) *trace.Report {
 	// Blocked packets: every input VC whose front message cannot
 	// advance this cycle, with the messages it waits on.
 	lay := &n.lay
-	needCredit := routing.AllocNeedsCredit(n.alg)
+	needCredit := n.alg.AllocNeedsCredit()
 	for node := 0; node < lay.nodes; node++ {
 		for p := 0; p < lay.inPorts; p++ {
 			for v := 0; v < lay.vcs; v++ {

@@ -29,9 +29,6 @@ type hotSwapper interface {
 	CurrentEpoch() uint64
 }
 
-// loadAttacher matches engines that consume the network's load view.
-type loadAttacher interface{ AttachLoads(routing.LoadView) }
-
 // FaultHandler is the failover decision plane's hook into ApplyFaults
 // (structurally typed for the same reason as the interfaces above:
 // internal/failover imports reconfig, which sits above this package).
@@ -42,17 +39,16 @@ type FaultHandler interface {
 	OnFault(f *fault.Set) bool
 }
 
-// attachReconfig wires an epoch-aware algorithm into the network:
-// epoch pin/release on the message lifecycle, the network as the load
-// view for engines installed later, and epoch-retirement trace events.
-func (n *Network) attachReconfig(alg routing.Algorithm) {
+// attachEngine wires an algorithm into the network: the network as
+// its load view (a hot swapper replays it onto engines installed
+// later), and for an epoch-aware one, epoch pin/release on the message
+// lifecycle and epoch-retirement trace events.
+func (n *Network) attachEngine(alg routing.Algorithm) {
+	alg.AttachLoads(n)
 	n.epochs, _ = alg.(epochSource)
 	hs, ok := alg.(hotSwapper)
 	if !ok {
 		return
-	}
-	if la, ok := alg.(loadAttacher); ok {
-		la.AttachLoads(n)
 	}
 	hs.OnEpochRetired(func(epoch uint64) {
 		if n.rec != nil {
@@ -100,11 +96,8 @@ func (n *Network) Reconfigure(next routing.Algorithm, force bool) error {
 		return fmt.Errorf("network: %s cannot hot-swap (not an epoch swapper); drain the network first", n.alg.Name())
 	}
 	n.alg = next
-	n.attachReconfig(next)
+	n.attachEngine(next)
 	next.UpdateFaults(n.faults)
-	if la, ok := next.(loadAttacher); ok {
-		la.AttachLoads(n)
-	}
 	if n.rec != nil {
 		n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KReconfigSwap,
 			Node: -1, Msg: -1, Port: -1, VC: -1, Arg: 0})

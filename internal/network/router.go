@@ -108,7 +108,7 @@ func (vc *inputVC) resetRoute() {
 	vc.routed = false
 	vc.curMsg = nil
 	vc.decisionReady = 0
-	// Keep the backing array: routeStage refills it via RouteInto with
+	// Keep the backing array: routeStage refills it via RouteAppend with
 	// candidates[:0], so steady-state routing does not allocate.
 	vc.candidates = vc.candidates[:0]
 	vc.unroutable = false

@@ -190,7 +190,7 @@ func (s *Service) Decide(req *DecisionRequest, buf []routing.Candidate) ([]routi
 		DetourLevel: req.DetourLevel,
 		VNet:        req.VNet,
 	}
-	out := routing.RouteInto(sh.eng, routing.Request{
+	out := sh.eng.RouteAppend(routing.Request{
 		Node:   topology.NodeID(req.Node),
 		InPort: req.InPort,
 		InVC:   req.InVC,

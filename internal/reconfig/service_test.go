@@ -54,7 +54,7 @@ func TestServiceDecisionsMatchAdapter(t *testing.T) {
 			t.Fatalf("decision under epoch %d, want 1", epoch)
 		}
 		hdr := routing.Header{Src: topology.NodeID(req.Src), Dst: topology.NodeID(req.Dst), Length: req.Length}
-		want := ref.Route(routing.Request{Node: topology.NodeID(req.Node), InPort: req.InPort, Hdr: &hdr})
+		want := ref.RouteAppend(routing.Request{Node: topology.NodeID(req.Node), InPort: req.InPort, Hdr: &hdr}, nil)
 		if len(got) != len(want) {
 			t.Fatalf("request %+v: %d candidates, reference has %d", req, len(got), len(want))
 		}

@@ -26,12 +26,6 @@ type epochEngine struct {
 // so stale fast-path state fails loudly instead of routing silently.
 type tableInvalidator interface{ InvalidateTables() }
 
-// loadAttacher matches engines that consume the network's load view.
-type loadAttacher interface{ AttachLoads(routing.LoadView) }
-
-// blocker mirrors the sim harness's traffic-exclusion view.
-type blocker interface{ Blocks() *fault.BlockInfo }
-
 // Swapper is the RCU-style hot-swap shell around a routing engine: it
 // is itself a routing.Algorithm, so a network built on a Swapper can
 // replace its decision tables mid-run.
@@ -52,7 +46,7 @@ type blocker interface{ Blocks() *fault.BlockInfo }
 // callers that drained the network first (network.Reconfigure does
 // exactly that).
 //
-// Route/RouteAppend/Steps/NoteHop/UpdateFaults are as concurrency-safe
+// RouteAppend/Steps/NoteHop/UpdateFaults are as concurrency-safe
 // as the wrapped engines (the simulator is single-goroutine per
 // network); AdmitEpoch/ReleaseEpoch/Swap use atomics plus a mutex so
 // observers on other goroutines see consistent state.
@@ -185,8 +179,8 @@ func (s *Swapper) Lanes() int { return 1 }
 // before it becomes visible, and cur retires at once when no worm is
 // pinned to it. s.mu must be held.
 func (s *Swapper) install(cur *epochEngine, next routing.Algorithm) (oldEpoch, newEpoch uint64) {
-	if la, ok := next.(loadAttacher); ok && s.loads != nil {
-		la.AttachLoads(s.loads)
+	if s.loads != nil {
+		next.AttachLoads(s.loads)
 	}
 	ne := &epochEngine{epoch: cur.epoch + 1, alg: next}
 	s.live[ne.epoch] = ne
@@ -258,37 +252,32 @@ func (s *Swapper) engineFor(epoch uint64) routing.Algorithm {
 }
 
 // --- routing.Algorithm, dispatching on the message's pinned epoch ---
+//
+// The Swapper implements every method itself: a method added to the
+// contract is a compile error here until it is forwarded.
 
 func (s *Swapper) Name() string { return s.Current().Name() }
 func (s *Swapper) NumVCs() int  { return s.Current().NumVCs() }
 
 // DeadlockRegime forwards the current engine's regime tag.
-func (s *Swapper) DeadlockRegime() string { return routing.RegimeOf(s.Current()) }
+func (s *Swapper) DeadlockRegime() string { return s.Current().DeadlockRegime() }
 
 // AllocNeedsCredit forwards the current engine's credit-gated
-// allocation requirement (routing.CreditGatedVA). VA gating is a
-// router-wide property, so — like NumVCs — it follows the current
-// engine rather than a message's pinned epoch; gating is conservative
-// for the engines that don't need it, so a mid-swap mix is safe.
-func (s *Swapper) AllocNeedsCredit() bool { return routing.AllocNeedsCredit(s.Current()) }
+// allocation requirement. VA gating is a router-wide property, so —
+// like NumVCs — it follows the current engine rather than a message's
+// pinned epoch; gating is conservative for the engines that don't need
+// it, so a mid-swap mix is safe.
+func (s *Swapper) AllocNeedsCredit() bool { return s.Current().AllocNeedsCredit() }
 
 // FlushOnFault forwards the reconfiguration-flush question to the
-// engine the message routes on (routing.ReconfigFlusher): whether its
-// held resources are orientation-ordered is that engine's call.
+// engine the message routes on: whether its held resources are
+// orientation-ordered is that engine's call.
 func (s *Swapper) FlushOnFault(h *routing.Header) bool {
-	if fl, ok := s.engineFor(h.Epoch).(routing.ReconfigFlusher); ok {
-		return fl.FlushOnFault(h)
-	}
-	return false
+	return s.engineFor(h.Epoch).FlushOnFault(h)
 }
 
-func (s *Swapper) Route(req routing.Request) []routing.Candidate {
-	return s.engineFor(req.Hdr.Epoch).Route(req)
-}
-
-// RouteAppend keeps the wrapped engine's allocation-free path.
 func (s *Swapper) RouteAppend(req routing.Request, buf []routing.Candidate) []routing.Candidate {
-	return routing.RouteInto(s.engineFor(req.Hdr.Epoch), req, buf)
+	return s.engineFor(req.Hdr.Epoch).RouteAppend(req, buf)
 }
 
 func (s *Swapper) Steps(req routing.Request) int {
@@ -300,13 +289,9 @@ func (s *Swapper) NoteHop(req routing.Request, chosen routing.Candidate) {
 }
 
 // UnreachableVerdict forwards the verdict question to the engine the
-// message routes on; engines without a verdict plane never certify a
-// drop (routing.UnreachableJudge).
+// message routes on.
 func (s *Swapper) UnreachableVerdict(req routing.Request) bool {
-	if judge, ok := s.engineFor(req.Hdr.Epoch).(routing.UnreachableJudge); ok {
-		return judge.UnreachableVerdict(req)
-	}
-	return false
+	return s.engineFor(req.Hdr.Epoch).UnreachableVerdict(req)
 }
 
 // UpdateFaults forwards the diagnosis to every live engine generation:
@@ -322,29 +307,19 @@ func (s *Swapper) UpdateFaults(f *fault.Set) {
 	}
 }
 
-// AttachLoads forwards the load view to every live engine that
-// consumes one and replays it onto engines swapped in later.
+// AttachLoads forwards the load view to every live engine and replays
+// it onto engines swapped in later.
 func (s *Swapper) AttachLoads(v routing.LoadView) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.loads = v
 	for _, e := range s.live {
-		if la, ok := e.alg.(loadAttacher); ok {
-			la.AttachLoads(v)
-		}
+		e.alg.AttachLoads(v)
 	}
 }
 
 // Blocks exposes the current engine's fault-block view (the traffic
 // generator excludes disabled nodes through it).
-func (s *Swapper) Blocks() *fault.BlockInfo {
-	if b, ok := s.Current().(blocker); ok {
-		return b.Blocks()
-	}
-	return nil
-}
+func (s *Swapper) Blocks() *fault.BlockInfo { return s.Current().Blocks() }
 
-var (
-	_ routing.Algorithm         = (*Swapper)(nil)
-	_ routing.BufferedAlgorithm = (*Swapper)(nil)
-)
+var _ routing.Algorithm = (*Swapper)(nil)

@@ -13,18 +13,19 @@ import (
 
 // fakeAlg is a minimal engine with an observable lifecycle.
 type fakeAlg struct {
+	routing.Defaults
 	name        string
 	regime      string
 	invalidated bool
 	faults      *fault.Set
 	loads       routing.LoadView
-	port        int // distinctive Route answer
+	port        int // distinctive RouteAppend answer
 }
 
 func (f *fakeAlg) Name() string { return f.name }
 func (f *fakeAlg) NumVCs() int  { return 2 }
-func (f *fakeAlg) Route(routing.Request) []routing.Candidate {
-	return []routing.Candidate{{Port: f.port}}
+func (f *fakeAlg) RouteAppend(_ routing.Request, buf []routing.Candidate) []routing.Candidate {
+	return append(buf, routing.Candidate{Port: f.port})
 }
 func (f *fakeAlg) Steps(routing.Request) int                  { return 1 }
 func (f *fakeAlg) NoteHop(routing.Request, routing.Candidate) {}
@@ -42,7 +43,7 @@ func (stubLoads) QueuedFlits(topology.NodeID, int, int) int { return 0 }
 
 func routeEpoch(s *Swapper, epoch uint64) int {
 	hdr := routing.Header{Epoch: epoch}
-	return s.Route(routing.Request{Hdr: &hdr})[0].Port
+	return s.RouteAppend(routing.Request{Hdr: &hdr}, nil)[0].Port
 }
 
 func TestSwapperEpochPinning(t *testing.T) {
@@ -196,7 +197,7 @@ func TestSwapperRetiredAdapterFailsLoudly(t *testing.T) {
 	}
 	hdr := routing.Header{Src: 0, Dst: 5, Length: 4, Epoch: 1}
 	req := routing.Request{Node: 0, InPort: routing.InjectionPort, Hdr: &hdr}
-	if got := s.Route(req); len(got) == 0 {
+	if got := s.RouteAppend(req, nil); len(got) == 0 {
 		t.Fatal("pinned worm unroutable before retirement")
 	}
 	s.ReleaseEpoch(1) // quiescence: epoch 1 retires, tables invalidated
@@ -210,5 +211,5 @@ func TestSwapperRetiredAdapterFailsLoudly(t *testing.T) {
 			t.Fatalf("unexpected panic: %v", r)
 		}
 	}()
-	old.Route(req)
+	old.RouteAppend(req, nil)
 }

@@ -13,6 +13,7 @@ import (
 // fixed"). It is not fault tolerant: a fault on the unique path makes
 // the message unroutable.
 type XY struct {
+	Defaults
 	mesh   *topology.Mesh
 	faults *fault.Set
 }
@@ -31,7 +32,7 @@ func (x *XY) NoteHop(Request, Candidate) {}
 // messages whose fixed path is broken.
 func (x *XY) UpdateFaults(f *fault.Set) { x.faults = f }
 
-func (x *XY) Route(req Request) []Candidate {
+func (x *XY) RouteAppend(req Request, buf []Candidate) []Candidate {
 	cx, cy := x.mesh.XY(req.Node)
 	dx, dy := x.mesh.XY(req.Hdr.Dst)
 	var port int
@@ -46,15 +47,16 @@ func (x *XY) Route(req Request) []Candidate {
 		port = topology.South
 	}
 	if !x.faults.PortUsable(x.mesh, req.Node, port) {
-		return nil // fixed path broken: unroutable
+		return buf // fixed path broken: unroutable
 	}
-	return []Candidate{{Port: port, VC: 0}}
+	return append(buf, Candidate{Port: port, VC: 0})
 }
 
 // ECube is oblivious dimension-order routing on a hypercube: resolve
 // the lowest differing dimension first. Deadlock-free with one virtual
 // channel; not fault tolerant.
 type ECube struct {
+	Defaults
 	cube   *topology.Hypercube
 	faults *fault.Set
 }
@@ -70,11 +72,6 @@ func (e *ECube) Steps(Request) int          { return 1 }
 func (e *ECube) NoteHop(Request, Candidate) {}
 func (e *ECube) UpdateFaults(f *fault.Set)  { e.faults = f }
 
-func (e *ECube) Route(req Request) []Candidate {
-	return e.RouteAppend(req, nil)
-}
-
-// RouteAppend is the allocation-free form of Route (BufferedAlgorithm).
 func (e *ECube) RouteAppend(req Request, buf []Candidate) []Candidate {
 	diff := uint(req.Node ^ req.Hdr.Dst)
 	if diff == 0 {

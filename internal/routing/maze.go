@@ -40,7 +40,7 @@ import (
 // The verdict plane: UpdateFaults labels the connected components of
 // the post-fault graph, and the verdict the simulator acts on is the
 // component table. A genuinely unreachable destination is certified at
-// the first decision — Route offers no candidate at all and
+// the first decision — RouteAppend offers no candidate at all and
 // UnreachableVerdict confirms the drop as a verdict, never a
 // sacrifice. (Certifying immediately is load-bearing: a doomed message
 // allowed to wall-follow would clog the VC0 buffers of its cut-off
@@ -52,6 +52,7 @@ import (
 // reachable the other way — which forces the message onto the escape
 // channel instead of dropping it.
 type Maze struct {
+	Defaults
 	g      topology.Graph
 	faults *fault.Set
 
@@ -94,8 +95,9 @@ const (
 const MazeMaxPorts = 8
 
 // MazeFacts is the complete input of one maze decision, computed once
-// per decision and shared verbatim by the native Route/NoteHop pair and
-// the rule-DSL adapter's input fill (the adapter's information units).
+// per decision and shared verbatim by the native RouteAppend/NoteHop
+// pair and the rule-DSL adapter's input fill (the adapter's information
+// units).
 // All fields follow the effective (epoch-checked) state, not the raw
 // header.
 type MazeFacts struct {
@@ -162,17 +164,16 @@ func (m *Maze) DeadlockRegime() string { return RegimeMaze }
 // follows turn in every direction), so the deadlock argument is pure
 // Duato — it holds only if a blocked head keeps re-arbitrating with
 // the escape VC selectable, i.e. never commits to a credit-starved
-// output (routing.CreditGatedVA). Without the gate, four worms turning
-// around a fault region can each commit to the next one's full VC0
-// buffer and close a wait cycle the escape channel can no longer
-// break.
+// output. Without the gate, four worms turning around a fault region
+// can each commit to the next one's full VC0 buffer and close a wait
+// cycle the escape channel can no longer break.
 func (m *Maze) AllocNeedsCredit() bool { return true }
 
 // FlushOnFault flags worms already granted the escape channel: a fault
 // event re-roots and re-levels the up*/down* orientation, and an
 // old-orientation occupant of VC1 buffers can close a wait cycle with
-// worms escaping under the new orientation (routing.ReconfigFlusher).
-// VC0 worms survive — the adaptive maze moves carry no orientation.
+// worms escaping under the new orientation. VC0 worms survive — the
+// adaptive maze moves carry no orientation.
 func (m *Maze) FlushOnFault(h *Header) bool { return h.MazeMode == MazeModeEscape }
 
 // up reports whether the hop a->b ascends toward its component's root
@@ -379,12 +380,13 @@ func (m *Maze) Facts(req Request) MazeFacts {
 
 	// An unreachable destination is certified at the very first
 	// decision: no productive ports, no wall, disconnection declared —
-	// no rule can fire, Route is empty and UnreachableVerdict confirms
-	// the drop. Letting a doomed message wall-follow instead would fill
-	// the VC0 buffers of a cut-off component with messages that can
-	// never leave — the escape channel cannot absorb them because no
-	// up*/down* continuation toward a foreign component exists — and
-	// the resulting cyclic credit wait is a genuine deadlock.
+	// no rule can fire, RouteAppend is empty and UnreachableVerdict
+	// confirms the drop. Letting a doomed message wall-follow instead
+	// would fill the VC0 buffers of a cut-off component with messages
+	// that can never leave — the escape channel cannot absorb them
+	// because no up*/down* continuation toward a foreign component
+	// exists — and the resulting cyclic credit wait is a genuine
+	// deadlock.
 	if !f.Reach {
 		f.Done = 1
 		return f
@@ -495,10 +497,6 @@ func escPortOf(f *MazeFacts) int {
 	return -1
 }
 
-func (m *Maze) Route(req Request) []Candidate {
-	return m.RouteAppend(req, nil)
-}
-
 // RouteAppend is the allocation-free decision path: at most one maze
 // move on VC0 plus one escape hop on VC1. An empty result is a
 // definitive unreachable verdict (see UnreachableVerdict).
@@ -513,17 +511,17 @@ func (m *Maze) RouteAppend(req Request, buf []Candidate) []Candidate {
 	return buf
 }
 
-// UnreachableVerdict confirms that an empty Route result is a genuine
-// unreachability verdict on the post-fault graph (component table),
-// not a sacrifice (routing.UnreachableJudge).
+// UnreachableVerdict confirms that an empty RouteAppend result is a
+// genuine unreachability verdict on the post-fault graph (component
+// table), not a sacrifice.
 func (m *Maze) UnreachableVerdict(req Request) bool {
 	cur, dst := req.Node, req.Hdr.Dst
 	return m.comp[cur] < 0 || m.comp[dst] < 0 || m.comp[cur] != m.comp[dst]
 }
 
 // NoteHop commits the state machine transition of the hop the
-// simulator actually granted, re-deriving the decision's facts (Route
-// must not modify the header).
+// simulator actually granted, re-deriving the decision's facts
+// (RouteAppend must not modify the header).
 func (m *Maze) NoteHop(req Request, chosen Candidate) {
 	f := m.Facts(req)
 	h := req.Hdr
@@ -560,11 +558,4 @@ func (m *Maze) NoteHop(req Request, chosen Candidate) {
 	}
 }
 
-var (
-	_ Algorithm         = (*Maze)(nil)
-	_ BufferedAlgorithm = (*Maze)(nil)
-	_ UnreachableJudge  = (*Maze)(nil)
-	_ DeadlockRegimer   = (*Maze)(nil)
-	_ CreditGatedVA     = (*Maze)(nil)
-	_ ReconfigFlusher   = (*Maze)(nil)
-)
+var _ Algorithm = (*Maze)(nil)

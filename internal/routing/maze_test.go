@@ -16,7 +16,7 @@ func mazeWalk(t *testing.T, g topology.Graph, m *Maze, src, dst topology.NodeID,
 	req := Request{Node: src, InPort: InjectionPort, InVC: 0, Hdr: hdr}
 	hops := 0
 	for req.Node != dst {
-		cands := m.Route(req)
+		cands := m.RouteAppend(req, nil)
 		if len(cands) == 0 {
 			return false, hops, hdr, req
 		}
@@ -38,7 +38,7 @@ func mazeWalk(t *testing.T, g topology.Graph, m *Maze, src, dst topology.NodeID,
 
 // mazeGuarantee checks the family's core contract on every ordered
 // pair of g under faults f: reachable pairs must be delivered,
-// unreachable pairs must end in an empty Route whose UnreachableVerdict
+// unreachable pairs must end in an empty RouteAppend whose UnreachableVerdict
 // confirms the drop. Returns how many pairs were unreachable.
 func mazeGuarantee(t *testing.T, g topology.Graph, f *fault.Set) int {
 	t.Helper()
@@ -255,7 +255,7 @@ func TestMazeEpochRestartsTraversalState(t *testing.T) {
 	if facts.Mode != MazeModeEscape {
 		t.Fatalf("stale escape state must stay escape, got %d", facts.Mode)
 	}
-	cands := m.Route(req)
+	cands := m.RouteAppend(req, nil)
 	if len(cands) == 0 {
 		t.Fatal("phase-reset escape must still offer a hop")
 	}
@@ -279,7 +279,7 @@ func TestMazeEscapeAlwaysOffered(t *testing.T) {
 	}
 	hdr := &Header{Src: g.Node(0, 0), Dst: g.Node(5, 5), Length: 4}
 	req := Request{Node: g.Node(2, 2), InPort: topology.West, Hdr: hdr}
-	cands := m.Route(req)
+	cands := m.RouteAppend(req, nil)
 	if len(cands) != 2 {
 		t.Fatalf("decision must offer a maze move and an escape hop, got %v", cands)
 	}

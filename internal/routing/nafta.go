@@ -28,6 +28,7 @@ import (
 // in awkward fault situations; the evaluation (experiment E6) measures
 // this.
 type NAFTA struct {
+	Defaults
 	mesh   *topology.Mesh
 	faults *fault.Set
 	blocks *fault.BlockInfo
@@ -139,7 +140,8 @@ func (n *NAFTA) clearRuns(nb int) [2]int32 {
 	}
 }
 
-// Blocks exposes the current fault-block state (evaluation harness).
+// Blocks exposes the current fault-block state: the traffic generator's
+// exclusion view and the evaluation harness.
 func (n *NAFTA) Blocks() *fault.BlockInfo { return n.blocks }
 
 // DeadEnds derives the paper's coarse per-row/per-column dead-end
@@ -350,11 +352,6 @@ func appendPorts(out []Candidate, ports uint8, vc int) []Candidate {
 	return out
 }
 
-func (n *NAFTA) Route(req Request) []Candidate {
-	return n.RouteAppend(req, nil)
-}
-
-// RouteAppend is the allocation-free form of Route (BufferedAlgorithm).
 func (n *NAFTA) RouteAppend(req Request, buf []Candidate) []Candidate {
 	w := n.FactWords(req)
 	if m := w.minimalPorts(req.InPort); m != 0 {

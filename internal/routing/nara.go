@@ -47,6 +47,7 @@ func vnetFor(m *topology.Mesh, cur, dst topology.NodeID) int {
 // minimal path for selection (condition 1) using two virtual channels
 // and one rule interpretation per message.
 type NARA struct {
+	Defaults
 	mesh   *topology.Mesh
 	faults *fault.Set
 }
@@ -70,7 +71,7 @@ func (n *NARA) NoteHop(req Request, chosen Candidate) {
 	}
 }
 
-func (n *NARA) Route(req Request) []Candidate {
+func (n *NARA) RouteAppend(req Request, out []Candidate) []Candidate {
 	vnet := req.Hdr.VNet
 	if req.InPort == InjectionPort {
 		vnet = vnetFor(n.mesh, req.Node, req.Hdr.Dst)
@@ -79,7 +80,6 @@ func (n *NARA) Route(req Request) []Candidate {
 	// requires the stripped algorithm to behave exactly like the
 	// fault-tolerant one in a fault-free network.
 	minimal := n.mesh.MinimalPorts(req.Node, req.Hdr.Dst)
-	var out []Candidate
 	for _, p := range minimal {
 		if p != topology.East && p != topology.West {
 			continue

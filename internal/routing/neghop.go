@@ -26,6 +26,7 @@ import (
 // its delivery under faults is bounded by the VC budget, which
 // experiment E11 quantifies against NAFTA's 2-VC + state design.
 type NegHop struct {
+	Defaults
 	g      topology.Graph
 	faults *fault.Set
 	color  []uint8
@@ -131,10 +132,6 @@ func (n *NegHop) minimalPorts(cur, dst topology.NodeID) []int {
 	return out
 }
 
-func (n *NegHop) Route(req Request) []Candidate {
-	return n.RouteAppend(req, nil)
-}
-
 // RouteAppend is the allocation-free decision path. With a topology
 // metric (Dist) available, "minimal port" becomes the predicate
 // Dist(neighbor, dst) < Dist(cur, dst) evaluated per port — no
@@ -142,7 +139,7 @@ func (n *NegHop) Route(req Request) []Candidate {
 // (Manhattan, Hamming, torus) emits minimal ports in ascending port
 // order, and the BFS fallback scans ports ascending too, so the
 // predicate walk preserves the exact candidate order of the historical
-// list-based Route.
+// list-based decision.
 func (n *NegHop) RouteAppend(req Request, out []Candidate) []Candidate {
 	cur, dst := req.Node, req.Hdr.Dst
 	level := req.Hdr.NegHops
@@ -210,7 +207,4 @@ func (n *NegHop) NoteHop(req Request, chosen Candidate) {
 	}
 }
 
-var (
-	_ Algorithm         = (*NegHop)(nil)
-	_ BufferedAlgorithm = (*NegHop)(nil)
-)
+var _ Algorithm = (*NegHop)(nil)

@@ -86,7 +86,7 @@ func TestNegHopLevelDiscipline(t *testing.T) {
 		hdr := &Header{Src: src, Dst: dst, Length: 4}
 		req := Request{Node: src, InPort: InjectionPort, Hdr: hdr}
 		for hops := 0; req.Node != dst && hops < 200; hops++ {
-			cands := alg.Route(req)
+			cands := alg.RouteAppend(req, nil)
 			if len(cands) == 0 {
 				break
 			}
@@ -139,7 +139,7 @@ func TestNegHopDeliveryGrowsWithVCs(t *testing.T) {
 					okDelivered = true
 					break
 				}
-				cands := alg.Route(req)
+				cands := alg.RouteAppend(req, nil)
 				if len(cands) == 0 {
 					break
 				}
@@ -196,7 +196,7 @@ func TestTorusDORDatelineDiscipline(t *testing.T) {
 	req := Request{Node: hdr.Src, InPort: InjectionPort, Hdr: hdr}
 	vcs := []int{}
 	for hops := 0; req.Node != hdr.Dst && hops < 10; hops++ {
-		cands := alg.Route(req)
+		cands := alg.RouteAppend(req, nil)
 		if len(cands) != 1 {
 			t.Fatalf("oblivious routing must give one candidate, got %v", cands)
 		}
@@ -295,7 +295,7 @@ func TestUpDownPhaseDiscipline(t *testing.T) {
 		req := Request{Node: src, InPort: InjectionPort, Hdr: hdr}
 		descended := false
 		for hops := 0; req.Node != dst && hops < 100; hops++ {
-			cands := alg.Route(req)
+			cands := alg.RouteAppend(req, nil)
 			if len(cands) == 0 {
 				t.Fatalf("updown blocked fault-free %d->%d", src, dst)
 			}

@@ -59,6 +59,7 @@ const (
 // Every routing decision takes exactly two rule interpretations
 // (decide_dir, then decide_vc), matching the paper's Section 5.
 type RouteC struct {
+	Defaults
 	cube   *topology.Hypercube
 	faults *fault.Set
 	states []NodeState
@@ -328,9 +329,8 @@ func (r *RouteC) decideDir(req Request) (ports uint, kind int) {
 // decideVC is the second rule interpretation: attach the virtual
 // channel mandated by phase and detour level. Bumps and detours both
 // claim the next level's channel.
-func (r *RouteC) decideVC(req Request, ports uint, kind int) []Candidate {
+func (r *RouteC) decideVC(req Request, ports uint, kind int, out []Candidate) []Candidate {
 	up := r.cube.UpMask(req.Node, req.Hdr.Dst)
-	out := make([]Candidate, 0, bits.OnesCount(ports))
 	for ; ports != 0; ports &= ports - 1 {
 		p := bits.TrailingZeros(ports)
 		h := *req.Hdr
@@ -351,12 +351,12 @@ func (r *RouteC) decideVC(req Request, ports uint, kind int) []Candidate {
 	return out
 }
 
-func (r *RouteC) Route(req Request) []Candidate {
+func (r *RouteC) RouteAppend(req Request, buf []Candidate) []Candidate {
 	ports, kind := r.decideDir(req)
 	if ports == 0 {
-		return nil
+		return buf
 	}
-	return r.decideVC(req, ports, kind)
+	return r.decideVC(req, ports, kind, buf)
 }
 
 // RouteCNFT is the stripped-down, non-fault-tolerant variant of
@@ -366,6 +366,7 @@ func (r *RouteC) Route(req Request) []Candidate {
 // fault-free network and needs a single rule interpretation per
 // message.
 type RouteCNFT struct {
+	Defaults
 	cube   *topology.Hypercube
 	faults *fault.Set
 }
@@ -387,7 +388,7 @@ func (r *RouteCNFT) NoteHop(req Request, chosen Candidate) {
 	}
 }
 
-func (r *RouteCNFT) Route(req Request) []Candidate {
+func (r *RouteCNFT) RouteAppend(req Request, out []Candidate) []Candidate {
 	cur, dst := req.Node, req.Hdr.Dst
 	ports := r.cube.UpMask(cur, dst)
 	vc := routecVCUp
@@ -395,7 +396,6 @@ func (r *RouteCNFT) Route(req Request) []Candidate {
 		ports = r.cube.DownMask(cur, dst)
 		vc = routecVCDown
 	}
-	var out []Candidate
 	for ; ports != 0; ports &= ports - 1 {
 		if p := bits.TrailingZeros(ports); r.faults.PortUsable(r.cube, cur, p) {
 			out = append(out, Candidate{Port: p, VC: vc})

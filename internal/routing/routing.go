@@ -54,16 +54,12 @@ const (
 	RegimeMaze = "maze-escape/2vc"
 )
 
-// DeadlockRegimer is implemented by algorithms that declare their
-// deadlock-avoidance regime for the hot-swap safety gate.
-type DeadlockRegimer interface{ DeadlockRegime() string }
-
 // RegimeOf returns an algorithm's deadlock-regime tag, falling back to
 // name + VC count for algorithms that do not declare one (which makes
 // them hot-swappable only against the same algorithm).
 func RegimeOf(a Algorithm) string {
-	if r, ok := a.(DeadlockRegimer); ok {
-		return r.DeadlockRegime()
+	if r := a.DeadlockRegime(); r != "" {
+		return r
 	}
 	return fmt.Sprintf("%s/%dvc", a.Name(), a.NumVCs())
 }
@@ -130,57 +126,6 @@ type Header struct {
 // Header declaration readable).
 type NodeIDField = topology.NodeID
 
-// UnreachableJudge is implemented by algorithms that can issue a
-// definitive unreachable verdict: when Route returns no candidate AND
-// UnreachableVerdict is true, the destination is genuinely unreachable
-// from the deciding node on the post-fault graph — the drop is a
-// delivery-oracle-sanctioned verdict, not a sacrifice. The network
-// flags such drops on the message and in Stats.Unreachable.
-type UnreachableJudge interface {
-	UnreachableVerdict(req Request) bool
-}
-
-// CreditGatedVA is implemented by algorithms whose deadlock-freedom
-// argument requires credit-gated virtual-channel allocation: the
-// network must not commit a head to an output VC that has no
-// downstream credit. A head that cannot advance then stays in the VA
-// stage, re-arbitrating every cycle with the full candidate set — in
-// particular the escape channel — still selectable. This is the
-// blocked-head side of Duato's protocol (the maze family's VC0 moves
-// are fully adaptive, so commit-on-free could close a VC0 wait cycle
-// that the always-offered escape VC would have broken). Families with
-// acyclic channel-dependency graphs don't need the gate and keep the
-// cheaper commit-on-free allocation unchanged.
-type CreditGatedVA interface {
-	AllocNeedsCredit() bool
-}
-
-// AllocNeedsCredit reports whether a requires credit-gated VC
-// allocation (CreditGatedVA).
-func AllocNeedsCredit(a Algorithm) bool {
-	if g, ok := a.(CreditGatedVA); ok {
-		return g.AllocNeedsCredit()
-	}
-	return false
-}
-
-// ReconfigFlusher is implemented by algorithms whose UpdateFaults
-// reorients a channel ordering that in-flight messages may already
-// occupy — e.g. the maze escape plane's per-component up*/down*
-// orientation, which is re-rooted and re-levelled per fault event. A
-// worm holding escape buffers acquired under the old orientation can
-// close a wait cycle with worms routing under the new one (the union
-// of two acyclic orientations need not be acyclic), so the network's
-// fault surgery removes flagged worms at the event, exactly like worms
-// physically touching the failed element: the fault model's recovery
-// protocol (assumption iv) reinjects them.
-type ReconfigFlusher interface {
-	// FlushOnFault reports whether the message described by h holds
-	// resources whose ordering the pending reorientation invalidates.
-	// It is consulted before UpdateFaults advances the epoch.
-	FlushOnFault(h *Header) bool
-}
-
 // Request is the input of one routing decision.
 type Request struct {
 	// Node is the router making the decision.
@@ -189,8 +134,8 @@ type Request struct {
 	InPort int
 	// InVC is the arrival virtual channel (0 at injection).
 	InVC int
-	// Hdr is the message header; Route must not modify it (NoteHop
-	// performs the updates once a hop is committed).
+	// Hdr is the message header; RouteAppend must not modify it
+	// (NoteHop performs the updates once a hop is committed).
 	Hdr *Header
 }
 
@@ -207,18 +152,29 @@ type Candidate struct {
 // diagnosis phase complete atomically, so central storage of the
 // per-node states is behaviourally equivalent; the states themselves
 // are still computed by neighbour-local propagation rules).
+//
+// Every method is part of the contract. Most algorithms answer the last
+// six neutrally; those answers are written once, in Defaults, which the
+// native algorithms embed. A wrapper embeds the Algorithm it wraps and
+// overrides what it changes (the rule adapters embed their native
+// instance), or implements every method itself (reconfig.Swapper), so a
+// forgotten forward is a compile error rather than a silent change of
+// deadlock behaviour.
 type Algorithm interface {
 	// Name returns a short identifier, e.g. "nafta".
 	Name() string
 	// NumVCs returns the number of virtual channels per physical link
 	// the algorithm requires.
 	NumVCs() int
-	// Route returns the admissible outputs for the request. An empty
-	// result means the message is unroutable at this node under the
-	// current fault state (the simulator drops and records it); a
-	// fault-tolerant algorithm must keep the result non-empty whenever
-	// the paper's condition 3 holds.
-	Route(req Request) []Candidate
+	// RouteAppend appends the admissible outputs for the request to buf
+	// (typically a per-virtual-channel buffer reset to buf[:0] by the
+	// caller) and returns the extended slice; the candidates must not
+	// alias algorithm-internal storage. Appending nothing means the
+	// message is unroutable at this node under the current fault state
+	// (the simulator drops and records it); a fault-tolerant algorithm
+	// must append at least one candidate whenever the paper's condition
+	// 3 holds.
+	RouteAppend(req Request, buf []Candidate) []Candidate
 	// Steps returns the number of rule-interpreter invocations this
 	// decision costs on the rule-based router (paper Section 5: NARA
 	// 1, NAFTA 1 fault-free to 3 worst case, ROUTE_C always 2).
@@ -231,32 +187,73 @@ type Algorithm interface {
 	// fixpoint after the fault set changed (assumption iv: no traffic
 	// during the diagnosis phase).
 	UpdateFaults(f *fault.Set)
+
+	// DeadlockRegime declares the deadlock-avoidance regime for the
+	// hot-swap safety gate; "" declares none (RegimeOf then falls back
+	// to name + VC count).
+	DeadlockRegime() string
+	// AllocNeedsCredit reports whether the deadlock-freedom argument
+	// requires credit-gated virtual-channel allocation: the network
+	// must not commit a head to an output VC that has no downstream
+	// credit. A head that cannot advance then stays in the VA stage,
+	// re-arbitrating every cycle with the full candidate set — in
+	// particular the escape channel — still selectable. This is the
+	// blocked-head side of Duato's protocol (the maze family's VC0
+	// moves are fully adaptive, so commit-on-free could close a VC0
+	// wait cycle that the always-offered escape VC would have broken).
+	// Families with acyclic channel-dependency graphs don't need the
+	// gate and keep the cheaper commit-on-free allocation.
+	AllocNeedsCredit() bool
+	// FlushOnFault reports whether the message described by h holds
+	// resources whose ordering the pending fault event invalidates. It
+	// is consulted before UpdateFaults advances the epoch, for
+	// algorithms whose UpdateFaults reorients a channel ordering that
+	// in-flight messages may already occupy — e.g. the maze escape
+	// plane's per-component up*/down* orientation, which is re-rooted
+	// and re-levelled per fault event. A worm holding escape buffers
+	// acquired under the old orientation can close a wait cycle with
+	// worms routing under the new one (the union of two acyclic
+	// orientations need not be acyclic), so the network's fault
+	// surgery removes flagged worms at the event, exactly like worms
+	// physically touching the failed element: the fault model's
+	// recovery protocol (assumption iv) reinjects them.
+	FlushOnFault(h *Header) bool
+	// UnreachableVerdict, asked after RouteAppend appended nothing,
+	// reports whether the destination is genuinely unreachable from the
+	// deciding node on the post-fault graph — the drop is a
+	// delivery-oracle-sanctioned verdict, not a sacrifice. The network
+	// flags such drops on the message and in Stats.Unreachable.
+	UnreachableVerdict(req Request) bool
+	// Blocks returns the fault-block view of algorithms that deactivate
+	// healthy nodes (NAFTA's convex completion), nil otherwise. The
+	// traffic generator neither sources nor sinks traffic at a node the
+	// view disables (assumption iii).
+	Blocks() *fault.BlockInfo
+	// AttachLoads hands the algorithm the network's load view, for
+	// algorithms whose decision reads buffer exploitation (the
+	// rule-based NAFTA's adaptivity input). The network calls it on
+	// every algorithm it is built or reconfigured with.
+	AttachLoads(v LoadView)
 }
 
-// BufferedAlgorithm is implemented by algorithms whose hot path can
-// route without allocating: RouteAppend appends the admissible outputs
-// to buf (typically a per-virtual-channel buffer reset to buf[:0] by
-// the caller) and returns the extended slice. Semantics are identical
-// to Route; the candidates must not alias algorithm-internal storage.
-type BufferedAlgorithm interface {
-	Algorithm
-	RouteAppend(req Request, buf []Candidate) []Candidate
-}
+// Defaults holds the neutral answers of the optional part of the
+// Algorithm contract: no declared regime, commit-on-free allocation, no
+// reconfiguration flush, no unreachable verdict (every empty route is a
+// plain drop), no block view and no use for the load view. Algorithms
+// embed it and override what they have.
+type Defaults struct{}
 
-// RouteInto routes through the allocation-free path when the algorithm
-// offers one and falls back to copying Route's result into buf
-// otherwise, so callers can hold one code path.
+func (Defaults) DeadlockRegime() string          { return "" }
+func (Defaults) AllocNeedsCredit() bool          { return false }
+func (Defaults) FlushOnFault(*Header) bool       { return false }
+func (Defaults) UnreachableVerdict(Request) bool { return false }
+func (Defaults) Blocks() *fault.BlockInfo        { return nil }
+func (Defaults) AttachLoads(LoadView)            {}
+
+// RouteInto is a.RouteAppend(req, buf); the benchmark harness calls it.
 func RouteInto(a Algorithm, req Request, buf []Candidate) []Candidate {
-	if b, ok := a.(BufferedAlgorithm); ok {
-		return b.RouteAppend(req, buf)
-	}
-	return append(buf, a.Route(req)...)
+	return a.RouteAppend(req, buf)
 }
-
-var (
-	_ BufferedAlgorithm = (*NAFTA)(nil)
-	_ BufferedAlgorithm = (*ECube)(nil)
-)
 
 // LoadView exposes the local load information a selection policy may
 // consult (buffer exploitation, as produced by the paper's Information

@@ -9,7 +9,7 @@ import (
 )
 
 // walk drives a single message from src to dst through alg, applying
-// Route and NoteHop exactly like the simulator does (but without
+// RouteAppend and NoteHop exactly like the simulator does (but without
 // contention). It returns whether the message arrived, the hop count,
 // and the final header.
 func walk(t *testing.T, g topology.Graph, alg Algorithm, src, dst topology.NodeID, maxHops int) (bool, int, *Header) {
@@ -18,7 +18,7 @@ func walk(t *testing.T, g topology.Graph, alg Algorithm, src, dst topology.NodeI
 	req := Request{Node: src, InPort: InjectionPort, InVC: 0, Hdr: hdr}
 	hops := 0
 	for req.Node != dst {
-		cands := alg.Route(req)
+		cands := alg.RouteAppend(req, nil)
 		if len(cands) == 0 {
 			return false, hops, hdr
 		}
@@ -158,7 +158,7 @@ func TestNARAFullyAdaptiveMinimal(t *testing.T) {
 	hdr := &Header{Src: m.Node(0, 0), Dst: m.Node(4, 3), Length: 4}
 	req := Request{Node: m.Node(1, 1), InPort: topology.West, InVC: VNSouthLast, Hdr: hdr}
 	hdr.VNet = VNSouthLast
-	cands := alg.Route(req)
+	cands := alg.RouteAppend(req, nil)
 	if len(cands) != 2 {
 		t.Fatalf("NARA should offer both minimal ports, got %v", cands)
 	}
@@ -177,7 +177,7 @@ func TestNARAVNetAssignment(t *testing.T) {
 	alg := NewNARA(m)
 	// North-bound message gets south-last; south-bound north-last.
 	hdrN := &Header{Src: m.Node(0, 0), Dst: m.Node(0, 3), Length: 4}
-	cands := alg.Route(Request{Node: hdrN.Src, InPort: InjectionPort, Hdr: hdrN})
+	cands := alg.RouteAppend(Request{Node: hdrN.Src, InPort: InjectionPort, Hdr: hdrN}, nil)
 	if len(cands) != 1 || cands[0].VC != VNSouthLast {
 		t.Fatalf("north-bound injection: %v", cands)
 	}
@@ -186,7 +186,7 @@ func TestNARAVNetAssignment(t *testing.T) {
 		t.Fatal("NoteHop should latch the VNet")
 	}
 	hdrS := &Header{Src: m.Node(0, 3), Dst: m.Node(0, 0), Length: 4}
-	cands = alg.Route(Request{Node: hdrS.Src, InPort: InjectionPort, Hdr: hdrS})
+	cands = alg.RouteAppend(Request{Node: hdrS.Src, InPort: InjectionPort, Hdr: hdrS}, nil)
 	if len(cands) != 1 || cands[0].VC != VNNorthLast {
 		t.Fatalf("south-bound injection: %v", cands)
 	}
@@ -221,8 +221,8 @@ func TestNAFTAEqualsNARAWithoutFaults(t *testing.T) {
 		}
 		hdr := &Header{Src: s, Dst: d, Length: 4}
 		req := Request{Node: s, InPort: InjectionPort, Hdr: hdr}
-		a := nafta.Route(req)
-		b := nara.Route(req)
+		a := nafta.RouteAppend(req, nil)
+		b := nara.RouteAppend(req, nil)
 		if len(a) != len(b) {
 			t.Fatalf("fault-free NAFTA and NARA disagree for %d->%d: %v vs %v", s, d, a, b)
 		}
@@ -329,7 +329,7 @@ func TestNAFTAMisrouteBudget(t *testing.T) {
 	req := Request{Node: m.Node(0, 2), InPort: topology.South, InVC: VNSouthLast, Hdr: hdr}
 	hdr.VNet = VNSouthLast
 	// Budget exhausted and minimal set blocked: unroutable.
-	if cands := alg.Route(req); len(cands) != 0 {
+	if cands := alg.RouteAppend(req, nil); len(cands) != 0 {
 		t.Fatalf("expected unroutable with exhausted budget, got %v", cands)
 	}
 }
@@ -447,8 +447,8 @@ func TestRouteCEqualsNFTFaultFree(t *testing.T) {
 		}
 		hdr1 := &Header{Src: s, Dst: d, Length: 4}
 		hdr2 := &Header{Src: s, Dst: d, Length: 4}
-		a := ft.Route(Request{Node: s, InPort: InjectionPort, Hdr: hdr1})
-		b := nft.Route(Request{Node: s, InPort: InjectionPort, Hdr: hdr2})
+		a := ft.RouteAppend(Request{Node: s, InPort: InjectionPort, Hdr: hdr1}, nil)
+		b := nft.RouteAppend(Request{Node: s, InPort: InjectionPort, Hdr: hdr2}, nil)
 		if len(a) != len(b) {
 			t.Fatalf("ROUTE_C and stripped variant disagree fault-free: %v vs %v", a, b)
 		}
@@ -537,7 +537,7 @@ func TestRouteCVCDiscipline(t *testing.T) {
 	alg := NewRouteC(h)
 	// Ascending message: src 0 -> dst 15 uses only up moves on VC0.
 	hdr := &Header{Src: 0, Dst: 15, Length: 4}
-	cands := alg.Route(Request{Node: 0, InPort: InjectionPort, Hdr: hdr})
+	cands := alg.RouteAppend(Request{Node: 0, InPort: InjectionPort, Hdr: hdr}, nil)
 	for _, c := range cands {
 		if c.VC != routecVCUp {
 			t.Fatalf("ascending hop must use VC0, got %v", c)
@@ -545,7 +545,7 @@ func TestRouteCVCDiscipline(t *testing.T) {
 	}
 	// Descending message: src 15 -> dst 0 uses VC1.
 	hdr2 := &Header{Src: 15, Dst: 0, Length: 4}
-	cands = alg.Route(Request{Node: 15, InPort: InjectionPort, Hdr: hdr2})
+	cands = alg.RouteAppend(Request{Node: 15, InPort: InjectionPort, Hdr: hdr2}, nil)
 	for _, c := range cands {
 		if c.VC != routecVCDown {
 			t.Fatalf("descending hop must use VC1, got %v", c)

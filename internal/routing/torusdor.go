@@ -15,6 +15,7 @@ import (
 // completes the torus topology as a baseline (the paper's reference
 // list treats tori via [ChB95a, CyG94]).
 type TorusDOR struct {
+	Defaults
 	torus  *topology.Torus
 	faults *fault.Set
 }
@@ -56,19 +57,19 @@ func (t *TorusDOR) step(cur, dst topology.NodeID) (port int, wraps bool) {
 	return -1, false
 }
 
-func (t *TorusDOR) Route(req Request) []Candidate {
+func (t *TorusDOR) RouteAppend(req Request, buf []Candidate) []Candidate {
 	port, _ := t.step(req.Node, req.Hdr.Dst)
 	if port < 0 {
-		return nil
+		return buf
 	}
 	if !t.faults.PortUsable(t.torus, req.Node, port) {
-		return nil // oblivious: fixed path broken
+		return buf // oblivious: fixed path broken
 	}
 	vc := 0
 	if req.Hdr.Dateline != 0 {
 		vc = 1
 	}
-	return []Candidate{{Port: port, VC: vc}}
+	return append(buf, Candidate{Port: port, VC: vc})
 }
 
 func (t *TorusDOR) NoteHop(req Request, chosen Candidate) {

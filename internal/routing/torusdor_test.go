@@ -14,7 +14,7 @@ func torusWalk(t *testing.T, tor *topology.Torus, alg *TorusDOR, src, dst topolo
 	hdr = &Header{Src: src, Dst: dst, Length: 4}
 	req := Request{Node: src, InPort: InjectionPort, Hdr: hdr}
 	for req.Node != dst {
-		cands := alg.Route(req)
+		cands := alg.RouteAppend(req, nil)
 		if len(cands) != 1 {
 			t.Fatalf("torusdor %d->%d at %d: want exactly one candidate, got %v", src, dst, req.Node, cands)
 		}

@@ -17,6 +17,7 @@ import (
 // down->down, so the channel dependency graph is acyclic with a single
 // virtual channel.
 type Tree struct {
+	Defaults
 	g      topology.Graph
 	faults *fault.Set
 	tree   *topology.SpanningTree
@@ -59,19 +60,19 @@ func (t *Tree) UpdateFaults(f *fault.Set) {
 	t.Rebuilds++
 }
 
-func (t *Tree) Route(req Request) []Candidate {
+func (t *Tree) RouteAppend(req Request, buf []Candidate) []Candidate {
 	if t.tree == nil {
-		return nil
+		return buf
 	}
 	next := t.tree.NextHop(req.Node, req.Hdr.Dst)
 	if next == topology.Invalid {
-		return nil
+		return buf
 	}
 	p, ok := t.g.PortTo(req.Node, next)
 	if !ok {
-		return nil
+		return buf
 	}
-	return []Candidate{{Port: p, VC: 0}}
+	return append(buf, Candidate{Port: p, VC: 0})
 }
 
 // CurrentTree exposes the active spanning tree (for the evaluation

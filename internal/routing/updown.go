@@ -19,6 +19,7 @@ import (
 // counter exposes that global cost, in contrast to NAFTA's local state
 // propagation (experiment E12).
 type UpDown struct {
+	Defaults
 	g      topology.Graph
 	faults *fault.Set
 	level  []int
@@ -153,9 +154,8 @@ func (u *UpDown) NoteHop(req Request, chosen Candidate) {
 	}
 }
 
-func (u *UpDown) Route(req Request) []Candidate {
+func (u *UpDown) RouteAppend(req Request, out []Candidate) []Candidate {
 	cur, dst := req.Node, req.Hdr.Dst
-	var out []Candidate
 	for p := 0; p < u.g.Ports(); p++ {
 		nb := u.g.Neighbor(cur, p)
 		if nb == topology.Invalid || !u.faults.HopUsable(cur, nb) {

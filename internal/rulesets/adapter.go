@@ -80,8 +80,6 @@ func (r *RuleNAFTA) AttachLoads(v routing.LoadView) { r.loads = v }
 
 func (r *RuleNAFTA) Name() string { return "rule-nafta" }
 
-func (r *RuleNAFTA) Steps(req routing.Request) int { return r.native.Steps(req) }
-
 // CheckFacts is the oracle of the UpdateFaults precompute: the words
 // fillInputs stores are read off the native instance's per-node fact
 // records, which only UpdateFaults rewrites (routing.NAFTA.CheckFacts).
@@ -131,14 +129,9 @@ func (r *RuleNAFTA) fillInputs(req routing.Request) int {
 	return w.VNet
 }
 
-// Route performs the decision through the compiled rule tables: the
-// table lookup selects the applicable rule and the conclusion is
+// RouteAppend performs the decision through the compiled rule tables:
+// the table lookup selects the applicable rule and the conclusion is
 // executed for its RETURN value. An empty result means unroutable.
-func (r *RuleNAFTA) Route(req routing.Request) []routing.Candidate {
-	return r.RouteAppend(req, nil)
-}
-
-// RouteAppend is the allocation-free form of Route (BufferedAlgorithm).
 func (r *RuleNAFTA) RouteAppend(req routing.Request, buf []routing.Candidate) []routing.Candidate {
 	vnet := r.fillInputs(req)
 	primary := naftaFT
@@ -155,4 +148,3 @@ func (r *RuleNAFTA) RouteAppend(req routing.Request, buf []routing.Candidate) []
 }
 
 var _ routing.Algorithm = (*RuleNAFTA)(nil)
-var _ routing.BufferedAlgorithm = (*RuleNAFTA)(nil)

@@ -68,23 +68,6 @@ func NewRuleMazeFromProgram(g topology.Graph, p *Program, tables map[string]*cor
 
 func (r *RuleMaze) Name() string { return "rule-maze" }
 
-func (r *RuleMaze) Steps(req routing.Request) int { return r.native.Steps(req) }
-
-// UnreachableVerdict forwards the native engine's component-table
-// verdict (routing.UnreachableJudge): the rule tables decide moves, the
-// information units certify disconnection.
-func (r *RuleMaze) UnreachableVerdict(req routing.Request) bool {
-	return r.native.UnreachableVerdict(req)
-}
-
-// AllocNeedsCredit forwards the native engine's credit-gated
-// allocation requirement (routing.CreditGatedVA).
-func (r *RuleMaze) AllocNeedsCredit() bool { return r.native.AllocNeedsCredit() }
-
-// FlushOnFault forwards the native engine's reconfiguration flush
-// (routing.ReconfigFlusher).
-func (r *RuleMaze) FlushOnFault(h *routing.Header) bool { return r.native.FlushOnFault(h) }
-
 // fillInputs digests one decision into the program's input signals via
 // the native engine's fact computation (no allocation).
 func (r *RuleMaze) fillInputs(req routing.Request) {
@@ -101,14 +84,10 @@ func (r *RuleMaze) fillInputs(req routing.Request) {
 	}
 }
 
-// Route performs the decision through the compiled rule tables. An
-// empty result means unroutable — for this family, a certified
-// unreachable verdict (see UnreachableVerdict).
-func (r *RuleMaze) Route(req routing.Request) []routing.Candidate {
-	return r.RouteAppend(req, nil)
-}
-
-// RouteAppend is the allocation-free form of Route (BufferedAlgorithm).
+// RouteAppend performs the decision through the compiled rule tables.
+// An empty result means unroutable — for this family, a certified
+// unreachable verdict (the native's UnreachableVerdict: the rule tables
+// decide moves, the information units certify disconnection).
 func (r *RuleMaze) RouteAppend(req routing.Request, buf []routing.Candidate) []routing.Candidate {
 	r.fillInputs(req)
 	if port, ok := r.decide(req.Node, mazeMove, invc0, invc0D); ok {
@@ -121,5 +100,3 @@ func (r *RuleMaze) RouteAppend(req routing.Request, buf []routing.Candidate) []r
 }
 
 var _ routing.Algorithm = (*RuleMaze)(nil)
-var _ routing.BufferedAlgorithm = (*RuleMaze)(nil)
-var _ routing.UnreachableJudge = (*RuleMaze)(nil)

@@ -100,9 +100,9 @@ func TestRuleMazeMatchesNativeWalks(t *testing.T) {
 					break
 				}
 				fastFired, interpFired = fastFired[:0], interpFired[:0]
-				a := fast.Route(req)
-				b := interp.Route(req)
-				c := native.Route(req)
+				a := fast.RouteAppend(req, nil)
+				b := interp.RouteAppend(req, nil)
+				c := native.RouteAppend(req, nil)
 				if !sameCands(a, b) || !sameCands(a, c) {
 					t.Fatalf("%s %d->%d at %d: fast %v interp %v native %v", g.Name(), src, dst, req.Node, a, b, c)
 				}

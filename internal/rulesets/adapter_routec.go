@@ -149,9 +149,6 @@ func NewRuleRouteCFromProgram(h *topology.Hypercube, p *Program, tables map[stri
 
 func (r *RuleRouteC) Name() string { return "rule-routec" }
 
-// Steps is always two interpretations (decide_dir, decide_vc).
-func (r *RuleRouteC) Steps(routing.Request) int { return 2 }
-
 func (r *RuleRouteC) UpdateFaults(f *fault.Set) {
 	r.Engine.UpdateFaults(f)
 	r.rebuildNodes()
@@ -220,11 +217,8 @@ func (r *RuleRouteC) CheckLines() error {
 	return nil
 }
 
-func (r *RuleRouteC) Route(req routing.Request) []routing.Candidate {
-	return r.RouteAppend(req, nil)
-}
-
-// RouteAppend is the allocation-free form of Route (BufferedAlgorithm).
+// RouteAppend decides through decide_dir, then decide_vc per port — the
+// native's two interpretations (Steps).
 func (r *RuleRouteC) RouteAppend(req routing.Request, buf []routing.Candidate) []routing.Candidate {
 	// The input lines of the decision, shared by the rule tables and the
 	// conclusion-processing priority encoder.
@@ -291,4 +285,3 @@ func (r *RuleRouteC) RouteAppend(req routing.Request, buf []routing.Candidate) [
 }
 
 var _ routing.Algorithm = (*RuleRouteC)(nil)
-var _ routing.BufferedAlgorithm = (*RuleRouteC)(nil)

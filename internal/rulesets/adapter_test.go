@@ -147,7 +147,7 @@ func TestRuleRouteCDrivesNetwork(t *testing.T) {
 	}
 }
 
-// Candidate-level equivalence: the rule-driven Route must produce the
+// Candidate-level equivalence: the rule-driven RouteAppend must produce the
 // same candidate set as the native algorithm on random states.
 func TestRuleRouteCMatchesNativeCandidates(t *testing.T) {
 	h := topology.NewHypercube(5)
@@ -180,8 +180,8 @@ func TestRuleRouteCMatchesNativeCandidates(t *testing.T) {
 			hdr2 := *hdr
 			req2 := req
 			req2.Hdr = &hdr2
-			a := native.Route(req)
-			b := ruled.Route(req2)
+			a := native.RouteAppend(req, nil)
+			b := ruled.RouteAppend(req2, nil)
 			if len(a) != len(b) {
 				t.Fatalf("seed %d trial %d (%05b->%05b): native %v vs ruled %v",
 					seed, trial, src, dst, a, b)
@@ -315,7 +315,7 @@ func walkUntilDropped(alg routing.Algorithm, m *topology.Mesh, src, dst topology
 	for len(path) < 4*m.Nodes() && cur != dst {
 		path = append(path, cur)
 		req := routing.Request{Node: cur, InPort: inPort, Hdr: hdr}
-		cands := alg.Route(req)
+		cands := alg.RouteAppend(req, nil)
 		if len(cands) == 0 {
 			return path, true
 		}

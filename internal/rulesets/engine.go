@@ -19,6 +19,16 @@ import (
 // conclusions; a new algorithm is a new rule base plus those two, not a
 // new interpreter.
 //
+// The Engine embeds the family's native instance, which plays the
+// router's Information Units: every routing.Algorithm method the rule
+// tables do not replace — NumVCs, Steps, NoteHop, the deadlock regime,
+// the credit gate, the flush, the unreachable verdict, the block view —
+// is the native's by construction, so an adapter cannot drop one. The
+// regime in particular: the rule tables implement the native's
+// virtual-channel scheme, so rule and native engines are mutually
+// hot-swappable. An adapter overrides Name, RouteAppend and whatever
+// its tables replace.
+//
 // Decisions run on the compiled dense fast path (core.DenseTable over
 // the flat core.InputVector, no allocation): the table index is
 // computed by compiled closures and the folded RETURN value comes
@@ -33,9 +43,10 @@ import (
 // machine are per-decision scratch, so an Engine — like the adapter
 // around it — serves one goroutine.
 type Engine struct {
+	routing.Algorithm // the family's native instance: its Information Units
+
 	checked *rules.Checked
-	units   routing.Algorithm // the family's native instance: its Information Units
-	faults  *fault.Set        // as of the last UpdateFaults
+	faults  *fault.Set // as of the last UpdateFaults
 	iv      *core.InputVector
 	scratch *core.Machine
 	bases   []boundBase // in the order of the family's *DecisionBases
@@ -84,10 +95,10 @@ var (
 // reconfiguration artifact, and bound to p.Checked) and compiled
 // in-process otherwise; the input layout, the vector, the scratch
 // machine reading that vector and the dense tables follow, and inputs
-// are resolved against the layout. units is the native instance NumVCs,
-// NoteHop, UpdateFaults and DeadlockRegime forward to.
+// are resolved against the layout. units is the native instance the
+// engine embeds.
 func (e *Engine) bind(units routing.Algorithm, p *Program, tables map[string]*core.CompiledBase, baseNames []string, inputs []place) error {
-	e.checked, e.units, e.faults = p.Checked, units, fault.NewSet()
+	e.Algorithm, e.checked, e.faults = units, p.Checked, fault.NewSet()
 	layout := core.NewInputLayout(p.Checked)
 	e.iv = core.NewInputVector(layout)
 	e.scratch = core.NewMachine(p.Checked, e.iv.Provider())
@@ -138,7 +149,7 @@ func (e *Engine) bind(units routing.Algorithm, p *Program, tables map[string]*co
 // want the shared Engine — DisableFast, Lookups, OnRuleFired — and not
 // the family.
 type Adapter interface {
-	routing.BufferedAlgorithm
+	routing.Algorithm
 	RuleEngine() *Engine
 }
 
@@ -168,23 +179,12 @@ func (e *Engine) FastPathActive() bool {
 	return true
 }
 
-func (e *Engine) NumVCs() int { return e.units.NumVCs() }
-
-func (e *Engine) NoteHop(req routing.Request, chosen routing.Candidate) {
-	e.units.NoteHop(req, chosen)
-}
-
 // UpdateFaults hands the new fault set to the native instance, which
 // recomputes the distributed fault state the inputs are read from.
 func (e *Engine) UpdateFaults(f *fault.Set) {
 	e.faults = f
-	e.units.UpdateFaults(f)
+	e.Algorithm.UpdateFaults(f)
 }
-
-// DeadlockRegime tags the adapter with its native instance's
-// discipline: the rule tables implement the same virtual-channel
-// scheme, so rule and native engines are mutually hot-swappable.
-func (e *Engine) DeadlockRegime() string { return routing.RegimeOf(e.units) }
 
 // decide runs decision base b (an index into the family's
 // *DecisionBases) over the current input vector; the lookup counter

@@ -90,8 +90,8 @@ func FuzzRuleNAFTADifferential(f *testing.F) {
 		reqI := reqF
 		reqI.Hdr = &hdr2
 		fastFired, interpFired = fastFired[:0], interpFired[:0]
-		a := fast.Route(reqF)
-		b := interp.Route(reqI)
+		a := fast.RouteAppend(reqF, nil)
+		b := interp.RouteAppend(reqI, nil)
 		if !sameCands(a, b) {
 			t.Fatalf("candidates diverged: fast %v vs interpreted %v (req %+v hdr %+v)", a, b, reqF, hdr)
 		}
@@ -212,8 +212,8 @@ func FuzzMazeFastPath(f *testing.F) {
 		reqI := reqF
 		reqI.Hdr = &hdr2
 		fastFired, interpFired = fastFired[:0], interpFired[:0]
-		a := l.fast.Route(reqF)
-		b := l.interp.Route(reqI)
+		a := l.fast.RouteAppend(reqF, nil)
+		b := l.interp.RouteAppend(reqI, nil)
 		if !sameCands(a, b) {
 			t.Fatalf("%s: candidates diverged: fast %v vs interpreted %v (req %+v hdr %+v)", g.Name(), a, b, reqF, hdr)
 		}
@@ -291,8 +291,8 @@ func FuzzRuleRouteCDifferential(f *testing.F) {
 		reqI := reqF
 		reqI.Hdr = &hdr2
 		fastFired, interpFired = fastFired[:0], interpFired[:0]
-		a := fast.Route(reqF)
-		b := interp.Route(reqI)
+		a := fast.RouteAppend(reqF, nil)
+		b := interp.RouteAppend(reqI, nil)
 		if !sameCands(a, b) {
 			t.Fatalf("candidates diverged: fast %v vs interpreted %v (req %+v hdr %+v)", a, b, reqF, hdr)
 		}

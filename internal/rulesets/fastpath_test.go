@@ -169,8 +169,8 @@ func TestRuleNAFTAFastMatchesInterpreted(t *testing.T) {
 			reqI := reqF
 			reqI.Hdr = &hdr2
 			fastFired, interpFired = fastFired[:0], interpFired[:0]
-			a := fast.Route(reqF)
-			b := interp.Route(reqI)
+			a := fast.RouteAppend(reqF, nil)
+			b := interp.RouteAppend(reqI, nil)
 			if !sameCands(a, b) {
 				t.Fatalf("seed %d trial %d: fast %v vs interpreted %v", seed, trial, a, b)
 			}
@@ -228,8 +228,8 @@ func TestRuleRouteCFastMatchesInterpreted(t *testing.T) {
 			reqI := reqF
 			reqI.Hdr = &hdr2
 			fastFired, interpFired = fastFired[:0], interpFired[:0]
-			a := fast.Route(reqF)
-			b := interp.Route(reqI)
+			a := fast.RouteAppend(reqF, nil)
+			b := interp.RouteAppend(reqI, nil)
 			if !sameCands(a, b) {
 				t.Fatalf("seed %d trial %d: fast %v vs interpreted %v", seed, trial, a, b)
 			}

@@ -51,7 +51,7 @@ func mapProvider(vals map[string]rules.Value) core.InputProvider {
 }
 
 // nativeMode classifies a native decideDir outcome (reconstructed from
-// Route's candidates) into the rule program's mode vocabulary.
+// RouteAppend's candidates) into the rule program's mode vocabulary.
 func nativeMode(h *topology.Hypercube, alg *routing.RouteC, req routing.Request,
 	cands []routing.Candidate) string {
 	if len(cands) == 0 {
@@ -132,7 +132,7 @@ func TestDecideDirMatchesRouteC(t *testing.T) {
 				inPort = rng.Intn(d)
 			}
 			req := routing.Request{Node: src, InPort: inPort, Hdr: hdr}
-			cands := alg.Route(req)
+			cands := alg.RouteAppend(req, nil)
 			want := nativeMode(h, alg, req, cands)
 
 			vals := cubeInputs(p.Checked, h, alg, f, req)
@@ -176,7 +176,7 @@ func TestDecideVCMatchesRouteC(t *testing.T) {
 		hdr := &routing.Header{Src: src, Dst: dst, Length: 6,
 			Phase: rng.Intn(2), DetourLevel: rng.Intn(4)}
 		req := routing.Request{Node: src, InPort: routing.InjectionPort, Hdr: hdr}
-		cands := alg.Route(req)
+		cands := alg.RouteAppend(req, nil)
 		if len(cands) == 0 {
 			continue
 		}

@@ -302,7 +302,7 @@ func TestIncomingMessageMatchesNARA(t *testing.T) {
 		for i := range loads.q {
 			loads.q[i] = rng.Intn(16)
 		}
-		cands := native.Route(req)
+		cands := native.RouteAppend(req, nil)
 		var want int = -1
 		if len(cands) > 0 {
 			want = sel.Select(loads, src, cands, hdr).Port
@@ -365,7 +365,7 @@ func TestFTDecisionMatchesNAFTA(t *testing.T) {
 			for i := range loads.q {
 				loads.q[i] = rng.Intn(16)
 			}
-			cands := native.Route(req)
+			cands := native.RouteAppend(req, nil)
 			mi := buildMeshScenario(t, p.Checked, m, native, req, loads)
 			mach := core.NewMachine(p.Checked, mi.provider)
 			idx, ret, err := mach.InvokeNow("in_message_ft", rules.IntVal(0))

@@ -8,6 +8,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/reconfig"
 	"repro/internal/routing"
+	"repro/internal/rulesets"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -85,42 +86,82 @@ func (p *firingPattern) check() {
 	}
 }
 
+// The rows: native NAFTA in a swapper, and the rule-table NAFTA bare
+// and in a swapper, whose block view is the native instance's. The
+// swapper rows check against the swapper's current view (NARA keeps
+// none: after the first swap only faulty nodes are excluded, after the
+// second NAFTA's deactivated ones are again); the rule rows against the
+// blocks built from the replayed fault set, which NAFTA's block view
+// must match whichever engine generation is current.
 func TestExcludePredicateFollowsEvents(t *testing.T) {
 	m := topology.NewMesh(8, 8)
-	sw := reconfig.NewSwapper(routing.NewNAFTA(m))
-	// NARA keeps no block view: after the first swap only faulty nodes
-	// are excluded, after the second NAFTA's deactivated ones are again.
-	initial, sched, rcs := excludeEvents(m, func() routing.Algorithm { return routing.NewNARA(m) },
-		[5]int64{40, 70, 90, 110, 140})
-	var net *network.Network
-	replay, faults := sched.Clone(), initial.Clone()
-	pat := &firingPattern{t: t, nodes: m.Nodes(), now: func() int64 { return net.Now() }}
-	pat.ref = func(n topology.NodeID) bool {
-		replay.ApplyUpTo(net.Now(), faults)
-		if faults.NodeFaulty(n) {
-			return true
+	ruleNAFTA := func() routing.Algorithm {
+		r, err := rulesets.NewRuleNAFTA(m)
+		if err != nil {
+			t.Fatal(err)
 		}
-		blocks := sw.Blocks()
-		return blocks != nil && blocks.DisabledNode(n)
+		return r
 	}
-	_, err := sim.Run(sim.Config{
-		Graph: m, Algorithm: sw, Pattern: pat,
-		Rate: 4, Length: 4, Seed: 5,
-		Faults: initial, FaultSchedule: sched, Reconfigs: rcs,
-		WarmupCycles: 60, MeasureCycles: 120, DrainCycles: 100,
-		OnNetwork: func(n *network.Network) { net = n },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pat.check()
-	if sw.Swaps() != 2 {
-		t.Fatalf("%d of 2 swaps fired", sw.Swaps())
-	}
-	// Five events, each changing the excluded set (the link fault only
-	// when it deactivates a node, so at least four).
-	if pat.cycles != 180 || pat.flips < 4 {
-		t.Fatalf("%d cycles checked, excluded set changed for %d node-events", pat.cycles, pat.flips)
+	built := func(f *fault.Set) *fault.BlockInfo { return fault.BuildBlocks(m, f) }
+	native := reconfig.NewSwapper(routing.NewNAFTA(m))
+	for _, row := range []struct {
+		name   string
+		alg    routing.Algorithm
+		swapTo func() routing.Algorithm // nil runs without swaps
+		blocks func(*fault.Set) *fault.BlockInfo
+		flips  int // at least this many per-node changes of the excluded set
+	}{
+		// Five events, each changing the excluded set (the link fault only
+		// when it deactivates a node, so at least four).
+		{"nafta-swapper", native, func() routing.Algorithm { return routing.NewNARA(m) },
+			func(*fault.Set) *fault.BlockInfo { return native.Blocks() }, 4},
+		{"rule-nafta", ruleNAFTA(), nil, built, 2},
+		{"rule-nafta-swapper", reconfig.NewSwapper(ruleNAFTA()), ruleNAFTA, built, 2},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			initial, sched, rcs := excludeEvents(m, row.swapTo, [5]int64{40, 70, 90, 110, 140})
+			if row.swapTo == nil {
+				rcs = nil
+			}
+			var net *network.Network
+			replay, faults := sched.Clone(), initial.Clone()
+			pat := &firingPattern{t: t, nodes: m.Nodes(), now: func() int64 { return net.Now() }}
+			last, deactivated := int64(-1), 0
+			var blocks *fault.BlockInfo
+			pat.ref = func(n topology.NodeID) bool {
+				if now := net.Now(); now != last {
+					last = now
+					replay.ApplyUpTo(now, faults)
+					blocks = row.blocks(faults)
+				}
+				if faults.NodeFaulty(n) {
+					return true
+				}
+				if blocks != nil && blocks.DisabledNode(n) {
+					deactivated++
+					return true
+				}
+				return false
+			}
+			_, err := sim.Run(sim.Config{
+				Graph: m, Algorithm: row.alg, Pattern: pat,
+				Rate: 4, Length: 4, Seed: 5,
+				Faults: initial, FaultSchedule: sched, Reconfigs: rcs,
+				WarmupCycles: 60, MeasureCycles: 120, DrainCycles: 100,
+				OnNetwork: func(n *network.Network) { net = n },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pat.check()
+			if sw, ok := row.alg.(*reconfig.Swapper); ok && sw.Swaps() != int64(len(rcs)) {
+				t.Fatalf("%d of %d swaps fired", sw.Swaps(), len(rcs))
+			}
+			if pat.cycles != 180 || pat.flips < row.flips || deactivated == 0 {
+				t.Fatalf("%d cycles checked, excluded set changed for %d node-events, %d node-cycles deactivated",
+					pat.cycles, pat.flips, deactivated)
+			}
+		})
 	}
 }
 
@@ -151,5 +192,44 @@ func TestScheduleAndSwapResultPinned(t *testing.T) {
 	}
 	if res != want {
 		t.Fatalf("Result moved:\n got %#v\nwant %#v", res, want)
+	}
+}
+
+// blindLoads hides the network's load view from the algorithm it wraps.
+type blindLoads struct{ routing.Algorithm }
+
+func (blindLoads) AttachLoads(routing.LoadView) {}
+
+// A bare rule-table NAFTA and one inside a swapper are the same engine
+// to the network: both get the load view their adaptivity input reads
+// and both hand the generator their block view (the two faults
+// deactivate nodes), so the whole Result is the same. A run with the
+// view hidden must differ, or the comparison would not show it.
+func TestRuleNAFTABareMatchesSwapper(t *testing.T) {
+	m := topology.NewMesh(8, 8)
+	run := func(wrap func(routing.Algorithm) routing.Algorithm) sim.Result {
+		alg, err := rulesets.NewRuleNAFTA(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faults := fault.NewSet()
+		faults.FailNode(m.Node(2, 2))
+		faults.FailNode(m.Node(3, 3))
+		res, err := sim.Run(sim.Config{
+			Graph: m, Algorithm: wrap(alg), Faults: faults,
+			Rate: 0.08, Length: 6, Seed: 21, WarmupCycles: 400, MeasureCycles: 2000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	bare := run(func(a routing.Algorithm) routing.Algorithm { return a })
+	wrapped := run(func(a routing.Algorithm) routing.Algorithm { return reconfig.NewSwapper(a) })
+	if bare != wrapped {
+		t.Fatalf("bare and swapper-wrapped rule-nafta diverge:\n bare    %+v\n wrapped %+v", bare, wrapped)
+	}
+	if blind := run(func(a routing.Algorithm) routing.Algorithm { return blindLoads{a} }); blind == bare {
+		t.Fatalf("hiding the load view changed nothing: %+v", blind)
 	}
 }

@@ -161,10 +161,6 @@ func (r *Result) Throughput() float64 {
 	return float64(r.Stats.FlitsDelivered) / float64(r.Stats.Cycles) / float64(r.Nodes)
 }
 
-// blocksOf extracts a fault-block view from algorithms that maintain
-// one (NAFTA); other algorithms return nil.
-type blocker interface{ Blocks() *fault.BlockInfo }
-
 // Run executes one simulation according to cfg.
 func Run(cfg Config) (Result, error) {
 	if cfg.Graph == nil || cfg.Algorithm == nil {
@@ -213,10 +209,7 @@ func Run(cfg Config) (Result, error) {
 		Length:  cfg.Length,
 		Rng:     rand.New(rand.NewSource(cfg.Seed)),
 		Exclude: func(n topology.NodeID) bool {
-			var blocks *fault.BlockInfo
-			if b, ok := cfg.Algorithm.(blocker); ok {
-				blocks = b.Blocks()
-			}
+			blocks := cfg.Algorithm.Blocks()
 			return f.NodeFaulty(n) || (blocks != nil && blocks.DisabledNode(n))
 		},
 	}
