@@ -54,7 +54,12 @@
 #      BenchmarkGeneratorTick). Set
 #      BENCH_FLEET_BASELINE=BENCH_2026-09-30-fleet-wire.json to gate
 #      the fleet decision path (memoization hit vs uncached, the batch
-#      wire encodings, the cache insert at capacity) the same way.
+#      wire encodings, the cache insert at capacity) the same way, and
+#      BENCH_RULES_BASELINE=BENCH_2026-10-17-premise-ops.json to gate
+#      the rule decision (BenchmarkRuleDecision dense and interpreted
+#      for NAFTA and ROUTE_C, native BenchmarkRouteDecision, and
+#      BenchmarkFleetDecision/uncached, the engine behind a registry
+#      miss).
 #
 # Exits non-zero on the first failure.
 set -eu
@@ -136,6 +141,12 @@ if [ -n "${BENCH_FLEET_BASELINE:-}" ]; then
 	echo "== benchjson -baseline $BENCH_FLEET_BASELINE (fleet decision path)"
 	go run ./cmd/benchjson -bench BenchmarkFleetDecision -benchtime 20000x \
 		-baseline "$BENCH_FLEET_BASELINE"
+fi
+
+if [ -n "${BENCH_RULES_BASELINE:-}" ]; then
+	echo "== benchjson -baseline $BENCH_RULES_BASELINE (rule decision)"
+	go run ./cmd/benchjson -bench 'BenchmarkRuleDecision|BenchmarkRouteDecision|BenchmarkFleetDecision/uncached' \
+		-benchtime 200000x -baseline "$BENCH_RULES_BASELINE"
 fi
 
 echo "== ci.sh: all green"

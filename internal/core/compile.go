@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/rules"
@@ -146,16 +147,8 @@ func CompileBase(c *rules.Checked, base string, opts CompileOptions) (*CompiledB
 	// bits.
 	for _, key := range atomOrder {
 		expr := atomsByKey[key]
-		occ := occurrencesIn(c, bi, expr)
-		concrete := true
-		for _, ok2 := range occ {
-			if !fieldSet[ok2] {
-				concrete = false
-				break
-			}
-		}
-		if concrete {
-			continue // folded during table fill
+		if !slices.ContainsFunc(occurrencesIn(c, bi, expr), func(o occurrence) bool { return !fieldSet[o.key] }) {
+			continue // concrete: folded during table fill
 		}
 		cb.Atoms = append(cb.Atoms, Atom{Key: key, Expr: expr})
 	}
@@ -280,9 +273,7 @@ func (cb *CompiledBase) LookupRule(args []rules.Value, env rules.Env) (int, erro
 // --- helpers ---
 
 type occInfo struct {
-	key     string
-	typ     *rules.Type
-	expr    rules.Expr
+	occurrence
 	eqAtoms int
 	onlyEq  bool
 }
@@ -334,21 +325,14 @@ func collectAtoms(c *rules.Checked, bi *rules.BaseInfo, e rules.Expr,
 		collectAtoms(c, bi, n.X, atoms, order, occs)
 	case *rules.Quant:
 		// A quantified predicate is one FCFB-computed feature bit.
-		key := rules.ExprString(n)
-		if _, seen := atoms[key]; !seen {
-			atoms[key] = n
-			*order = append(*order, key)
-		}
+		addAtom(atoms, order, n)
 		// Its occurrences are vector signals; they never become
 		// direct index fields.
-		for _, ok2 := range occurrencesIn(c, bi, n) {
-			oi := occs[ok2]
-			if oi == nil {
-				oi = &occInfo{key: ok2, onlyEq: true}
-				oi.typ, oi.expr = occTypeExpr(c, bi, ok2, n)
-				occs[ok2] = oi
+		for _, o := range occurrencesIn(c, bi, n) {
+			if occs[o.key] == nil {
+				occs[o.key] = &occInfo{occurrence: o}
 			}
-			oi.onlyEq = false
+			occs[o.key].onlyEq = false
 		}
 	case *rules.Binary:
 		if n.Op == "AND" || n.Op == "OR" {
@@ -359,25 +343,20 @@ func collectAtoms(c *rules.Checked, bi *rules.BaseInfo, e rules.Expr,
 		if !isAtomOp(n.Op) {
 			return
 		}
-		key := rules.ExprString(n)
-		if _, seen := atoms[key]; !seen {
-			atoms[key] = n
-			*order = append(*order, key)
-		}
-		occKeys := occurrencesIn(c, bi, n)
+		addAtom(atoms, order, n)
+		occ := occurrencesIn(c, bi, n)
 		eqLike := n.Op == "=" || n.Op == "<>" || n.Op == "IN"
-		for _, ok2 := range occKeys {
-			oi := occs[ok2]
+		for _, o := range occ {
+			oi := occs[o.key]
 			if oi == nil {
-				oi = &occInfo{key: ok2, onlyEq: true}
-				oi.typ, oi.expr = occTypeExpr(c, bi, ok2, n)
-				occs[ok2] = oi
+				oi = &occInfo{occurrence: o, onlyEq: true}
+				occs[o.key] = oi
 			}
 			// An atom with more than one occurrence can only be
 			// folded when all of them are direct; treat multi-signal
 			// or magnitude atoms as disqualifying for the eq-only
 			// heuristic.
-			if eqLike && len(occKeys) == 1 {
+			if eqLike && len(occ) == 1 {
 				oi.eqAtoms++
 			} else {
 				oi.onlyEq = false
@@ -386,13 +365,36 @@ func collectAtoms(c *rules.Checked, bi *rules.BaseInfo, e rules.Expr,
 	}
 }
 
-// occurrencesIn returns the canonical keys of signal occurrences
-// inside an atom: identifiers naming parameters or scalar signals in
-// value position, and indexed signal accesses (whose index arguments
-// are treated as multiplexer selects, not occurrences).
-func occurrencesIn(c *rules.Checked, bi *rules.BaseInfo, e rules.Expr) []string {
-	var out []string
+// addAtom registers atom n once, in first-seen order.
+func addAtom(atoms map[string]rules.Expr, order *[]string, n rules.Expr) {
+	if key := rules.ExprString(n); atoms[key] == nil {
+		atoms[key] = n
+		*order = append(*order, key)
+	}
+}
+
+// occurrence is one signal occurrence inside an atom: its canonical
+// key, its type (nil for a quantified variable) and its first
+// expression.
+type occurrence struct {
+	key  string
+	typ  *rules.Type
+	expr rules.Expr
+}
+
+// occurrencesIn returns the signal occurrences inside an atom:
+// identifiers naming parameters or scalar signals in value position,
+// and indexed signal accesses (whose index arguments are treated as
+// multiplexer selects, not occurrences).
+func occurrencesIn(c *rules.Checked, bi *rules.BaseInfo, e rules.Expr) []occurrence {
+	var out []occurrence
 	seen := map[string]bool{}
+	add := func(n rules.Expr, typ *rules.Type) {
+		if key := rules.ExprString(n); !seen[key] {
+			seen[key] = true
+			out = append(out, occurrence{key, typ, n})
+		}
+	}
 	var walk func(rules.Expr)
 	walk = func(e rules.Expr) {
 		switch n := e.(type) {
@@ -403,29 +405,23 @@ func occurrencesIn(c *rules.Checked, bi *rules.BaseInfo, e rules.Expr) []string 
 			if _, isConst := c.NumConsts[n.Name]; isConst {
 				return
 			}
-			key := rules.ExprString(n)
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, key)
+			var typ *rules.Type
+			if info, ok := c.Signals[n.Name]; ok {
+				typ = info.Domain
+			} else if i := slices.IndexFunc(bi.Params, func(p *rules.SignalInfo) bool { return p.Name == n.Name }); i >= 0 {
+				typ = bi.Params[i].Domain
 			}
+			add(n, typ)
 		case *rules.Call:
-			if _, isSignal := c.Signals[n.Name]; isSignal {
-				key := rules.ExprString(n)
-				if !seen[key] {
-					seen[key] = true
-					out = append(out, key)
-				}
+			if info, isSignal := c.Signals[n.Name]; isSignal {
+				add(n, info.Domain)
 				return // index args are mux selects
 			}
-			if _, isSub := c.Subs[n.Name]; isSub {
+			if sub, isSub := c.Subs[n.Name]; isSub {
 				// A subbase invocation is one functional unit: its
 				// value is an occurrence, the interior is not re-
 				// analysed here.
-				key := rules.ExprString(n)
-				if !seen[key] {
-					seen[key] = true
-					out = append(out, key)
-				}
+				add(n, sub.ReturnType)
 				return
 			}
 			for _, a := range n.Args {
@@ -446,61 +442,6 @@ func occurrencesIn(c *rules.Checked, bi *rules.BaseInfo, e rules.Expr) []string 
 	}
 	walk(e)
 	return out
-}
-
-// occTypeExpr finds the type and a representative expression of the
-// occurrence with the given key inside atom.
-func occTypeExpr(c *rules.Checked, bi *rules.BaseInfo, key string, atom rules.Expr) (*rules.Type, rules.Expr) {
-	var typ *rules.Type
-	var expr rules.Expr
-	var walk func(rules.Expr)
-	walk = func(e rules.Expr) {
-		if typ != nil {
-			return
-		}
-		switch n := e.(type) {
-		case *rules.Ident:
-			if rules.ExprString(n) == key {
-				if info, ok := c.Signals[n.Name]; ok {
-					typ, expr = info.Domain, n
-					return
-				}
-				for _, p := range bi.Params {
-					if p.Name == n.Name {
-						typ, expr = p.Domain, n
-						return
-					}
-				}
-			}
-		case *rules.Call:
-			if rules.ExprString(n) == key {
-				if info, ok := c.Signals[n.Name]; ok {
-					typ, expr = info.Domain, n
-					return
-				}
-				if sub, ok := c.Subs[n.Name]; ok {
-					typ, expr = sub.ReturnType, n
-					return
-				}
-			}
-			for _, a := range n.Args {
-				walk(a)
-			}
-		case *rules.Unary:
-			walk(n.X)
-		case *rules.Binary:
-			walk(n.X)
-			walk(n.Y)
-		case *rules.SetLit:
-			for _, el := range n.Elems {
-				walk(el)
-			}
-		case *rules.Quant:
-			walk(n.Body)
-		}
-	}
-	walk(atom)
-	return typ, expr
 }
 
 // evalPartial evaluates a quantifier-free premise under an assignment

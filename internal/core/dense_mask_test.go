@@ -256,7 +256,7 @@ func TestCompileMaskShape(t *testing.T) {
 			t.Fatal(err)
 		}
 		dc := &denseCompiler{c: c, layout: NewInputLayout(c), scope: map[string]int{}}
-		if got := dc.compileMask(q.Body, q.Var, dom) != nil; got != tc.mask {
+		if got := dc.compileMask(q.Body, q.Var, dom); got != tc.mask {
 			t.Errorf("%s: mask form %v, want %v", tc.quant, got, tc.mask)
 		}
 	}

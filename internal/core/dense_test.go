@@ -267,3 +267,88 @@ END ping;
 		t.Fatalf("post-Reset run diverged: %d vs %d", second, first)
 	}
 }
+
+// A SUBBASE argument that itself calls a SUBBASE must not overwrite
+// the arguments evaluated before it: pick(n, inc(m)) compares n with
+// m+1, never m with m+1, on every input pair.
+func TestDenseNestedSubbaseArguments(t *testing.T) {
+	c := mustAnalyze(t, `
+INPUT n IN 0 TO 7
+INPUT m IN 0 TO 7
+SUBBASE inc(x IN 0 TO 7)
+  IF x < 7 THEN RETURN(x + 1);
+  IF 1 = 1 THEN RETURN(0);
+END inc;
+SUBBASE pick(a IN 0 TO 7, b IN 0 TO 7)
+  IF a > b THEN RETURN(1);
+  IF 1 = 1 THEN RETURN(0);
+END pick;
+ON decide()
+  IF pick(n, inc(m)) = 1 THEN RETURN(1);
+  IF 1 = 1 THEN RETURN(0);
+END decide;
+`)
+	cb, err := CompileBase(c, "decide", CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := NewInputLayout(c)
+	dt, err := cb.CompileDense(layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv := NewInputVector(layout)
+	machine := NewMachine(c, iv.Provider())
+	sn, _ := layout.SlotOf("n")
+	sm, _ := layout.SlotOf("m")
+	for n := int64(0); n < 8; n++ {
+		for m := int64(0); m < 8; m++ {
+			iv.Begin()
+			iv.Set(sn, n)
+			iv.Set(sm, m)
+			got, ok := dt.Lookup(iv)
+			want, err := cb.LookupRule(nil, machine)
+			if err != nil || !ok || got != want {
+				t.Fatalf("n=%d m=%d: dense (%d, %v), reference (%d, %v)", n, m, got, ok, want, err)
+			}
+		}
+	}
+}
+
+// A SUBBASE sees only its parameters: the caller's quantifier variable
+// m must not stand in for the INPUT m that near reads, so FORALL m:
+// near(m) = 1 is false here for every value of the input.
+func TestDenseSubbaseScopeIsItsParameters(t *testing.T) {
+	c := mustAnalyze(t, `
+INPUT m IN 0 TO 3
+SUBBASE near(x IN 0 TO 3)
+  IF m = x THEN RETURN(1);
+  IF 1 = 1 THEN RETURN(0);
+END near;
+ON decide()
+  IF FORALL m IN 0 TO 3: near(m) = 1 THEN RETURN(1);
+  IF 1 = 1 THEN RETURN(0);
+END decide;
+`)
+	cb, err := CompileBase(c, "decide", CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := NewInputLayout(c)
+	dt, err := cb.CompileDense(layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv := NewInputVector(layout)
+	machine := NewMachine(c, iv.Provider())
+	sm, _ := layout.SlotOf("m")
+	for m := int64(0); m < 4; m++ {
+		iv.Begin()
+		iv.Set(sm, m)
+		got, ok := dt.Lookup(iv)
+		want, err := cb.LookupRule(nil, machine)
+		if err != nil || !ok || got != want || got != 1 {
+			t.Fatalf("m=%d: dense (%d, %v), reference (%d, %v), want rule 1", m, got, ok, want, err)
+		}
+	}
+}

@@ -278,6 +278,7 @@ func TestBatchEncodingsAgree(t *testing.T) {
 		{Node: -2, InPort: routing.InjectionPort, Src: 0, Dst: 3, Length: 4},            // out of range, the other way
 		{Node: 0, InPort: g.Ports(), Src: 0, Dst: 3, Length: 4},                         // no such port
 		injectReq(1, 6), // replica 1's node
+		{Node: 0, InPort: routing.InjectionPort, Src: 0, Dst: 3, Length: 4, VNet: 7}, // no such VC
 	}
 	for n := 0; n < g.Nodes(); n += 2 {
 		for dst := 0; dst < g.Nodes(); dst++ {
@@ -318,7 +319,7 @@ func TestBatchEncodingsAgree(t *testing.T) {
 			sawUnroutable = sawUnroutable || viaFrame[i].Unroutable
 			sawCandidates = sawCandidates || len(viaFrame[i].Candidates) > 0
 		}
-		for i, want := range []string{"out of range", "out of range", "in_port", "owned by replica 1/2"} {
+		for i, want := range []string{"out of range", "out of range", "in_port", "owned by replica 1/2", "vnet 7"} {
 			if !strings.Contains(viaFrame[i].Error, want) {
 				t.Fatalf("%s: request %+v answered %+v, want an error naming %q", stage, reqs[i], viaFrame[i], want)
 			}

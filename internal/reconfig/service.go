@@ -180,6 +180,13 @@ func (s *Service) Decide(req *DecisionRequest, buf []routing.Candidate) ([]routi
 	sh := s.shards[s.rr.Add(1)%uint64(len(s.shards))]
 	start := time.Now()
 	sh.mu.Lock()
+	// The engine's own VC count: an engine that ignores vnet or in_vc
+	// would otherwise answer on a channel the router does not have.
+	if vcs := sh.eng.NumVCs(); req.VNet < 0 || req.VNet >= vcs || req.InVC < 0 || req.InVC >= vcs {
+		sh.mu.Unlock()
+		s.failed.Add(1)
+		return buf, 0, fmt.Errorf("vnet %d / in_vc %d out of range [0,%d)", req.VNet, req.InVC, vcs)
+	}
 	sh.hdr = routing.Header{
 		Src:         topology.NodeID(req.Src),
 		Dst:         topology.NodeID(req.Dst),

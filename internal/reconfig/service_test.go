@@ -86,6 +86,47 @@ func TestServiceRejectsMalformedRequests(t *testing.T) {
 	}
 }
 
+// A virtual channel the engine does not have is a malformed request
+// for every family, at both edges: NAFTA reads vnet, while ROUTE_C and
+// maze ignore vnet and in_vc and would answer on a channel that is not
+// there.
+func TestServiceRejectsVCsOutOfRange(t *testing.T) {
+	for _, c := range []struct {
+		algo string
+		opts BuildOptions
+		g    topology.Graph
+	}{
+		{"nafta", BuildOptions{}, topology.NewMesh(6, 6)},
+		{"routec", BuildOptions{CubeDim: 4}, topology.NewHypercube(4)},
+		{"maze", BuildOptions{}, topology.NewMesh(4, 4)},
+	} {
+		art, err := Build(c.algo, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := NewService(art, c.g, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vcs := svc.shards[0].eng.NumVCs()
+		for _, tc := range []struct {
+			vnet, invc int
+			ok         bool
+		}{
+			{0, 0, true}, {vcs - 1, vcs - 1, true},
+			{-1, 0, false}, {vcs, 0, false}, {0, -1, false}, {0, vcs, false},
+		} {
+			req := DecisionRequest{Node: 1, InPort: 0, InVC: tc.invc, Src: 0, Dst: 5, Length: 4, VNet: tc.vnet}
+			if _, _, err := svc.Decide(&req, nil); (err == nil) != tc.ok {
+				t.Errorf("%s with %d VCs: vnet %d, in_vc %d: error %v", c.algo, vcs, tc.vnet, tc.invc, err)
+			}
+		}
+		if got := svc.Metrics().Failed; got != 4 {
+			t.Errorf("%s: failed counter %d, want 4", c.algo, got)
+		}
+	}
+}
+
 // The steady-state decision path must not allocate: the artifact's
 // promise is the simulator's zero-alloc fast path, served concurrently.
 func TestServiceDecideZeroAllocs(t *testing.T) {

@@ -31,8 +31,9 @@ import (
 //
 // Decisions run on the compiled dense fast path (core.DenseTable over
 // the flat core.InputVector, no allocation): the table index is
-// computed by compiled closures and the folded RETURN value comes
-// straight from the table. Decisions that leave the pure table regime
+// computed by the base's flat op program — or read from its premise
+// memo when the base reads only a few small-domain inputs — and the
+// folded RETURN value comes straight from the table. Decisions that leave the pure table regime
 // fall back transparently to the interpreted reference path on a pooled
 // scratch Machine; DisableFast forces that path everywhere (the
 // differential and fuzz tests drive both and assert identical
