@@ -1,24 +1,26 @@
 #!/bin/sh
 # ci.sh — the repository's gate, in dependency order:
-#   1. go vet     static checks
-#   2. go build   everything compiles
-#   3. go test -race   full suite under the race detector (the trace
+#   1. gofmt      no file differs from its gofmt form (`gofmt -l .`
+#      lists nothing)
+#   2. go vet     static checks
+#   3. go build   everything compiles
+#   4. go test -race   full suite under the race detector (the trace
 #      subsystem's one-recorder-per-job discipline is only proven here);
 #      it includes the frozen VA walk (TestAllocMatchesFrozenWalk),
 #      the generator's statistical tests (internal/traffic) and the
 #      fleet's scatter-vs-single-node rollout, reload-under-load and
 #      flip-vs-rollback race tests (internal/fleet)
-#   4. coverage floor: statement coverage of internal/... must stay
+#   5. coverage floor: statement coverage of internal/... must stay
 #      >= COVER_FLOOR (baseline was 84.1% when the gate was added)
-#   5. campaign smoke (under -race): 25 randomized fault-injection
+#   6. campaign smoke (under -race): 25 randomized fault-injection
 #      scenarios per algorithm family must pass every conformance
 #      oracle
-#   6. failover smoke (under -race): every enumerated fault class of
+#   7. failover smoke (under -race): every enumerated fault class of
 #      both families must resolve to a backup flip whose decisions
 #      equal a from-scratch recompute, and a failover-enabled campaign
 #      (25 scenarios per family) must be statistics-identical to the
 #      plain runs with the predicted flip/recompute counters
-#   7. big-topology and saturation smokes (under -race): ftsim runs at
+#   8. big-topology and saturation smokes (under -race): ftsim runs at
 #      4096 nodes (mesh64x64, the regime the arena/active-set engine
 #      exists for) at 0.02 and at 0.005 flits/node/cycle (a few messages
 #      a cycle: the generator's geometric gaps span many nodes), one of
@@ -27,15 +29,15 @@
 #      heads' regime) and one of rule-table NAFTA on a 16x16 mesh with
 #      node faults (its load view and block view as the network hands
 #      them over) must each drain without a watchdog or livelock exit
-#   8. repo benchmark smoke: `go run ./bench --quick --reps 1`, then the
+#   9. repo benchmark smoke: `go run ./bench --quick --reps 1`, then the
 #      same with `--trace 1` — the exit status is the gate (every
 #      workload builds, runs and passes its own output checks), so a
 #      change that breaks the frozen benchmark fails here first
-#   9. batch-frame fuzz: 10 s of FuzzBatchFrame on the /decide/batch
+#  10. batch-frame fuzz: 10 s of FuzzBatchFrame on the /decide/batch
 #      binary frame decoders (request and response) — no panic, and
 #      whatever decodes must encode back to the same bytes; a failing
 #      input is written under internal/fleet/testdata/fuzz
-#  10. decision fast-path fuzz: 5 s each of FuzzDenseMaskDifferential
+#  11. decision fast-path fuzz: 5 s each of FuzzDenseMaskDifferential
 #      (random quantifier bodies compiled with and without the mask
 #      step must agree on rule and fallback, internal/core),
 #      FuzzRuleRouteCDifferential (dense vs interpreted ROUTE_C
@@ -45,7 +47,7 @@
 #      and FuzzMazeFastPath (the same for the maze family on a mesh, a
 #      torus and an irregular graph, traversal state in the header
 #      included)
-#  11. (opt-in) bench regression gate: set BENCH_BASELINE to a
+#  12. (opt-in) bench regression gate: set BENCH_BASELINE to a
 #      committed snapshot to re-run the benchmarks and fail on a >20%
 #      ns/op or bytes/op regression (cmd/benchjson -baseline), e.g. the
 #      stepping engine's current baseline:
@@ -64,6 +66,14 @@
 # Exits non-zero on the first failure.
 set -eu
 cd "$(dirname "$0")"
+
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "ci.sh: gofmt would reformat:" >&2
+	printf '%s\n' "$unformatted" >&2
+	exit 1
+fi
 
 echo "== go vet ./..."
 go vet ./...

@@ -85,17 +85,3 @@ func Shrink(s *Scenario, opts *Options) (Scenario, []Violation, bool) {
 	shrunk := s.withAtoms(keep)
 	return shrunk, lastVio, true
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -53,9 +53,6 @@ type Field struct {
 type Atom struct {
 	Key  string
 	Expr rules.Expr
-	// Concrete atoms depend only on direct fields and are folded into
-	// the table during compilation (no index bit).
-	Concrete bool
 }
 
 // CompiledBase is the ARON form of one rule base: a completely filled

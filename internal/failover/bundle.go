@@ -152,6 +152,27 @@ func (b *Bundle) Graph() (topology.Graph, error) {
 	return nil, fmt.Errorf("failover: bundle names unknown algorithm %q", b.Primary.Algorithm)
 }
 
+// MatchGraph reports an error unless g is the topology the bundle's
+// classes were enumerated on: the same nodes and, behind every port,
+// the same neighbour. A name does not tell two irregular graphs of
+// different seeds apart.
+func (b *Bundle) MatchGraph(g topology.Graph) error {
+	want, err := b.Graph()
+	if err != nil {
+		return err
+	}
+	same := want.Nodes() == g.Nodes() && want.Ports() == g.Ports()
+	for n := topology.NodeID(0); same && int(n) < g.Nodes(); n++ {
+		for p := 0; same && p < g.Ports(); p++ {
+			same = want.Neighbor(n, p) == g.Neighbor(n, p)
+		}
+	}
+	if !same {
+		return fmt.Errorf("failover: bundle enumerated on %s, not on this %s", want.Name(), g.Name())
+	}
+	return nil
+}
+
 // Validate performs the structural checks shared by every loader.
 func (b *Bundle) Validate() error {
 	if b.FormatVersion != BundleFormatVersion {

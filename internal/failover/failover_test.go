@@ -257,6 +257,44 @@ func TestBundleTopologyMismatchRefused(t *testing.T) {
 	if _, err := NewPlane(b, topology.NewMesh(6, 6), reconfig.NewSwapper(eng), PlaneOptions{}); err == nil {
 		t.Fatal("4x4 bundle accepted on a 6x6 plane")
 	}
+	// Two irregular graphs of the same size and extra-link count share
+	// a name; a bundle with a backup for link 0-1 of seed 1 must not
+	// load onto seed 3, where that link does not exist.
+	irr1, err := topology.RandomIrregular(16, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	irr3, err := topology.RandomIrregular(16, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := irr1.PortTo(0, 1); !ok {
+		t.Fatal("seed 1 lost link 0-1: pick another link")
+	}
+	if _, ok := irr3.PortTo(0, 1); ok || irr1.Name() != irr3.Name() {
+		t.Fatalf("seeds 1 and 3 no longer differ only in wiring (%s, %s)", irr1.Name(), irr3.Name())
+	}
+	maze, err := reconfig.Build("maze", reconfig.BuildOptions{Ports: irr1.Ports()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb := &Bundle{FormatVersion: BundleFormatVersion, Primary: *maze,
+		IrrNodes: 16, IrrExtra: 4, IrrSeed: 1,
+		Backups: []Backup{{Kind: KindLink, Links: [][2]int{{0, 1}}}}}
+	for _, c := range []struct {
+		seed   int
+		g      *topology.Irregular
+		accept bool
+	}{{1, irr1, true}, {3, irr3, false}} {
+		meng, err := reconfig.NewEngine(maze, c.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewPlane(mb, c.g, reconfig.NewSwapper(meng), PlaneOptions{})
+		if (err == nil) != c.accept {
+			t.Fatalf("maze bundle of seed 1 on seed %d: err %v", c.seed, err)
+		}
+	}
 }
 
 // --- the plane: flip-vs-recompute decision equivalence ---

@@ -105,12 +105,8 @@ func NewPlane(b *Bundle, g topology.Graph, host Host, opts PlaneOptions) (*Plane
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	want, err := b.Graph()
-	if err != nil {
+	if err := b.MatchGraph(g); err != nil {
 		return nil, err
-	}
-	if g.Name() != want.Name() {
-		return nil, fmt.Errorf("failover: bundle enumerated on %s, plane built on %s", want.Name(), g.Name())
 	}
 	lanes := host.Lanes()
 	// Shared builders for backups that inherit the primary's tables

@@ -37,27 +37,20 @@ func observed(m *topology.Mesh, s *Set) []uint8 {
 			observe(m, obs, n)
 		}
 	}
-	s.eachMeshLink(m, func(a, b topology.NodeID, p int) {
-		obs[a] |= 1 << uint(p)
-		obs[b] |= 1 << uint(topology.OppositeMeshPort(p))
-	})
-	return obs
-}
-
-func inMesh(m *topology.Mesh, n topology.NodeID) bool { return n >= 0 && int(n) < m.Nodes() }
-
-// eachMeshLink calls fn for every faulty link that joins two
-// neighbours of mesh m; p is a's port towards b.
-func (s *Set) eachMeshLink(m *topology.Mesh, fn func(a, b topology.NodeID, p int)) {
+	// Only faulty links joining two neighbours of the mesh count.
 	for l := range s.links {
 		if !inMesh(m, l.A) || !inMesh(m, l.B) {
 			continue
 		}
 		if p, ok := m.PortTo(l.A, l.B); ok {
-			fn(l.A, l.B, p)
+			obs[l.A] |= 1 << uint(p)
+			obs[l.B] |= 1 << uint(topology.OppositeMeshPort(p))
 		}
 	}
+	return obs
 }
+
+func inMesh(m *topology.Mesh, n topology.NodeID) bool { return n >= 0 && int(n) < m.Nodes() }
 
 // observe makes the neighbours of the faulty or deactivated node n see
 // it, each through the port that faces n.

@@ -14,8 +14,8 @@ import "repro/internal/topology"
 // the same wave propagation as the paper's dead-end states (each node
 // combines its local observation with the flag of its t-neighbour) and
 // therefore respect NAFTA's constant-memory-per-node discipline. The
-// aggregate over whole columns ("all columns to the east have at least
-// one fault") is the coarse special case recorded by DeadEnds.
+// paper's coarse dead-end state ("all columns to the east have at least
+// one fault") is their aggregate over whole columns and rows.
 type DirStates struct {
 	// blocked[n] is node n's blocked-port nibble: bit p is set when the
 	// hop through p is unusable (border, faulty link, faulty or

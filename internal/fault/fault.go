@@ -8,7 +8,7 @@
 // The package also provides the structural fault analyses the two case
 // studies depend on: rectangular fault-block completion for the mesh
 // (NAFTA completes concave fault patterns to a convex shape) and the
-// dead-end row/column states, plus scenario generators for the
+// propagated per-node directional flags, plus scenario generators for the
 // evaluation harness (random fault patterns, the fault-chain situation
 // of Figure 2).
 package fault

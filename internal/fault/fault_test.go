@@ -170,51 +170,6 @@ func TestBuildBlocksConvexProperty(t *testing.T) {
 	}
 }
 
-func TestDeadEnds(t *testing.T) {
-	m := topology.NewMesh(6, 6)
-	s := NewSet()
-	// Make every column east of x=3 faulty.
-	s.FailNode(m.Node(4, 2))
-	s.FailNode(m.Node(5, 4))
-	d := BuildDeadEnds(m, s, nil)
-	if !d.ColFault[4] || !d.ColFault[5] || d.ColFault[3] {
-		t.Fatalf("ColFault wrong: %v", d.ColFault)
-	}
-	if !d.DeadEast[3] {
-		t.Fatal("column 3 should be dead-end-east")
-	}
-	// At column 4 only column 5 is east and it IS faulty, so 4 is
-	// dead-end-east too.
-	if !d.DeadEast[4] {
-		t.Fatal("column 4 should be dead-end-east")
-	}
-	if d.DeadEast[5] {
-		t.Fatal("easternmost column is never dead-end-east")
-	}
-	if d.DeadWest[1] || d.DeadNorth[1] || d.DeadSouth[4] {
-		t.Fatal("unrelated dead-end states should be clear")
-	}
-	if !d.NodeDeadEnd(m.Node(3, 0), topology.East) {
-		t.Fatal("NodeDeadEnd should reflect DeadEast")
-	}
-}
-
-func TestDeadEndsVerticalLinkFaults(t *testing.T) {
-	m := topology.NewMesh(4, 4)
-	s := NewSet()
-	s.FailLink(m.Node(3, 1), m.Node(3, 2)) // vertical link in column 3
-	d := BuildDeadEnds(m, s, nil)
-	if !d.ColFault[3] {
-		t.Fatal("vertical link fault should mark the column")
-	}
-	if d.RowFault[1] || d.RowFault[2] {
-		t.Fatal("vertical link fault should not mark rows")
-	}
-	if !d.DeadEast[2] {
-		t.Fatal("column 2 should be dead-end-east")
-	}
-}
-
 func TestRandomConnected(t *testing.T) {
 	m := topology.NewMesh(8, 8)
 	s, err := Random(m, RandomOptions{Nodes: 5, Links: 5, Seed: 7, KeepConnected: true})

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -63,68 +62,6 @@ func oldBuildBlocks(m *topology.Mesh, s *Set) *oldBlocks {
 		}
 	}
 	return b
-}
-
-type oldDeadEnds struct {
-	ColFault, RowFault                       []bool
-	DeadEast, DeadWest, DeadNorth, DeadSouth []bool
-}
-
-func oldBuildDeadEnds(m *topology.Mesh, s *Set, b *oldBlocks) *oldDeadEnds {
-	d := &oldDeadEnds{
-		ColFault:  make([]bool, m.W),
-		RowFault:  make([]bool, m.H),
-		DeadEast:  make([]bool, m.W),
-		DeadWest:  make([]bool, m.W),
-		DeadNorth: make([]bool, m.H),
-		DeadSouth: make([]bool, m.H),
-	}
-	disabled := func(n topology.NodeID) bool {
-		if s.NodeFaulty(n) {
-			return true
-		}
-		return b != nil && b.Disabled[n]
-	}
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			n := m.Node(x, y)
-			if disabled(n) {
-				d.ColFault[x] = true
-				d.RowFault[y] = true
-			}
-			// Vertical link faults block the column, horizontal ones
-			// the row.
-			if y+1 < m.H && s.LinkFaulty(n, m.Node(x, y+1)) {
-				d.ColFault[x] = true
-			}
-			if x+1 < m.W && s.LinkFaulty(n, m.Node(x+1, y)) {
-				d.RowFault[y] = true
-			}
-		}
-	}
-	// Wave from the east border westwards: dead-end-east holds at
-	// column x iff all columns x' > x are faulty.
-	all := true
-	for x := m.W - 1; x >= 0; x-- {
-		d.DeadEast[x] = all && x < m.W-1
-		all = all && d.ColFault[x]
-	}
-	all = true
-	for x := 0; x < m.W; x++ {
-		d.DeadWest[x] = all && x > 0
-		all = all && d.ColFault[x]
-	}
-	all = true
-	for y := m.H - 1; y >= 0; y-- {
-		d.DeadNorth[y] = all && y < m.H-1
-		all = all && d.RowFault[y]
-	}
-	all = true
-	for y := 0; y < m.H; y++ {
-		d.DeadSouth[y] = all && y > 0
-		all = all && d.RowFault[y]
-	}
-	return d
 }
 
 type oldDirStates struct {
@@ -223,8 +160,7 @@ func oldTravelOrder(m *topology.Mesh, travel int) []topology.NodeID {
 
 // TestBuildersMatchFrozenSweep: the nibble-based builders must derive
 // exactly what the frozen raster sweeps derive — Disabled, the
-// deactivation and wave counts, the dead-end tables, every Blocked flag
-// and every ClearRun — with and without the convex completion.
+// deactivation and wave counts, every Blocked flag and every ClearRun — with and without the convex completion.
 func TestBuildersMatchFrozenSweep(t *testing.T) {
 	for _, c := range []struct {
 		name         string
@@ -275,16 +211,6 @@ func TestBuildersMatchFrozenSweep(t *testing.T) {
 					var nbp *BlockInfo
 					if withBlocks {
 						obp, nbp = ob, nb
-					}
-					od, nd := oldBuildDeadEnds(m, s, obp), BuildDeadEnds(m, s, nbp)
-					for _, pair := range [][2][]bool{
-						{nd.ColFault, od.ColFault}, {nd.RowFault, od.RowFault},
-						{nd.DeadEast, od.DeadEast}, {nd.DeadWest, od.DeadWest},
-						{nd.DeadNorth, od.DeadNorth}, {nd.DeadSouth, od.DeadSouth},
-					} {
-						if fmt.Sprint(pair[0]) != fmt.Sprint(pair[1]) {
-							t.Fatalf("seed %d %v blocks=%v: dead-end table %v, frozen %v", seed, s, withBlocks, pair[0], pair[1])
-						}
 					}
 					os, ns := oldBuildDirStates(m, s, obp), BuildDirStates(m, s, nbp)
 					for n := 0; n < m.Nodes(); n++ {

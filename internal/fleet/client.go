@@ -289,12 +289,6 @@ func (c *Client) Rollback(ctx context.Context) error {
 	return err
 }
 
-// Reload hot-reloads an encoded artifact (or bundle) on every replica.
-func (c *Client) Reload(ctx context.Context, artifact []byte) error {
-	_, err := c.Broadcast(ctx, "/reload", artifact)
-	return err
-}
-
 // RegistryStatus fetches replica i's GET /registry document.
 func (c *Client) RegistryStatus(ctx context.Context, i int) (RegistryStatus, error) {
 	var st RegistryStatus

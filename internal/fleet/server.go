@@ -325,14 +325,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if bundle != nil {
 		// A bundle's classes are enumerated against a specific topology;
 		// a reload cannot change the serving topology.
-		g, err := bundle.Graph()
-		if err != nil {
-			writeJSONError(w, http.StatusBadRequest, err.Error(), nil)
-			return
-		}
-		if g.Name() != s.g.Name() {
-			writeJSONError(w, http.StatusConflict,
-				fmt.Sprintf("bundle enumerated on %s, serving %s", g.Name(), s.g.Name()), nil)
+		if err := bundle.MatchGraph(s.g); err != nil {
+			writeJSONError(w, http.StatusConflict, err.Error(), nil)
 			return
 		}
 	}

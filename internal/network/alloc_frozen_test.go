@@ -153,74 +153,71 @@ func (c switchCase) logged(l *allocLog) switchCase {
 func TestAllocMatchesFrozenWalk(t *testing.T) {
 	const cycles = 120
 	for _, c := range allocCases {
-		for _, delay := range []int{0, 3} {
-			var nets [2]*Network
-			var logs [2]*allocLog
-			var refill [2]func()
-			for i := range nets {
-				logs[i] = &allocLog{}
-				g, _ := c.graph()
-				rec := trace.New(g.Nodes(), 8)
-				rec.SetSink(logs[i])
-				nets[i], refill[i] = c.logged(logs[i]).build(t, Config{BufDepth: 2, CreditDelay: delay,
-					Selector: loggedSelector{routing.MinQueue{}, logs[i]}, Recorder: rec})
-			}
-			old := &oldAlloc{}
-			slept, allocs := 0, 0
-			for cyc := 0; cyc < cycles; cyc++ {
-				if cyc == cycles/2 {
-					for _, n := range nets {
-						f := n.faults.Clone()
-						f.FailNode(topology.NodeID(n.lay.nodes / 3))
-						n.ApplyFaults(f)
-					}
-				}
-				for i, n := range nets {
-					refill[i]()
-					n.deliverCredits()
-					n.injectStage()
-					n.routeStage()
-					logs[i].calls = logs[i].calls[:0]
-				}
-				nets[0].allocStage()
-				old.stage(nets[1])
-				if !slices.Equal(logs[0].calls, logs[1].calls) {
-					t.Fatalf("%s delay %d cycle %d: VA acts differ\n got %v\nwant %v", c.name, delay, cyc, logs[0].calls, logs[1].calls)
-				}
-				allocs += len(logs[0].calls) / 3
-				for i := range nets[0].outs {
-					a, b := &nets[0].outs[i], &nets[1].outs[i]
-					if a.ownerInPort != b.ownerInPort || a.ownerInVC != b.ownerInVC || a.remaining != b.remaining ||
-						(a.ownerMsg == nil) != (b.ownerMsg == nil) || (a.ownerMsg != nil && a.ownerMsg.ID != b.ownerMsg.ID) {
-						t.Fatalf("%s delay %d cycle %d: output %d owned differently: %+v vs frozen %+v", c.name, delay, cyc, i, *a, *b)
-					}
-				}
-				for _, w := range nets[0].vaWait {
-					slept += bits.OnesCount64(w)
-				}
+		var nets [2]*Network
+		var logs [2]*allocLog
+		var refill [2]func()
+		for i := range nets {
+			logs[i] = &allocLog{}
+			g, _ := c.graph()
+			rec := trace.New(g.Nodes(), 8)
+			rec.SetSink(logs[i])
+			nets[i], refill[i] = c.logged(logs[i]).build(t, Config{BufDepth: 2,
+				Selector: loggedSelector{routing.MinQueue{}, logs[i]}, Recorder: rec})
+		}
+		old := &oldAlloc{}
+		slept, allocs := 0, 0
+		for cyc := 0; cyc < cycles; cyc++ {
+			if cyc == cycles/2 {
 				for _, n := range nets {
-					n.applyMoves(n.switchStage())
-					n.drainStage()
-					n.now++
-				}
-				if err := nets[0].CheckInvariants(); err != nil {
-					t.Fatalf("%s delay %d cycle %d: %v", c.name, delay, cyc, err)
+					f := n.faults.Clone()
+					f.FailNode(topology.NodeID(n.lay.nodes / 3))
+					n.ApplyFaults(f)
 				}
 			}
-			if nets[0].Stats() != nets[1].Stats() {
-				t.Fatalf("%s delay %d: stats differ: %+v vs frozen %+v", c.name, delay, nets[0].Stats(), nets[1].Stats())
+			for i, n := range nets {
+				refill[i]()
+				n.injectStage()
+				n.routeStage()
+				logs[i].calls = logs[i].calls[:0]
 			}
-			t.Logf("%s delay %d: %d allocations; frozen walk %d visits, %d blocked, %d free-but-credit-less candidates; %d head-cycles asleep",
-				c.name, delay, allocs, old.visits, old.blocked, old.creditLess, slept)
-			// The comparison is only worth its name where most visits of
-			// the old walk were wasted, and the sleepers were really asleep.
-			if 2*old.blocked < old.visits || allocs == 0 || slept == 0 {
-				t.Fatalf("%s delay %d too tame: %d of %d visits blocked, %d allocations, %d head-cycles asleep",
-					c.name, delay, old.blocked, old.visits, allocs, slept)
+			nets[0].allocStage()
+			old.stage(nets[1])
+			if !slices.Equal(logs[0].calls, logs[1].calls) {
+				t.Fatalf("%s cycle %d: VA acts differ\n got %v\nwant %v", c.name, cyc, logs[0].calls, logs[1].calls)
 			}
-			if nets[0].alg.AllocNeedsCredit() && old.creditLess == 0 {
-				t.Fatalf("%s delay %d: no free-but-credit-less candidate met, the credit-gated stay-awake rule went untested", c.name, delay)
+			allocs += len(logs[0].calls) / 3
+			for i := range nets[0].outs {
+				a, b := &nets[0].outs[i], &nets[1].outs[i]
+				if a.ownerInPort != b.ownerInPort || a.ownerInVC != b.ownerInVC || a.remaining != b.remaining ||
+					(a.ownerMsg == nil) != (b.ownerMsg == nil) || (a.ownerMsg != nil && a.ownerMsg.ID != b.ownerMsg.ID) {
+					t.Fatalf("%s cycle %d: output %d owned differently: %+v vs frozen %+v", c.name, cyc, i, *a, *b)
+				}
 			}
+			for _, w := range nets[0].vaWait {
+				slept += bits.OnesCount64(w)
+			}
+			for _, n := range nets {
+				n.applyMoves(n.switchStage())
+				n.drainStage()
+				n.now++
+			}
+			if err := nets[0].CheckInvariants(); err != nil {
+				t.Fatalf("%s cycle %d: %v", c.name, cyc, err)
+			}
+		}
+		if nets[0].Stats() != nets[1].Stats() {
+			t.Fatalf("%s: stats differ: %+v vs frozen %+v", c.name, nets[0].Stats(), nets[1].Stats())
+		}
+		t.Logf("%s: %d allocations; frozen walk %d visits, %d blocked, %d free-but-credit-less candidates; %d head-cycles asleep",
+			c.name, allocs, old.visits, old.blocked, old.creditLess, slept)
+		// The comparison is only worth its name where most visits of
+		// the old walk were wasted, and the sleepers were really asleep.
+		if 2*old.blocked < old.visits || allocs == 0 || slept == 0 {
+			t.Fatalf("%s too tame: %d of %d visits blocked, %d allocations, %d head-cycles asleep",
+				c.name, old.blocked, old.visits, allocs, slept)
+		}
+		if nets[0].alg.AllocNeedsCredit() && old.creditLess == 0 {
+			t.Fatalf("%s: no free-but-credit-less candidate met, the credit-gated stay-awake rule went untested", c.name)
 		}
 	}
 }

@@ -19,6 +19,11 @@ import "sort"
 //     counts as stuck when every candidate is owned or credit-less);
 //   - allocated head without credits: the message whose flits sit at
 //     the front of the full downstream buffer.
+//
+// stuck reports that the head cannot advance this cycle for want of a
+// VC or a credit, and not merely behind its own worm. It is the one
+// wait relation: FindDeadlockCycle searches its edges, and PostMortem
+// lists every stuck head.
 func (n *Network) waitEdges(node, p, v int) (edges []*Message, stuck bool) {
 	lay := &n.lay
 	ivc := &n.ins[lay.inIdx(node, p, v)]
@@ -27,11 +32,7 @@ func (n *Network) waitEdges(node, p, v int) (edges []*Message, stuck bool) {
 	}
 	me := ivc.curMsg
 	if ivc.outPort < 0 {
-		if len(ivc.candidates) == 0 {
-			return nil, false
-		}
 		needCredit := n.alg.AllocNeedsCredit()
-		stuck = true
 		for _, c := range ivc.candidates {
 			oi := lay.outIdx(node, c.Port, c.VC)
 			out := &n.outs[oi]
@@ -53,7 +54,7 @@ func (n *Network) waitEdges(node, p, v int) (edges []*Message, stuck bool) {
 				edges = append(edges, out.ownerMsg)
 			}
 		}
-		return edges, stuck
+		return edges, true
 	}
 	if n.credits[lay.outIdx(node, ivc.outPort, ivc.outVC)] > 0 {
 		return nil, false
@@ -61,12 +62,15 @@ func (n *Network) waitEdges(node, p, v int) (edges []*Message, stuck bool) {
 	// Blocked on a full downstream buffer: wait on the worm at its
 	// front.
 	front := n.downstreamFront(node, ivc.outPort, ivc.outVC)
-	if front != nil && front != me {
-		return []*Message{front}, true
+	if front == me {
+		// Blocked behind our own worm: pipeline backpressure, not a
+		// deadlock by itself (the head has its own entry downstream).
+		return nil, false
 	}
-	// Blocked behind our own worm: pipeline backpressure, not a
-	// deadlock by itself.
-	return nil, false
+	if front != nil {
+		edges = []*Message{front}
+	}
+	return edges, true
 }
 
 // downstreamFront returns the message at the front of the input buffer

@@ -189,9 +189,6 @@ func (n *Network) ApplyFaults(f *fault.Set) {
 			}
 		}
 	}
-	// Pending credit returns are superseded by the from-scratch
-	// recomputation.
-	n.creditQueue = n.creditQueue[:0]
 	n.recomputeCredits()
 	// Surgery rewrote VC state in place all over the arenas: re-derive
 	// every active-set membership from scratch (cold path).

@@ -11,10 +11,6 @@ import (
 // found, or nil.
 func (n *Network) CheckInvariants() error {
 	lay := &n.lay
-	creditsInFlight := make([]int, len(n.outs))
-	for _, c := range n.creditQueue {
-		creditsInFlight[c.out]++
-	}
 	for node := 0; node < lay.nodes; node++ {
 		for p := 0; p < lay.inPorts; p++ {
 			for v := 0; v < lay.vcs; v++ {
@@ -49,10 +45,9 @@ func (n *Network) CheckInvariants() error {
 					dp, ok := n.g.PortTo(down, topology.NodeID(node))
 					if ok {
 						occ := n.ins[lay.inIdx(int(down), dp, v)].q.len()
-						inFlight := creditsInFlight[oi]
-						if credits+occ+inFlight != n.cfg.BufDepth {
-							return fmt.Errorf("node %d output (%d,%d): credits %d + occupancy %d + in-flight %d != depth %d",
-								node, p, v, credits, occ, inFlight, n.cfg.BufDepth)
+						if credits+occ != n.cfg.BufDepth {
+							return fmt.Errorf("node %d output (%d,%d): credits %d + occupancy %d != depth %d",
+								node, p, v, credits, occ, n.cfg.BufDepth)
 						}
 					}
 				}

@@ -83,7 +83,6 @@ type Message struct {
 	// such drops for the maze family.
 	Unreachable bool
 
-	flitsSent int // flits that have left the injection stage
 	// flitsEjected counts flits already delivered at the destination;
 	// when a fault event kills a partially absorbed worm, this many
 	// flits are backed out of Stats.FlitsDelivered (killed messages are

@@ -37,11 +37,6 @@ type Config struct {
 	// of the longer path and higher loaded links" (paper, Section 3,
 	// Scheduling and Fairness).
 	FavorMarked bool
-	// CreditDelay is the number of cycles a credit needs to travel
-	// back upstream (0 = immediate return, the idealised default).
-	// Non-zero values model the round-trip of real credit-based flow
-	// control and lower the usable buffer bandwidth accordingly.
-	CreditDelay int
 	// Recorder, when non-nil, attaches a flight recorder: every
 	// pipeline, credit and fault event is recorded into its per-node
 	// rings (and streamed to its sink, if any). With a nil Recorder
@@ -53,13 +48,8 @@ type Config struct {
 	OnPostMortem func(*trace.Report)
 	// LivelockAgeCycles, when > 0, bounds the in-network age of any
 	// packet: a packet older than this triggers the livelock
-	// post-mortem. Checked every LivelockCheckInterval cycles.
+	// post-mortem. Checked every livelockCheckInterval cycles.
 	LivelockAgeCycles int64
-	// LivelockCheckInterval is how often (in cycles) the livelock age
-	// bound is evaluated (default 256). Sampling keeps the check off
-	// the per-cycle hot path; an age bound is always coarse, so
-	// detection latency of at most one interval is immaterial.
-	LivelockCheckInterval int64
 	// Failover, when non-nil, owns the diagnosis phase of ApplyFaults:
 	// instead of running the algorithm's live fault fixpoint, the
 	// network hands the cumulative fault set to the handler, which
@@ -230,8 +220,6 @@ type Network struct {
 	pmFired bool
 	// Messages holds all records when cfg.RecordMessages is set.
 	Messages []*Message
-	// creditQueue holds in-flight credit returns when CreditDelay > 0.
-	creditQueue []pendingCredit
 	// freeScratch backs allocStage's free-candidate filter; moveScratch
 	// the per-cycle send list; nomVC[inPort] and reqScratch[outPort]
 	// (input-port bits, left zeroed) switchNode's nominees.
@@ -250,13 +238,6 @@ const noLink = ^linkEnd(0)
 
 func (l linkEnd) node() int { return int(l >> 8) }
 func (l linkEnd) port() int { return int(l & 0xFF) }
-
-// pendingCredit is one credit travelling back upstream, to output
-// slot out (an outs index) of router node.
-type pendingCredit struct {
-	due       int64
-	node, out int
-}
 
 // New builds a network simulator from cfg, applying defaults.
 func New(cfg Config) *Network {
@@ -281,9 +262,6 @@ func New(cfg Config) *Network {
 	}
 	if cfg.WatchdogCycles == 0 {
 		cfg.WatchdogCycles = 10000
-	}
-	if cfg.LivelockCheckInterval == 0 {
-		cfg.LivelockCheckInterval = defaultLivelockCheckInterval
 	}
 	n := &Network{
 		cfg:    cfg,
@@ -435,11 +413,6 @@ func (n *Network) Inject(src, dst topology.NodeID, length int) *Message {
 // LoadView implementation (the Information Units of the router
 // architecture: buffer exploitation per output).
 
-// OutFree reports whether output (port,vc) of node is unowned.
-func (n *Network) OutFree(node topology.NodeID, port, vc int) bool {
-	return n.outs[n.lay.outIdx(int(node), port, vc)].free()
-}
-
 // Credits returns the free downstream buffer slots of output
 // (port,vc).
 func (n *Network) Credits(node topology.NodeID, port, vc int) int {
@@ -460,7 +433,6 @@ var _ routing.LoadView = (*Network)(nil)
 
 // Step advances the simulation by one cycle.
 func (n *Network) Step() {
-	n.deliverCredits()
 	n.injectStage()
 	n.routeStage()
 	n.allocStage()
@@ -477,7 +449,7 @@ func (n *Network) Step() {
 			n.deadlockPostMortem()
 		}
 	}
-	if n.cfg.LivelockAgeCycles > 0 && n.now%n.cfg.LivelockCheckInterval == 0 {
+	if n.cfg.LivelockAgeCycles > 0 && n.now%livelockCheckInterval == 0 {
 		n.checkLivelock()
 	}
 	if n.now&63 == 0 {
@@ -810,7 +782,7 @@ func (n *Network) applyMoves(moves []send) bool {
 }
 
 // creditReturnVC gives one credit back for a flit popped from input
-// (p,v) of node, after the configured return latency.
+// (p,v) of node; it reaches the upstream output in the same cycle.
 func (n *Network) creditReturnVC(node, p, v int) {
 	if p == n.lay.ports {
 		return // injection pseudo-port: no upstream link
@@ -822,31 +794,9 @@ func (n *Network) creditReturnVC(node, p, v int) {
 	up, upPort := end.node(), end.port()
 	if n.rec != nil {
 		n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KCreditSent,
-			Node: int32(up), Msg: -1, Port: int16(upPort), VC: int16(v),
-			Arg: int32(n.cfg.CreditDelay)})
+			Node: int32(up), Msg: -1, Port: int16(upPort), VC: int16(v)})
 	}
-	oi := n.lay.outIdx(up, upPort, v)
-	if n.cfg.CreditDelay <= 0 {
-		n.creditArrived(up, oi)
-		return
-	}
-	n.creditQueue = append(n.creditQueue, pendingCredit{n.now + int64(n.cfg.CreditDelay), up, oi})
-}
-
-// deliverCredits applies due credit returns.
-func (n *Network) deliverCredits() {
-	if len(n.creditQueue) == 0 {
-		return
-	}
-	kept := n.creditQueue[:0]
-	for _, c := range n.creditQueue {
-		if c.due <= n.now {
-			n.creditArrived(c.node, c.out)
-		} else {
-			kept = append(kept, c)
-		}
-	}
-	n.creditQueue = kept
+	n.creditArrived(up, n.lay.outIdx(up, upPort, v))
 }
 
 // drainStage ejects delivered flits and absorbs unroutable messages

@@ -529,40 +529,12 @@ func TestTorusDatelineNoDeadlock(t *testing.T) {
 	}
 }
 
-// Credit-return latency throttles a single stream's bandwidth: with a
-// buffer of B flits and a return delay of D, at most B flits move per
-// B+D cycles on a fully loaded link.
-func TestCreditDelayThrottles(t *testing.T) {
-	m := topology.NewMesh(2, 1)
-	run := func(delay int) int64 {
-		n := New(Config{Graph: m, Algorithm: routing.NewXY(m), BufDepth: 2,
-			CreditDelay: delay, RecordMessages: true})
-		msg := n.Inject(m.Node(0, 0), m.Node(1, 0), 24)
-		drainChecked(t, n, 5000)
-		if msg.State != StateDelivered {
-			t.Fatal("message must deliver")
-		}
-		return msg.DoneTime
-	}
-	fast := run(0)
-	slow := run(4)
-	if slow <= fast {
-		t.Fatalf("credit delay should slow the stream: %d vs %d cycles", slow, fast)
-	}
-	// Rough bandwidth model: depth 2 credits cycling a ~4-5 cycle
-	// round trip bound the link under one flit per two cycles, so the
-	// 24-flit stream takes at least ~1.5x the unthrottled time.
-	if slow*2 < fast*3 {
-		t.Fatalf("throttling too weak: %d vs %d cycles", slow, fast)
-	}
-}
-
-// The credit conservation invariant must hold with delayed returns and
-// across fault surgery.
+// The credit conservation invariant (credits + downstream occupancy ==
+// buffer depth) must hold on a loaded mesh and across fault surgery.
 func TestCreditDelayInvariants(t *testing.T) {
 	m := topology.NewMesh(6, 6)
 	alg := routing.NewNAFTA(m)
-	n := New(Config{Graph: m, Algorithm: alg, BufDepth: 3, CreditDelay: 2})
+	n := New(Config{Graph: m, Algorithm: alg, BufDepth: 3})
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 150; i++ {
 		src := topology.NodeID(rng.Intn(m.Nodes()))

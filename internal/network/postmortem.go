@@ -2,12 +2,11 @@ package network
 
 import "repro/internal/trace"
 
-// defaultLivelockCheckInterval is the default of
-// Config.LivelockCheckInterval: how often (in cycles) the livelock age
+// livelockCheckInterval is how often (in cycles) the livelock age
 // bound of Config.LivelockAgeCycles is evaluated. Sampling keeps the
 // check off the per-cycle hot path; an age bound is always coarse, so
 // detection latency of at most one interval is immaterial.
-const defaultLivelockCheckInterval = 256
+const livelockCheckInterval = 256
 
 // PostMortem assembles a structured report of the current stall
 // state: the certified channel-wait cycle (if any), every packet that
@@ -20,61 +19,21 @@ func (n *Network) PostMortem(reason string) *trace.Report {
 		Cycle:     n.now,
 		WaitCycle: n.FindDeadlockCycle(),
 	}
-	// Blocked packets: every input VC whose front message cannot
-	// advance this cycle, with the messages it waits on.
+	// Blocked packets: every head the wait relation of
+	// FindDeadlockCycle calls stuck, with the messages it waits on.
 	lay := &n.lay
-	needCredit := n.alg.AllocNeedsCredit()
 	for node := 0; node < lay.nodes; node++ {
 		for p := 0; p < lay.inPorts; p++ {
 			for v := 0; v < lay.vcs; v++ {
-				ivc := &n.ins[lay.inIdx(node, p, v)]
-				if !ivc.routed || ivc.eject || ivc.unroutable || ivc.q.len() == 0 {
+				waits, stuck := n.waitEdges(node, p, v)
+				if !stuck {
 					continue
 				}
+				ivc := &n.ins[lay.inIdx(node, p, v)]
 				m := ivc.curMsg
-				why := ""
-				var waits []*Message
+				why := "no-credit"
 				if ivc.outPort < 0 {
-					free := false
-					for _, c := range ivc.candidates {
-						oi := lay.outIdx(node, c.Port, c.VC)
-						out := &n.outs[oi]
-						if out.free() {
-							if !needCredit || n.credits[oi] > 0 {
-								free = true
-								break
-							}
-							// Free but credit-starved under a gated
-							// regime: not claimable; the head waits on
-							// the worm filling the downstream buffer.
-							if front := n.downstreamFront(node, c.Port, c.VC); front != nil && front != m {
-								waits = append(waits, front)
-							}
-							continue
-						}
-						if out.ownerMsg != nil && out.ownerMsg != m {
-							waits = append(waits, out.ownerMsg)
-						}
-					}
-					if free {
-						continue // merely waiting for switch allocation
-					}
 					why = "no-free-vc"
-				} else {
-					if n.credits[lay.outIdx(node, ivc.outPort, ivc.outVC)] > 0 {
-						continue
-					}
-					why = "no-credit"
-					front := n.downstreamFront(node, ivc.outPort, ivc.outVC)
-					if front == m {
-						// Upstream segment of our own worm: pipeline
-						// backpressure behind the head, which has its
-						// own entry at its blocking point downstream.
-						continue
-					}
-					if front != nil {
-						waits = append(waits, front)
-					}
 				}
 				bp := trace.BlockedPacket{
 					Msg: m.ID, Src: int64(m.Hdr.Src), Dst: int64(m.Hdr.Dst),

@@ -2,6 +2,7 @@ package network
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/topology"
@@ -10,8 +11,27 @@ import (
 
 // forceRingDeadlock builds the deliberately deadlock-prone ring
 // network of deadlock_test.go with a flight recorder attached and
-// drives it until the watchdog fires.
+// drives it until the watchdog fires: one 24-flit worm from each
+// corner, each destined around the next corner.
 func forceRingDeadlock(t *testing.T, livelockAge int64) (*Network, *trace.Recorder, *[]*trace.Report) {
+	t.Helper()
+	return stallRing(t, livelockAge, func(n *Network, m *topology.Mesh) {
+		corners := []struct{ src, dst topology.NodeID }{
+			{m.Node(0, 0), m.Node(2, 1)},
+			{m.Node(2, 0), m.Node(1, 2)},
+			{m.Node(2, 2), m.Node(0, 1)},
+			{m.Node(0, 2), m.Node(1, 0)},
+		}
+		for _, c := range corners {
+			n.Inject(c.src, c.dst, 24)
+		}
+	})
+}
+
+// stallRing builds the ring network on a 3x3 mesh (buffer depth 2,
+// watchdog 200 cycles) with a flight recorder attached, lets inject
+// place the messages, and steps until a post-mortem fires.
+func stallRing(t *testing.T, livelockAge int64, inject func(*Network, *topology.Mesh)) (*Network, *trace.Recorder, *[]*trace.Report) {
 	t.Helper()
 	m := topology.NewMesh(3, 3)
 	rec := trace.New(m.Nodes(), 64)
@@ -23,15 +43,7 @@ func forceRingDeadlock(t *testing.T, livelockAge int64) (*Network, *trace.Record
 		Recorder:          rec,
 		OnPostMortem:      func(r *trace.Report) { *reports = append(*reports, r) },
 	})
-	corners := []struct{ src, dst topology.NodeID }{
-		{m.Node(0, 0), m.Node(2, 1)},
-		{m.Node(2, 0), m.Node(1, 2)},
-		{m.Node(2, 2), m.Node(0, 1)},
-		{m.Node(0, 2), m.Node(1, 0)},
-	}
-	for _, c := range corners {
-		n.Inject(c.src, c.dst, 24)
-	}
+	inject(n, m)
 	for i := 0; i < 600 && len(*reports) == 0; i++ {
 		n.Step()
 	}
@@ -70,10 +82,14 @@ func TestDeadlockPostMortem(t *testing.T) {
 	for _, b := range rep.Blocked {
 		blocked[b.Msg] = b
 	}
-	for _, id := range rep.WaitCycle {
+	for i, id := range rep.WaitCycle {
 		b, ok := blocked[id]
 		if !ok {
 			t.Fatalf("wait-cycle message %d missing from blocked list %v", id, rep.Blocked)
+		}
+		// Each member waits on the one listed before it, cyclically.
+		if prev := rep.WaitCycle[(i+len(rep.WaitCycle)-1)%len(rep.WaitCycle)]; !slices.Contains(b.WaitsOn, prev) {
+			t.Fatalf("wait-cycle message %d waits on %v, not on its predecessor %d", id, b.WaitsOn, prev)
 		}
 		if b.Why != "no-credit" && b.Why != "no-free-vc" {
 			t.Fatalf("blocked message %d has why=%q", id, b.Why)

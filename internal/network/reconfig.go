@@ -26,7 +26,6 @@ type epochSource interface {
 type hotSwapper interface {
 	Swap(next routing.Algorithm, force bool) (oldEpoch, newEpoch uint64, err error)
 	OnEpochRetired(func(epoch uint64))
-	CurrentEpoch() uint64
 }
 
 // FaultHandler is the failover decision plane's hook into ApplyFaults
@@ -59,48 +58,37 @@ func (n *Network) attachEngine(alg routing.Algorithm) {
 }
 
 // Reconfigure replaces the network's decision engine while the
-// simulation runs. When the engine is a hot swapper the swap is
-// atomic: in-flight worms keep routing under the epoch that admitted
-// them, new head flits decide on the new tables. An incompatible
-// deadlock regime is refused unless force is set, in which case the
-// network is fully drained first (mixing worms of two VC disciplines
-// could deadlock) — a forced swap therefore stalls injection until the
-// network empties. Without a hot swapper the engine can only be
-// replaced cold, on an idle network.
+// simulation runs. The running engine must be a hot swapper
+// (reconfig.Swapper); any other engine is refused. The swap is atomic:
+// in-flight worms keep routing under the epoch that admitted them, new
+// head flits decide on the new tables. An incompatible deadlock regime
+// is refused unless force is set, in which case the network is fully
+// drained first (mixing worms of two VC disciplines could deadlock) —
+// a forced swap therefore stalls injection until the network empties.
 func (n *Network) Reconfigure(next routing.Algorithm, force bool) error {
 	if next.NumVCs() > n.cfg.VCs {
 		return fmt.Errorf("network: %s needs %d VCs, network has %d",
 			next.Name(), next.NumVCs(), n.cfg.VCs)
 	}
-	if hs, ok := n.alg.(hotSwapper); ok {
-		_, newEpoch, err := hs.Swap(next, false)
-		if err != nil {
-			if !force {
-				return err
-			}
-			if !n.Drain(n.cfg.WatchdogCycles) {
-				return fmt.Errorf("network: forced reconfigure: network failed to drain within %d cycles", n.cfg.WatchdogCycles)
-			}
-			if _, newEpoch, err = hs.Swap(next, true); err != nil {
-				return err
-			}
-		}
-		if n.rec != nil {
-			n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KReconfigSwap,
-				Node: -1, Msg: -1, Port: -1, VC: -1, Arg: int32(newEpoch)})
-		}
-		return nil
+	hs, ok := n.alg.(hotSwapper)
+	if !ok {
+		return fmt.Errorf("network: %s cannot hot-swap (not an epoch swapper)", n.alg.Name())
 	}
-	// Cold swap: no epoch machinery, so the network must be empty.
-	if !n.Idle() {
-		return fmt.Errorf("network: %s cannot hot-swap (not an epoch swapper); drain the network first", n.alg.Name())
+	_, newEpoch, err := hs.Swap(next, false)
+	if err != nil {
+		if !force {
+			return err
+		}
+		if !n.Drain(n.cfg.WatchdogCycles) {
+			return fmt.Errorf("network: forced reconfigure: network failed to drain within %d cycles", n.cfg.WatchdogCycles)
+		}
+		if _, newEpoch, err = hs.Swap(next, true); err != nil {
+			return err
+		}
 	}
-	n.alg = next
-	n.attachEngine(next)
-	next.UpdateFaults(n.faults)
 	if n.rec != nil {
 		n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KReconfigSwap,
-			Node: -1, Msg: -1, Port: -1, VC: -1, Arg: 0})
+			Node: -1, Msg: -1, Port: -1, VC: -1, Arg: int32(newEpoch)})
 	}
 	return nil
 }

@@ -83,34 +83,27 @@ func TestReconfigureRegimeGateAndForce(t *testing.T) {
 	}
 }
 
-// Without a swapper the engine can only be replaced cold, and an
-// engine needing more VCs than the network carries is always refused.
+// Without a swapper the engine cannot be replaced, busy or idle, and
+// an engine needing more VCs than the network carries is always
+// refused.
 func TestReconfigureColdSwapRules(t *testing.T) {
 	m := topology.NewMesh(4, 4)
 	n := New(Config{Graph: m, Algorithm: routing.NewNARA(m)})
 	n.Inject(0, 15, 4)
 	n.Run(1)
 	if err := n.Reconfigure(routing.NewNAFTA(m), false); err == nil {
-		t.Fatal("cold swap accepted on a busy network")
+		t.Fatal("swap accepted on a busy network without a swapper")
 	}
 	if !n.Drain(10000) {
 		t.Fatal("drain failed")
 	}
-	if err := n.Reconfigure(routing.NewNAFTA(m), false); err != nil {
-		t.Fatalf("cold swap on an idle network refused: %v", err)
+	if err := n.Reconfigure(routing.NewNAFTA(m), true); err == nil {
+		t.Fatal("forced swap accepted on an idle network without a swapper")
 	}
-	// The network routes on the installed engine from here on.
-	n.Inject(0, 15, 4)
-	if !n.Drain(10000) {
-		t.Fatal("post-swap drain failed")
-	}
-	if got := n.Stats().Delivered; got != 2 {
-		t.Fatalf("delivered %d, want 2", got)
-	}
-	// NAFTA needs 2 VCs; the network was built with 2 — a 5-VC engine
-	// must be refused regardless of idleness.
+	// ROUTE_C needs 5 VCs and the e-cube network carries 1: refused
+	// even behind a swapper.
 	h := topology.NewHypercube(4)
-	nh := New(Config{Graph: h, Algorithm: routing.NewECube(h)})
+	nh := New(Config{Graph: h, Algorithm: reconfig.NewSwapper(routing.NewECube(h))})
 	if err := nh.Reconfigure(routing.NewRouteC(h), false); err == nil {
 		t.Fatal("engine needing 5 VCs accepted by a 1-VC network")
 	}

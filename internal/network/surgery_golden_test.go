@@ -18,6 +18,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/routing"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // surgeryScenario injects seeded uniform traffic on an 8x8 NAFTA mesh,
@@ -116,8 +117,59 @@ func TestFaultSurgeryGoldenSerial(t *testing.T) {
 // snapshot.
 func TestPostMortemGolden(t *testing.T) {
 	_, _, reports := forceRingDeadlock(t, 0)
-	rep := (*reports)[0]
+	const golden = "cycle=[3 2 1 0]" +
+		" | msg3@n0 p0 v0 out(-1,-1) no-free-vc waits[0]" +
+		" | msg0@n2 p3 v0 out(-1,-1) no-free-vc waits[1]" +
+		" | msg2@n6 p1 v0 out(-1,-1) no-free-vc waits[3]" +
+		" | msg1@n8 p2 v0 out(-1,-1) no-free-vc waits[2]" +
+		" | routers[0 1 2 3 5 6 7 8]"
+	if got := postMortemTable((*reports)[0]); got != golden {
+		t.Fatalf("post-mortem snapshot drifted:\n got: %s\nwant: %s", got, golden)
+	}
+}
 
+// TestPostMortemGoldenNoCredit pins the same table for a ring stall of
+// sixteen two-flit worms, two from each ring router to the router
+// three hops on. Each worm fits in one buffer, so a head that won its
+// output finds the downstream buffer filled by the worm ahead: the
+// table holds "no-credit" entries (allocated heads) beside the
+// "no-free-vc" ones of the injection queues.
+func TestPostMortemGoldenNoCredit(t *testing.T) {
+	_, _, reports := stallRing(t, 0, func(n *Network, m *topology.Mesh) {
+		ring := []topology.NodeID{m.Node(0, 0), m.Node(1, 0), m.Node(2, 0), m.Node(2, 1),
+			m.Node(2, 2), m.Node(1, 2), m.Node(0, 2), m.Node(0, 1)}
+		for round := 0; round < 2; round++ {
+			for i, src := range ring {
+				n.Inject(src, ring[(i+3)%len(ring)], 2)
+			}
+		}
+	})
+	const golden = "cycle=[7 6 5 4 3 2 1 0]" +
+		" | msg7@n0 p0 v0 out(1,0) no-credit waits[0]" +
+		" | msg8@n0 p4 v0 out(-1,-1) no-free-vc waits[7]" +
+		" | msg0@n1 p3 v0 out(1,0) no-credit waits[1]" +
+		" | msg9@n1 p4 v0 out(-1,-1) no-free-vc waits[0]" +
+		" | msg1@n2 p3 v0 out(0,0) no-credit waits[2]" +
+		" | msg10@n2 p4 v0 out(-1,-1) no-free-vc waits[1]" +
+		" | msg6@n3 p0 v0 out(2,0) no-credit waits[7]" +
+		" | msg15@n3 p4 v0 out(-1,-1) no-free-vc waits[6]" +
+		" | msg2@n5 p2 v0 out(0,0) no-credit waits[3]" +
+		" | msg11@n5 p4 v0 out(-1,-1) no-free-vc waits[2]" +
+		" | msg5@n6 p1 v0 out(2,0) no-credit waits[6]" +
+		" | msg14@n6 p4 v0 out(-1,-1) no-free-vc waits[5]" +
+		" | msg4@n7 p1 v0 out(3,0) no-credit waits[5]" +
+		" | msg13@n7 p4 v0 out(-1,-1) no-free-vc waits[4]" +
+		" | msg3@n8 p2 v0 out(3,0) no-credit waits[4]" +
+		" | msg12@n8 p4 v0 out(-1,-1) no-free-vc waits[3]" +
+		" | routers[0 1 2 3 5 6 7 8]"
+	if got := postMortemTable((*reports)[0]); got != golden {
+		t.Fatalf("post-mortem snapshot drifted:\n got: %s\nwant: %s", got, golden)
+	}
+}
+
+// postMortemTable renders a report's wait cycle, blocked packets and
+// snapshot router list on one line.
+func postMortemTable(rep *trace.Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cycle=%v", rep.WaitCycle)
 	for _, bp := range rep.Blocked {
@@ -129,14 +181,5 @@ func TestPostMortemGolden(t *testing.T) {
 		routers = append(routers, rs.Node)
 	}
 	fmt.Fprintf(&b, " | routers%v", routers)
-
-	const golden = "cycle=[3 2 1 0]" +
-		" | msg3@n0 p0 v0 out(-1,-1) no-free-vc waits[0]" +
-		" | msg0@n2 p3 v0 out(-1,-1) no-free-vc waits[1]" +
-		" | msg2@n6 p1 v0 out(-1,-1) no-free-vc waits[3]" +
-		" | msg1@n8 p2 v0 out(-1,-1) no-free-vc waits[2]" +
-		" | routers[0 1 2 3 5 6 7 8]"
-	if got := b.String(); got != golden {
-		t.Fatalf("post-mortem snapshot drifted:\n got: %s\nwant: %s", got, golden)
-	}
+	return b.String()
 }

@@ -169,80 +169,77 @@ func TestSwitchMatchesFrozenWalk(t *testing.T) {
 	const cycles = 80
 	states, multi, blocked, marked := 0, 0, 0, 0
 	for _, c := range switchCases {
-		for _, delay := range []int{0, 3} {
-			for _, favor := range []bool{false, true} {
-				// With a recorder the walk also visits credit-less
-				// members; both forms run under every setting pair.
-				for _, recorded := range []bool{true, false} {
-					name := fmt.Sprintf("%s/delay%d/favor=%v/rec=%v", c.name, delay, favor, recorded)
-					cfg := Config{BufDepth: 2, CreditDelay: delay, FavorMarked: favor}
-					log := &eventLog{}
-					if recorded {
-						g, _ := c.graph()
-						cfg.Recorder = trace.New(g.Nodes(), 8)
-						cfg.Recorder.SetSink(log)
+		for _, favor := range []bool{false, true} {
+			// With a recorder the walk also visits credit-less
+			// members; both forms run under every setting pair.
+			for _, recorded := range []bool{true, false} {
+				name := fmt.Sprintf("%s/favor=%v/rec=%v", c.name, favor, recorded)
+				cfg := Config{BufDepth: 2, FavorMarked: favor}
+				log := &eventLog{}
+				if recorded {
+					g, _ := c.graph()
+					cfg.Recorder = trace.New(g.Nodes(), 8)
+					cfg.Recorder.SetSink(log)
+				}
+				n, refill := c.build(t, cfg)
+				rng := rand.New(rand.NewSource(int64(len(name))))
+				for cyc := 0; cyc < cycles; cyc++ {
+					refill()
+					n.injectStage()
+					n.routeStage()
+					n.allocStage()
+					for i := range n.rrIn {
+						if rng.Intn(4) == 0 {
+							n.rrIn[i] = rng.Intn(n.lay.vcs)
+						}
 					}
-					n, refill := c.build(t, cfg)
-					rng := rand.New(rand.NewSource(int64(len(name))))
-					for cyc := 0; cyc < cycles; cyc++ {
-						refill()
-						n.deliverCredits()
-						n.injectStage()
-						n.routeStage()
-						n.allocStage()
-						for i := range n.rrIn {
-							if rng.Intn(4) == 0 {
-								n.rrIn[i] = rng.Intn(n.lay.vcs)
-							}
+					for i := range n.rrOut {
+						if rng.Intn(4) == 0 {
+							n.rrOut[i] = rng.Intn(1 << 20)
 						}
-						for i := range n.rrOut {
-							if rng.Intn(4) == 0 {
-								n.rrOut[i] = rng.Intn(1 << 20)
-							}
+					}
+					for i := range n.ins {
+						if recorded && rng.Intn(8) == 0 {
+							n.ins[i].blockedNoted = !n.ins[i].blockedNoted
 						}
-						for i := range n.ins {
-							if recorded && rng.Intn(8) == 0 {
-								n.ins[i].blockedNoted = !n.ins[i].blockedNoted
-							}
+					}
+					want := newOldSwitch(n)
+					want.stage(n)
+					log.evs = log.evs[:0]
+					moves := n.switchStage()
+					got := make([]oldSend, len(moves))
+					for i, mv := range moves {
+						p, v := n.lay.portVC(int(mv.slot))
+						ivc := &n.ins[int(mv.from)*n.lay.inStride+int(mv.slot)]
+						got[i] = oldSend{int(mv.from), p, v, ivc.outPort, ivc.outVC}
+						if ivc.curMsg.Hdr.Marked {
+							marked++
 						}
-						want := newOldSwitch(n)
-						want.stage(n)
-						log.evs = log.evs[:0]
-						moves := n.switchStage()
-						got := make([]oldSend, len(moves))
-						for i, mv := range moves {
-							p, v := n.lay.portVC(int(mv.slot))
-							ivc := &n.ins[int(mv.from)*n.lay.inStride+int(mv.slot)]
-							got[i] = oldSend{int(mv.from), p, v, ivc.outPort, ivc.outVC}
-							if ivc.curMsg.Hdr.Marked {
-								marked++
-							}
+					}
+					if !slices.Equal(got, want.moves) {
+						t.Fatalf("%s cycle %d: grants differ\n got %v\nwant %v", name, cyc, got, want.moves)
+					}
+					if !slices.Equal(n.rrIn, want.rrIn) || !slices.Equal(n.rrOut, want.rrOut) {
+						t.Fatalf("%s cycle %d: round-robin pointers differ after the stage", name, cyc)
+					}
+					for i := range n.ins {
+						if n.ins[i].blockedNoted != want.noted[i] {
+							t.Fatalf("%s cycle %d: blockedNoted of input %d is %v, frozen walk says %v",
+								name, cyc, i, n.ins[i].blockedNoted, want.noted[i])
 						}
-						if !slices.Equal(got, want.moves) {
-							t.Fatalf("%s cycle %d: grants differ\n got %v\nwant %v", name, cyc, got, want.moves)
-						}
-						if !slices.Equal(n.rrIn, want.rrIn) || !slices.Equal(n.rrOut, want.rrOut) {
-							t.Fatalf("%s cycle %d: round-robin pointers differ after the stage", name, cyc)
-						}
-						for i := range n.ins {
-							if n.ins[i].blockedNoted != want.noted[i] {
-								t.Fatalf("%s cycle %d: blockedNoted of input %d is %v, frozen walk says %v",
-									name, cyc, i, n.ins[i].blockedNoted, want.noted[i])
-							}
-						}
-						if !slices.Equal(log.evs, want.blocked) {
-							t.Fatalf("%s cycle %d: KFlitBlocked events differ\n got %v\nwant %v", name, cyc, log.evs, want.blocked)
-						}
-						states += int(n.saSet.size())
-						blocked += len(want.blocked)
-						multi += multiNominee(n, want)
-						n.applyMoves(moves)
-						n.drainStage()
-						n.now++
-						if cyc%16 == 0 {
-							if err := n.CheckInvariants(); err != nil {
-								t.Fatalf("%s cycle %d: %v", name, cyc, err)
-							}
+					}
+					if !slices.Equal(log.evs, want.blocked) {
+						t.Fatalf("%s cycle %d: KFlitBlocked events differ\n got %v\nwant %v", name, cyc, log.evs, want.blocked)
+					}
+					states += int(n.saSet.size())
+					blocked += len(want.blocked)
+					multi += multiNominee(n, want)
+					n.applyMoves(moves)
+					n.drainStage()
+					n.now++
+					if cyc%16 == 0 {
+						if err := n.CheckInvariants(); err != nil {
+							t.Fatalf("%s cycle %d: %v", name, cyc, err)
 						}
 					}
 				}
@@ -287,23 +284,21 @@ func multiNominee(n *Network, o *oldSwitch) int {
 func TestReadySetMatchesPredicate(t *testing.T) {
 	const cycles = 60
 	for _, c := range switchCases {
-		for _, delay := range []int{0, 3} {
-			n, refill := c.build(t, Config{BufDepth: 2, CreditDelay: delay})
-			for cyc := 0; cyc < cycles; cyc++ {
-				refill()
-				n.Step()
-				if cyc == cycles/2 {
-					f := n.faults.Clone()
-					f.FailNode(topology.NodeID(n.lay.nodes / 3))
-					n.ApplyFaults(f)
-				}
-				if err := n.CheckInvariants(); err != nil {
-					t.Fatalf("%s delay %d cycle %d: %v", c.name, delay, cyc, err)
-				}
+		n, refill := c.build(t, Config{BufDepth: 2})
+		for cyc := 0; cyc < cycles; cyc++ {
+			refill()
+			n.Step()
+			if cyc == cycles/2 {
+				f := n.faults.Clone()
+				f.FailNode(topology.NodeID(n.lay.nodes / 3))
+				n.ApplyFaults(f)
 			}
-			if n.Stats().DeadlockSuspected {
-				t.Fatalf("%s delay %d: watchdog fired", c.name, delay)
+			if err := n.CheckInvariants(); err != nil {
+				t.Fatalf("%s cycle %d: %v", c.name, cyc, err)
 			}
+		}
+		if n.Stats().DeadlockSuspected {
+			t.Fatalf("%s: watchdog fired", c.name)
 		}
 	}
 }

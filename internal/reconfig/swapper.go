@@ -227,7 +227,7 @@ func (s *Swapper) ReleaseEpoch(epoch uint64) {
 	defer s.mu.Unlock()
 	e := s.live[epoch]
 	if e == nil {
-		return // unknown or already retired: tolerate (cold-swapped network)
+		return // unknown or already retired: tolerate
 	}
 	if e.pinned.Add(-1) == 0 && e != s.cur.Load() {
 		s.retireLocked(e)

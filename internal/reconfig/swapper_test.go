@@ -37,7 +37,6 @@ func (f *fakeAlg) AttachLoads(v routing.LoadView)             { f.loads = v }
 // stubLoads is an idle load view.
 type stubLoads struct{}
 
-func (stubLoads) OutFree(topology.NodeID, int, int) bool    { return true }
 func (stubLoads) Credits(topology.NodeID, int, int) int     { return 4 }
 func (stubLoads) QueuedFlits(topology.NodeID, int, int) int { return 0 }
 

@@ -144,13 +144,6 @@ func (n *NAFTA) clearRuns(nb int) [2]int32 {
 // exclusion view and the evaluation harness.
 func (n *NAFTA) Blocks() *fault.BlockInfo { return n.blocks }
 
-// DeadEnds derives the paper's coarse per-row/per-column dead-end
-// states for the current fault state (evaluation harness). Routing does
-// not consult them: on whole rows and columns they degenerate for
-// sparse fault patterns, and the per-node flags behind sidePos/sideNeg
-// implement the same protective intent with node-level accuracy.
-func (n *NAFTA) DeadEnds() *fault.DeadEnds { return fault.BuildDeadEnds(n.mesh, n.faults, n.blocks) }
-
 // FactWords is the fault knowledge of one routing decision as whole
 // words: the node's fact record with the destination-relative part
 // folded in. The rule-based NAFTA stores Avail, AvFault and MisOK

@@ -259,9 +259,6 @@ func RouteInto(a Algorithm, req Request, buf []Candidate) []Candidate {
 // consult (buffer exploitation, as produced by the paper's Information
 // Units).
 type LoadView interface {
-	// OutFree reports whether output (port,vc) of node is currently
-	// not owned by any message.
-	OutFree(node topology.NodeID, port, vc int) bool
 	// Credits returns the free flit slots in the downstream buffer of
 	// output (port,vc).
 	Credits(node topology.NodeID, port, vc int) int

@@ -614,7 +614,6 @@ type fakeView struct {
 	queued  map[[3]int]int
 }
 
-func (f fakeView) OutFree(n topology.NodeID, p, vc int) bool { return true }
 func (f fakeView) Credits(n topology.NodeID, p, vc int) int {
 	return f.credits[[3]int{int(n), p, vc}]
 }

@@ -2,12 +2,6 @@ package rules
 
 import "fmt"
 
-// ResolveDomain resolves a syntactic domain against an analysed
-// program (exported for the compiler in internal/core).
-func ResolveDomain(c *Checked, d *DomainExpr) (*Type, error) {
-	return c.resolveDomain(d)
-}
-
 // ApplyBinary applies a value-level binary operator (everything except
 // the short-circuit handling, which callers do themselves).
 func ApplyBinary(op string, x, y Value) (Value, error) {

@@ -231,7 +231,6 @@ func (mi *meshInputs) provider(name string, idx []int64) (rules.Value, error) {
 // credits.
 type fakeLoads struct{ q [4]int }
 
-func (f fakeLoads) OutFree(topology.NodeID, int, int) bool      { return true }
 func (f fakeLoads) Credits(topology.NodeID, int, int) int       { return 4 }
 func (f fakeLoads) QueuedFlits(_ topology.NodeID, p, _ int) int { return f.q[p] }
 

@@ -89,8 +89,8 @@ type Config struct {
 	// included) the engine built by Make replaces the running one via
 	// network.Reconfigure. The events are applied in time order; Run
 	// copies the slice, so a shared Config stays reusable. The
-	// Algorithm must be a reconfig.Swapper for swaps to land while
-	// worms are in flight.
+	// Algorithm must be a reconfig.Swapper; network.Reconfigure refuses
+	// any other engine.
 	Reconfigs []Reconfig
 }
 

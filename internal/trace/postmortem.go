@@ -19,7 +19,9 @@ type Report struct {
 	// Cycle is the simulation cycle of detection.
 	Cycle int64 `json:"cycle"`
 	// WaitCycle lists the message IDs forming the certified circular
-	// wait (deadlocks only; empty when only the watchdog fired).
+	// wait (deadlocks only; empty when only the watchdog fired). Each
+	// member waits on the one listed before it, and the first on the
+	// last.
 	WaitCycle []int64 `json:"wait_cycle,omitempty"`
 	// Blocked describes every packet that cannot currently move.
 	Blocked []BlockedPacket `json:"blocked"`

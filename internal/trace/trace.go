@@ -52,7 +52,7 @@ const (
 	// episode, not per cycle).
 	KFlitBlocked
 	// KCreditSent: one credit returned upstream to output (Port,VC) of
-	// Node (Arg = return delay in cycles).
+	// Node; it arrives in the same cycle (Arg = 0).
 	KCreditSent
 	// KFlitDelivered: the tail flit of Msg was ejected at Node
 	// (Arg = total latency in cycles).
@@ -237,10 +237,6 @@ func (r *Recorder) Record(ev Event) {
 // the recorder was built (the streaming sink, when attached, still
 // saw them).
 func (r *Recorder) Dropped() int64 { return r.dropped }
-
-// SinkErr returns the first error the streaming sink reported, or
-// nil.
-func (r *Recorder) SinkErr() error { return r.sinkErr }
 
 // NodeEvents returns the retained events of one node, oldest first.
 func (r *Recorder) NodeEvents(node int) []Event {

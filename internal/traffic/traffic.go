@@ -135,14 +135,6 @@ type Generator struct {
 	gapP float64
 }
 
-// validRate holds an offered load to g's port count (NaN fails too).
-func validRate(rate float64, g topology.Graph) error {
-	if !(rate >= 0 && rate <= float64(g.Ports())) {
-		return fmt.Errorf("traffic: rate %f out of range [0, %d]", rate, g.Ports())
-	}
-	return nil
-}
-
 // Validate checks the generator configuration.
 func (g *Generator) Validate() error {
 	if g.Graph == nil || g.Pattern == nil || g.Rng == nil {
@@ -151,7 +143,11 @@ func (g *Generator) Validate() error {
 	if g.Length < 2 {
 		return fmt.Errorf("traffic: message length %d < 2", g.Length)
 	}
-	return validRate(g.Rate, g.Graph)
+	// The offered load is held to the port count (NaN fails too).
+	if !(g.Rate >= 0 && g.Rate <= float64(g.Graph.Ports())) {
+		return fmt.Errorf("traffic: rate %f out of range [0, %d]", g.Rate, g.Graph.Ports())
+	}
+	return nil
 }
 
 // gap draws the failures before the next success of a Bernoulli(p)
@@ -184,122 +180,4 @@ func (g *Generator) Tick(net *network.Network) {
 		}
 	}
 	g.skip -= nodes
-}
-
-// LengthDist draws message lengths (flits). Implementations must be
-// deterministic given the rng.
-type LengthDist interface {
-	Name() string
-	Draw(rng *rand.Rand) int
-}
-
-// FixedLength always returns L.
-type FixedLength struct{ L int }
-
-func (f FixedLength) Name() string        { return fmt.Sprintf("fixed%d", f.L) }
-func (f FixedLength) Draw(*rand.Rand) int { return f.L }
-
-// Bimodal mixes short control messages and long data messages — the
-// classic multicomputer workload shape (the paper's Section 2.1 notes
-// header reinjection is cheap "for a few messages" but impractical
-// "for very long messages").
-type Bimodal struct {
-	Short, Long int
-	// LongFraction is the probability of drawing Long.
-	LongFraction float64
-}
-
-func (b Bimodal) Name() string { return fmt.Sprintf("bimodal%d/%d", b.Short, b.Long) }
-func (b Bimodal) Draw(rng *rand.Rand) int {
-	if rng.Float64() < b.LongFraction {
-		return b.Long
-	}
-	return b.Short
-}
-
-// UniformLength draws uniformly from [Lo, Hi].
-type UniformLength struct{ Lo, Hi int }
-
-func (u UniformLength) Name() string { return fmt.Sprintf("ulen%d-%d", u.Lo, u.Hi) }
-func (u UniformLength) Draw(rng *rand.Rand) int {
-	if u.Hi <= u.Lo {
-		return u.Lo
-	}
-	return u.Lo + rng.Intn(u.Hi-u.Lo+1)
-}
-
-// BurstyGenerator wraps message injection in an on/off (two-state
-// Markov) process per node: during ON periods the node injects at the
-// configured rate, during OFF periods it is silent. Mean load equals
-// Rate * OnFraction.
-type BurstyGenerator struct {
-	Graph   topology.Graph
-	Pattern Pattern
-	// Rate is the offered load during ON periods (flits/node/cycle).
-	Rate float64
-	// Lengths draws the message length (falls back to 8 if nil).
-	Lengths LengthDist
-	Rng     *rand.Rand
-	Exclude func(topology.NodeID) bool
-	// MeanOn/MeanOff are the expected period lengths in cycles.
-	MeanOn, MeanOff float64
-
-	on      []bool
-	Offered int64
-}
-
-// Validate checks the configuration.
-func (g *BurstyGenerator) Validate() error {
-	if g.Graph == nil || g.Pattern == nil || g.Rng == nil {
-		return fmt.Errorf("traffic: BurstyGenerator needs Graph, Pattern and Rng")
-	}
-	if g.MeanOn < 1 || g.MeanOff < 1 {
-		return fmt.Errorf("traffic: burst periods must be >= 1 cycle")
-	}
-	return validRate(g.Rate, g.Graph)
-}
-
-// Tick injects this cycle's messages.
-func (g *BurstyGenerator) Tick(net *network.Network) {
-	if g.on == nil {
-		g.on = make([]bool, g.Graph.Nodes())
-		for i := range g.on {
-			g.on[i] = g.Rng.Float64() < g.MeanOn/(g.MeanOn+g.MeanOff)
-		}
-	}
-	lengths := g.Lengths
-	if lengths == nil {
-		lengths = FixedLength{L: 8}
-	}
-	for s := 0; s < g.Graph.Nodes(); s++ {
-		src := topology.NodeID(s)
-		// Geometric state transitions give the configured mean period
-		// lengths.
-		if g.on[s] {
-			if g.Rng.Float64() < 1/g.MeanOn {
-				g.on[s] = false
-			}
-		} else if g.Rng.Float64() < 1/g.MeanOff {
-			g.on[s] = true
-		}
-		if !g.on[s] {
-			continue
-		}
-		if g.Exclude != nil && g.Exclude(src) {
-			continue
-		}
-		length := lengths.Draw(g.Rng)
-		if g.Rng.Float64() >= g.Rate/float64(length) {
-			continue
-		}
-		dst := g.Pattern.Dest(src, g.Rng)
-		if dst == src {
-			continue
-		}
-		if g.Exclude != nil && g.Exclude(dst) {
-			continue
-		}
-		net.Inject(src, dst, length)
-		g.Offered++
-	}
 }

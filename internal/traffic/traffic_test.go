@@ -161,91 +161,6 @@ func TestGeneratorExclude(t *testing.T) {
 	}
 }
 
-func TestLengthDists(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	if (FixedLength{L: 9}).Draw(rng) != 9 {
-		t.Fatal("fixed length wrong")
-	}
-	b := Bimodal{Short: 4, Long: 64, LongFraction: 0.25}
-	longs := 0
-	for i := 0; i < 4000; i++ {
-		switch v := b.Draw(rng); v {
-		case 64:
-			longs++
-		case 4:
-		default:
-			t.Fatalf("bimodal drew %d", v)
-		}
-	}
-	if longs < 800 || longs > 1200 {
-		t.Fatalf("long fraction off: %d/4000", longs)
-	}
-	u := UniformLength{Lo: 3, Hi: 7}
-	for i := 0; i < 200; i++ {
-		if v := u.Draw(rng); v < 3 || v > 7 {
-			t.Fatalf("uniform length out of range: %d", v)
-		}
-	}
-}
-
-func TestBurstyGenerator(t *testing.T) {
-	m := topology.NewMesh(6, 6)
-	net := network.New(network.Config{Graph: m, Algorithm: routing.NewNARA(m)})
-	g := &BurstyGenerator{
-		Graph:   m,
-		Pattern: Uniform{Nodes: m.Nodes()},
-		Rate:    0.4,
-		Lengths: Bimodal{Short: 4, Long: 32, LongFraction: 0.1},
-		Rng:     rand.New(rand.NewSource(6)),
-		MeanOn:  50,
-		MeanOff: 150,
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cycles := 4000
-	for i := 0; i < cycles; i++ {
-		g.Tick(net)
-		net.Step()
-	}
-	// Per ON node and cycle the acceptance probability is Rate/L with
-	// L drawn first, so E[msgs] = Rate * E[1/L] = 0.4 * (0.9/4 +
-	// 0.1/32) = 0.09125; scaled by the 0.25 ON fraction.
-	expect := float64(m.Nodes()*cycles) * 0.25 * 0.4 * (0.9/4.0 + 0.1/32.0)
-	got := float64(g.Offered)
-	if got < 0.75*expect || got > 1.25*expect {
-		t.Fatalf("offered %v, expected about %v", got, expect)
-	}
-	if !net.Drain(100000) {
-		t.Fatal("drain failed")
-	}
-	if net.Stats().Dropped != 0 {
-		t.Fatal("fault-free bursty run should deliver everything")
-	}
-}
-
-func TestBurstyValidate(t *testing.T) {
-	if err := (&BurstyGenerator{}).Validate(); err == nil {
-		t.Fatal("empty config should fail")
-	}
-	m := topology.NewMesh(3, 3)
-	bad := &BurstyGenerator{Graph: m, Pattern: Uniform{Nodes: 9},
-		Rng: rand.New(rand.NewSource(1)), MeanOn: 0.5, MeanOff: 10}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("sub-cycle burst period should fail")
-	}
-	bad.MeanOn = 5
-	if err := bad.Validate(); err != nil {
-		t.Fatalf("valid bursty generator rejected: %v", err)
-	}
-	for _, r := range []float64{math.NaN(), math.Inf(1), -1, 4.5} {
-		bad.Rate = r
-		if err := bad.Validate(); err == nil {
-			t.Fatalf("rate %v should fail", r)
-		}
-	}
-}
-
 // successLog is a pattern that records where the generator's successes
 // land — (tick, source) in call order — and addresses every message to
 // the next node, so no success is discarded as self-addressed.
