@@ -487,7 +487,8 @@ func BenchmarkNetworkStep(b *testing.B) {
 // resolving a covered fault class by flipping its precompiled backup
 // engine in (flip) versus running the live diagnosis fixpoint on the
 // installed engine (recompute). The plane is built outside the timer —
-// precompilation cost is the price paid at bundle-load time, the flip
+// precompilation cost is the price paid when a version starts serving
+// (routerd -backups rebuilds the plane on every activation), the flip
 // is what the router pays at fault time. The paper's argument needs
 // flip to be far below recompute; BENCH snapshots track the ratio.
 func BenchmarkFailover(b *testing.B) {
@@ -498,12 +499,12 @@ func BenchmarkFailover(b *testing.B) {
 	g := topology.NewMesh(8, 8)
 	// Node classes only: the link classes stay uncovered, giving the
 	// recompute sub-benchmark a same-cost fallback path.
-	bundle, err := failover.BuildBundle(art, g, []string{"node"})
+	classes, err := failover.Enumerate(g, []string{failover.KindNode})
 	if err != nil {
 		b.Fatal(err)
 	}
 	newPlane := func(b *testing.B, sw *reconfig.Swapper) *failover.Plane {
-		p, err := failover.NewPlane(bundle, g, sw, failover.PlaneOptions{})
+		p, err := failover.NewPlane(art, g, classes, sw)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -518,7 +519,6 @@ func BenchmarkFailover(b *testing.B) {
 		b.ReportAllocs()
 		sw := reconfig.NewSwapper(initial)
 		plane := newPlane(b, sw)
-		classes := plane.Classes()
 		idx := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -541,7 +541,7 @@ func BenchmarkFailover(b *testing.B) {
 		sw := reconfig.NewSwapper(initial)
 		plane := newPlane(b, sw)
 		// Single-link faults: same blast radius as a node class, but
-		// uncovered by the node-only bundle, so every event takes the
+		// uncovered by the node-only plane, so every event takes the
 		// live-recompute fallback.
 		links := topology.Links(g)
 		faults := make([]*fault.Set, len(links))

@@ -8,7 +8,8 @@
 #      subsystem's one-recorder-per-job discipline is only proven here);
 #      it includes the frozen VA walk (TestAllocMatchesFrozenWalk),
 #      the generator's statistical tests (internal/traffic) and the
-#      fleet's scatter-vs-single-node rollout, reload-under-load and
+#      fleet's scatter-vs-single-node rollout, reload-under-load (with
+#      and without failover backups), flip-after-activation and
 #      flip-vs-rollback race tests (internal/fleet)
 #   5. coverage floor: statement coverage of internal/... must stay
 #      >= COVER_FLOOR (baseline was 84.1% when the gate was added)
@@ -16,10 +17,14 @@
 #      scenarios per algorithm family must pass every conformance
 #      oracle
 #   7. failover smoke (under -race): every enumerated fault class of
-#      both families must resolve to a backup flip whose decisions
-#      equal a from-scratch recompute, and a failover-enabled campaign
-#      (25 scenarios per family) must be statistics-identical to the
-#      plain runs with the predicted flip/recompute counters
+#      the three families (maze on a mesh) must resolve to a backup flip
+#      whose decisions equal a from-scratch recompute; after a reload,
+#      promote or rollback, a registry's flip must serve the activated
+#      version's tables (TestFlipAfterActivationServesServingVersion);
+#      and a failover-enabled campaign (25 scenarios per family, maze
+#      rotating mesh, torus and irregular planes) must be
+#      statistics-identical to the plain runs with the predicted
+#      flip/recompute counters
 #   8. big-topology and saturation smokes (under -race): ftsim runs at
 #      4096 nodes (mesh64x64, the regime the arena/active-set engine
 #      exists for) at 0.02 and at 0.005 flits/node/cycle (a few messages
@@ -105,8 +110,10 @@ go run -race ./cmd/campaign -scenarios 25 -seed 1 -algo maze
 
 echo "== failover smoke (flip-vs-recompute equivalence per fault class, -race)"
 go test -race -count=1 -run 'TestFailoverFlipMatchesRecompute' ./internal/failover/
+go test -race -count=1 -run 'TestFlipAfterActivationServesServingVersion' ./internal/fleet/
 go run -race ./cmd/campaign -scenarios 25 -seed 1 -algo nafta -failover
 go run -race ./cmd/campaign -scenarios 25 -seed 1 -algo routec -failover
+go run -race ./cmd/campaign -scenarios 25 -seed 1 -algo maze -failover
 
 echo "== mesh64x64, saturated cube8 and faulty rule-nafta smokes (-race)"
 # ftsim exits 2 when the watchdog suspects a deadlock (set -e stops

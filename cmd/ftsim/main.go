@@ -259,11 +259,17 @@ func parseTopo(s string) (topology.Graph, error) {
 		if _, err := fmt.Sscanf(s, "mesh%dx%d", &w, &h); err != nil {
 			return nil, fmt.Errorf("bad mesh spec %q (want meshWxH, e.g. mesh16x16)", s)
 		}
+		if w < 1 || h < 1 {
+			return nil, fmt.Errorf("bad mesh spec %q (both dimensions must be >= 1)", s)
+		}
 		return topology.NewMesh(w, h), nil
 	case strings.HasPrefix(s, "torus"):
 		var w, h int
 		if _, err := fmt.Sscanf(s, "torus%dx%d", &w, &h); err != nil {
 			return nil, fmt.Errorf("bad torus spec %q (want torusWxH, e.g. torus8x8)", s)
+		}
+		if w < 3 || h < 3 {
+			return nil, fmt.Errorf("bad torus spec %q (both dimensions must be >= 3)", s)
 		}
 		return topology.NewTorus(w, h), nil
 	case strings.HasPrefix(s, "irreg"):
@@ -276,6 +282,9 @@ func parseTopo(s string) (topology.Graph, error) {
 		var d int
 		if _, err := fmt.Sscanf(s, "cube%d", &d); err != nil {
 			return nil, fmt.Errorf("bad cube spec %q (want cubeD, e.g. cube6)", s)
+		}
+		if d < 1 || d > 20 {
+			return nil, fmt.Errorf("bad cube spec %q (dimension must be 1 to 20)", s)
 		}
 		return topology.NewHypercube(d), nil
 	}

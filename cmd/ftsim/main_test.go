@@ -35,7 +35,7 @@ func TestParseTopo(t *testing.T) {
 	if _, ok := g.(*topology.Torus); !ok {
 		t.Fatalf("parsed %v", g)
 	}
-	for _, bad := range []string{"", "ring8", "mesh8", "cube", "meshAxB"} {
+	for _, bad := range []string{"", "ring8", "mesh8", "cube", "meshAxB", "cube0", "cube21", "mesh0x4", "torus2x2"} {
 		if _, err := parseTopo(bad); err == nil {
 			t.Errorf("parseTopo(%q) should fail", bad)
 		}

@@ -5,7 +5,7 @@
 //
 //	routerd -algo nafta -mesh 8x8 -addr :8070
 //	routerd -artifact tables.art -addr :8070
-//	routerd -artifact tables.bdl -addr :8070   # failover bundle: backups precompiled
+//	routerd -artifact tables.art -backups link,node,chain   # failover backups precompiled
 //	routerd -shard 1/3 -cache 65536 -addr :8071  # replica 1 of a 3-node fleet
 //
 // Endpoints (served by internal/fleet):
@@ -16,7 +16,7 @@
 //	                     Content-Type: application/x-routerd-batch, a fixed-width
 //	                     little-endian frame answered by a frame (DESIGN.md §9.3;
 //	                     same decisions, errors and limits, non-200 stays JSON)
-//	POST /reload         raw artifact or bundle bytes -> {"epoch":N,"version":V}
+//	POST /reload         raw artifact bytes -> {"epoch":N,"version":V}
 //	POST /registry/push  raw artifact bytes -> {"version":V} (stored, not served)
 //	GET  /registry       versions, serving/previous ids, canary status
 //	POST /canary         {"version":V,"fraction":F} diff F of decisions against V
@@ -26,6 +26,11 @@
 //	POST /fault          {"nodes":[..],"links":[[a,b],..]} -> {"flipped":bool,"epoch":N}
 //	GET  /metrics        decision counters, latency percentiles, cache, registry, failover
 //	GET  /healthz        liveness
+//
+// With -backups, the fault classes of the given kinds are enumerated
+// on the served topology, and every version the replica serves gets a
+// backup engine precompiled per class: a /fault naming a covered class
+// flips it in instead of recomputing.
 //
 // Errors are JSON documents ({"error":..., "valid":[...]}) so callers
 // never scrape prose. On SIGINT/SIGTERM the server stops accepting
@@ -48,6 +53,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/failover"
 	"repro/internal/fleet"
 	"repro/internal/reconfig"
 	"repro/internal/topology"
@@ -63,11 +69,11 @@ func run(argv []string, stderr io.Writer) int {
 	var (
 		addr      = fs.String("addr", ":8070", "listen address")
 		algo      = fs.String("algo", "nafta", "builtin rule program when no -artifact is given: nafta, routec or maze")
-		artPath   = fs.String("artifact", "", "serve tables from this artifact or bundle file instead of compiling the builtin program")
-		meshSpec  = fs.String("mesh", "8x8", "mesh size for nafta/maze, WxH (ignored when a bundle names its own topology)")
+		artPath   = fs.String("artifact", "", "serve tables from this artifact file instead of compiling the builtin program")
+		meshSpec  = fs.String("mesh", "8x8", "mesh size for nafta/maze, WxH")
 		cubeDim   = fs.Int("cube", 4, "hypercube dimension for routec")
 		shards    = fs.Int("shards", runtime.GOMAXPROCS(0), "engine replicas (concurrent decision lanes)")
-		failMode  = fs.String("failover", "auto", "failover plane: auto (precompile backups when the served file is a bundle) or off")
+		backups   = fs.String("backups", "", "comma-separated fault-class kinds (link, node, chain) to precompile failover backups for; empty = none")
 		cacheSize = fs.Int("cache", 65536, "decision memoization cache entries (0 disables)")
 		shardSpec = fs.String("shard", "", "this replica's topology shard, index/count (e.g. 0/3); empty = own every node")
 		maxBatch  = fs.Int("max-batch", 4096, "largest accepted /decide/batch")
@@ -81,31 +87,25 @@ func run(argv []string, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "routerd:", err)
 		return 1
 	}
-	if !fleet.ValidFailoverMode(*failMode) {
-		return die(fmt.Errorf("unknown -failover mode %q (valid: %s)", *failMode, strings.Join(fleet.FailoverModes, ", ")))
-	}
 	shard, err := fleet.ParseShard(*shardSpec)
 	if err != nil {
 		return die(err)
 	}
 
-	art, bundle, err := fleet.LoadOrBuild(*artPath, *algo, reconfig.BuildOptions{CubeDim: *cubeDim})
+	art, err := fleet.LoadOrBuild(*artPath, *algo, reconfig.BuildOptions{CubeDim: *cubeDim})
 	if err != nil {
 		return die(err)
 	}
-	var g topology.Graph
-	if bundle != nil {
-		// A bundle pins the topology its classes were enumerated on.
-		g, err = bundle.Graph()
-	} else {
-		g, err = fleet.TopologyFor(art, *meshSpec)
-	}
+	g, err := fleet.TopologyFor(art, *meshSpec)
 	if err != nil {
 		return die(err)
 	}
-	srv, err := fleet.NewServer(art, bundle, g, fleet.Options{
+	classes, err := parseBackups(*backups, g)
+	if err != nil {
+		return die(err)
+	}
+	srv, err := fleet.NewServer(art, classes, g, fleet.Options{
 		Shards:       *shards,
-		FailoverMode: *failMode,
 		CacheEntries: *cacheSize,
 		Shard:        shard,
 		MaxBatch:     *maxBatch,
@@ -134,6 +134,24 @@ func run(argv []string, stderr io.Writer) int {
 	}
 	log.Printf("routerd: drained, bye")
 	return 0
+}
+
+// parseBackups enumerates the fault classes of the -backups kinds on
+// the served topology g; an empty spec means no backups.
+func parseBackups(spec string, g topology.Graph) ([]failover.Class, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	var kinds []string
+	for _, k := range strings.Split(spec, ",") {
+		if k = strings.TrimSpace(k); k != "" {
+			kinds = append(kinds, k)
+		}
+	}
+	if len(kinds) == 0 {
+		return nil, fmt.Errorf("-backups needs at least one fault-class kind (valid: %s)", strings.Join(failover.Kinds, ", "))
+	}
+	return failover.Enumerate(g, kinds)
 }
 
 // serve runs handler on ln until ctx is cancelled, then shuts down

@@ -9,8 +9,10 @@
 //	rulec -builtin maze -ports 4
 //	rulec -builtin nafta -artifact nafta.tbl                       # versioned table artifact
 //	rulec -builtin maze -ports 4 -artifact maze.tbl
-//	rulec -builtin nafta -artifact nafta.bdl -backups link,node,chain -mesh 8x8
-//	                           # failover bundle: primary + per-fault-class backups
+//
+// Failover backups are not compiled here: the tables are
+// fault-independent, so `routerd -backups` precompiles them from the
+// served artifact on the served topology.
 package main
 
 import (
@@ -19,46 +21,16 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/core"
-	"repro/internal/failover"
 	"repro/internal/reconfig"
 	"repro/internal/routing"
 	"repro/internal/rules"
 	"repro/internal/rulesets"
-	"repro/internal/topology"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// parseBackupKinds splits and validates the -backups flag value.
-func parseBackupKinds(s string) ([]string, error) {
-	var kinds []string
-	for _, k := range strings.Split(s, ",") {
-		k = strings.TrimSpace(k)
-		if k == "" {
-			continue
-		}
-		if !failover.ValidKind(k) {
-			return nil, fmt.Errorf("unknown fault-class kind %q (valid: %s)", k, strings.Join(failover.Kinds, ", "))
-		}
-		kinds = append(kinds, k)
-	}
-	if len(kinds) == 0 {
-		return nil, fmt.Errorf("-backups needs at least one fault-class kind (valid: %s)", strings.Join(failover.Kinds, ", "))
-	}
-	return kinds, nil
-}
-
-// parseMesh parses a "WxH" mesh geometry.
-func parseMesh(s string) (w, h int, err error) {
-	if n, err := fmt.Sscanf(s, "%dx%d", &w, &h); err != nil || n != 2 || w < 2 || h < 2 {
-		return 0, 0, fmt.Errorf("bad mesh geometry %q (want WxH with both dimensions >= 2, e.g. 8x8)", s)
-	}
-	return w, h, nil
 }
 
 func run(argv []string, stdout, stderr io.Writer) int {
@@ -72,10 +44,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	optimize := fs.Bool("optimize", false, "run the semantics-preserving transformations (constant folding, dead-rule elimination) and report them")
 	emit := fs.Bool("emit", false, "print the (possibly optimised) program as source after the report")
 	saveCfg := fs.String("savecfg", "", "directory to write per-rule-base configuration data into")
-	artOut := fs.String("artifact", "", "write a versioned rule-table artifact to this path (builtin nafta/routec only)")
+	artOut := fs.String("artifact", "", "write a versioned rule-table artifact to this path (builtin maze, nafta or routec)")
 	epoch := fs.Uint64("epoch", 1, "version epoch to stamp into the artifact")
-	backups := fs.String("backups", "", "comma-separated fault-class kinds (link, node, chain) to bundle precompiled backups for; turns -artifact output into a failover bundle")
-	mesh := fs.String("mesh", "8x8", "mesh geometry WxH the backup classes are enumerated on (nafta bundles)")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
@@ -166,9 +136,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "wrote %s (%d entries)\n", path, cb.Entries)
 		}
 	}
-	if *backups != "" && *artOut == "" {
-		return die(fmt.Errorf("-backups needs -artifact (backups ship inside a bundle file)"))
-	}
 	if *artOut != "" {
 		if *builtin != "nafta" && *builtin != "routec" && *builtin != "maze" {
 			return die(fmt.Errorf("-artifact requires -builtin maze, nafta or routec (artifacts name their adapter family)"))
@@ -179,42 +146,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return die(err)
 		}
-		var summary string
-		if *backups != "" {
-			if *builtin == "maze" {
-				return die(fmt.Errorf("-backups enumerates mesh/hypercube fault classes; maze planes are built per scenario by the campaign instead"))
-			}
-			kinds, err := parseBackupKinds(*backups)
-			if err != nil {
-				return die(err)
-			}
-			var g topology.Graph
-			if *builtin == "nafta" {
-				w, h, err := parseMesh(*mesh)
-				if err != nil {
-					return die(err)
-				}
-				g = topology.NewMesh(w, h)
-			} else {
-				g = topology.NewHypercube(*d)
-			}
-			bundle, err := failover.BuildBundle(art, g, kinds)
-			if err != nil {
-				return die(err)
-			}
-			if err := writeTo(*artOut, bundle.Encode); err != nil {
-				return die(err)
-			}
-			if summary, err = bundle.Summary(); err != nil {
-				return die(err)
-			}
-		} else {
-			if err := writeTo(*artOut, art.Encode); err != nil {
-				return die(err)
-			}
-			if summary, err = art.Summary(); err != nil {
-				return die(err)
-			}
+		if err := writeTo(*artOut, art.Encode); err != nil {
+			return die(err)
+		}
+		summary, err := art.Summary()
+		if err != nil {
+			return die(err)
 		}
 		fmt.Fprintf(stdout, "wrote %s\n%s", *artOut, summary)
 	}

@@ -2,11 +2,12 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/failover"
+	"repro/internal/reconfig"
 )
 
 func runRulec(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -16,27 +17,19 @@ func runRulec(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errBuf.String()
 }
 
-func TestArtifactWithBackupsWritesBundle(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "nafta.bdl")
-	code, stdout, stderr := runRulec(t,
-		"-builtin", "nafta", "-artifact", path, "-backups", "link,node,chain", "-mesh", "5x4")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr)
-	}
-	if !strings.Contains(stdout, "backup classes") {
-		t.Fatalf("bundle summary missing from output:\n%s", stdout)
-	}
-	art, bundle, err := failover.LoadPath(path)
+// loadArtifact decodes the artifact file at path.
+func loadArtifact(t *testing.T, path string) *reconfig.Artifact {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bundle == nil || art.Algorithm != "nafta" {
-		t.Fatalf("wrote something other than a nafta bundle: art=%v bundle=%v", art, bundle)
+	defer f.Close()
+	art, err := reconfig.Decode(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// 31 links + 20 nodes + 12 chains - 3 length-1-chain duplicates.
-	if len(bundle.Backups) != 60 {
-		t.Fatalf("5x4 all-kinds bundle carries %d backups, want 60", len(bundle.Backups))
-	}
+	return art
 }
 
 func TestArtifactWithoutBackupsStaysBareArtifact(t *testing.T) {
@@ -45,12 +38,8 @@ func TestArtifactWithoutBackupsStaysBareArtifact(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr)
 	}
-	art, bundle, err := failover.LoadPath(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bundle != nil || art == nil {
-		t.Fatal("plain -artifact must write a bare artifact, not a bundle")
+	if art := loadArtifact(t, path); art.Algorithm != "nafta" {
+		t.Fatalf("wrote a %s artifact for -builtin nafta", art.Algorithm)
 	}
 }
 
@@ -63,58 +52,20 @@ func TestMazeArtifact(t *testing.T) {
 	if !strings.Contains(stdout, "ports=5") {
 		t.Fatalf("summary does not name the port count:\n%s", stdout)
 	}
-	art, bundle, err := failover.LoadPath(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bundle != nil || art == nil || art.Algorithm != "maze" || art.Ports != 5 {
+	if art := loadArtifact(t, path); art.Algorithm != "maze" || art.Ports != 5 {
 		t.Fatalf("wrote something other than a 5-port maze artifact: %+v", art)
 	}
 }
 
-func TestRouteCBackupBundle(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "routec.bdl")
-	code, _, stderr := runRulec(t, "-builtin", "routec", "-d", "4", "-artifact", path, "-backups", "node")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr)
-	}
-	_, bundle, err := failover.LoadPath(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bundle == nil || len(bundle.Backups) != 16 {
-		t.Fatalf("4-cube node bundle: %v", bundle)
-	}
-}
-
-func TestBackupFlagValidation(t *testing.T) {
-	tmp := t.TempDir()
+func TestFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
 		want string // substring expected on stderr
 	}{
-		{"unknown kind lists choices",
-			[]string{"-builtin", "nafta", "-artifact", filepath.Join(tmp, "a"), "-backups", "bogus"},
-			"valid: link, node, chain"},
-		{"empty kinds list choices",
-			[]string{"-builtin", "nafta", "-artifact", filepath.Join(tmp, "b"), "-backups", ","},
-			"valid: link, node, chain"},
-		{"backups without artifact",
-			[]string{"-builtin", "nafta", "-backups", "node"},
-			"-backups needs -artifact"},
-		{"bad mesh geometry",
-			[]string{"-builtin", "nafta", "-artifact", filepath.Join(tmp, "c"), "-backups", "node", "-mesh", "8"},
-			"want WxH"},
-		{"chain on hypercube",
-			[]string{"-builtin", "routec", "-d", "4", "-artifact", filepath.Join(tmp, "d"), "-backups", "chain"},
-			"mesh topology"},
 		{"unknown builtin lists choices",
 			[]string{"-builtin", "nonesuch"},
 			"valid: nara, nafta, maze, routec, routec-nft"},
-		{"maze refuses backup enumeration",
-			[]string{"-builtin", "maze", "-artifact", filepath.Join(tmp, "e"), "-backups", "node"},
-			"built per scenario"},
 		{"maze port bound",
 			[]string{"-builtin", "maze", "-ports", "99"},
 			"maze supports 2 to"},
@@ -129,18 +80,5 @@ func TestBackupFlagValidation(t *testing.T) {
 				t.Fatalf("stderr %q does not contain %q", stderr, tc.want)
 			}
 		})
-	}
-}
-
-func TestParseBackupKinds(t *testing.T) {
-	kinds, err := parseBackupKinds(" link , node ,chain")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kinds) != 3 {
-		t.Fatalf("kinds = %v", kinds)
-	}
-	if _, err := parseBackupKinds("link,meteor"); err == nil {
-		t.Fatal("bad kind accepted")
 	}
 }

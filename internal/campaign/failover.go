@@ -10,7 +10,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/reconfig"
 	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
 // artifactCache memoizes the compiled rule-table artifact per
@@ -65,46 +64,22 @@ func faultStates(s *Scenario) []*fault.Set {
 	return states
 }
 
-// scenarioBundle packs the scenario's own cumulative fault states as
-// the anticipated classes of a failover bundle — the campaign plays
-// the operator who precompiles backups for exactly the faults they
-// expect. States that coincide with enumerated single-fault or
-// Figure-2 chain classes (the Chain scenario family, single-event
-// scenarios) exercise the same backups `rulec -backups` ships.
-func scenarioBundle(s *Scenario, g topology.Graph) (*failover.Bundle, error) {
-	art, err := artifactFor(s)
-	if err != nil {
-		return nil, err
-	}
-	b := &failover.Bundle{FormatVersion: failover.BundleFormatVersion, Primary: *art}
-	switch t := g.(type) {
-	case *topology.Mesh:
-		b.MeshW, b.MeshH = t.W, t.H
-	case *topology.Torus:
-		b.TorusW, b.TorusH = t.W, t.H
-	case *topology.Irregular:
-		b.IrrNodes, b.IrrExtra, b.IrrSeed = s.IrrNodes, s.IrrExtra, s.IrrSeed
-	}
-	seen := map[string]bool{}
+// scenarioClasses turns the scenario's own cumulative fault states
+// into the plane's anticipated classes — the campaign plays the
+// operator who precompiles backups for exactly the faults they expect.
+// States that coincide with enumerated single-fault or Figure-2 chain
+// classes (the Chain scenario family, single-event scenarios) exercise
+// the same backups `routerd -backups` precompiles.
+func scenarioClasses(s *Scenario) []failover.Class {
+	var classes []failover.Class
 	for _, st := range faultStates(s) {
-		key := failover.KeyOf(st)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		bk := failover.Backup{Kind: failover.KindNode}
+		c := failover.Class{Kind: failover.KindNode, Nodes: st.FaultyNodes(), Links: st.FaultyLinks()}
 		if st.NodeCount() == 0 {
-			bk.Kind = failover.KindLink
+			c.Kind = failover.KindLink
 		}
-		for _, n := range st.FaultyNodes() {
-			bk.Nodes = append(bk.Nodes, int(n))
-		}
-		for _, l := range st.FaultyLinks() {
-			bk.Links = append(bk.Links, [2]int{int(l.A), int(l.B)})
-		}
-		b.Backups = append(b.Backups, bk)
+		classes = append(classes, c)
 	}
-	return b, nil
+	return classes
 }
 
 // expectedFlips walks the scenario's fault-state sequence against the
@@ -147,11 +122,11 @@ func buildFailoverConfig(s *Scenario, factory AlgFactory,
 		sw = reconfig.NewSwapper(cfg.Algorithm)
 		cfg.Algorithm = sw
 	}
-	bundle, err := scenarioBundle(s, cfg.Graph)
+	art, err := artifactFor(s)
 	if err != nil {
 		return sim.Config{}, err
 	}
-	plane, err := failover.NewPlane(bundle, cfg.Graph, sw, failover.PlaneOptions{})
+	plane, err := failover.NewPlane(art, cfg.Graph, scenarioClasses(s), sw)
 	if err != nil {
 		return sim.Config{}, err
 	}

@@ -1,26 +1,26 @@
 // Package failover is the precomputed-failover decision plane: backup
-// decision engines are compiled per anticipated fault class when a
-// table bundle is loaded, so that an observed fault becomes an atomic
-// engine flip instead of a live diagnosis recompute — the BGP-PIC /
-// hierarchical-FIB idea (backup next-hops precompiled behind shared
-// indirection, failover is a pointer flip) grafted onto the paper's
-// rule-table router.
+// decision engines are compiled per anticipated fault class when the
+// served tables are loaded, so that an observed fault becomes an
+// atomic engine flip instead of a live diagnosis recompute — the
+// BGP-PIC / hierarchical-FIB idea (backup next-hops precompiled behind
+// shared indirection, failover is a pointer flip) grafted onto the
+// paper's rule-table router.
 //
-// The package has three layers:
+// The package has two layers:
 //
 //   - fault classes (this file): an enumerator that, given a topology
 //     and algorithm family, generates the anticipated classes — every
 //     single-link fault, every single-node fault and, on the mesh, the
 //     Figure-2 fault chains the campaign already generates. A class is
-//     identified by the canonical key of its exact fault set;
-//   - bundles (bundle.go): one checksummed file carrying the primary
-//     rule-table artifact plus the per-class backup descriptors, framed
-//     exactly like internal/reconfig artifacts but under a bundle
-//     magic;
-//   - the runtime Plane (plane.go): per-class engines precompiled at
-//     bundle-load time, flipped in through reconfig.Swapper (in the
-//     simulator) or reconfig.Service (in routerd), with a measured
-//     live-recompute fall-back for uncovered classes.
+//     identified by the canonical key of its exact fault set. Classes
+//     are enumerated on the topology that is served, so they cannot
+//     name another one;
+//   - the runtime Plane (plane.go): per-class engines precompiled from
+//     the artifact its host serves, flipped in through
+//     reconfig.Swapper (in the simulator) or reconfig.Service (behind
+//     fleet.Registry, which rebuilds the plane whenever the serving
+//     version changes), with a measured live-recompute fall-back for
+//     uncovered classes.
 package failover
 
 import (
@@ -32,7 +32,7 @@ import (
 	"repro/internal/topology"
 )
 
-// Class kinds accepted by Enumerate and `rulec -backups`.
+// Class kinds accepted by Enumerate and `routerd -backups`.
 const (
 	KindLink  = "link"  // one failed link
 	KindNode  = "node"  // one fail-stop node
@@ -41,16 +41,6 @@ const (
 
 // Kinds lists the valid class kinds (for CLI validation).
 var Kinds = []string{KindLink, KindNode, KindChain}
-
-// ValidKind reports whether k names a class kind.
-func ValidKind(k string) bool {
-	for _, v := range Kinds {
-		if k == v {
-			return true
-		}
-	}
-	return false
-}
 
 // Class is one anticipated fault class: a concrete fault set the plane
 // precompiles a backup engine for. Coverage is exact-set: an observed
@@ -153,7 +143,7 @@ func Enumerate(g topology.Graph, kinds []string) ([]Class, error) {
 
 // sortedLinks returns g's links in canonical ascending order (Links
 // enumerates deterministically already, but the contract here is
-// explicit: bundle contents must not depend on map iteration).
+// explicit: the class list must not depend on map iteration).
 func sortedLinks(g topology.Graph) []topology.Link {
 	links := topology.Links(g)
 	sort.Slice(links, func(i, j int) bool {

@@ -1,8 +1,6 @@
 package failover
 
 import (
-	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -99,200 +97,65 @@ func TestKeyOfCanonical(t *testing.T) {
 	}
 }
 
-// --- bundles ---
+// --- plane construction ---
 
-func buildNAFTABundle(t *testing.T, m *topology.Mesh, kinds []string) (*reconfig.Artifact, *Bundle) {
+// buildArt compiles the builtin program of algo for topology g.
+func buildArt(t *testing.T, algo string, g topology.Graph) *reconfig.Artifact {
 	t.Helper()
-	art, err := reconfig.Build("nafta", reconfig.BuildOptions{Epoch: 3})
+	opts := reconfig.BuildOptions{Epoch: 3}
+	if h, ok := g.(*topology.Hypercube); ok {
+		opts.CubeDim = h.Dim
+	}
+	if algo == "maze" {
+		opts.Ports = g.Ports()
+	}
+	art, err := reconfig.Build(algo, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildBundle(art, m, kinds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return art, b
+	return art
 }
 
-func buildRouteCBundle(t *testing.T, h *topology.Hypercube) (*reconfig.Artifact, *Bundle) {
+// enumerate is Enumerate that fails the test on error.
+func enumerate(t *testing.T, g topology.Graph, kinds []string) []Class {
 	t.Helper()
-	art, err := reconfig.Build("routec", reconfig.BuildOptions{CubeDim: h.Dim})
+	classes, err := Enumerate(g, kinds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildBundle(art, h, []string{KindNode})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return art, b
+	return classes
 }
 
-func TestBundleDeduplicatesOverlappingKinds(t *testing.T) {
+// newSwapperPlane builds a plane for art on g over a fresh one-lane
+// swapper.
+func newSwapperPlane(t *testing.T, art *reconfig.Artifact, g topology.Graph, classes []Class) (*Plane, *reconfig.Swapper) {
+	t.Helper()
+	eng, err := reconfig.NewEngine(art, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := reconfig.NewSwapper(eng)
+	plane, err := NewPlane(art, g, classes, sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plane, sw
+}
+
+func TestPlaneDeduplicatesOverlappingKinds(t *testing.T) {
 	m := topology.NewMesh(6, 6)
-	_, b := buildNAFTABundle(t, m, Kinds)
+	plane, _ := newSwapperPlane(t, buildArt(t, "nafta", m), m, enumerate(t, m, Kinds))
 	// 60 links + 36 nodes + 25 chains, minus the 5 length-1 chains that
 	// coincide with single west-border vertical links.
-	if len(b.Backups) != 116 {
-		t.Fatalf("116 deduped backups expected, got %d", len(b.Backups))
+	if got := plane.CoveredClasses(); got != 116 {
+		t.Fatalf("116 deduped classes expected, got %d", got)
 	}
 	seen := map[string]bool{}
-	for i := range b.Backups {
-		c := b.Backups[i].Class()
+	for _, c := range plane.Classes() {
 		if key := c.Key(); seen[key] {
 			t.Fatalf("duplicate class key %s survived dedup", key)
 		} else {
 			seen[key] = true
-		}
-	}
-}
-
-func TestBundleRoundTrip(t *testing.T) {
-	m := topology.NewMesh(4, 4)
-	_, b := buildNAFTABundle(t, m, []string{KindNode, KindChain})
-	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeBundle(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MeshW != 4 || got.MeshH != 4 || len(got.Backups) != len(b.Backups) {
-		t.Fatalf("round-trip mismatch: %dx%d mesh, %d backups", got.MeshW, got.MeshH, len(got.Backups))
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	sumA, err := b.Checksum()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sumB, err := got.Checksum()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sumA != sumB {
-		t.Fatalf("checksum changed across round-trip: %s vs %s", sumA, sumB)
-	}
-	if s, err := got.Summary(); err != nil || !strings.Contains(s, "backup classes") {
-		t.Fatalf("summary: %v\n%s", err, s)
-	}
-}
-
-func TestBundleCorruptionDetected(t *testing.T) {
-	m := topology.NewMesh(4, 4)
-	_, b := buildNAFTABundle(t, m, []string{KindNode})
-	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[len(data)/2] ^= 0x40
-	if _, err := DecodeBundle(bytes.NewReader(data)); err == nil {
-		t.Fatal("corrupted bundle decoded cleanly")
-	}
-	if _, err := DecodeBundle(bytes.NewReader(data[:16])); err == nil {
-		t.Fatal("truncated bundle decoded cleanly")
-	}
-}
-
-func TestDecodeAnySniffsBothFormats(t *testing.T) {
-	m := topology.NewMesh(4, 4)
-	art, b := buildNAFTABundle(t, m, []string{KindNode})
-
-	var bundleBuf bytes.Buffer
-	if err := b.Encode(&bundleBuf); err != nil {
-		t.Fatal(err)
-	}
-	gotArt, gotBundle, err := DecodeAny(bundleBuf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotBundle == nil || gotArt == nil || gotArt.Algorithm != "nafta" {
-		t.Fatalf("bundle sniff failed: art=%v bundle=%v", gotArt, gotBundle)
-	}
-
-	var artBuf bytes.Buffer
-	if err := art.Encode(&artBuf); err != nil {
-		t.Fatal(err)
-	}
-	gotArt, gotBundle, err = DecodeAny(artBuf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotBundle != nil || gotArt == nil || gotArt.Algorithm != "nafta" {
-		t.Fatalf("artifact sniff failed: art=%v bundle=%v", gotArt, gotBundle)
-	}
-
-	if _, _, err := DecodeAny([]byte("garbage that is neither")); err == nil {
-		t.Fatal("garbage decoded cleanly")
-	}
-}
-
-func TestBundleTopologyMismatchRefused(t *testing.T) {
-	art, err := reconfig.Build("nafta", reconfig.BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BuildBundle(art, topology.NewHypercube(4), []string{KindNode}); err == nil {
-		t.Fatal("nafta artifact bundled against a hypercube")
-	}
-	cube, err := reconfig.Build("routec", reconfig.BuildOptions{CubeDim: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BuildBundle(cube, topology.NewHypercube(5), []string{KindNode}); err == nil {
-		t.Fatal("4-cube artifact bundled against a 5-cube")
-	}
-	// A plane refuses a bundle enumerated on a different topology size.
-	m := topology.NewMesh(4, 4)
-	b, err := BuildBundle(art, m, []string{KindNode})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := reconfig.NewEngine(art, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewPlane(b, topology.NewMesh(6, 6), reconfig.NewSwapper(eng), PlaneOptions{}); err == nil {
-		t.Fatal("4x4 bundle accepted on a 6x6 plane")
-	}
-	// Two irregular graphs of the same size and extra-link count share
-	// a name; a bundle with a backup for link 0-1 of seed 1 must not
-	// load onto seed 3, where that link does not exist.
-	irr1, err := topology.RandomIrregular(16, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	irr3, err := topology.RandomIrregular(16, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := irr1.PortTo(0, 1); !ok {
-		t.Fatal("seed 1 lost link 0-1: pick another link")
-	}
-	if _, ok := irr3.PortTo(0, 1); ok || irr1.Name() != irr3.Name() {
-		t.Fatalf("seeds 1 and 3 no longer differ only in wiring (%s, %s)", irr1.Name(), irr3.Name())
-	}
-	maze, err := reconfig.Build("maze", reconfig.BuildOptions{Ports: irr1.Ports()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb := &Bundle{FormatVersion: BundleFormatVersion, Primary: *maze,
-		IrrNodes: 16, IrrExtra: 4, IrrSeed: 1,
-		Backups: []Backup{{Kind: KindLink, Links: [][2]int{{0, 1}}}}}
-	for _, c := range []struct {
-		seed   int
-		g      *topology.Irregular
-		accept bool
-	}{{1, irr1, true}, {3, irr3, false}} {
-		meng, err := reconfig.NewEngine(maze, c.g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = NewPlane(mb, c.g, reconfig.NewSwapper(meng), PlaneOptions{})
-		if (err == nil) != c.accept {
-			t.Fatalf("maze bundle of seed 1 on seed %d: err %v", c.seed, err)
 		}
 	}
 }
@@ -339,33 +202,30 @@ func requireSameDecisions(t *testing.T, label string, g topology.Graph, a, bEng 
 }
 
 // TestFailoverFlipMatchesRecompute is the per-class equivalence sweep
-// the CI gate runs: for EVERY covered class, flipping the precompiled
-// backup engine in through the epoch swapper must yield decisions
-// identical to a from-scratch live recompute of the same fault set.
+// the CI gate runs: for EVERY enumerated class, flipping the
+// precompiled backup engine in through the epoch swapper must yield
+// decisions identical to a from-scratch live recompute of the same
+// fault set.
 func TestFailoverFlipMatchesRecompute(t *testing.T) {
-	type family struct {
-		name  string
-		g     topology.Graph
-		art   *reconfig.Artifact
-		b     *Bundle
-		kinds []string
-	}
-	var fams []family
-
 	m := topology.NewMesh(5, 4)
-	artM, bM := buildNAFTABundle(t, m, Kinds)
-	fams = append(fams, family{"nafta/mesh5x4", m, artM, bM, Kinds})
-
 	h := topology.NewHypercube(4)
-	artC, bC := buildRouteCBundle(t, h)
-	fams = append(fams, family{"routec/cube4", h, artC, bC, []string{KindNode}})
-
+	fams := []struct {
+		name  string
+		algo  string
+		g     topology.Graph
+		kinds []string
+	}{
+		{"nafta/mesh5x4", "nafta", m, Kinds},
+		{"routec/cube4", "routec", h, []string{KindNode}},
+		{"maze/mesh5x4", "maze", m, []string{KindNode}},
+	}
 	for _, fam := range fams {
-		fam := fam
 		t.Run(fam.name, func(t *testing.T) {
+			art := buildArt(t, fam.algo, fam.g)
+			classes := enumerate(t, fam.g, fam.kinds)
 			// One builder amortises program analysis for the per-class
 			// reference engines and the swapper's initial engine.
-			eb, err := reconfig.NewEngineBuilder(fam.art, fam.g)
+			eb, err := reconfig.NewEngineBuilder(art, fam.g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -377,11 +237,11 @@ func TestFailoverFlipMatchesRecompute(t *testing.T) {
 			// retires the previous class's engine (tables invalidated),
 			// which is never consulted again.
 			sw := reconfig.NewSwapper(initial)
-			plane, err := NewPlane(fam.b, fam.g, sw, PlaneOptions{})
+			plane, err := NewPlane(art, fam.g, classes, sw)
 			if err != nil {
 				t.Fatal(err)
 			}
-			classes := plane.Classes()
+			classes = plane.Classes() // deduplicated
 			if len(classes) == 0 {
 				t.Fatal("plane covers nothing")
 			}
@@ -416,21 +276,11 @@ func TestFailoverFlipMatchesRecompute(t *testing.T) {
 
 func TestPlaneFallbackPaths(t *testing.T) {
 	m := topology.NewMesh(4, 4)
-	art, b := buildNAFTABundle(t, m, []string{KindNode})
-	eng, err := reconfig.NewEngine(art, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := reconfig.NewSwapper(eng)
-	// Filter the plane down to node 5 only.
-	plane, err := NewPlane(b, m, sw, PlaneOptions{Filter: func(c Class) bool {
-		return len(c.Nodes) == 1 && c.Nodes[0] == 5
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A plane covering node 5 only.
+	plane, _ := newSwapperPlane(t, buildArt(t, "nafta", m), m,
+		[]Class{{Kind: KindNode, Nodes: []topology.NodeID{5}}})
 	if plane.CoveredClasses() != 1 {
-		t.Fatalf("filter kept %d classes", plane.CoveredClasses())
+		t.Fatalf("plane covers %d classes", plane.CoveredClasses())
 	}
 
 	// Empty set: recompute path, uncounted.
@@ -474,14 +324,12 @@ func TestPlaneFallbackPaths(t *testing.T) {
 
 func TestPlaneWithServiceInstaller(t *testing.T) {
 	m := topology.NewMesh(4, 4)
-	art, b := buildNAFTABundle(t, m, []string{KindNode})
+	art := buildArt(t, "nafta", m)
 	svc, err := reconfig.NewService(art, m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plane, err := NewPlane(b, m, svc, PlaneOptions{
-		Filter: func(c Class) bool { return len(c.Nodes) == 1 && c.Nodes[0] <= 3 },
-	})
+	plane, err := NewPlane(art, m, enumerate(t, m, []string{KindNode})[:4], svc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,18 +364,5 @@ func TestPlaneWithServiceInstaller(t *testing.T) {
 	}
 	if plane.Recomputes() != 1 {
 		t.Fatalf("recomputes = %d", plane.Recomputes())
-	}
-}
-
-func TestBackupClassRoundTrip(t *testing.T) {
-	c := Class{Kind: KindChain, Links: []topology.Link{
-		topology.MakeLink(1, 5), topology.MakeLink(2, 6),
-	}}
-	bk := Backup{Kind: c.Kind, Links: [][2]int{{1, 5}, {2, 6}}}
-	if got := bk.Class(); got.Key() != c.Key() {
-		t.Fatalf("backup class key %s, want %s", got.Key(), c.Key())
-	}
-	if want := fmt.Sprintf("%s:%s", KindChain, c.Key()); c.String() != want {
-		t.Fatalf("String = %q, want %q", c.String(), want)
 	}
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // Host is an engine holder the plane flips into: the simulator's
-// reconfig.Swapper (one lane), routerd's sharded reconfig.Service or a
+// reconfig.Swapper (one lane) or the sharded reconfig.Service behind a
 // fleet Registry (one lane per shard). A host remembers the cumulative
 // fault state, and every engine it installs already knows it. Install
 // takes one prebuilt engine per lane together with the observed fault
@@ -40,16 +40,8 @@ var (
 // re-installing an engine whose tables were invalidated on retirement.
 type backup struct {
 	class   Class
-	set     *fault.Set
 	engines []routing.Algorithm
 	used    bool
-}
-
-// PlaneOptions tune plane construction.
-type PlaneOptions struct {
-	// Filter, when set, keeps only classes it accepts — the campaign
-	// uses it to precompile exactly the classes a scenario can hit.
-	Filter func(Class) bool
 }
 
 // Plane is the runtime failover decision plane: fault classes mapped
@@ -61,10 +53,11 @@ type PlaneOptions struct {
 // flip-vs-recompute gap is observable, not assumed.
 //
 // Concurrency: OnFault serializes on the plane mutex. The simulator
-// calls it from the network goroutine; routerd from HTTP handlers.
+// calls it from the network goroutine; routerd through
+// fleet.Registry.UpdateFaults, under the registry lock that also
+// guards the plane's replacement when the serving version changes.
 type Plane struct {
-	bundle *Bundle
-	host   Host
+	host Host
 
 	mu      sync.Mutex
 	classes map[string]*backup
@@ -95,72 +88,48 @@ type PlaneMetrics struct {
 	RecomputeP999   float64 `json:"recompute_us_p999"`
 }
 
-// NewPlane precompiles the bundle's backup engines against topology g
-// for host: one EngineBuilder per host lane amortises program analysis
-// and table deserialization across all classes, each engine gets its
-// class's fault set applied (the diagnosis fixpoint runs HERE, at load
-// time), and the finished engines wait in a map keyed by canonical
-// fault key.
-func NewPlane(b *Bundle, g topology.Graph, host Host, opts PlaneOptions) (*Plane, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	if err := b.MatchGraph(g); err != nil {
-		return nil, err
-	}
-	lanes := host.Lanes()
-	// Shared builders for backups that inherit the primary's tables
-	// (today: all of them); a backup shipping its own Bases gets
-	// dedicated builders below.
-	shared := make([]*reconfig.EngineBuilder, lanes)
-	for lane := range shared {
-		eb, err := reconfig.NewEngineBuilder(&b.Primary, g)
+// NewPlane precompiles a backup for each class against art, the
+// artifact host serves on topology g: one EngineBuilder per host lane
+// amortises program analysis and table deserialization across all
+// classes, each engine gets its class's fault set applied (the
+// diagnosis fixpoint runs HERE, at build time), and the finished
+// engines wait in a map keyed by canonical fault key. Every backup
+// shares the served tables — they are fault-independent; fault state
+// enters each decision through the Information Units — so a plane is
+// only valid for the artifact it was built from. Classes with the same
+// key collapse to the first (a length-1 chain is the same fault set as
+// the single west-border link).
+func NewPlane(art *reconfig.Artifact, g topology.Graph, classes []Class, host Host) (*Plane, error) {
+	builders := make([]*reconfig.EngineBuilder, host.Lanes())
+	for lane := range builders {
+		eb, err := reconfig.NewEngineBuilder(art, g)
 		if err != nil {
 			return nil, err
 		}
-		shared[lane] = eb
+		builders[lane] = eb
 	}
 	p := &Plane{
-		bundle:     b,
 		host:       host,
 		classes:    make(map[string]*backup),
 		flipHist:   metrics.NewHistogram(0.5, 2000),
 		recompHist: metrics.NewHistogram(5, 2000),
 	}
-	for bi := range b.Backups {
-		bk := &b.Backups[bi]
-		class := bk.Class()
+	for _, class := range classes {
 		set := class.Set()
-		if opts.Filter != nil && !opts.Filter(class) {
-			continue
-		}
-		key := class.Key()
+		key := KeyOf(set)
 		if _, dup := p.classes[key]; dup {
 			continue
 		}
-		builders := shared
-		if len(bk.Bases) > 0 {
-			art := b.Primary
-			art.Bases = bk.Bases
-			builders = make([]*reconfig.EngineBuilder, lanes)
-			for lane := range builders {
-				eb, err := reconfig.NewEngineBuilder(&art, g)
-				if err != nil {
-					return nil, fmt.Errorf("failover: class %s: %w", class.String(), err)
-				}
-				builders[lane] = eb
-			}
-		}
-		engines := make([]routing.Algorithm, lanes)
-		for lane := range engines {
-			eng, err := builders[lane].Build()
+		engines := make([]routing.Algorithm, len(builders))
+		for lane, eb := range builders {
+			eng, err := eb.Build()
 			if err != nil {
 				return nil, fmt.Errorf("failover: class %s: %w", class.String(), err)
 			}
 			eng.UpdateFaults(set)
 			engines[lane] = eng
 		}
-		p.classes[key] = &backup{class: class, set: set, engines: engines}
+		p.classes[key] = &backup{class: class, engines: engines}
 	}
 	return p, nil
 }

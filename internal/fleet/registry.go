@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/failover"
 	"repro/internal/fault"
 	"repro/internal/reconfig"
 	"repro/internal/routing"
@@ -86,6 +87,12 @@ type RegistryStatus struct {
 // through it so the cache generation and the live fault state stay
 // coherent with the engines.
 //
+// Failover: with backup classes configured, the registry owns one
+// failover plane, precompiled from the serving version's artifact
+// for the service's lanes. Every activation rebuilds it under the
+// registry lock, so a fault can only ever flip in engines of the
+// version that is serving.
+//
 // Rollout protocol: Push registers a candidate version (validated
 // against the serving topology but not serving), Canary routes a
 // configurable fraction of live decisions through engines built from
@@ -95,14 +102,16 @@ type RegistryStatus struct {
 // from the candidate with the live fault state pre-applied, and
 // Rollback restores the previously serving version in one call.
 type Registry struct {
-	g     topology.Graph
-	svc   *reconfig.Service
-	cache *Cache
+	g       topology.Graph
+	svc     *reconfig.Service
+	cache   *Cache
+	backups []failover.Class
 
 	mu       sync.Mutex
 	versions []*Version
 	serving  int
 	previous int
+	plane    *failover.Plane // nil without backups
 
 	canary atomic.Pointer[canaryRun]
 }
@@ -115,6 +124,9 @@ type RegistryOptions struct {
 	// CacheEntries bounds the decision memoization cache; 0 disables
 	// memoization.
 	CacheEntries int
+	// Backups are the fault classes the failover plane precompiles for
+	// every serving version; none means no plane.
+	Backups []failover.Class
 }
 
 // NewRegistry builds a registry serving art on topology g as version 1.
@@ -126,13 +138,33 @@ func NewRegistry(art *reconfig.Artifact, g topology.Graph, opts RegistryOptions)
 	if err != nil {
 		return nil, err
 	}
-	r := &Registry{g: g, svc: svc, cache: NewCache(opts.CacheEntries)}
+	r := &Registry{g: g, svc: svc, cache: NewCache(opts.CacheEntries), backups: opts.Backups}
 	v, err := r.push(art)
 	if err != nil {
 		return nil, err
 	}
+	if r.plane, err = r.newPlane(art); err != nil {
+		return nil, err
+	}
 	r.serving = v.ID
 	return r, nil
+}
+
+// newPlane precompiles the backup classes from art for the serving
+// service's lanes; nil without backups.
+func (r *Registry) newPlane(art *reconfig.Artifact) (*failover.Plane, error) {
+	if len(r.backups) == 0 {
+		return nil, nil
+	}
+	return failover.NewPlane(art, r.g, r.backups, r.svc)
+}
+
+// Plane returns the serving version's failover plane, nil without
+// backups.
+func (r *Registry) Plane() *failover.Plane {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.plane
 }
 
 // Service exposes the underlying decision service (metrics, epoch).
@@ -374,16 +406,21 @@ func (r *Registry) Reload(art *reconfig.Artifact) (uint64, error) {
 }
 
 // activate makes v the serving version (registry lock held): the
-// service reloads from the artifact, its engines knowing the live
-// fault state before they serve, and the memoization cache is
-// invalidated last — mutate-then-invalidate, so a cache miss that
-// observes the new generation is guaranteed to decide on the new
-// engines.
+// failover plane is rebuilt from v's artifact, the service reloads
+// from it, its engines knowing the live fault state before they
+// serve, and the memoization cache is invalidated last —
+// mutate-then-invalidate, so a cache miss that observes the new
+// generation is guaranteed to decide on the new engines.
 func (r *Registry) activate(v *Version) (uint64, error) {
+	plane, err := r.newPlane(v.art)
+	if err != nil {
+		return r.svc.Epoch(), err
+	}
 	epoch, err := r.svc.Reload(v.art)
 	if err != nil {
 		return epoch, err
 	}
+	r.plane = plane
 	if r.serving != v.ID {
 		r.previous = r.serving
 		r.serving = v.ID
@@ -394,51 +431,34 @@ func (r *Registry) activate(v *Version) (uint64, error) {
 	return epoch, nil
 }
 
-// UpdateFaults applies a cumulative fault state to the incumbent (live
-// recompute; the service records it for future activations) and to
-// any canary candidate, and invalidates the cache. This is also the
-// failover plane's recompute path.
-func (r *Registry) UpdateFaults(f *fault.Set) {
+// UpdateFaults applies a cumulative fault state to the incumbent and
+// to any canary candidate, and invalidates the cache after both. A
+// state the serving version's plane covers flips its precompiled
+// engines in (reported true); any other state runs the live
+// recompute. Either way the service records the state for future
+// activations. The canary candidate, which has no precompiled lane,
+// always recomputes, so the canary diff across a flip compares a
+// flipped incumbent against a recomputed candidate — exactly the
+// equivalence the failover tests certify.
+func (r *Registry) UpdateFaults(f *fault.Set) bool {
 	if f == nil {
 		f = fault.NewSet()
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.svc.UpdateFaults(f)
-	r.settle(f)
-}
-
-// Install is the failover plane's flip hook: precompiled backup
-// engines (one per shard lane) replace the incumbent's engines
-// atomically, the canary candidate — which has no precompiled lane —
-// converges by live recompute, and the cache is invalidated after
-// both. The canary diff across a flip therefore compares a flipped
-// incumbent against a recomputed candidate, exactly the equivalence
-// the failover tests certify.
-func (r *Registry) Install(engines []routing.Algorithm, f *fault.Set) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.svc.Install(engines, f); err != nil {
-		return err
+	flipped := false
+	if r.plane != nil {
+		flipped = r.plane.OnFault(f)
+	} else {
+		r.svc.UpdateFaults(f)
 	}
-	r.settle(f)
-	return nil
-}
-
-// Lanes is the serving service's shard count: Install takes one
-// engine per shard.
-func (r *Registry) Lanes() int { return r.svc.Lanes() }
-
-// settle brings the canary candidate to the fault state f the
-// incumbent just took and invalidates the cache (registry lock held,
-// so a StartCanary cannot slip between the two).
-func (r *Registry) settle(f *fault.Set) {
 	if c := r.canary.Load(); c != nil {
 		c.svc.UpdateFaults(f)
 	}
 	if r.cache != nil {
 		r.cache.Invalidate()
 	}
+	return flipped
 }
 
 // Status snapshots the registry for GET /registry.

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -323,22 +324,114 @@ func TestRegistryStatus(t *testing.T) {
 	}
 }
 
-// TestFaultFlipRacesRollback races a failover flip of a covered class
-// against a rollback on one registry, round after round, and then holds
-// every served injection decision to a from-scratch recompute under the
-// final fault set. The service records the flipped-in fault set in the
-// flip's own critical section, so the rollback's reload either precedes
-// the flip or builds engines that already know the fault; a record
-// taken after the flip would leave a window in which the reload
-// installs fault-free tables.
-func TestFaultFlipRacesRollback(t *testing.T) {
-	g := topology.NewMesh(5, 4)
-	art := buildArt(t, "nafta", 1, g)
-	bundle, err := failover.BuildBundle(art, g, []string{failover.KindNode})
+// requireServes holds every injection decision r serves to the
+// decision of ref, a from-scratch engine that knows the same faults.
+func requireServes(t *testing.T, label string, r *Registry, g topology.Graph, ref routing.Algorithm) {
+	t.Helper()
+	for src := 0; src < g.Nodes(); src++ {
+		for dst := 0; dst < g.Nodes(); dst++ {
+			if src == dst {
+				continue
+			}
+			req := injectReq(src, dst)
+			got, _, err := r.Decide(&req, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hdr := routing.Header{Src: topology.NodeID(src), Dst: topology.NodeID(dst), Length: req.Length}
+			want := ref.RouteAppend(routing.Request{Node: topology.NodeID(src), InPort: routing.InjectionPort, Hdr: &hdr}, nil)
+			if !candidatesEqual(got, want) {
+				t.Fatalf("%s: %d->%d served %+v, recompute %+v", label, src, dst, got, want)
+			}
+		}
+	}
+}
+
+// nodeBackups enumerates the single-node fault classes of g.
+func nodeBackups(t *testing.T, g topology.Graph) []failover.Class {
+	t.Helper()
+	classes, err := failover.Enumerate(g, []string{failover.KindNode})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRegistry(art, g, RegistryOptions{Shards: 2, CacheEntries: 256})
+	return classes
+}
+
+// TestFlipAfterActivationServesServingVersion activates another
+// version — by reload, by canary and promote, and by rollback — on a
+// registry built with node-class backups, then fails a covered node.
+// The fault must flip, and every decision served afterwards must equal
+// a recompute from the artifact now serving: a plane left over from an
+// earlier version would flip that version's tables back in.
+func TestFlipAfterActivationServesServingVersion(t *testing.T) {
+	g := topology.NewMesh(5, 4)
+	nafta := buildArt(t, "nafta", 1, g)
+	maze := buildArt(t, "maze", 2, g)
+	rows := []struct {
+		name     string
+		activate func(r *Registry) error
+		serving  *reconfig.Artifact
+	}{
+		{"reload", func(r *Registry) error {
+			_, err := r.Reload(maze)
+			return err
+		}, maze},
+		{"promote", func(r *Registry) error {
+			v, err := r.Push(maze)
+			if err != nil {
+				return err
+			}
+			if err := r.StartCanary(v.ID, 0.5); err != nil {
+				return err
+			}
+			_, err = r.Promote()
+			return err
+		}, maze},
+		{"rollback", func(r *Registry) error {
+			if _, err := r.Reload(maze); err != nil {
+				return err
+			}
+			_, err := r.Rollback()
+			return err
+		}, nafta},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			r, err := NewRegistry(nafta, g, RegistryOptions{Shards: 2, CacheEntries: 256, Backups: nodeBackups(t, g)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := row.activate(r); err != nil {
+				t.Fatal(err)
+			}
+			f := fault.NewSet()
+			f.FailNode(7)
+			if !r.UpdateFaults(f) {
+				t.Fatal("covered node fault did not flip")
+			}
+			ref, err := reconfig.NewEngine(row.serving, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.UpdateFaults(f)
+			requireServes(t, row.name, r, g, ref)
+		})
+	}
+}
+
+// TestFaultFlipRacesRollback races a failover flip of a covered class
+// against a rollback on one registry built with backups, round after
+// round, and then holds every served injection decision to a
+// from-scratch recompute under the final fault set. Both sides take the
+// registry lock: a rollback that goes first rebuilds the plane for the
+// version it activates, and the flip comes from that plane; a rollback
+// that goes second reloads engines that already know the flipped-in
+// fault, because the service records it in the flip's own critical
+// section.
+func TestFaultFlipRacesRollback(t *testing.T) {
+	g := topology.NewMesh(5, 4)
+	art := buildArt(t, "nafta", 1, g)
+	r, err := NewRegistry(art, g, RegistryOptions{Shards: 2, CacheEntries: 256, Backups: nodeBackups(t, g)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,12 +456,6 @@ func TestFaultFlipRacesRollback(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		node := topology.NodeID(round % g.Nodes())
 		r.UpdateFaults(fault.NewSet())
-		plane, err := failover.NewPlane(bundle, g, r, failover.PlaneOptions{Filter: func(c failover.Class) bool {
-			return len(c.Nodes) == 1 && c.Nodes[0] == node
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
 		f := fault.NewSet()
 		f.FailNode(node)
 		var wg sync.WaitGroup
@@ -377,7 +464,9 @@ func TestFaultFlipRacesRollback(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			if !plane.OnFault(f) {
+			// The previous round failed another node, and every
+			// rollback rebuilds the plane, so this class is unused.
+			if !r.UpdateFaults(f) {
 				t.Error("covered class did not flip")
 			}
 		}()
@@ -399,22 +488,6 @@ func TestFaultFlipRacesRollback(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref.UpdateFaults(f)
-		for src := 0; src < g.Nodes(); src++ {
-			for dst := 0; dst < g.Nodes(); dst++ {
-				if src == dst {
-					continue
-				}
-				req := injectReq(src, dst)
-				got, _, err := r.Decide(&req, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				hdr := routing.Header{Src: topology.NodeID(src), Dst: topology.NodeID(dst), Length: req.Length}
-				want := ref.RouteAppend(routing.Request{Node: topology.NodeID(src), InPort: routing.InjectionPort, Hdr: &hdr}, nil)
-				if !candidatesEqual(got, want) {
-					t.Fatalf("round %d (node %d failed): %d->%d served %+v, recompute %+v", round, node, src, dst, got, want)
-				}
-			}
-		}
+		requireServes(t, fmt.Sprintf("round %d (node %d failed)", round, node), r, g, ref)
 	}
 }

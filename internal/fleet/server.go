@@ -4,10 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	httppprof "net/http/pprof"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,17 +20,11 @@ import (
 	"repro/internal/topology"
 )
 
-// FailoverModes are the values Options.FailoverMode accepts.
-var FailoverModes = []string{"auto", "off"}
-
 // Options configure one fleet replica server.
 type Options struct {
 	// Shards is the engine-replica count of the decision service
 	// (default 1).
 	Shards int
-	// FailoverMode is "auto" (precompile backups when the served file
-	// is a bundle) or "off" (default "auto").
-	FailoverMode string
 	// CacheEntries bounds the decision memoization cache; 0 disables.
 	CacheEntries int
 	// Shard is this replica's slice of the topology (default: owns
@@ -52,28 +46,17 @@ type Server struct {
 	nodes    int
 	shard    ShardInfo
 	maxBatch int
-	failMode string
 	pprof    bool
 	bufs     sync.Pool // of *scratch
 
 	misdirected atomic.Int64
-
-	// planeMu guards plane (replaced on /reload of a bundle).
-	planeMu sync.Mutex
-	plane   *failover.Plane
 }
 
-// NewServer builds a replica serving art on g. When bundle is non-nil
-// and FailoverMode is auto, the per-fault-class backup engines are
-// precompiled for the registry, which the plane flips into (so a flip
-// invalidates the memoization cache like any other epoch event).
-func NewServer(art *reconfig.Artifact, bundle *failover.Bundle, g topology.Graph, opts Options) (*Server, error) {
-	if opts.FailoverMode == "" {
-		opts.FailoverMode = "auto"
-	}
-	if !ValidFailoverMode(opts.FailoverMode) {
-		return nil, fmt.Errorf("unknown failover mode %q (valid: %s)", opts.FailoverMode, strings.Join(FailoverModes, ", "))
-	}
+// NewServer builds a replica serving art on g. With backup classes,
+// the registry precompiles a failover plane for every version it
+// serves, and /fault flips a covered class in (a flip invalidates the
+// memoization cache like any other epoch event).
+func NewServer(art *reconfig.Artifact, backups []failover.Class, g topology.Graph, opts Options) (*Server, error) {
 	if opts.Shard == (ShardInfo{}) {
 		opts.Shard = Single
 	}
@@ -83,7 +66,7 @@ func NewServer(art *reconfig.Artifact, bundle *failover.Bundle, g topology.Graph
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 4096
 	}
-	reg, err := NewRegistry(art, g, RegistryOptions{Shards: opts.Shards, CacheEntries: opts.CacheEntries})
+	reg, err := NewRegistry(art, g, RegistryOptions{Shards: opts.Shards, CacheEntries: opts.CacheEntries, Backups: backups})
 	if err != nil {
 		return nil, err
 	}
@@ -93,26 +76,10 @@ func NewServer(art *reconfig.Artifact, bundle *failover.Bundle, g topology.Graph
 		nodes:    g.Nodes(),
 		shard:    opts.Shard,
 		maxBatch: opts.MaxBatch,
-		failMode: opts.FailoverMode,
 		pprof:    opts.Pprof,
 	}
 	s.bufs.New = func() any { return new(scratch) }
-	if bundle != nil && opts.FailoverMode == "auto" {
-		if err := s.installBundle(bundle); err != nil {
-			return nil, err
-		}
-	}
 	return s, nil
-}
-
-// ValidFailoverMode reports whether m is an accepted failover mode.
-func ValidFailoverMode(m string) bool {
-	for _, v := range FailoverModes {
-		if m == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Registry returns the replica's registry.
@@ -127,26 +94,9 @@ func (s *Server) Graph() topology.Graph { return s.g }
 // Shard returns the replica's topology shard.
 func (s *Server) Shard() ShardInfo { return s.shard }
 
-// Plane returns the attached failover plane, nil when none.
-func (s *Server) Plane() *failover.Plane {
-	s.planeMu.Lock()
-	defer s.planeMu.Unlock()
-	return s.plane
-}
-
-// installBundle precompiles the bundle's backup engines for the
-// registry (one engine lane per service shard), which the plane then
-// flips into.
-func (s *Server) installBundle(bundle *failover.Bundle) error {
-	plane, err := failover.NewPlane(bundle, s.g, s.reg, failover.PlaneOptions{})
-	if err != nil {
-		return err
-	}
-	s.planeMu.Lock()
-	s.plane = plane
-	s.planeMu.Unlock()
-	return nil
-}
+// Plane returns the serving version's failover plane, nil without
+// backups.
+func (s *Server) Plane() *failover.Plane { return s.reg.Plane() }
 
 // Mux builds the replica's HTTP surface.
 func (s *Server) Mux() *http.ServeMux {
@@ -311,56 +261,33 @@ func (s *Server) handleBatchFrame(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// readArtifact decodes a request body as a table artifact, answering
+// 400 itself when it is not one.
+func readArtifact(w http.ResponseWriter, r *http.Request) (*reconfig.Artifact, bool) {
+	art, err := reconfig.Decode(http.MaxBytesReader(w, r.Body, 80<<20))
+	if err != nil {
+		writeJSONError(w, http.StatusBadRequest, err.Error(), nil)
+		return nil, false
+	}
+	return art, true
+}
+
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 80<<20))
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error(), nil)
+	art, ok := readArtifact(w, r)
+	if !ok {
 		return
-	}
-	art, bundle, err := failover.DecodeAny(data)
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error(), nil)
-		return
-	}
-	if bundle != nil {
-		// A bundle's classes are enumerated against a specific topology;
-		// a reload cannot change the serving topology.
-		if err := bundle.MatchGraph(s.g); err != nil {
-			writeJSONError(w, http.StatusConflict, err.Error(), nil)
-			return
-		}
 	}
 	epoch, err := s.reg.Reload(art)
 	if err != nil {
 		writeJSONError(w, http.StatusConflict, err.Error(), nil)
 		return
 	}
-	if bundle != nil && s.failMode == "auto" {
-		// Rebuild the plane against the new primary; backups of the old
-		// bundle are obsolete by construction.
-		if err := s.installBundle(bundle); err != nil {
-			writeJSONError(w, http.StatusInternalServerError,
-				fmt.Sprintf("tables reloaded (epoch %d) but the failover plane failed: %v", epoch, err), nil)
-			return
-		}
-	}
 	writeJSON(w, map[string]any{"epoch": epoch, "version": s.reg.Serving()})
 }
 
 func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 80<<20))
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error(), nil)
-		return
-	}
-	art, bundle, err := failover.DecodeAny(data)
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error(), nil)
-		return
-	}
-	if bundle != nil {
-		writeJSONError(w, http.StatusBadRequest,
-			"push takes a table artifact; POST bundles to /reload (backups precompile against the serving tables)", nil)
+	art, ok := readArtifact(w, r)
+	if !ok {
 		return
 	}
 	v, err := s.reg.Push(art)
@@ -436,8 +363,9 @@ type FaultRequest struct {
 	Links [][2]int `json:"links,omitempty"`
 }
 
-// Set materialises the request, validating ranges against the serving
-// topology.
+// Set materialises the request, validating it against the serving
+// topology: nodes must be in range and every link must be one the
+// topology has.
 func (fr *FaultRequest) Set(g topology.Graph) (*fault.Set, error) {
 	f := fault.NewSet()
 	for _, n := range fr.Nodes {
@@ -450,15 +378,18 @@ func (fr *FaultRequest) Set(g topology.Graph) (*fault.Set, error) {
 		if l[0] < 0 || l[0] >= g.Nodes() || l[1] < 0 || l[1] >= g.Nodes() {
 			return nil, fmt.Errorf("fault link %v out of range [0,%d)", l, g.Nodes())
 		}
+		if _, ok := g.PortTo(topology.NodeID(l[0]), topology.NodeID(l[1])); !ok {
+			return nil, fmt.Errorf("fault link %v is not a link of %s", l, g.Name())
+		}
 		f.FailLink(topology.NodeID(l[0]), topology.NodeID(l[1]))
 	}
 	return f, nil
 }
 
-// handleFault applies a cumulative fault state: through the failover
-// plane when one is attached (covered class = atomic backup flip),
-// through the registry's live recompute otherwise. Either path
-// invalidates the memoization cache.
+// handleFault applies a cumulative fault state through the registry: a
+// class the serving version's plane covers is an atomic backup flip,
+// anything else a live recompute. Either path invalidates the
+// memoization cache.
 func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 	var req FaultRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
@@ -470,12 +401,7 @@ func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, err.Error(), nil)
 		return
 	}
-	flipped := false
-	if p := s.Plane(); p != nil {
-		flipped = p.OnFault(f)
-	} else {
-		s.reg.UpdateFaults(f)
-	}
+	flipped := s.reg.UpdateFaults(f)
 	writeJSON(w, map[string]any{"flipped": flipped, "epoch": s.reg.Epoch()})
 }
 
@@ -539,15 +465,18 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// LoadOrBuild reads an artifact or bundle file, or compiles the
-// builtin program of the requested family when path is empty —
-// routerd's startup path.
-func LoadOrBuild(path, algo string, opts reconfig.BuildOptions) (*reconfig.Artifact, *failover.Bundle, error) {
+// LoadOrBuild reads an artifact file, or compiles the builtin program
+// of the requested family when path is empty — routerd's startup path.
+func LoadOrBuild(path, algo string, opts reconfig.BuildOptions) (*reconfig.Artifact, error) {
 	if path == "" {
-		art, err := reconfig.Build(algo, opts)
-		return art, nil, err
+		return reconfig.Build(algo, opts)
 	}
-	return failover.LoadPath(path)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return reconfig.Decode(f)
 }
 
 // TopologyFor builds the topology the artifact's family routes on:

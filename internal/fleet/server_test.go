@@ -233,32 +233,36 @@ func TestServerMetricsCarriesFleetSections(t *testing.T) {
 	_ = srv
 }
 
+// TestServerPushRejectsBundle: the server takes table artifacts only.
+// A body in the retired failover-bundle framing (an artifact frame
+// under the ARONBDL magic) is refused with 400 on /registry/push and
+// on /reload, like any other non-artifact, and changes nothing.
 func TestServerPushRejectsBundle(t *testing.T) {
 	srv, ts := testHTTPServer(t, Options{})
-	_ = srv
-	// A bundle is not pushable — only /reload takes bundles.
 	g := topology.NewMesh(5, 4)
-	art := buildArt(t, "nafta", 3, g)
-	bundleBytes := encodeBundle(t, art, g)
-	resp, err := http.Post(ts.URL+"/registry/push", "application/octet-stream", bytes.NewReader(bundleBytes))
-	if err != nil {
-		t.Fatal(err)
+	bundleBytes := encodeArt(t, buildArt(t, "nafta", 3, g))
+	copy(bundleBytes, "ARONBDL\x01")
+	for _, path := range []string{"/registry/push", "/reload"} {
+		resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(bundleBytes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := new(bytes.Buffer)
+		body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bundle %s: %s %s", path, resp.Status, body)
+		}
+		decodeError(t, body.Bytes())
 	}
-	body := new(bytes.Buffer)
-	body.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bundle push: %s %s", resp.Status, body)
+	if ids := srv.Registry().VersionIDs(); len(ids) != 1 || srv.Service().Epoch() != 1 {
+		t.Fatalf("refused bundles changed the registry: versions %v, epoch %d", ids, srv.Service().Epoch())
 	}
-	decodeError(t, body.Bytes())
 }
 
 func TestServerOptionsValidation(t *testing.T) {
 	g := topology.NewMesh(4, 4)
 	art := buildArt(t, "nafta", 1, g)
-	if _, err := NewServer(art, nil, g, Options{FailoverMode: "sideways"}); err == nil {
-		t.Fatal("bogus failover mode accepted")
-	}
 	if _, err := NewServer(art, nil, g, Options{Shard: ShardInfo{Index: 3, Count: 2}}); err == nil {
 		t.Fatal("invalid shard accepted")
 	}
@@ -278,45 +282,32 @@ func TestTopologyForMaze(t *testing.T) {
 	}
 }
 
-func encodeBundle(t *testing.T, art *reconfig.Artifact, g topology.Graph) []byte {
-	t.Helper()
-	bundle, err := failover.BuildBundle(art, g, []string{"node"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := bundle.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestReloadUnderBatchLoad hot-reloads the served file over HTTP while
 // workers stream JSON /decide/batch load: every fault-free injection
 // decision must succeed and be routable, the epoch must advance, and
 // every issued decision must be answered either by the engines or by
-// the memoization cache. The bundle row reloads a failover bundle,
-// which also rebuilds the plane.
+// the memoization cache. The backups row serves with node-class
+// backups, so the reload also rebuilds the failover plane.
 func TestReloadUnderBatchLoad(t *testing.T) {
 	g := topology.NewMesh(5, 4)
 	art := buildArt(t, "nafta", 1, g)
 	next := *art
 	next.Epoch = 2
-	for _, bundled := range []bool{false, true} {
-		name, payload := "artifact", encodeArt(t, &next)
-		var bundle *failover.Bundle
-		if bundled {
-			name, payload = "bundle", encodeBundle(t, &next, g)
-			var err error
-			if bundle, err = failover.BuildBundle(art, g, []string{failover.KindNode}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		t.Run(name, func(t *testing.T) {
-			srv, err := NewServer(art, bundle, g, Options{Shards: 2, CacheEntries: 1024})
+	payload := encodeArt(t, &next)
+	nodeClasses, err := failover.Enumerate(g, []string{failover.KindNode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		name    string
+		backups []failover.Class
+	}{{"artifact", nil}, {"backups", nodeClasses}} {
+		t.Run(row.name, func(t *testing.T) {
+			srv, err := NewServer(art, row.backups, g, Options{Shards: 2, CacheEntries: 1024})
 			if err != nil {
 				t.Fatal(err)
 			}
+			before := srv.Plane()
 			ts := httptest.NewServer(srv.Mux())
 			defer ts.Close()
 			const workers, batches, size = 4, 8, 32
@@ -372,9 +363,9 @@ func TestReloadUnderBatchLoad(t *testing.T) {
 			case m.Decisions+hits != total:
 				t.Fatalf("issued %d decisions, served %d (+%d memoized)", total, m.Decisions, hits)
 			}
-			if bundled {
-				if p := srv.Plane(); p == nil || p.Flips() != 0 || p.CoveredClasses() != g.Nodes() {
-					t.Fatal("bundle reload did not rebuild a fresh plane")
+			if row.backups != nil {
+				if p := srv.Plane(); p == nil || p == before || p.Flips() != 0 || p.CoveredClasses() != g.Nodes() {
+					t.Fatal("reload did not rebuild a fresh plane covering every node class")
 				}
 			}
 		})

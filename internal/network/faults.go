@@ -197,7 +197,7 @@ func (n *Network) ApplyFaults(f *fault.Set) {
 	// 5. Diagnosis phase: propagate the new fault state to a fixpoint —
 	// or, when a failover plane is attached, let it resolve the fault:
 	// a covered class flips a precompiled engine in (the fixpoint ran
-	// at bundle-load time), an uncovered one falls back to the same
+	// when the plane was built), an uncovered one falls back to the same
 	// live recompute this branch would run.
 	if n.cfg.Failover != nil {
 		if n.cfg.Failover.OnFault(f) && n.rec != nil {

@@ -45,13 +45,11 @@ var artifactMagic = []byte("ARONTBL\x01")
 // header cannot make Decode allocate unbounded memory.
 const maxArtifactBytes = 64 << 20
 
-// WriteFrame writes one checksummed frame — magic, big-endian payload
+// writeFrame writes one checksummed frame — magic, big-endian payload
 // length, payload, SHA-256 of the payload — and returns the checksum.
-// This is the artifact's on-disk framing, exported so sibling formats
-// (the failover bundle) carry their own magic over identical framing.
-func WriteFrame(w io.Writer, magic, payload []byte) (sum [sha256.Size]byte, err error) {
+func writeFrame(w io.Writer, payload []byte) (sum [sha256.Size]byte, err error) {
 	sum = sha256.Sum256(payload)
-	if _, err = w.Write(magic); err != nil {
+	if _, err = w.Write(artifactMagic); err != nil {
 		return sum, err
 	}
 	if err = binary.Write(w, binary.BigEndian, uint64(len(payload))); err != nil {
@@ -64,33 +62,32 @@ func WriteFrame(w io.Writer, magic, payload []byte) (sum [sha256.Size]byte, err 
 	return sum, err
 }
 
-// ReadFrame reads one frame written by WriteFrame, verifying the
-// expected magic, the payload length bound and the checksum. kind
-// names the format in error messages ("artifact", "bundle").
-func ReadFrame(r io.Reader, magic []byte, kind string) (payload []byte, sum [sha256.Size]byte, err error) {
-	head := make([]byte, len(magic))
+// readFrame reads one frame written by writeFrame, verifying the
+// magic, the payload length bound and the checksum.
+func readFrame(r io.Reader) (payload []byte, sum [sha256.Size]byte, err error) {
+	head := make([]byte, len(artifactMagic))
 	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, sum, fmt.Errorf("reconfig: reading %s header: %w", kind, err)
+		return nil, sum, fmt.Errorf("reconfig: reading artifact header: %w", err)
 	}
-	if !bytes.Equal(head, magic) {
-		return nil, sum, fmt.Errorf("reconfig: not a rule-table %s (bad magic)", kind)
+	if !bytes.Equal(head, artifactMagic) {
+		return nil, sum, fmt.Errorf("reconfig: not a rule-table artifact (bad magic)")
 	}
 	var n uint64
 	if err := binary.Read(r, binary.BigEndian, &n); err != nil {
-		return nil, sum, fmt.Errorf("reconfig: reading %s length: %w", kind, err)
+		return nil, sum, fmt.Errorf("reconfig: reading artifact length: %w", err)
 	}
 	if n > maxArtifactBytes {
-		return nil, sum, fmt.Errorf("reconfig: %s payload of %d bytes exceeds the %d byte bound", kind, n, maxArtifactBytes)
+		return nil, sum, fmt.Errorf("reconfig: artifact payload of %d bytes exceeds the %d byte bound", n, maxArtifactBytes)
 	}
 	payload = make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, sum, fmt.Errorf("reconfig: reading %s payload: %w", kind, err)
+		return nil, sum, fmt.Errorf("reconfig: reading artifact payload: %w", err)
 	}
 	if _, err := io.ReadFull(r, sum[:]); err != nil {
-		return nil, sum, fmt.Errorf("reconfig: reading %s checksum: %w", kind, err)
+		return nil, sum, fmt.Errorf("reconfig: reading artifact checksum: %w", err)
 	}
 	if got := sha256.Sum256(payload); got != sum {
-		return nil, sum, fmt.Errorf("reconfig: %s checksum mismatch (corrupted or truncated)", kind)
+		return nil, sum, fmt.Errorf("reconfig: artifact checksum mismatch (corrupted or truncated)")
 	}
 	return payload, sum, nil
 }
@@ -238,14 +235,14 @@ func (a *Artifact) Encode(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	a.sum, err = WriteFrame(w, artifactMagic, payload)
+	a.sum, err = writeFrame(w, payload)
 	return err
 }
 
 // Decode reads a framed artifact, verifying magic, length and
 // checksum.
 func Decode(r io.Reader) (*Artifact, error) {
-	payload, sum, err := ReadFrame(r, artifactMagic, "artifact")
+	payload, sum, err := readFrame(r)
 	if err != nil {
 		return nil, err
 	}

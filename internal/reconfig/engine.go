@@ -39,7 +39,7 @@ func NewEngine(art *Artifact, g topology.Graph) (routing.Algorithm, error) {
 // re-analysis and decision-table deserialization — across many engine
 // constructions from the same artifact. The failover plane builds one
 // engine per anticipated fault class; re-running the analysis per
-// class would dominate bundle load time. Engines built by one builder
+// class would dominate plane build time. Engines built by one builder
 // share the analysed program and the deserialized tables read-only,
 // so two engines of the same builder must not decide concurrently —
 // build one builder per concurrent lane, exactly as the Service

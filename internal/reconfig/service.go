@@ -266,7 +266,7 @@ func (s *Service) flip(engines []routing.Algorithm, epoch uint64) {
 // already carry the post-fault state for f — the failover fast path
 // behind routerd's /fault endpoint. Unlike Reload, nothing is
 // compiled, deserialized or replayed here: the engines were
-// constructed when the failover bundle was loaded, so the per-shard
+// constructed when the failover plane was built, so the per-shard
 // critical section is a pointer exchange. f is recorded in the same
 // critical section, so a Reload racing the flip either precedes it or
 // builds engines that know f. len(engines) must equal Lanes(). The

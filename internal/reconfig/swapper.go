@@ -139,8 +139,8 @@ func (s *Swapper) Swap(next routing.Algorithm, force bool) (oldEpoch, newEpoch u
 // distributed state for fault set f current — the failover fast path.
 // Unlike Swap, the incoming engine is NOT replayed with UpdateFaults:
 // skipping the diagnosis fixpoint at fault time is the whole point of
-// a precompiled backup (the plane ran the fixpoint when the bundle was
-// loaded). f becomes the recorded fault state, old live generations
+// a precompiled backup (the plane ran the fixpoint when it was
+// built). f becomes the recorded fault state, old live generations
 // still serving pinned worms are updated synchronously — their worms
 // must route around the new faults too — while generations without
 // pinned worms retire untouched. The deadlock-regime gate applies
