@@ -560,13 +560,13 @@ func BenchmarkFailover(b *testing.B) {
 }
 
 // BenchmarkFleetDecision measures the fleet decision path of
-// internal/fleet: a memoization hit (one cache probe) against the
-// uncached path (shard mutex, engine table walk, latency histogram).
-// The cache exists to make repeated decisions one probe — BENCH
-// snapshots track the hit/uncached ratio, and each sub-benchmark also
-// reports sampled p50/p999 wall-clock per decision (2000 individually
-// timed calls, outside the ns/op loop so the sampling overhead never
-// distorts the headline number).
+// internal/fleet: one request through Registry.Decide (shard pick,
+// shard mutex, clock pair, engine table walk, latency histogram per
+// call) against a 256-request batch through Registry.DecideBatch, which
+// pays the per-call part once; batch-256's ns/op is per decision. Each
+// sub-benchmark also reports sampled p50/p999 wall-clock per decision
+// (2000 individually timed calls, outside the ns/op loop so the
+// sampling overhead never distorts the headline number).
 func BenchmarkFleetDecision(b *testing.B) {
 	g := topology.NewMesh(16, 16)
 	art, err := reconfig.Build("nafta", reconfig.BuildOptions{Epoch: 1})
@@ -577,8 +577,8 @@ func BenchmarkFleetDecision(b *testing.B) {
 	f.FailNode(g.Node(7, 7))
 	f.FailNode(g.Node(8, 8))
 
-	// A working set of distinct requests: wide enough to exercise the
-	// cache's sharded map, small enough to stay fully resident.
+	// A working set of distinct requests, small enough to stay fully
+	// resident.
 	rng := rand.New(rand.NewSource(1))
 	reqs := make([]reconfig.DecisionRequest, 256)
 	for i := range reqs {
@@ -593,47 +593,56 @@ func BenchmarkFleetDecision(b *testing.B) {
 		}
 	}
 
-	run := func(b *testing.B, cacheEntries int) {
-		reg, err := fleet.NewRegistry(art, g, fleet.RegistryOptions{Shards: 1, CacheEntries: cacheEntries})
+	reg, err := fleet.NewRegistry(art, g, fleet.RegistryOptions{Shards: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg.UpdateFaults(f)
+	buf := make([]routing.Candidate, 0, 8)
+	var failed error
+	emit := func(_ int, _ []routing.Candidate, _ uint64, err error) {
 		if err != nil {
-			b.Fatal(err)
+			failed = err
 		}
-		reg.UpdateFaults(f)
-		buf := make([]routing.Candidate, 0, 8)
-		// Warm: every request decided once, so the cached variant runs
-		// at a 100% hit rate inside the timer.
-		for i := range reqs {
-			if buf, _, err = reg.Decide(&reqs[i], buf[:0]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf, _, err = reg.Decide(&reqs[i%len(reqs)], buf[:0])
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		// Sampled percentiles: individually timed decisions, reported in
-		// nanoseconds. The per-sample clock reads cost the same on both
-		// variants, so the sampled p50/p999 stay comparable even though
-		// they sit above the pure-loop ns/op.
+	}
+	// sampled reports the p50/p999 per decision of 2000 individually
+	// timed calls of n decisions each, in nanoseconds: outside the
+	// ns/op loop, so the per-sample clock reads never distort the
+	// headline number.
+	sampled := func(b *testing.B, n int) {
 		const samples = 2000
 		lat := make([]float64, samples)
-		for i := 0; i < samples; i++ {
+		for i := range lat {
 			t0 := time.Now()
-			buf, _, _ = reg.Decide(&reqs[i%len(reqs)], buf[:0])
-			lat[i] = float64(time.Since(t0).Nanoseconds())
+			buf = reg.DecideBatch(reqs[:n], buf[:0], emit)
+			lat[i] = float64(time.Since(t0).Nanoseconds()) / float64(n)
 		}
 		sort.Float64s(lat)
 		b.ReportMetric(metrics.Quantile(lat, 0.50), "p50-ns")
 		b.ReportMetric(metrics.Quantile(lat, 0.999), "p999-ns")
 	}
-
-	b.Run("hit", func(b *testing.B) { run(b, 1<<16) })
-	b.Run("uncached", func(b *testing.B) { run(b, 0) })
+	b.Run("single", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if buf, _, err = reg.Decide(&reqs[i%len(reqs)], buf[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		sampled(b, 1)
+	})
+	b.Run("batch-256", func(b *testing.B) {
+		b.ReportAllocs()
+		// One op is one decision: a batch per len(reqs) ops.
+		for done := 0; done < b.N; done += len(reqs) {
+			buf = reg.DecideBatch(reqs[:min(len(reqs), b.N-done)], buf[:0], emit)
+		}
+		b.StopTimer()
+		sampled(b, len(reqs))
+	})
+	if failed != nil {
+		b.Fatal(failed)
+	}
 
 	// wire/*: what one 256-decision /decide/batch round trip costs in
 	// encoding alone — request encode and decode, response encode and
@@ -642,11 +651,6 @@ func BenchmarkFleetDecision(b *testing.B) {
 	// speaks. One op is the whole round trip; B/decision is request plus
 	// response bytes.
 	decisions := make([]fleet.Decision, len(reqs))
-	reg, err := fleet.NewRegistry(art, g, fleet.RegistryOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	reg.UpdateFaults(f)
 	for i := range reqs {
 		cands, epoch, err := reg.Decide(&reqs[i], nil)
 		if err != nil {
@@ -708,26 +712,5 @@ func BenchmarkFleetDecision(b *testing.B) {
 			wire = len(reqBuf) + len(respB)
 		}
 		b.ReportMetric(float64(wire)/float64(len(reqs)), "B/decision")
-	})
-
-	// cache/put-at-capacity: a Put of a fresh key into a cache that has
-	// been full many times over — the cold stream's insert, which must
-	// neither allocate nor grow the heap.
-	b.Run("cache/put-at-capacity", func(b *testing.B) {
-		c := fleet.NewCache(1 << 16)
-		next := 0
-		put := func() {
-			c.Put(fleet.Key{Node: int32(next % 1024), Dst: int32(next / 1024), Length: 8},
-				c.Gen(), decisions[next%len(decisions)].Candidates, 1)
-			next++
-		}
-		for next < 1<<20 {
-			put()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			put()
-		}
 	})
 }

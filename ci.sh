@@ -9,8 +9,10 @@
 #      it includes the frozen VA walk (TestAllocMatchesFrozenWalk),
 #      the generator's statistical tests (internal/traffic) and the
 #      fleet's scatter-vs-single-node rollout, reload-under-load (with
-#      and without failover backups), flip-after-activation and
-#      flip-vs-rollback race tests (internal/fleet)
+#      and without failover backups), flip-after-activation,
+#      flip-vs-rollback and one-engine-state-per-batch race tests
+#      (internal/fleet: TestBatchSeesOneEngineState races batches
+#      against fault toggles and rollbacks)
 #   5. coverage floor: statement coverage of internal/... must stay
 #      >= COVER_FLOOR (baseline was 84.1% when the gate was added)
 #   6. campaign smoke (under -race): 25 randomized fault-injection
@@ -38,9 +40,12 @@
 #      same with `--trace 1` — the exit status is the gate (every
 #      workload builds, runs and passes its own output checks), so a
 #      change that breaks the frozen benchmark fails here first
-#  10. batch-frame fuzz: 10 s of FuzzBatchFrame on the /decide/batch
+#  10. fleet fuzz: 10 s of FuzzBatchFrame on the /decide/batch
 #      binary frame decoders (request and response) — no panic, and
-#      whatever decodes must encode back to the same bytes; a failing
+#      whatever decodes must encode back to the same bytes — and 5 s of
+#      FuzzBatchDifferential (random request slices answered as one
+#      batch and one request at a time, across reloads, fault events and
+#      canaried rollouts, must agree position by position); a failing
 #      input is written under internal/fleet/testdata/fuzz
 #  11. decision fast-path fuzz: 5 s each of FuzzDenseMaskDifferential
 #      (random quantifier bodies compiled with and without the mask
@@ -59,14 +64,15 @@
 #      BENCH_BASELINE=BENCH_2026-10-03-event-inject-alloc.json ./ci.sh
 #      (BenchmarkNetworkStep, BenchmarkSimulatorThroughput,
 #      BenchmarkGeneratorTick). Set
-#      BENCH_FLEET_BASELINE=BENCH_2026-09-30-fleet-wire.json to gate
-#      the fleet decision path (memoization hit vs uncached, the batch
-#      wire encodings, the cache insert at capacity) the same way, and
+#      BENCH_FLEET_BASELINE=BENCH_2026-10-18-fleet-batch.json to gate
+#      the fleet decision path (one request vs a 256-request batch
+#      through the registry, the batch wire encodings) the same way, and
 #      BENCH_RULES_BASELINE=BENCH_2026-10-17-premise-ops.json to gate
 #      the rule decision (BenchmarkRuleDecision dense and interpreted
 #      for NAFTA and ROUTE_C, native BenchmarkRouteDecision, and
-#      BenchmarkFleetDecision/uncached, the engine behind a registry
-#      miss).
+#      BenchmarkFleetDecision/single, the engine behind the registry;
+#      that snapshot names the row by its old name, uncached, so it is
+#      reported as new until the snapshot is retaken).
 #
 # Exits non-zero on the first failure.
 set -eu
@@ -140,8 +146,9 @@ echo "== repo benchmark smoke (bench --quick, untraced then traced)"
 go run ./bench --quick --reps 1
 go run ./bench --quick --reps 1 --trace 1
 
-echo "== batch-frame fuzz (10s, /decide/batch binary decoders)"
+echo "== fleet fuzz (10s /decide/batch binary decoders, 5s batch vs one-by-one)"
 go test -run '^$' -fuzz '^FuzzBatchFrame$' -fuzztime 10s ./internal/fleet
+go test -run '^$' -fuzz '^FuzzBatchDifferential$' -fuzztime 5s ./internal/fleet
 
 echo "== decision fast-path fuzz (4 x 5s, mask compiler, ROUTE_C, NAFTA and maze dense vs interpreted)"
 go test -run '^$' -fuzz '^FuzzDenseMaskDifferential$' -fuzztime 5s ./internal/core
@@ -162,7 +169,7 @@ fi
 
 if [ -n "${BENCH_RULES_BASELINE:-}" ]; then
 	echo "== benchjson -baseline $BENCH_RULES_BASELINE (rule decision)"
-	go run ./cmd/benchjson -bench 'BenchmarkRuleDecision|BenchmarkRouteDecision|BenchmarkFleetDecision/uncached' \
+	go run ./cmd/benchjson -bench 'BenchmarkRuleDecision|BenchmarkRouteDecision|BenchmarkFleetDecision/single' \
 		-benchtime 200000x -baseline "$BENCH_RULES_BASELINE"
 fi
 

@@ -6,7 +6,7 @@
 //	routerd -algo nafta -mesh 8x8 -addr :8070
 //	routerd -artifact tables.art -addr :8070
 //	routerd -artifact tables.art -backups link,node,chain   # failover backups precompiled
-//	routerd -shard 1/3 -cache 65536 -addr :8071  # replica 1 of a 3-node fleet
+//	routerd -shard 1/3 -addr :8071               # replica 1 of a 3-node fleet
 //
 // Endpoints (served by internal/fleet):
 //
@@ -24,7 +24,7 @@
 //	POST /promote        make the canaried version the incumbent
 //	POST /rollback       restore the previously serving version
 //	POST /fault          {"nodes":[..],"links":[[a,b],..]} -> {"flipped":bool,"epoch":N}
-//	GET  /metrics        decision counters, latency percentiles, cache, registry, failover
+//	GET  /metrics        decision counters, latency percentiles, registry, failover
 //	GET  /healthz        liveness
 //
 // With -backups, the fault classes of the given kinds are enumerated
@@ -74,7 +74,6 @@ func run(argv []string, stderr io.Writer) int {
 		cubeDim   = fs.Int("cube", 4, "hypercube dimension for routec")
 		shards    = fs.Int("shards", runtime.GOMAXPROCS(0), "engine replicas (concurrent decision lanes)")
 		backups   = fs.String("backups", "", "comma-separated fault-class kinds (link, node, chain) to precompile failover backups for; empty = none")
-		cacheSize = fs.Int("cache", 65536, "decision memoization cache entries (0 disables)")
 		shardSpec = fs.String("shard", "", "this replica's topology shard, index/count (e.g. 0/3); empty = own every node")
 		maxBatch  = fs.Int("max-batch", 4096, "largest accepted /decide/batch")
 		drain     = fs.Duration("drain", 5*time.Second, "in-flight drain budget on SIGINT/SIGTERM")
@@ -105,11 +104,10 @@ func run(argv []string, stderr io.Writer) int {
 		return die(err)
 	}
 	srv, err := fleet.NewServer(art, classes, g, fleet.Options{
-		Shards:       *shards,
-		CacheEntries: *cacheSize,
-		Shard:        shard,
-		MaxBatch:     *maxBatch,
-		Pprof:        *pprof,
+		Shards:   *shards,
+		Shard:    shard,
+		MaxBatch: *maxBatch,
+		Pprof:    *pprof,
 	})
 	if err != nil {
 		return die(err)

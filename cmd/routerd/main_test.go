@@ -35,7 +35,7 @@ func testServer(t *testing.T, withBackups bool) *fleet.Server {
 			t.Fatal(err)
 		}
 	}
-	srv, err := fleet.NewServer(art, classes, g, fleet.Options{Shards: 2, CacheEntries: 1024})
+	srv, err := fleet.NewServer(art, classes, g, fleet.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +81,18 @@ func TestFailoverFlagValidation(t *testing.T) {
 				t.Fatalf("stderr %q does not contain %q", errBuf.String(), tc.want)
 			}
 		})
+	}
+}
+
+// TestCacheFlagIsGone: there is no decision cache to size, so -cache
+// is refused like any unknown flag.
+func TestCacheFlagIsGone(t *testing.T) {
+	var errBuf bytes.Buffer
+	if code := run([]string{"-cache", "65536", "-addr", "127.0.0.1:0"}, &errBuf); code != 2 {
+		t.Fatalf("-cache: exit %d, want 2", code)
+	}
+	if !strings.Contains(errBuf.String(), "flag provided but not defined: -cache") {
+		t.Fatalf("stderr %q", errBuf.String())
 	}
 }
 

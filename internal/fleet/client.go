@@ -88,7 +88,8 @@ func (c *Client) Decide(ctx context.Context, req *reconfig.DecisionRequest) (rec
 
 // DecideBatch scatters reqs over the owning replicas, gathers the
 // decisions back into request order, and returns them. Sub-batches to
-// distinct replicas fly concurrently; a replica that errors
+// distinct replicas fly concurrently (the last one on the calling
+// goroutine); a replica that errors
 // (transport failure or non-200) is retried with doubling backoff and
 // only fails the batch once the retry budget is spent. Each sub-batch
 // travels as one binary frame (wire.go); the candidates of one
@@ -122,24 +123,35 @@ func (c *Client) DecideBatch(ctx context.Context, reqs []reconfig.DecisionReques
 		mu       sync.Mutex
 		firstErr error
 	)
+	send := func(o int, sub []int) {
+		if err := c.postBatch(ctx, o, reqs, sub, out); err != nil {
+			mu.Lock()
+			if firstErr == nil {
+				firstErr = fmt.Errorf("replica %d (%s): %w", o, c.replicas[o], err)
+			}
+			mu.Unlock()
+		}
+	}
+	// Every non-empty sub-batch but the last flies on its own
+	// goroutine; the last one (its replica owns order's last entry) is
+	// sent from this goroutine, whose stack has already grown through
+	// net/http, so a batch for one replica starts no goroutine at all.
+	last := Owner(reqs[order[len(order)-1]].Node, n)
 	start := 0
 	for o, end := range ends {
 		sub := order[start:end]
 		start = end
-		if len(sub) == 0 {
-			continue
+		switch {
+		case len(sub) == 0:
+		case o == last:
+			send(o, sub)
+		default:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				send(o, sub)
+			}()
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := c.postBatch(ctx, o, reqs, sub, out); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("replica %d (%s): %w", o, c.replicas[o], err)
-				}
-				mu.Unlock()
-			}
-		}()
 	}
 	wg.Wait()
 	if firstErr != nil {

@@ -27,10 +27,7 @@ func testFleet(t *testing.T, n int) (*Client, []*Server) {
 	urls := make([]string, n)
 	servers := make([]*Server, n)
 	for i := 0; i < n; i++ {
-		srv, err := NewServer(art, nil, g, Options{
-			CacheEntries: 1024,
-			Shard:        ShardInfo{Index: i, Count: n},
-		})
+		srv, err := NewServer(art, nil, g, Options{Shard: ShardInfo{Index: i, Count: n}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,8 +294,8 @@ func scatterMatches(t *testing.T, client *Client, ref *reconfig.Service, reqs []
 // cycle over three shard-owning replicas. The rollout pushes the same
 // program, so in every phase a scattered batch must answer exactly as
 // a single-node reference service does; the canary must sample and
-// never diverge, no replica may be sent a node it does not own, and a
-// repeated batch must hit the memoization cache on every replica.
+// never diverge, no replica may be sent a node it does not own, and
+// every replica must decide its share of a repeated batch.
 func TestClientFleetRollout(t *testing.T) {
 	client, servers := testFleet(t, 3)
 	g := servers[0].Graph()
@@ -362,10 +359,14 @@ func TestClientFleetRollout(t *testing.T) {
 	scatterMatches(t, client, ref, batch(), "after rollback")
 
 	// The gate the fleet smoke ended on: a repeated batch still matches
-	// the reference, every replica served part of it from its cache, and
+	// the reference, every replica decided its share of both passes, and
 	// none was ever sent a node it does not own.
 	t.Run("smoke gate", func(t *testing.T) {
 		repeat := batch()
+		before := make([]int64, len(servers))
+		for i := range servers {
+			before[i] = servers[i].Service().Metrics().Decisions
+		}
 		scatterMatches(t, client, ref, repeat, "repeated batch, first pass")
 		scatterMatches(t, client, ref, repeat, "repeated batch, second pass")
 		for i := range servers {
@@ -373,8 +374,14 @@ func TestClientFleetRollout(t *testing.T) {
 			if err := client.Metrics(ctx, i, &doc); err != nil {
 				t.Fatal(err)
 			}
-			if doc.Cache == nil || doc.Cache.Hits == 0 {
-				t.Fatalf("replica %d: repeated batch produced no cache hits (%+v)", i, doc.Cache)
+			share := 0
+			for j := range repeat {
+				if Owner(repeat[j].Node, len(servers)) == i {
+					share++
+				}
+			}
+			if got := doc.Decisions - before[i]; got != int64(2*share) {
+				t.Fatalf("replica %d decided %d of the repeated batch's two passes, owns %d a pass", i, got, share)
 			}
 			if doc.Misdirected != 0 {
 				t.Fatalf("replica %d answered %d misdirected decisions", i, doc.Misdirected)

@@ -82,10 +82,11 @@ type RegistryStatus struct {
 
 // Registry is the versioned artifact plane of one fleet replica. It
 // owns the decision path end to end: requests flow canary-sampling →
-// memoization cache → sharded Service, and every state mutation
-// (reload, promote, rollback, fault event, failover flip) funnels
-// through it so the cache generation and the live fault state stay
-// coherent with the engines.
+// sharded Service, one batch under one shard lock, and every state
+// mutation (reload, promote, rollback, fault event, failover flip)
+// funnels through it so the live fault state stays coherent with the
+// engines. Nothing sits in front of the engines' tables: the rule
+// table is already the memo.
 //
 // Failover: with backup classes configured, the registry owns one
 // failover plane, precompiled from the serving version's artifact
@@ -104,7 +105,6 @@ type RegistryStatus struct {
 type Registry struct {
 	g       topology.Graph
 	svc     *reconfig.Service
-	cache   *Cache
 	backups []failover.Class
 
 	mu       sync.Mutex
@@ -121,8 +121,7 @@ type RegistryOptions struct {
 	// Shards is the engine-replica count of the serving service (and of
 	// canary services). Defaults to 1.
 	Shards int
-	// CacheEntries bounds the decision memoization cache; 0 disables
-	// memoization.
+	// CacheEntries is accepted and ignored; see compat.go.
 	CacheEntries int
 	// Backups are the fault classes the failover plane precompiles for
 	// every serving version; none means no plane.
@@ -138,7 +137,7 @@ func NewRegistry(art *reconfig.Artifact, g topology.Graph, opts RegistryOptions)
 	if err != nil {
 		return nil, err
 	}
-	r := &Registry{g: g, svc: svc, cache: NewCache(opts.CacheEntries), backups: opts.Backups}
+	r := &Registry{g: g, svc: svc, backups: opts.Backups}
 	v, err := r.push(art)
 	if err != nil {
 		return nil, err
@@ -170,62 +169,68 @@ func (r *Registry) Plane() *failover.Plane {
 // Service exposes the underlying decision service (metrics, epoch).
 func (r *Registry) Service() *reconfig.Service { return r.svc }
 
-// Cache exposes the memoization cache (nil when disabled).
-func (r *Registry) Cache() *Cache { return r.cache }
-
 // Epoch returns the serving table epoch.
 func (r *Registry) Epoch() uint64 { return r.svc.Epoch() }
 
 // Decide performs one routing decision through the fleet decision
-// path. Canaried decisions bypass the cache in both directions — the
-// diff must exercise the candidate engines against a freshly computed
-// incumbent answer, and its (incumbent) result is already accounted
-// once by the incumbent service.
+// path: DecideBatch on one request, appending to buf as
+// reconfig.Service.Decide does.
 func (r *Registry) Decide(req *reconfig.DecisionRequest, buf []routing.Candidate) ([]routing.Candidate, uint64, error) {
-	if c := r.canary.Load(); c != nil && c.take() {
-		return r.decideCanaried(c, req, buf)
-	}
-	if r.cache == nil {
-		return r.svc.Decide(req, buf)
-	}
-	k := KeyOf(req)
-	base := len(buf)
-	if out, epoch, ok := r.cache.Get(k, buf); ok {
-		return out, epoch, nil
-	}
-	gen := r.cache.Gen() // before deciding: a concurrent invalidation must beat this Put
-	out, epoch, err := r.svc.Decide(req, buf)
-	if err != nil {
-		return out, epoch, err
-	}
-	r.cache.Put(k, gen, out[base:], epoch)
-	return out, epoch, nil
+	var (
+		epoch uint64
+		err   error
+	)
+	one := [1]reconfig.DecisionRequest{*req}
+	out := r.DecideBatch(one[:], buf, func(_ int, _ []routing.Candidate, e uint64, er error) {
+		epoch, err = e, er
+	})
+	return out, epoch, err
 }
 
-// decideCanaried computes the decision on both the incumbent and the
-// candidate, records a divergence when they disagree, and serves the
-// incumbent's answer.
-func (r *Registry) decideCanaried(c *canaryRun, req *reconfig.DecisionRequest, buf []routing.Candidate) ([]routing.Candidate, uint64, error) {
-	base := len(buf)
-	out, epoch, err := r.svc.Decide(req, buf)
-	if err != nil {
-		return out, epoch, err
+// DecideBatch answers reqs through the serving service's batch path
+// (one shard lock, one engine state for the whole batch; see
+// reconfig.Service.DecideBatch), handing each answer to emit. With a
+// canary running, each answer draws its sample in request order,
+// exactly as single decisions would, and the sampled requests are
+// replayed on the candidate engines after the incumbent's batch,
+// outside its shard lock. The incumbent's answer is always the one
+// served.
+func (r *Registry) DecideBatch(reqs []reconfig.DecisionRequest, buf []routing.Candidate, emit reconfig.Emit) []routing.Candidate {
+	c := r.canary.Load()
+	if c == nil {
+		return r.svc.DecideBatch(reqs, buf, emit)
 	}
-	cand, _, cerr := c.svc.Decide(req, nil)
-	c.sampled.Add(1)
-	if cerr != nil || !candidatesEqual(out[base:], cand) {
-		c.diverged.Add(1)
-		c.exMu.Lock()
-		if len(c.examples) < 8 {
-			c.examples = append(c.examples, Divergence{
-				Request:   *req,
-				Incumbent: append([]routing.Candidate(nil), out[base:]...),
-				Candidate: cand,
-			})
+	var samples []Divergence
+	buf = r.svc.DecideBatch(reqs, buf, func(i int, cands []routing.Candidate, epoch uint64, err error) {
+		emit(i, cands, epoch, err)
+		if c.take() && err == nil {
+			samples = append(samples, Divergence{Request: reqs[i], Incumbent: append([]routing.Candidate(nil), cands...)})
 		}
-		c.exMu.Unlock()
+	})
+	var scratch []routing.Candidate
+	for i := range samples {
+		scratch = c.diff(&samples[i], scratch[:0])
 	}
-	return out, epoch, nil
+	return buf
+}
+
+// diff decides d.Request on the candidate engines, appending to buf
+// (returned for reuse), and records d as a divergence when the answer
+// differs from d.Incumbent.
+func (c *canaryRun) diff(d *Divergence, buf []routing.Candidate) []routing.Candidate {
+	cand, _, err := c.svc.Decide(&d.Request, buf)
+	c.sampled.Add(1)
+	if err == nil && candidatesEqual(d.Incumbent, cand) {
+		return cand
+	}
+	c.diverged.Add(1)
+	c.exMu.Lock()
+	if len(c.examples) < 8 {
+		d.Candidate = append([]routing.Candidate(nil), cand...)
+		c.examples = append(c.examples, *d)
+	}
+	c.exMu.Unlock()
+	return cand
 }
 
 // candidatesEqual compares two decisions exactly: same admissible
@@ -408,9 +413,7 @@ func (r *Registry) Reload(art *reconfig.Artifact) (uint64, error) {
 // activate makes v the serving version (registry lock held): the
 // failover plane is rebuilt from v's artifact, the service reloads
 // from it, its engines knowing the live fault state before they
-// serve, and the memoization cache is invalidated last —
-// mutate-then-invalidate, so a cache miss that observes the new
-// generation is guaranteed to decide on the new engines.
+// serve.
 func (r *Registry) activate(v *Version) (uint64, error) {
 	plane, err := r.newPlane(v.art)
 	if err != nil {
@@ -425,15 +428,11 @@ func (r *Registry) activate(v *Version) (uint64, error) {
 		r.previous = r.serving
 		r.serving = v.ID
 	}
-	if r.cache != nil {
-		r.cache.Invalidate()
-	}
 	return epoch, nil
 }
 
 // UpdateFaults applies a cumulative fault state to the incumbent and
-// to any canary candidate, and invalidates the cache after both. A
-// state the serving version's plane covers flips its precompiled
+// to any canary candidate. A state the serving version's plane covers flips its precompiled
 // engines in (reported true); any other state runs the live
 // recompute. Either way the service records the state for future
 // activations. The canary candidate, which has no precompiled lane,
@@ -454,9 +453,6 @@ func (r *Registry) UpdateFaults(f *fault.Set) bool {
 	}
 	if c := r.canary.Load(); c != nil {
 		c.svc.UpdateFaults(f)
-	}
-	if r.cache != nil {
-		r.cache.Invalidate()
 	}
 	return flipped
 }

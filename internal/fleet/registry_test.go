@@ -30,7 +30,7 @@ func buildArt(t *testing.T, algo string, epoch uint64, g topology.Graph) *reconf
 func testRegistry(t *testing.T) (*Registry, topology.Graph) {
 	t.Helper()
 	g := topology.NewMesh(5, 4)
-	r, err := NewRegistry(buildArt(t, "nafta", 1, g), g, RegistryOptions{Shards: 2, CacheEntries: 256})
+	r, err := NewRegistry(buildArt(t, "nafta", 1, g), g, RegistryOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestPromoteRollbackCycle(t *testing.T) {
 		t.Fatalf("rollback serves v%d, want v1", r.Serving())
 	}
 	if epoch <= 2 {
-		t.Fatalf("rollback must advance the epoch (got %d) — old cached state must die", epoch)
+		t.Fatalf("rollback must advance the epoch (got %d)", epoch)
 	}
 	naftaRef, _ := reconfig.NewService(buildArt(t, "nafta", 1, g), g, 1)
 	got, _, err = r.Decide(&req, nil)
@@ -272,24 +272,26 @@ func TestPromoteCarriesLiveFaults(t *testing.T) {
 	}
 }
 
+// TestRegistryFaultsInvalidateCache: a decision repeated across a
+// fault event is answered from the new fault state — every served
+// decision equals a recompute under the faults of its moment, and none
+// after the fault routes into the failed node.
 func TestRegistryFaultsInvalidateCache(t *testing.T) {
 	r, g := testRegistry(t)
 	req := injectReq(6, 8)
-	first, _, err := r.Decide(&req, nil)
+	ref, err := reconfig.NewEngine(buildArt(t, "nafta", 1, g), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the cache with the fault-free answer.
-	if _, _, err := r.Decide(&req, nil); err != nil {
-		t.Fatal(err)
-	}
-	if r.Cache().Metrics().Hits == 0 {
-		t.Fatal("repeat decision did not hit the cache")
+	for range 2 {
+		requireServes(t, "fault-free", r, g, ref)
 	}
 
 	f := fault.NewSet()
 	f.FailNode(7)
 	r.UpdateFaults(f)
+	ref.UpdateFaults(f)
+	requireServes(t, "node 7 failed", r, g, ref)
 
 	after, _, err := r.Decide(&req, nil)
 	if err != nil {
@@ -297,7 +299,7 @@ func TestRegistryFaultsInvalidateCache(t *testing.T) {
 	}
 	for _, c := range after {
 		if c.Port >= 0 && g.Neighbor(6, c.Port) == 7 {
-			t.Fatalf("memoized fault-free answer %+v served after the fault (got %+v)", first, after)
+			t.Fatalf("fault-free answer served after the fault: %+v", after)
 		}
 	}
 }
@@ -397,7 +399,7 @@ func TestFlipAfterActivationServesServingVersion(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			r, err := NewRegistry(nafta, g, RegistryOptions{Shards: 2, CacheEntries: 256, Backups: nodeBackups(t, g)})
+			r, err := NewRegistry(nafta, g, RegistryOptions{Shards: 2, Backups: nodeBackups(t, g)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -431,7 +433,7 @@ func TestFlipAfterActivationServesServingVersion(t *testing.T) {
 func TestFaultFlipRacesRollback(t *testing.T) {
 	g := topology.NewMesh(5, 4)
 	art := buildArt(t, "nafta", 1, g)
-	r, err := NewRegistry(art, g, RegistryOptions{Shards: 2, CacheEntries: 256, Backups: nodeBackups(t, g)})
+	r, err := NewRegistry(art, g, RegistryOptions{Shards: 2, Backups: nodeBackups(t, g)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,3 +1,11 @@
+// Package fleet turns the single-process decision service behind
+// cmd/routerd into a multi-node decision fleet: a versioned artifact
+// registry with canary/promote/rollback on top of the reconfig epoch
+// machinery, topology-shard ownership for replica sets, a scattering
+// client library, the /decide/batch binary frame, and the HTTP server
+// the replicas run. Every encoding a replica speaks answers through one
+// batch decision path (Registry.DecideBatch): one shard lock and one
+// engine state per sub-batch, and no memo in front of the rule table.
 package fleet
 
 import (
@@ -25,7 +33,7 @@ type Options struct {
 	// Shards is the engine-replica count of the decision service
 	// (default 1).
 	Shards int
-	// CacheEntries bounds the decision memoization cache; 0 disables.
+	// CacheEntries is accepted and ignored; see compat.go.
 	CacheEntries int
 	// Shard is this replica's slice of the topology (default: owns
 	// everything).
@@ -54,8 +62,7 @@ type Server struct {
 
 // NewServer builds a replica serving art on g. With backup classes,
 // the registry precompiles a failover plane for every version it
-// serves, and /fault flips a covered class in (a flip invalidates the
-// memoization cache like any other epoch event).
+// serves, and /fault flips a covered class in.
 func NewServer(art *reconfig.Artifact, backups []failover.Class, g topology.Graph, opts Options) (*Server, error) {
 	if opts.Shard == (ShardInfo{}) {
 		opts.Shard = Single
@@ -66,7 +73,7 @@ func NewServer(art *reconfig.Artifact, backups []failover.Class, g topology.Grap
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 4096
 	}
-	reg, err := NewRegistry(art, g, RegistryOptions{Shards: opts.Shards, CacheEntries: opts.CacheEntries, Backups: backups})
+	reg, err := NewRegistry(art, g, RegistryOptions{Shards: opts.Shards, Backups: backups})
 	if err != nil {
 		return nil, err
 	}
@@ -137,35 +144,57 @@ type scratch struct {
 // Decision mirrors reconfig.Decision for the HTTP layer.
 type Decision = reconfig.Decision
 
-// serve is the one definition of a served decision, whatever encoding
-// asked for it: a node this replica does not own is refused (and
-// counted), everything else runs the fleet decision path (canary
-// sampling, memoization, service). It appends the candidates to buf;
-// a nil error with none appended is an unroutable verdict.
-func (s *Server) serve(req *reconfig.DecisionRequest, buf []routing.Candidate) ([]routing.Candidate, uint64, error) {
-	if req.Node >= 0 && req.Node < s.nodes && !s.shard.Owns(req.Node) {
-		s.misdirected.Add(1)
-		return buf, 0, fmt.Errorf("node %d is owned by replica %d/%d (this is replica %s)",
-			req.Node, Owner(req.Node, s.shard.Count), s.shard.Count, s.shard)
+// serve is the one definition of served decisions, whatever encoding
+// asked for them: it hands emit the answer to every reqs[i], in order.
+// A request for a node this replica does not own is answered in place
+// with the ownership error (and counted); each run of owned requests
+// between such refusals goes through the registry's batch path, so a
+// batch the client scattered correctly is answered under one engine
+// state. The candidates are appended to buf, and the grown buf is
+// returned for reuse.
+func (s *Server) serve(reqs []reconfig.DecisionRequest, buf []routing.Candidate, emit reconfig.Emit) []routing.Candidate {
+	for start := 0; start < len(reqs); {
+		end := start
+		for end < len(reqs) && !s.foreign(&reqs[end]) {
+			end++
+		}
+		if end > start {
+			off := start
+			buf = s.reg.DecideBatch(reqs[start:end], buf, func(i int, cands []routing.Candidate, epoch uint64, err error) {
+				emit(off+i, cands, epoch, err)
+			})
+		}
+		if end < len(reqs) {
+			node := reqs[end].Node
+			s.misdirected.Add(1)
+			emit(end, buf[len(buf):], 0, fmt.Errorf("node %d is owned by replica %d/%d (this is replica %s)",
+				node, Owner(node, s.shard.Count), s.shard.Count, s.shard))
+			end++
+		}
+		start = end
 	}
-	return s.reg.Decide(req, buf)
+	return buf
 }
 
-// decide serves one request and renders it for the JSON encodings.
-func (s *Server) decide(req *reconfig.DecisionRequest, buf []routing.Candidate) (Decision, []routing.Candidate) {
-	cands, epoch, err := s.serve(req, buf)
+// foreign reports whether req names a node another replica owns (an
+// out-of-range node is the service's error to report).
+func (s *Server) foreign(req *reconfig.DecisionRequest) bool {
+	return req.Node >= 0 && req.Node < s.nodes && !s.shard.Owns(req.Node)
+}
+
+// render is one served answer in the JSON encodings.
+func render(cands []routing.Candidate, epoch uint64, err error) Decision {
 	d := Decision{Epoch: epoch}
-	if err != nil {
+	switch {
+	case err != nil:
 		d.Error = err.Error()
-		return d, cands
-	}
-	if len(cands) == 0 {
+	case len(cands) == 0:
 		d.Unroutable = true
 		d.Candidates = []routing.Candidate{}
-	} else {
+	default:
 		d.Candidates = append([]routing.Candidate(nil), cands...)
 	}
-	return d, cands
+	return d
 }
 
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
@@ -176,7 +205,9 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := s.bufs.Get().(*scratch)
 	var d Decision
-	d, sc.cands = s.decide(&req, sc.cands[:0])
+	sc.cands = s.serve([]reconfig.DecisionRequest{req}, sc.cands[:0], func(_ int, cands []routing.Candidate, epoch uint64, err error) {
+		d = render(cands, epoch, err)
+	})
 	s.bufs.Put(sc)
 	writeJSON(w, d)
 }
@@ -200,9 +231,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]Decision, len(reqs))
 	sc := s.bufs.Get().(*scratch)
-	for i := range reqs {
-		out[i], sc.cands = s.decide(&reqs[i], sc.cands[:0])
-	}
+	sc.cands = s.serve(reqs, sc.cands[:0], func(i int, cands []routing.Candidate, epoch uint64, err error) {
+		out[i] = render(cands, epoch, err)
+	})
 	s.bufs.Put(sc)
 	writeJSON(w, out)
 }
@@ -241,17 +272,22 @@ func (s *Server) handleBatchFrame(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	frame := beginResponse(sc.out[:0], n)
-	for i := range sc.reqs {
-		var epoch uint64
-		sc.cands, epoch, err = s.serve(&sc.reqs[i], sc.cands[:0])
+	var encErr error
+	sc.cands = s.serve(sc.reqs, sc.cands[:0], func(i int, cands []routing.Candidate, epoch uint64, err error) {
+		if encErr != nil {
+			return
+		}
 		errText := ""
 		if err != nil {
 			errText = err.Error()
 		}
-		if err := frame.add(sc.cands, epoch, errText); err != nil {
-			writeJSONError(w, http.StatusInternalServerError, fmt.Sprintf("encoding decision %d: %v", i, err), nil)
-			return
+		if err := frame.add(cands, epoch, errText); err != nil {
+			encErr = fmt.Errorf("encoding decision %d: %v", i, err)
 		}
+	})
+	if encErr != nil {
+		writeJSONError(w, http.StatusInternalServerError, encErr.Error(), nil)
+		return
 	}
 	sc.out = frame.finish()
 	w.Header().Set("Content-Type", BatchContentType)
@@ -388,8 +424,7 @@ func (fr *FaultRequest) Set(g topology.Graph) (*fault.Set, error) {
 
 // handleFault applies a cumulative fault state through the registry: a
 // class the serving version's plane covers is an atomic backup flip,
-// anything else a live recompute. Either path invalidates the
-// memoization cache.
+// anything else a live recompute.
 func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 	var req FaultRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
@@ -406,8 +441,8 @@ func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 }
 
 // MetricsDoc is the /metrics document: the decision-service snapshot
-// plus the fleet layers (cache, registry, shard) and the failover
-// plane when attached.
+// plus the fleet layers (registry, shard) and the failover plane when
+// attached. Cache is always nil (compatibility block, see compat.go).
 type MetricsDoc struct {
 	reconfig.MetricsSnapshot
 	Shard       ShardInfo              `json:"shard"`
@@ -423,10 +458,6 @@ func (s *Server) Metrics() MetricsDoc {
 		MetricsSnapshot: s.reg.Service().Metrics(),
 		Shard:           s.shard,
 		Misdirected:     s.misdirected.Load(),
-	}
-	if c := s.reg.Cache(); c != nil {
-		cm := c.Metrics()
-		doc.Cache = &cm
 	}
 	st := s.reg.Status()
 	doc.Registry = &st

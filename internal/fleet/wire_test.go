@@ -271,7 +271,7 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 // []Decision — candidates, epoch, unroutable verdicts and the text of
 // every per-decision error.
 func TestBatchEncodingsAgree(t *testing.T) {
-	srv, ts := testHTTPServer(t, Options{CacheEntries: 256, Shard: ShardInfo{Index: 0, Count: 2}})
+	srv, ts := testHTTPServer(t, Options{Shard: ShardInfo{Index: 0, Count: 2}})
 	g := srv.Graph()
 	reqs := []reconfig.DecisionRequest{
 		{Node: g.Nodes() + 5, InPort: routing.InjectionPort, Src: 0, Dst: 3, Length: 4}, // out of range

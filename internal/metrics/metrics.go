@@ -79,17 +79,22 @@ func NewHistogram(binWidth float64, bins int) *Histogram {
 }
 
 // Add records one observation (negative values clamp to bin 0).
-func (h *Histogram) Add(v float64) {
-	h.total++
+func (h *Histogram) Add(v float64) { h.AddN(v, 1) }
+
+// AddN records n observations of the same value v (negative values
+// clamp to bin 0): the decision service records a batch's mean latency
+// once, weighted by the batch's length.
+func (h *Histogram) AddN(v float64, n int64) {
+	h.total += n
 	if v < 0 {
 		v = 0
 	}
 	i := int(v / h.binWidth)
 	if i >= len(h.bins) {
-		h.overflow++
+		h.overflow += n
 		return
 	}
-	h.bins[i]++
+	h.bins[i] += n
 }
 
 // Merge folds o's counts into h. The two histograms must have the

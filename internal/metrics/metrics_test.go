@@ -275,3 +275,26 @@ func TestHistogramNegativeSamples(t *testing.T) {
 		t.Fatalf("negative-sample p50 = %v, want first bin edge 10", got)
 	}
 }
+
+// TestHistogramAddN: AddN(v, n) is n calls of Add(v), overflow and
+// clamping included.
+func TestHistogramAddN(t *testing.T) {
+	one, many := NewHistogram(10, 5), NewHistogram(10, 5)
+	for _, c := range []struct {
+		v float64
+		n int64
+	}{{1, 3}, {23, 1}, {-3, 2}, {49, 4}, {120, 5}} {
+		for i := int64(0); i < c.n; i++ {
+			one.Add(c.v)
+		}
+		many.AddN(c.v, c.n)
+	}
+	if many.Total() != one.Total() || many.Overflow() != one.Overflow() {
+		t.Fatalf("AddN total=%d overflow=%d, want %d/%d", many.Total(), many.Overflow(), one.Total(), one.Overflow())
+	}
+	for i := 0; i < 5; i++ {
+		if many.Bin(i) != one.Bin(i) {
+			t.Fatalf("AddN bin %d = %d, want %d", i, many.Bin(i), one.Bin(i))
+		}
+	}
+}

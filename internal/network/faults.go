@@ -52,11 +52,13 @@ func (n *Network) ApplyFaults(f *fault.Set) {
 	lay := &n.lay
 
 	// 1. Messages touching failed routers (buffered flits or queued at
-	// a failed source).
+	// a failed source); the stages' dead-node mask is rebuilt on the way.
+	clear(n.dead)
 	for node := 0; node < lay.nodes; node++ {
 		if !f.NodeFaulty(topology.NodeID(node)) {
 			continue
 		}
+		n.dead[node>>6] |= 1 << (node & 63)
 		base := node * lay.inStride
 		for slot := 0; slot < lay.inStride; slot++ {
 			for _, fl := range n.ins[base+slot].q.slice() {

@@ -12,6 +12,10 @@ import (
 func (n *Network) CheckInvariants() error {
 	lay := &n.lay
 	for node := 0; node < lay.nodes; node++ {
+		if n.nodeDead(node) != n.faults.NodeFaulty(topology.NodeID(node)) {
+			return fmt.Errorf("node %d: dead mask says %v, fault set %v",
+				node, n.nodeDead(node), n.faults.NodeFaulty(topology.NodeID(node)))
+		}
 		for p := 0; p < lay.inPorts; p++ {
 			for v := 0; v < lay.vcs; v++ {
 				ivc := &n.ins[lay.inIdx(node, p, v)]

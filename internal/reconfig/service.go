@@ -157,61 +157,119 @@ func (s *Service) Epoch() uint64 { return s.epoch.Load() }
 // call). It returns the candidates, the deciding table epoch, and an
 // error only for malformed requests — an empty candidate set with a
 // nil error means the engine judged the message unroutable under the
-// current fault state.
+// current fault state. It is DecideBatch on one request.
 func (s *Service) Decide(req *DecisionRequest, buf []routing.Candidate) ([]routing.Candidate, uint64, error) {
-	nodes := s.g.Nodes()
-	if req.Node < 0 || req.Node >= nodes {
-		s.failed.Add(1)
-		return buf, 0, fmt.Errorf("node %d out of range [0,%d)", req.Node, nodes)
-	}
-	if req.Src < 0 || req.Src >= nodes || req.Dst < 0 || req.Dst >= nodes {
-		s.failed.Add(1)
-		return buf, 0, fmt.Errorf("src/dst (%d,%d) out of range [0,%d)", req.Src, req.Dst, nodes)
-	}
-	if req.InPort != routing.InjectionPort && (req.InPort < 0 || req.InPort >= s.g.Ports()) {
-		s.failed.Add(1)
-		return buf, 0, fmt.Errorf("in_port %d out of range", req.InPort)
-	}
-	length := req.Length
-	if length <= 0 {
-		length = 1
-	}
+	var (
+		epoch uint64
+		err   error
+	)
+	one := [1]DecisionRequest{*req}
+	out := s.DecideBatch(one[:], buf, func(_ int, _ []routing.Candidate, e uint64, er error) {
+		epoch, err = e, er
+	})
+	return out, epoch, err
+}
 
+// Emit receives the answer to reqs[i] of a DecideBatch call: the
+// candidates (empty with a nil err is an unroutable verdict), the
+// deciding epoch, and the request's error. cands is scratch, valid
+// only during the call, and Emit runs under a shard lock, so it should
+// only encode the answer.
+type Emit func(i int, cands []routing.Candidate, epoch uint64, err error)
+
+// DecideBatch decides reqs in order on one shard: one round-robin
+// pick, one lock, one clock pair, and one add per counter for the
+// whole call, so the whole batch is answered under one engine state —
+// a Reload, Install or UpdateFaults lands before it or after it, never
+// between two of its decisions. Each request is validated as Decide
+// always has (same error texts), and its answer goes to emit at once.
+// The candidates are appended to buf, which is reused for every
+// request; the return value is buf as extended by the last answer
+// (with whatever capacity it grew), so a one-request call returns
+// exactly Decide's slice. The latency histogram records the call's
+// mean per decided request, weighted by their number.
+func (s *Service) DecideBatch(reqs []DecisionRequest, buf []routing.Candidate, emit Emit) []routing.Candidate {
+	if len(reqs) == 0 {
+		return buf
+	}
+	base := len(buf)
+	out := buf
+	var decided, unroutable, failed int64
 	sh := s.shards[s.rr.Add(1)%uint64(len(s.shards))]
 	start := time.Now()
 	sh.mu.Lock()
-	// The engine's own VC count: an engine that ignores vnet or in_vc
-	// would otherwise answer on a channel the router does not have.
-	if vcs := sh.eng.NumVCs(); req.VNet < 0 || req.VNet >= vcs || req.InVC < 0 || req.InVC >= vcs {
-		sh.mu.Unlock()
-		s.failed.Add(1)
-		return buf, 0, fmt.Errorf("vnet %d / in_vc %d out of range [0,%d)", req.VNet, req.InVC, vcs)
+	vcs := sh.eng.NumVCs()
+	for i := range reqs {
+		req := &reqs[i]
+		if err := s.validate(req, vcs); err != nil {
+			failed++
+			out = buf
+			emit(i, buf[base:], 0, err)
+			continue
+		}
+		length := req.Length
+		if length <= 0 {
+			length = 1
+		}
+		sh.hdr = routing.Header{
+			Src:         topology.NodeID(req.Src),
+			Dst:         topology.NodeID(req.Dst),
+			Length:      length,
+			Misroutes:   req.Misroutes,
+			Marked:      req.Marked,
+			Phase:       req.Phase,
+			DetourLevel: req.DetourLevel,
+			VNet:        req.VNet,
+		}
+		out = sh.eng.RouteAppend(routing.Request{
+			Node:   topology.NodeID(req.Node),
+			InPort: req.InPort,
+			InVC:   req.InVC,
+			Hdr:    &sh.hdr,
+		}, buf)
+		buf = out[:base] // keep what the engine grew
+		decided++
+		if len(out) == base {
+			unroutable++
+		}
+		emit(i, out[base:], sh.epoch, nil)
 	}
-	sh.hdr = routing.Header{
-		Src:         topology.NodeID(req.Src),
-		Dst:         topology.NodeID(req.Dst),
-		Length:      length,
-		Misroutes:   req.Misroutes,
-		Marked:      req.Marked,
-		Phase:       req.Phase,
-		DetourLevel: req.DetourLevel,
-		VNet:        req.VNet,
+	if decided > 0 {
+		sh.lat.AddN(float64(time.Since(start))/float64(time.Microsecond)/float64(decided), decided)
 	}
-	out := sh.eng.RouteAppend(routing.Request{
-		Node:   topology.NodeID(req.Node),
-		InPort: req.InPort,
-		InVC:   req.InVC,
-		Hdr:    &sh.hdr,
-	}, buf)
-	epoch := sh.epoch
-	sh.lat.Add(float64(time.Since(start)) / float64(time.Microsecond))
 	sh.mu.Unlock()
 
-	s.decisions.Add(1)
-	if len(out) == len(buf) {
-		s.unroutable.Add(1)
+	if decided > 0 {
+		s.decisions.Add(decided)
 	}
-	return out, epoch, nil
+	if unroutable > 0 {
+		s.unroutable.Add(unroutable)
+	}
+	if failed > 0 {
+		s.failed.Add(failed)
+	}
+	return out
+}
+
+// validate refuses a request whose node, endpoints, arrival port or
+// channels the serving topology and engine (vcs virtual channels) do
+// not have.
+func (s *Service) validate(req *DecisionRequest, vcs int) error {
+	nodes := s.g.Nodes()
+	switch {
+	case req.Node < 0 || req.Node >= nodes:
+		return fmt.Errorf("node %d out of range [0,%d)", req.Node, nodes)
+	case req.Src < 0 || req.Src >= nodes || req.Dst < 0 || req.Dst >= nodes:
+		return fmt.Errorf("src/dst (%d,%d) out of range [0,%d)", req.Src, req.Dst, nodes)
+	case req.InPort != routing.InjectionPort && (req.InPort < 0 || req.InPort >= s.g.Ports()):
+		return fmt.Errorf("in_port %d out of range", req.InPort)
+	case req.VNet < 0 || req.VNet >= vcs || req.InVC < 0 || req.InVC >= vcs:
+		// The engine's own VC count: an engine that ignores vnet or
+		// in_vc would otherwise answer on a channel the router does
+		// not have.
+		return fmt.Errorf("vnet %d / in_vc %d out of range [0,%d)", req.VNet, req.InVC, vcs)
+	}
+	return nil
 }
 
 // Reload atomically swaps every shard to engines built from art. The
