@@ -8,26 +8,17 @@
 #      subsystem's one-recorder-per-job discipline is only proven here);
 #      it includes the frozen VA walk (TestAllocMatchesFrozenWalk),
 #      the generator's statistical tests (internal/traffic) and the
-#      fleet's scatter-vs-single-node rollout, reload-under-load (with
-#      and without failover backups), flip-after-activation,
-#      flip-vs-rollback and one-engine-state-per-batch race tests
-#      (internal/fleet: TestBatchSeesOneEngineState races batches
-#      against fault toggles and rollbacks)
+#      fleet's scatter-vs-single-node rollout, reload-under-load,
+#      fault-after-activation, fault-vs-rollback and
+#      one-engine-state-per-batch race tests (internal/fleet:
+#      TestBatchSeesOneEngineState races batches against fault toggles
+#      and rollbacks)
 #   5. coverage floor: statement coverage of internal/... must stay
 #      >= COVER_FLOOR (baseline was 84.1% when the gate was added)
 #   6. campaign smoke (under -race): 25 randomized fault-injection
 #      scenarios per algorithm family must pass every conformance
 #      oracle
-#   7. failover smoke (under -race): every enumerated fault class of
-#      the three families (maze on a mesh) must resolve to a backup flip
-#      whose decisions equal a from-scratch recompute; after a reload,
-#      promote or rollback, a registry's flip must serve the activated
-#      version's tables (TestFlipAfterActivationServesServingVersion);
-#      and a failover-enabled campaign (25 scenarios per family, maze
-#      rotating mesh, torus and irregular planes) must be
-#      statistics-identical to the plain runs with the predicted
-#      flip/recompute counters
-#   8. big-topology and saturation smokes (under -race): ftsim runs at
+#   7. big-topology and saturation smokes (under -race): ftsim runs at
 #      4096 nodes (mesh64x64, the regime the arena/active-set engine
 #      exists for) at 0.02 and at 0.005 flits/node/cycle (a few messages
 #      a cycle: the generator's geometric gaps span many nodes), one of
@@ -36,18 +27,18 @@
 #      heads' regime) and one of rule-table NAFTA on a 16x16 mesh with
 #      node faults (its load view and block view as the network hands
 #      them over) must each drain without a watchdog or livelock exit
-#   9. repo benchmark smoke: `go run ./bench --quick --reps 1`, then the
+#   8. repo benchmark smoke: `go run ./bench --quick --reps 1`, then the
 #      same with `--trace 1` — the exit status is the gate (every
 #      workload builds, runs and passes its own output checks), so a
 #      change that breaks the frozen benchmark fails here first
-#  10. fleet fuzz: 10 s of FuzzBatchFrame on the /decide/batch
+#   9. fleet fuzz: 10 s of FuzzBatchFrame on the /decide/batch
 #      binary frame decoders (request and response) — no panic, and
 #      whatever decodes must encode back to the same bytes — and 5 s of
 #      FuzzBatchDifferential (random request slices answered as one
 #      batch and one request at a time, across reloads, fault events and
 #      canaried rollouts, must agree position by position); a failing
 #      input is written under internal/fleet/testdata/fuzz
-#  11. decision fast-path fuzz: 5 s each of FuzzDenseMaskDifferential
+#  10. decision fast-path fuzz: 5 s each of FuzzDenseMaskDifferential
 #      (random quantifier bodies compiled with and without the mask
 #      step must agree on rule and fallback, internal/core),
 #      FuzzRuleRouteCDifferential (dense vs interpreted ROUTE_C
@@ -57,7 +48,7 @@
 #      and FuzzMazeFastPath (the same for the maze family on a mesh, a
 #      torus and an irregular graph, traversal state in the header
 #      included)
-#  12. (opt-in) bench regression gate: set BENCH_BASELINE to a
+#  11. (opt-in) bench regression gate: set BENCH_BASELINE to a
 #      committed snapshot to re-run the benchmarks and fail on a >20%
 #      ns/op or bytes/op regression (cmd/benchjson -baseline), e.g. the
 #      stepping engine's current baseline:
@@ -113,13 +104,6 @@ go run -race ./cmd/campaign -scenarios 25 -seed 1 -algo routec
 # partitioning fault patterns; the guaranteed-delivery oracle requires
 # every drop to carry a true unreachability verdict (zero sacrifices).
 go run -race ./cmd/campaign -scenarios 25 -seed 1 -algo maze
-
-echo "== failover smoke (flip-vs-recompute equivalence per fault class, -race)"
-go test -race -count=1 -run 'TestFailoverFlipMatchesRecompute' ./internal/failover/
-go test -race -count=1 -run 'TestFlipAfterActivationServesServingVersion' ./internal/fleet/
-go run -race ./cmd/campaign -scenarios 25 -seed 1 -algo nafta -failover
-go run -race ./cmd/campaign -scenarios 25 -seed 1 -algo routec -failover
-go run -race ./cmd/campaign -scenarios 25 -seed 1 -algo maze -failover
 
 echo "== mesh64x64, saturated cube8 and faulty rule-nafta smokes (-race)"
 # ftsim exits 2 when the watchdog suspects a deadlock (set -e stops

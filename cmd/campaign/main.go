@@ -46,8 +46,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	shrink := fs.Bool("shrink", true, "delta-debug violating scenarios to a minimal reproduction")
 	differential := fs.Bool("differential", true,
 		"also run the interpreted oracle path and require identical statistics")
-	failover := fs.Bool("failover", false,
-		"also run each scenario through the precomputed-failover plane and require decision-equivalent statistics")
 	out := fs.String("out", "", "write a replayable JSON artifact of the violations to this file")
 	replay := fs.String("replay", "", "replay the scenarios of a previously written artifact")
 	verbose := fs.Bool("v", false, "log per-scenario progress")
@@ -61,7 +59,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		Seed:         *seed,
 		Workers:      *workers,
 		Differential: *differential,
-		Failover:     *failover,
 		Shrink:       *shrink,
 	}
 	if *verbose {

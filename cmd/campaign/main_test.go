@@ -26,6 +26,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{"unknown flag", []string{"-frobnicate"}, "flag provided but not defined"},
 		// Removed with the parallel stepping engine: rejected, not ignored.
 		{"removed stepping flag", []string{removedStepFlag, "2"}, "flag provided but not defined: " + removedStepFlag},
+		// Removed with the precomputed-failover plane.
+		{"removed failover flag", []string{"-failover"}, "flag provided but not defined: -failover"},
 		{"missing replay file", []string{"-replay", filepath.Join(t.TempDir(), "nope.json")}, "no such file"},
 	}
 	for _, c := range cases {

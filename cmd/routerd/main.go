@@ -5,7 +5,6 @@
 //
 //	routerd -algo nafta -mesh 8x8 -addr :8070
 //	routerd -artifact tables.art -addr :8070
-//	routerd -artifact tables.art -backups link,node,chain   # failover backups precompiled
 //	routerd -shard 1/3 -addr :8071               # replica 1 of a 3-node fleet
 //
 // Endpoints (served by internal/fleet):
@@ -23,14 +22,14 @@
 //	POST /canary/stop    abandon the canary
 //	POST /promote        make the canaried version the incumbent
 //	POST /rollback       restore the previously serving version
-//	POST /fault          {"nodes":[..],"links":[[a,b],..]} -> {"flipped":bool,"epoch":N}
-//	GET  /metrics        decision counters, latency percentiles, registry, failover
+//	POST /fault          {"nodes":[..],"links":[[a,b],..]} -> {"epoch":N}
+//	GET  /metrics        decision counters, latency percentiles, registry
 //	GET  /healthz        liveness
 //
-// With -backups, the fault classes of the given kinds are enumerated
-// on the served topology, and every version the replica serves gets a
-// backup engine precompiled per class: a /fault naming a covered class
-// flips it in instead of recomputing.
+// A /fault names the cumulative fault state. Every engine that decides
+// (the serving version's and a canary's) recomputes its fault
+// knowledge from it before the answer, and every version activated
+// later starts out knowing it; the epoch does not move.
 //
 // Errors are JSON documents ({"error":..., "valid":[...]}) so callers
 // never scrape prose. On SIGINT/SIGTERM the server stops accepting
@@ -49,14 +48,11 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/failover"
 	"repro/internal/fleet"
 	"repro/internal/reconfig"
-	"repro/internal/topology"
 )
 
 func main() {
@@ -73,7 +69,6 @@ func run(argv []string, stderr io.Writer) int {
 		meshSpec  = fs.String("mesh", "8x8", "mesh size for nafta/maze, WxH")
 		cubeDim   = fs.Int("cube", 4, "hypercube dimension for routec")
 		shards    = fs.Int("shards", runtime.GOMAXPROCS(0), "engine replicas (concurrent decision lanes)")
-		backups   = fs.String("backups", "", "comma-separated fault-class kinds (link, node, chain) to precompile failover backups for; empty = none")
 		shardSpec = fs.String("shard", "", "this replica's topology shard, index/count (e.g. 0/3); empty = own every node")
 		maxBatch  = fs.Int("max-batch", 4096, "largest accepted /decide/batch")
 		drain     = fs.Duration("drain", 5*time.Second, "in-flight drain budget on SIGINT/SIGTERM")
@@ -99,11 +94,7 @@ func run(argv []string, stderr io.Writer) int {
 	if err != nil {
 		return die(err)
 	}
-	classes, err := parseBackups(*backups, g)
-	if err != nil {
-		return die(err)
-	}
-	srv, err := fleet.NewServer(art, classes, g, fleet.Options{
+	srv, err := fleet.NewServer(art, nil, g, fleet.Options{
 		Shards:   *shards,
 		Shard:    shard,
 		MaxBatch: *maxBatch,
@@ -118,12 +109,8 @@ func run(argv []string, stderr io.Writer) int {
 		return die(err)
 	}
 	sum, _ := art.Checksum()
-	planeNote := ""
-	if p := srv.Plane(); p != nil {
-		planeNote = fmt.Sprintf(", %d failover classes", p.CoveredClasses())
-	}
-	log.Printf("routerd: serving %s (%s) on %s, shard %s, %d engine lanes, epoch %d, sha256:%.12s%s",
-		art.Name, g.Name(), ln.Addr(), srv.Shard(), srv.Service().Lanes(), srv.Service().Epoch(), sum, planeNote)
+	log.Printf("routerd: serving %s (%s) on %s, shard %s, %d engine lanes, epoch %d, sha256:%.12s",
+		art.Name, g.Name(), ln.Addr(), srv.Shard(), srv.Service().Lanes(), srv.Service().Epoch(), sum)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -132,24 +119,6 @@ func run(argv []string, stderr io.Writer) int {
 	}
 	log.Printf("routerd: drained, bye")
 	return 0
-}
-
-// parseBackups enumerates the fault classes of the -backups kinds on
-// the served topology g; an empty spec means no backups.
-func parseBackups(spec string, g topology.Graph) ([]failover.Class, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var kinds []string
-	for _, k := range strings.Split(spec, ",") {
-		if k = strings.TrimSpace(k); k != "" {
-			kinds = append(kinds, k)
-		}
-	}
-	if len(kinds) == 0 {
-		return nil, fmt.Errorf("-backups needs at least one fault-class kind (valid: %s)", strings.Join(failover.Kinds, ", "))
-	}
-	return failover.Enumerate(g, kinds)
 }
 
 // serve runs handler on ln until ctx is cancelled, then shuts down

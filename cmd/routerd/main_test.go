@@ -13,29 +13,20 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/failover"
+	"repro/internal/fault"
 	"repro/internal/fleet"
 	"repro/internal/reconfig"
 	"repro/internal/topology"
 )
 
-// testServer builds an in-process nafta server on a 5x4 mesh, with
-// backups for every fault-class kind as `-backups link,node,chain`
-// asks, or without any.
-func testServer(t *testing.T, withBackups bool) *fleet.Server {
+// testServer builds an in-process nafta server on a 5x4 mesh.
+func testServer(t *testing.T) *fleet.Server {
 	t.Helper()
 	art, err := reconfig.Build("nafta", reconfig.BuildOptions{Epoch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := topology.NewMesh(5, 4)
-	var classes []failover.Class
-	if withBackups {
-		if classes, err = parseBackups("link,node,chain", g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv, err := fleet.NewServer(art, classes, g, fleet.Options{Shards: 2})
+	srv, err := fleet.NewServer(art, nil, topology.NewMesh(5, 4), fleet.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,29 +49,23 @@ func postJSON(t *testing.T, ts *httptest.Server, path string, body any) (*http.R
 	return resp, out.Bytes()
 }
 
-// TestFailoverFlagValidation: a bad -backups value fails before
-// routerd listens, and the error names the valid kinds or the
-// topology a kind needs.
+// TestFailoverFlagValidation: routerd has no -backups flag any more,
+// so every value it used to take, valid or not, fails before routerd
+// listens, as an undefined flag.
 func TestFailoverFlagValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		args []string
-		want string // substring expected on stderr
-	}{
-		{"unknown kind lists choices", []string{"-backups", "bogus"}, "valid: link, node, chain"},
-		{"empty kinds list choices", []string{"-backups", ","}, "valid: link, node, chain"},
-		{"chain on hypercube", []string{"-algo", "routec", "-backups", "chain"}, "mesh topology"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var errBuf bytes.Buffer
-			if code := run(append(tc.args, "-addr", "127.0.0.1:0"), &errBuf); code == 0 {
-				t.Fatalf("args %v accepted", tc.args)
-			}
-			if !strings.Contains(errBuf.String(), tc.want) {
-				t.Fatalf("stderr %q does not contain %q", errBuf.String(), tc.want)
-			}
-		})
+	for _, args := range [][]string{
+		{"-backups", "link"},
+		{"-backups", "bogus"},
+		{"-backups", ","},
+		{"-algo", "routec", "-backups", "chain"},
+	} {
+		var errBuf bytes.Buffer
+		if code := run(append(args, "-addr", "127.0.0.1:0"), &errBuf); code != 2 {
+			t.Fatalf("args %v: exit %d, want 2", args, code)
+		}
+		if !strings.Contains(errBuf.String(), "flag provided but not defined: -backups") {
+			t.Fatalf("args %v: stderr %q", args, errBuf.String())
+		}
 	}
 }
 
@@ -96,111 +81,57 @@ func TestCacheFlagIsGone(t *testing.T) {
 	}
 }
 
-func TestParseBackupKinds(t *testing.T) {
-	g := topology.NewMesh(5, 4)
-	classes, err := parseBackups(" link , node ,chain", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 31 links + 20 nodes + 12 chains, before the plane's dedup.
-	if len(classes) != 63 {
-		t.Fatalf("%d classes", len(classes))
-	}
-	if classes, err := parseBackups("", g); err != nil || classes != nil {
-		t.Fatalf("empty -backups: %v, %v", classes, err)
-	}
-	if _, err := parseBackups("link,meteor", g); err == nil {
-		t.Fatal("bad kind accepted")
-	}
-}
-
+// TestFaultEndpointFlipsCoveredClass: a single-node fault, once a
+// covered class with a precompiled backup, and a two-node fault are
+// served the same way now. /fault answers {"epoch":N} (no "flipped"
+// key) and leaves the epoch alone, every decision after it equals a
+// recompute from the served artifact under the fault, and /metrics
+// has no failover section.
 func TestFaultEndpointFlipsCoveredClass(t *testing.T) {
-	srv := testServer(t, true)
-	if srv.Plane() == nil {
-		t.Fatal("a server with backups must attach a plane")
-	}
+	srv := testServer(t)
 	ts := httptest.NewServer(srv.Mux())
 	defer ts.Close()
+	g := srv.Graph()
 
-	// Node 7 is a covered single-node class: must flip.
-	resp, body := postJSON(t, ts, "/fault", fleet.FaultRequest{Nodes: []int{7}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("%s: %s", resp.Status, body)
-	}
-	var ans struct {
-		Flipped bool   `json:"flipped"`
-		Epoch   uint64 `json:"epoch"`
-	}
-	if err := json.Unmarshal(body, &ans); err != nil {
-		t.Fatal(err)
-	}
-	if !ans.Flipped {
-		t.Fatal("covered single-node fault did not flip")
-	}
-	if ans.Epoch != 2 {
-		t.Fatalf("epoch %d after flip, want 2", ans.Epoch)
-	}
-
-	// Decisions must now avoid node 7 entirely.
-	_, body = postJSON(t, ts, "/decide", reconfig.DecisionRequest{
-		Node: 6, InPort: -1, Src: 6, Dst: 8, Length: 4,
-	})
-	var d fleet.Decision
-	if err := json.Unmarshal(body, &d); err != nil {
-		t.Fatal(err)
-	}
-	if d.Error != "" || d.Unroutable {
-		t.Fatalf("decision after flip: %+v", d)
+	for _, nodes := range [][]int{{7}, {7, 12}} {
+		resp, body := postJSON(t, ts, "/fault", fleet.FaultRequest{Nodes: nodes})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %s", resp.Status, body)
+		}
+		var ans map[string]json.RawMessage
+		if err := json.Unmarshal(body, &ans); err != nil {
+			t.Fatal(err)
+		}
+		if len(ans) != 1 || string(ans["epoch"]) != "1" {
+			t.Fatalf("/fault %v answered %s, want {\"epoch\":1}", nodes, body)
+		}
+		f := fault.NewSet()
+		for _, n := range nodes {
+			f.FailNode(topology.NodeID(n))
+		}
+		requireRecompute(t, ts, g, f, 1)
 	}
 
-	// A two-node state matches no enumerated class: falls back to
-	// live recompute, flipped=false.
-	resp, body = postJSON(t, ts, "/fault", fleet.FaultRequest{Nodes: []int{7, 12}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("%s: %s", resp.Status, body)
-	}
-	if err := json.Unmarshal(body, &ans); err != nil {
-		t.Fatal(err)
-	}
-	if ans.Flipped {
-		t.Fatal("uncovered fault state claimed a flip")
-	}
-
-	// /metrics carries the plane's counters and flip percentiles.
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Epoch    uint64 `json:"epoch"`
-		Failover *struct {
-			CoveredClasses int     `json:"covered_classes"`
-			Flips          int64   `json:"flips"`
-			Recomputes     int64   `json:"recomputes"`
-			FlipP99        float64 `json:"flip_us_p99"`
-		} `json:"failover"`
-	}
+	var doc map[string]json.RawMessage
 	err = json.NewDecoder(mresp.Body).Decode(&doc)
 	mresp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Failover == nil {
-		t.Fatal("/metrics has no failover section despite an attached plane")
-	}
-	if doc.Failover.Flips != 1 || doc.Failover.Recomputes != 1 {
-		t.Fatalf("plane counters %d/%d, want 1 flip 1 recompute", doc.Failover.Flips, doc.Failover.Recomputes)
-	}
-	if doc.Failover.FlipP99 <= 0 {
-		t.Fatal("flip latency percentile missing after a flip")
+	if _, ok := doc["failover"]; ok {
+		t.Fatal("/metrics still carries a failover section")
 	}
 }
 
+// TestFaultEndpointWithoutPlane: with no failover plane in front of
+// them, the engines learn a /fault through the live recompute, and no
+// candidate routes into the failed node.
 func TestFaultEndpointWithoutPlane(t *testing.T) {
-	srv := testServer(t, false)
-	if srv.Plane() != nil {
-		t.Fatal("a server without backups must not attach a plane")
-	}
+	srv := testServer(t)
 	ts := httptest.NewServer(srv.Mux())
 	defer ts.Close()
 
@@ -208,16 +139,9 @@ func TestFaultEndpointWithoutPlane(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("%s: %s", resp.Status, body)
 	}
-	var ans struct {
-		Flipped bool `json:"flipped"`
+	if f := srv.Service().Faults(); f == nil || !f.NodeFaulty(7) {
+		t.Fatalf("service fault state %v after /fault of node 7", f)
 	}
-	if err := json.Unmarshal(body, &ans); err != nil {
-		t.Fatal(err)
-	}
-	if ans.Flipped {
-		t.Fatal("no plane attached, yet the fault claimed a flip")
-	}
-	// The engines still learned the fault via direct UpdateFaults.
 	_, body = postJSON(t, ts, "/decide", reconfig.DecisionRequest{
 		Node: 6, InPort: -1, Src: 6, Dst: 8, Length: 4,
 	})
@@ -225,52 +149,30 @@ func TestFaultEndpointWithoutPlane(t *testing.T) {
 	if err := json.Unmarshal(body, &d); err != nil {
 		t.Fatal(err)
 	}
+	if d.Error != "" || d.Unroutable || len(d.Candidates) == 0 {
+		t.Fatalf("decision after fault: %+v", d)
+	}
 	for _, c := range d.Candidates {
 		if c.Port >= 0 && srv.Graph().Neighbor(6, c.Port) == 7 {
-			t.Fatal("direct fault update not applied: candidate routes into failed node")
+			t.Fatal("fault not applied: candidate routes into failed node")
 		}
 	}
 }
 
-func TestFaultEndpointValidation(t *testing.T) {
-	srv := testServer(t, true)
-	ts := httptest.NewServer(srv.Mux())
-	defer ts.Close()
-
-	for _, tc := range []struct {
-		what string
-		req  fleet.FaultRequest
-	}{
-		{"out-of-range node", fleet.FaultRequest{Nodes: []int{99}}},
-		{"out-of-range link", fleet.FaultRequest{Links: [][2]int{{0, -3}}}},
-		{"link the mesh does not have", fleet.FaultRequest{Links: [][2]int{{0, 7}}}},
-		{"self-link", fleet.FaultRequest{Links: [][2]int{{3, 3}}}},
-	} {
-		resp, body := postJSON(t, ts, "/fault", tc.req)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s accepted: %s %s", tc.what, resp.Status, body)
-		}
-	}
-	if f := srv.Service().Faults(); f != nil && !f.Empty() {
-		t.Fatalf("refused requests left faults behind: %v", f)
-	}
-}
-
-// TestReloadRebuildsPlane: a backup consumed before a /reload is
-// available again after it, because the plane is rebuilt for the
-// version the reload serves.
+// TestReloadRebuildsPlane: a /reload after a fault serves engines
+// that already know the fault, and the fault can be repaired and set
+// again on the reloaded version, each step served as a recompute.
 func TestReloadRebuildsPlane(t *testing.T) {
-	srv := testServer(t, true)
+	srv := testServer(t)
 	ts := httptest.NewServer(srv.Mux())
 	defer ts.Close()
+	g := srv.Graph()
 
 	postJSON(t, ts, "/fault", fleet.FaultRequest{Nodes: []int{7}})
-	before := srv.Plane()
-	if before.Flips() != 1 {
-		t.Fatal("setup flip missing")
-	}
+	f := fault.NewSet()
+	f.FailNode(7)
 
-	next, err := reconfig.Build("nafta", reconfig.BuildOptions{Epoch: srv.Service().Epoch() + 1})
+	next, err := reconfig.Build("nafta", reconfig.BuildOptions{Epoch: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,21 +192,83 @@ func TestReloadRebuildsPlane(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload: %s err=%v", resp.Status, err)
 	}
-	if ans.Epoch <= 2 {
-		t.Fatalf("epoch %d after reload, want > 2", ans.Epoch)
+	if ans.Epoch != 2 {
+		t.Fatalf("epoch %d after reload, want 2", ans.Epoch)
 	}
-	p := srv.Plane()
-	if p == before || p.Flips() != 0 || p.CoveredClasses() != before.CoveredClasses() {
-		t.Fatal("reload must rebuild a fresh plane with the same classes")
-	}
-	// The live fault state is node 7; repair it, then fail it again.
+	requireRecompute(t, ts, g, f, 2)
+
+	// Repair node 7, then fail it again.
 	postJSON(t, ts, "/fault", fleet.FaultRequest{})
-	_, body := postJSON(t, ts, "/fault", fleet.FaultRequest{Nodes: []int{7}})
-	var fa struct {
-		Flipped bool `json:"flipped"`
+	requireRecompute(t, ts, g, fault.NewSet(), 2)
+	postJSON(t, ts, "/fault", fleet.FaultRequest{Nodes: []int{7}})
+	requireRecompute(t, ts, g, f, 2)
+}
+
+// requireRecompute sends every injection request of g as one JSON
+// /decide/batch and holds each answer to a from-scratch service that
+// knows f, and its epoch to epoch.
+func requireRecompute(t *testing.T, ts *httptest.Server, g topology.Graph, f *fault.Set, epoch uint64) {
+	t.Helper()
+	art, err := reconfig.Build("nafta", reconfig.BuildOptions{Epoch: epoch})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal(body, &fa); err != nil || !fa.Flipped {
-		t.Fatalf("node 7 after reload: %s (err %v)", body, err)
+	ref, err := reconfig.NewService(art, g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.UpdateFaults(f)
+	var reqs []reconfig.DecisionRequest
+	for src := 0; src < g.Nodes(); src++ {
+		for dst := 0; dst < g.Nodes(); dst++ {
+			if src != dst {
+				reqs = append(reqs, reconfig.DecisionRequest{Node: src, InPort: -1, Src: src, Dst: dst, Length: 4})
+			}
+		}
+	}
+	resp, body := postJSON(t, ts, "/decide/batch", reqs)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: %s", resp.Status, body)
+	}
+	var got []fleet.Decision
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(reqs) {
+		t.Fatalf("%d requests answered with %d decisions", len(reqs), len(got))
+	}
+	for i := range reqs {
+		want, _, err := ref.Decide(&reqs[i], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i].Error != "" || got[i].Epoch != epoch || fmt.Sprint(got[i].Candidates) != fmt.Sprint(want) {
+			t.Fatalf("%d->%d served %+v, recompute %v at epoch %d", reqs[i].Src, reqs[i].Dst, got[i], want, epoch)
+		}
+	}
+}
+
+func TestFaultEndpointValidation(t *testing.T) {
+	srv := testServer(t)
+	ts := httptest.NewServer(srv.Mux())
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		what string
+		req  fleet.FaultRequest
+	}{
+		{"out-of-range node", fleet.FaultRequest{Nodes: []int{99}}},
+		{"out-of-range link", fleet.FaultRequest{Links: [][2]int{{0, -3}}}},
+		{"link the mesh does not have", fleet.FaultRequest{Links: [][2]int{{0, 7}}}},
+		{"self-link", fleet.FaultRequest{Links: [][2]int{{3, 3}}}},
+	} {
+		resp, body := postJSON(t, ts, "/fault", tc.req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s accepted: %s %s", tc.what, resp.Status, body)
+		}
+	}
+	if f := srv.Service().Faults(); f != nil && !f.Empty() {
+		t.Fatalf("refused requests left faults behind: %v", f)
 	}
 }
 

@@ -9,10 +9,6 @@
 //	rulec -builtin maze -ports 4
 //	rulec -builtin nafta -artifact nafta.tbl                       # versioned table artifact
 //	rulec -builtin maze -ports 4 -artifact maze.tbl
-//
-// Failover backups are not compiled here: the tables are
-// fault-independent, so `routerd -backups` precompiles them from the
-// served artifact on the served topology.
 package main
 
 import (

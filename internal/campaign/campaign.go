@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/failover"
 	"repro/internal/fault"
 	"repro/internal/network"
 	"repro/internal/reconfig"
@@ -261,13 +260,6 @@ type Options struct {
 	// Differential additionally runs every scenario with the
 	// interpreted oracle path and requires bit-identical statistics.
 	Differential bool
-	// Failover additionally runs every scenario with a precomputed
-	// failover plane attached (backups precompiled for the scenario's
-	// own fault states) and requires statistics bit-identical to the
-	// plain run plus flip/recompute counters exactly as the fault
-	// story predicts — the flipped-backup-equivalent-to-recompute
-	// oracle.
-	Failover bool
 	// Shrink runs the delta-debugging minimizer on every violating
 	// scenario.
 	Shrink bool
@@ -389,9 +381,6 @@ func Evaluate(s *Scenario, opts *Options) ([]Violation, *trace.Report, error) {
 	vio := checkRun(s, &res, net)
 	if opts.Differential {
 		vio = append(vio, checkDifferential(s, &res, net, opts.factory())...)
-	}
-	if opts.Failover {
-		vio = append(vio, checkFailover(s, &res, opts.factory())...)
 	}
 	return vio, res.PostMortem, nil
 }
@@ -594,44 +583,25 @@ func Run(opts Options) (*Outcome, error) {
 	// pool's one-instance-per-job rule) and deposits its network
 	// handle in a private slot for the sequential oracle pass below.
 	runsPer := 1
-	interpOff, failOff := -1, -1
 	if opts.Differential {
-		interpOff = runsPer
-		runsPer++
-	}
-	if opts.Failover {
-		failOff = runsPer
-		runsPer++
+		runsPer++ // the interpreted run follows the fast one
 	}
 	jobs := make([]sim.Job, len(scenarios)*runsPer)
 	nets := make([]*network.Network, len(jobs))
-	planes := make([]*failover.Plane, len(scenarios))
 	factory := opts.factory()
 	for i := range scenarios {
-		i := i
 		s := &scenarios[i]
 		for k := 0; k < runsPer; k++ {
 			k := k
 			idx := i*runsPer + k
 			variant := "fast"
-			switch k {
-			case interpOff:
+			if k == 1 {
 				variant = "interp"
-			case failOff:
-				variant = "failover"
 			}
 			jobs[idx] = sim.Job{
 				Label: fmt.Sprintf("s%03d/%s", s.ID, variant),
 				Make: func() sim.Config {
-					var (
-						cfg sim.Config
-						err error
-					)
-					if k == failOff {
-						cfg, err = buildFailoverConfig(s, factory, &nets[idx], &planes[i])
-					} else {
-						cfg, err = buildConfig(s, k == interpOff, factory, &nets[idx])
-					}
+					cfg, err := buildConfig(s, k == 1, factory, &nets[idx])
 					if err != nil {
 						panic(err) // surfaces as the job's error
 					}
@@ -653,14 +623,6 @@ func Run(opts Options) (*Outcome, error) {
 		} else {
 			vio = checkRun(s, &fast.Result, nets[i*runsPer])
 			pm = fast.Result.PostMortem
-			if opts.Failover {
-				fr := results[i*runsPer+failOff]
-				if fr.Err != nil {
-					vio = append(vio, Violation{Kind: "sim-error", Detail: "failover run: " + fr.Err.Error()})
-				} else {
-					vio = append(vio, checkFailoverRun(s, &fast.Result, &fr.Result, nets[i*runsPer+failOff], planes[i])...)
-				}
-			}
 			if opts.Differential {
 				or := results[i*runsPer+1]
 				if or.Err != nil {

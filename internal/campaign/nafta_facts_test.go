@@ -3,7 +3,6 @@ package campaign
 import (
 	"testing"
 
-	"repro/internal/failover"
 	"repro/internal/fault"
 	"repro/internal/network"
 	"repro/internal/reconfig"
@@ -19,16 +18,14 @@ import (
 // UpdateFaults on every engine that still decides. The scenario below
 // does it in every way the simulator can — the initial set, timed node
 // and link events through network.ApplyFaults (whose schedule mutates
-// the fault set in place), hot-swaps that replay the state onto a fresh
-// engine, and failover flips to precompiled engines — and holds the
-// records to the per-call derivation (CheckFacts): on the first
-// decision of every engine the scenario builds, on the first decision
-// after every scheduled event, on every 64th decision in between, on
-// the serving engine right after every swap or flip, and right after
-// every fault event the failover plane resolved (which also reaches the
-// plane's precompiled engines). The decision service's installs
-// (Reload, Install) are held to the same oracle in internal/reconfig,
-// where the shard engines can be reached.
+// the fault set in place), and hot-swaps that replay the state onto a
+// fresh engine — and holds the records to the per-call derivation
+// (CheckFacts): on the first decision of every engine the scenario
+// builds, on the first decision after every scheduled event, on every
+// 64th decision in between, and on the serving engine right after
+// every swap. The decision service's recompute and reloads are held to
+// the same oracle in internal/reconfig, where the shard engines can be
+// reached.
 func TestRuleNAFTAFactsFreshAcrossFaultEvents(t *testing.T) {
 	m := topology.NewMesh(6, 6)
 	s := Scenario{
@@ -106,47 +103,28 @@ func TestRuleNAFTAFactsFreshAcrossFaultEvents(t *testing.T) {
 		}
 		return alg, nil
 	}
-	for _, withFailover := range []bool{false, true} {
-		checks, lastDue, net = 0, 0, nil
-		events, flips, swaps := 0, 0, 0
-		var cfg sim.Config
-		if withFailover {
-			var plane *failover.Plane
-			if cfg, err = buildFailoverConfig(&s, factory, &net, &plane); err != nil {
-				t.Fatal(err)
-			}
-			sw := cfg.Algorithm.(*reconfig.Swapper)
-			cfg.Failover = checkedHandler{inner: plane, after: func(flipped bool) {
-				events++
-				if flipped {
-					flips++
-				}
-				check(sw.Current().(*rulesets.RuleNAFTA), "after a fault event")
-			}}
-		} else if cfg, err = buildConfig(&s, false, factory, &net); err != nil {
-			t.Fatal(err)
-		}
-		sw := cfg.Algorithm.(*reconfig.Swapper)
-		sw.OnSwap(func(_, _ uint64) {
-			swaps++
-			check(sw.Current().(*rulesets.RuleNAFTA), "after a swap")
-		})
-		res, err := sim.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vio := checkRun(&s, &res, net); len(vio) != 0 {
-			t.Fatalf("failover=%v: scenario violated the oracles: %v", withFailover, vio)
-		}
-		if sw.Swaps() < int64(len(s.Swaps)) || swaps != int(sw.Swaps()) {
-			t.Fatalf("failover=%v: %d of %d swaps fired, %d checked", withFailover, sw.Swaps(), len(s.Swaps), swaps)
-		}
-		if checks < 20 || res.Stats.Killed == 0 || lastDue != len(s.Events) {
-			t.Fatalf("failover=%v: %d checks, %d killed worms, %d events seen — the scenario exercised nothing",
-				withFailover, checks, res.Stats.Killed, lastDue)
-		}
-		if withFailover && (events != 1+len(s.Events) || flips != events) {
-			t.Fatalf("%d fault events with %d flips, want %d flips", events, flips, 1+len(s.Events))
-		}
+	cfg, err := buildConfig(&s, false, factory, &net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swaps := 0
+	sw := cfg.Algorithm.(*reconfig.Swapper)
+	sw.OnSwap(func(_, _ uint64) {
+		swaps++
+		check(sw.Current().(*rulesets.RuleNAFTA), "after a swap")
+	})
+	res, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vio := checkRun(&s, &res, net); len(vio) != 0 {
+		t.Fatalf("scenario violated the oracles: %v", vio)
+	}
+	if sw.Swaps() < int64(len(s.Swaps)) || swaps != int(sw.Swaps()) {
+		t.Fatalf("%d of %d swaps fired, %d checked", sw.Swaps(), len(s.Swaps), swaps)
+	}
+	if checks < 20 || res.Stats.Killed == 0 || lastDue != len(s.Events) {
+		t.Fatalf("%d checks, %d killed worms, %d events seen — the scenario exercised nothing",
+			checks, res.Stats.Killed, lastDue)
 	}
 }

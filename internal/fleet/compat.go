@@ -2,14 +2,16 @@ package fleet
 
 import "repro/internal/reconfig"
 
-// Compatibility block: Key, KeyOf and CacheMetrics here, with
-// RegistryOptions.CacheEntries, Options.CacheEntries and
-// MetricsDoc.Cache on their structs, are kept for bench/, which builds
-// against them and changes only in a change of the benchmark itself;
-// ROADMAP item 2 is that change and deletes them, together with the
-// fleet.cache.* metrics and the hit-ratio gates. No other package may use them. There is no
-// decision cache behind them: both CacheEntries fields are accepted and
-// ignored, and MetricsDoc.Cache is always nil.
+// Compatibility block: Key, KeyOf, CacheMetrics and NoBackups here,
+// with RegistryOptions.CacheEntries, Options.CacheEntries and
+// MetricsDoc.Cache on their structs and NewServer's second parameter,
+// are kept for bench/, which builds against them and changes only in a
+// change of the benchmark itself; ROADMAP item 2 is that change and
+// deletes them, together with the fleet.cache.* metrics and the
+// hit-ratio gates. No other package may use them. There is no decision
+// cache behind them: both CacheEntries fields are accepted and
+// ignored, and MetricsDoc.Cache is always nil. NewServer ignores its
+// NoBackups parameter.
 
 // Key is every field of a DecisionRequest, fixed-width: two requests
 // with equal keys are the same decision. It is half the size of the
@@ -40,3 +42,8 @@ type CacheMetrics struct {
 	Evictions     int64 `json:"evictions"`
 	Invalidations int64 `json:"invalidations"`
 }
+
+// NoBackups is the type of NewServer's second parameter, which keeps
+// bench/'s call compiling: NewServer ignores it, and every caller
+// passes nil.
+type NoBackups []struct{}

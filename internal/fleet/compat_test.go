@@ -98,7 +98,7 @@ func TestCacheHitMissInvalidate(t *testing.T) {
 	if _, err := r.Reload(maze); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := reconfig.NewEngine(maze, g)
+	ref, err := reconfig.NewService(maze, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

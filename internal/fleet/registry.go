@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/failover"
 	"repro/internal/fault"
 	"repro/internal/reconfig"
 	"repro/internal/routing"
@@ -83,16 +82,12 @@ type RegistryStatus struct {
 // Registry is the versioned artifact plane of one fleet replica. It
 // owns the decision path end to end: requests flow canary-sampling →
 // sharded Service, one batch under one shard lock, and every state
-// mutation (reload, promote, rollback, fault event, failover flip)
-// funnels through it so the live fault state stays coherent with the
-// engines. Nothing sits in front of the engines' tables: the rule
-// table is already the memo.
-//
-// Failover: with backup classes configured, the registry owns one
-// failover plane, precompiled from the serving version's artifact
-// for the service's lanes. Every activation rebuilds it under the
-// registry lock, so a fault can only ever flip in engines of the
-// version that is serving.
+// mutation (reload, promote, rollback, fault event) funnels through it
+// so the live fault state stays coherent with the engines. Nothing sits
+// in front of the engines' tables: the rule table is already the memo.
+// A fault event is a live recompute on the serving engines and on the
+// canary's, and every activation builds engines that already know the
+// recorded fault state.
 //
 // Rollout protocol: Push registers a candidate version (validated
 // against the serving topology but not serving), Canary routes a
@@ -103,15 +98,13 @@ type RegistryStatus struct {
 // from the candidate with the live fault state pre-applied, and
 // Rollback restores the previously serving version in one call.
 type Registry struct {
-	g       topology.Graph
-	svc     *reconfig.Service
-	backups []failover.Class
+	g   topology.Graph
+	svc *reconfig.Service
 
 	mu       sync.Mutex
 	versions []*Version
 	serving  int
 	previous int
-	plane    *failover.Plane // nil without backups
 
 	canary atomic.Pointer[canaryRun]
 }
@@ -123,9 +116,6 @@ type RegistryOptions struct {
 	Shards int
 	// CacheEntries is accepted and ignored; see compat.go.
 	CacheEntries int
-	// Backups are the fault classes the failover plane precompiles for
-	// every serving version; none means no plane.
-	Backups []failover.Class
 }
 
 // NewRegistry builds a registry serving art on topology g as version 1.
@@ -137,33 +127,13 @@ func NewRegistry(art *reconfig.Artifact, g topology.Graph, opts RegistryOptions)
 	if err != nil {
 		return nil, err
 	}
-	r := &Registry{g: g, svc: svc, backups: opts.Backups}
+	r := &Registry{g: g, svc: svc}
 	v, err := r.push(art)
 	if err != nil {
 		return nil, err
 	}
-	if r.plane, err = r.newPlane(art); err != nil {
-		return nil, err
-	}
 	r.serving = v.ID
 	return r, nil
-}
-
-// newPlane precompiles the backup classes from art for the serving
-// service's lanes; nil without backups.
-func (r *Registry) newPlane(art *reconfig.Artifact) (*failover.Plane, error) {
-	if len(r.backups) == 0 {
-		return nil, nil
-	}
-	return failover.NewPlane(art, r.g, r.backups, r.svc)
-}
-
-// Plane returns the serving version's failover plane, nil without
-// backups.
-func (r *Registry) Plane() *failover.Plane {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.plane
 }
 
 // Service exposes the underlying decision service (metrics, epoch).
@@ -259,7 +229,7 @@ func (r *Registry) Push(art *reconfig.Artifact) (*Version, error) {
 }
 
 func (r *Registry) push(art *reconfig.Artifact) (*Version, error) {
-	if _, err := reconfig.NewEngineBuilder(art, r.g); err != nil {
+	if _, err := reconfig.NewEngine(art, r.g); err != nil {
 		return nil, err
 	}
 	sum, err := art.Checksum()
@@ -411,19 +381,13 @@ func (r *Registry) Reload(art *reconfig.Artifact) (uint64, error) {
 }
 
 // activate makes v the serving version (registry lock held): the
-// failover plane is rebuilt from v's artifact, the service reloads
-// from it, its engines knowing the live fault state before they
-// serve.
+// service reloads from v's artifact, its engines knowing the live fault
+// state before they serve.
 func (r *Registry) activate(v *Version) (uint64, error) {
-	plane, err := r.newPlane(v.art)
-	if err != nil {
-		return r.svc.Epoch(), err
-	}
 	epoch, err := r.svc.Reload(v.art)
 	if err != nil {
 		return epoch, err
 	}
-	r.plane = plane
 	if r.serving != v.ID {
 		r.previous = r.serving
 		r.serving = v.ID
@@ -432,29 +396,20 @@ func (r *Registry) activate(v *Version) (uint64, error) {
 }
 
 // UpdateFaults applies a cumulative fault state to the incumbent and
-// to any canary candidate. A state the serving version's plane covers flips its precompiled
-// engines in (reported true); any other state runs the live
-// recompute. Either way the service records the state for future
-// activations. The canary candidate, which has no precompiled lane,
-// always recomputes, so the canary diff across a flip compares a
-// flipped incumbent against a recomputed candidate — exactly the
-// equivalence the failover tests certify.
-func (r *Registry) UpdateFaults(f *fault.Set) bool {
+// to any canary candidate: the live recompute on their engines. The
+// service records the state, so every later activation serves engines
+// that know it. The registry lock is held throughout, so an activation
+// or a new canary lands wholly before or after the event.
+func (r *Registry) UpdateFaults(f *fault.Set) {
 	if f == nil {
 		f = fault.NewSet()
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	flipped := false
-	if r.plane != nil {
-		flipped = r.plane.OnFault(f)
-	} else {
-		r.svc.UpdateFaults(f)
-	}
+	r.svc.UpdateFaults(f)
 	if c := r.canary.Load(); c != nil {
 		c.svc.UpdateFaults(f)
 	}
-	return flipped
 }
 
 // Status snapshots the registry for GET /registry.

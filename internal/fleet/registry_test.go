@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/failover"
 	"repro/internal/fault"
 	"repro/internal/reconfig"
 	"repro/internal/routing"
@@ -82,13 +81,24 @@ func TestCanarySameAlgorithmZeroDivergence(t *testing.T) {
 	if err := r.StartCanary(v.ID, 1.0); err != nil {
 		t.Fatal(err)
 	}
-	for src := 0; src < g.Nodes(); src++ {
-		req := injectReq(src, (src+7)%g.Nodes())
-		if req.Src == req.Dst {
-			continue
+	// Fault-free, then with node 7 failed under the running canary: a
+	// fault event must reach the candidate's engines too.
+	for _, failed := range []bool{false, true} {
+		if failed {
+			f := fault.NewSet()
+			f.FailNode(7)
+			r.UpdateFaults(f)
 		}
-		if _, _, err := r.Decide(&req, nil); err != nil {
-			t.Fatal(err)
+		for src := 0; src < g.Nodes(); src++ {
+			for dst := 0; dst < g.Nodes(); dst++ {
+				if src == dst {
+					continue
+				}
+				req := injectReq(src, dst)
+				if _, _, err := r.Decide(&req, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
 	st := r.Canary()
@@ -279,7 +289,7 @@ func TestPromoteCarriesLiveFaults(t *testing.T) {
 func TestRegistryFaultsInvalidateCache(t *testing.T) {
 	r, g := testRegistry(t)
 	req := injectReq(6, 8)
-	ref, err := reconfig.NewEngine(buildArt(t, "nafta", 1, g), g)
+	ref, err := reconfig.NewService(buildArt(t, "nafta", 1, g), g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,8 +337,8 @@ func TestRegistryStatus(t *testing.T) {
 }
 
 // requireServes holds every injection decision r serves to the
-// decision of ref, a from-scratch engine that knows the same faults.
-func requireServes(t *testing.T, label string, r *Registry, g topology.Graph, ref routing.Algorithm) {
+// decision of ref, a from-scratch service that knows the same faults.
+func requireServes(t *testing.T, label string, r *Registry, g topology.Graph, ref *reconfig.Service) {
 	t.Helper()
 	for src := 0; src < g.Nodes(); src++ {
 		for dst := 0; dst < g.Nodes(); dst++ {
@@ -340,8 +350,10 @@ func requireServes(t *testing.T, label string, r *Registry, g topology.Graph, re
 			if err != nil {
 				t.Fatal(err)
 			}
-			hdr := routing.Header{Src: topology.NodeID(src), Dst: topology.NodeID(dst), Length: req.Length}
-			want := ref.RouteAppend(routing.Request{Node: topology.NodeID(src), InPort: routing.InjectionPort, Hdr: &hdr}, nil)
+			want, _, err := ref.Decide(&req, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !candidatesEqual(got, want) {
 				t.Fatalf("%s: %d->%d served %+v, recompute %+v", label, src, dst, got, want)
 			}
@@ -349,23 +361,23 @@ func requireServes(t *testing.T, label string, r *Registry, g topology.Graph, re
 	}
 }
 
-// nodeBackups enumerates the single-node fault classes of g.
-func nodeBackups(t *testing.T, g topology.Graph) []failover.Class {
+// recompute builds a from-scratch service from art that knows f.
+func recompute(t *testing.T, art *reconfig.Artifact, g topology.Graph, f *fault.Set) *reconfig.Service {
 	t.Helper()
-	classes, err := failover.Enumerate(g, []string{failover.KindNode})
+	ref, err := reconfig.NewService(art, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return classes
+	ref.UpdateFaults(f)
+	return ref
 }
 
-// TestFlipAfterActivationServesServingVersion activates another
-// version — by reload, by canary and promote, and by rollback — on a
-// registry built with node-class backups, then fails a covered node.
-// The fault must flip, and every decision served afterwards must equal
-// a recompute from the artifact now serving: a plane left over from an
-// earlier version would flip that version's tables back in.
-func TestFlipAfterActivationServesServingVersion(t *testing.T) {
+// TestFaultAfterActivationServesServingVersion activates another
+// version — by reload, by canary and promote, and by rollback — then
+// fails a node. Every decision served afterwards must equal a recompute
+// from the artifact now serving under that fault, and the fault must
+// leave the epoch where the activation put it.
+func TestFaultAfterActivationServesServingVersion(t *testing.T) {
 	g := topology.NewMesh(5, 4)
 	nafta := buildArt(t, "nafta", 1, g)
 	maze := buildArt(t, "maze", 2, g)
@@ -399,41 +411,37 @@ func TestFlipAfterActivationServesServingVersion(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			r, err := NewRegistry(nafta, g, RegistryOptions{Shards: 2, Backups: nodeBackups(t, g)})
+			r, err := NewRegistry(nafta, g, RegistryOptions{Shards: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := row.activate(r); err != nil {
 				t.Fatal(err)
 			}
+			epoch := r.Epoch()
 			f := fault.NewSet()
 			f.FailNode(7)
-			if !r.UpdateFaults(f) {
-				t.Fatal("covered node fault did not flip")
+			r.UpdateFaults(f)
+			if r.Epoch() != epoch {
+				t.Fatalf("the fault moved the epoch from %d to %d", epoch, r.Epoch())
 			}
-			ref, err := reconfig.NewEngine(row.serving, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref.UpdateFaults(f)
-			requireServes(t, row.name, r, g, ref)
+			requireServes(t, row.name, r, g, recompute(t, row.serving, g, f))
 		})
 	}
 }
 
-// TestFaultFlipRacesRollback races a failover flip of a covered class
-// against a rollback on one registry built with backups, round after
-// round, and then holds every served injection decision to a
-// from-scratch recompute under the final fault set. Both sides take the
-// registry lock: a rollback that goes first rebuilds the plane for the
-// version it activates, and the flip comes from that plane; a rollback
-// that goes second reloads engines that already know the flipped-in
-// fault, because the service records it in the flip's own critical
-// section.
-func TestFaultFlipRacesRollback(t *testing.T) {
+// TestFaultRacesRollback races a fault event against a rollback on one
+// registry, round after round, and then holds every served injection
+// decision to a from-scratch recompute under the round's fault set.
+// Both sides take the registry lock: a rollback that goes first
+// reloads, and the fault then recomputes on the engines it installed;
+// a rollback that goes second reloads engines that already know the
+// fault, because the service records it in the recompute's own
+// critical section.
+func TestFaultRacesRollback(t *testing.T) {
 	g := topology.NewMesh(5, 4)
 	art := buildArt(t, "nafta", 1, g)
-	r, err := NewRegistry(art, g, RegistryOptions{Shards: 2, Backups: nodeBackups(t, g)})
+	r, err := NewRegistry(art, g, RegistryOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,10 +453,6 @@ func TestFaultFlipRacesRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := r.Promote(); err != nil {
-		t.Fatal(err)
-	}
-	eb, err := reconfig.NewEngineBuilder(art, g)
-	if err != nil {
 		t.Fatal(err)
 	}
 	rounds := 200
@@ -466,11 +470,7 @@ func TestFaultFlipRacesRollback(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			// The previous round failed another node, and every
-			// rollback rebuilds the plane, so this class is unused.
-			if !r.UpdateFaults(f) {
-				t.Error("covered class did not flip")
-			}
+			r.UpdateFaults(f)
 		}()
 		go func() {
 			defer wg.Done()
@@ -485,11 +485,6 @@ func TestFaultFlipRacesRollback(t *testing.T) {
 		close(start)
 		wg.Wait()
 
-		ref, err := eb.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref.UpdateFaults(f)
-		requireServes(t, fmt.Sprintf("round %d (node %d failed)", round, node), r, g, ref)
+		requireServes(t, fmt.Sprintf("round %d (node %d failed)", round, node), r, g, recompute(t, art, g, f))
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/failover"
 	"repro/internal/fault"
 	"repro/internal/reconfig"
 	"repro/internal/routing"
@@ -60,10 +59,10 @@ type Server struct {
 	misdirected atomic.Int64
 }
 
-// NewServer builds a replica serving art on g. With backup classes,
-// the registry precompiles a failover plane for every version it
-// serves, and /fault flips a covered class in.
-func NewServer(art *reconfig.Artifact, backups []failover.Class, g topology.Graph, opts Options) (*Server, error) {
+// NewServer builds a replica serving art on g. The second parameter
+// is a placeholder that only nil fills (compatibility block, see
+// compat.go).
+func NewServer(art *reconfig.Artifact, _ NoBackups, g topology.Graph, opts Options) (*Server, error) {
 	if opts.Shard == (ShardInfo{}) {
 		opts.Shard = Single
 	}
@@ -73,7 +72,7 @@ func NewServer(art *reconfig.Artifact, backups []failover.Class, g topology.Grap
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 4096
 	}
-	reg, err := NewRegistry(art, g, RegistryOptions{Shards: opts.Shards, Backups: backups})
+	reg, err := NewRegistry(art, g, RegistryOptions{Shards: opts.Shards})
 	if err != nil {
 		return nil, err
 	}
@@ -100,10 +99,6 @@ func (s *Server) Graph() topology.Graph { return s.g }
 
 // Shard returns the replica's topology shard.
 func (s *Server) Shard() ShardInfo { return s.shard }
-
-// Plane returns the serving version's failover plane, nil without
-// backups.
-func (s *Server) Plane() *failover.Plane { return s.reg.Plane() }
 
 // Mux builds the replica's HTTP surface.
 func (s *Server) Mux() *http.ServeMux {
@@ -422,9 +417,9 @@ func (fr *FaultRequest) Set(g topology.Graph) (*fault.Set, error) {
 	return f, nil
 }
 
-// handleFault applies a cumulative fault state through the registry: a
-// class the serving version's plane covers is an atomic backup flip,
-// anything else a live recompute.
+// handleFault applies a cumulative fault state through the registry
+// (the live recompute on every engine that decides) and answers with
+// the serving epoch, which a fault does not move.
 func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 	var req FaultRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
@@ -436,20 +431,19 @@ func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, err.Error(), nil)
 		return
 	}
-	flipped := s.reg.UpdateFaults(f)
-	writeJSON(w, map[string]any{"flipped": flipped, "epoch": s.reg.Epoch()})
+	s.reg.UpdateFaults(f)
+	writeJSON(w, map[string]any{"epoch": s.reg.Epoch()})
 }
 
 // MetricsDoc is the /metrics document: the decision-service snapshot
-// plus the fleet layers (registry, shard) and the failover plane when
-// attached. Cache is always nil (compatibility block, see compat.go).
+// plus the fleet layers (registry, shard). Cache is always nil
+// (compatibility block, see compat.go).
 type MetricsDoc struct {
 	reconfig.MetricsSnapshot
-	Shard       ShardInfo              `json:"shard"`
-	Misdirected int64                  `json:"misdirected"`
-	Cache       *CacheMetrics          `json:"cache,omitempty"`
-	Registry    *RegistryStatus        `json:"registry,omitempty"`
-	Failover    *failover.PlaneMetrics `json:"failover,omitempty"`
+	Shard       ShardInfo       `json:"shard"`
+	Misdirected int64           `json:"misdirected"`
+	Cache       *CacheMetrics   `json:"cache,omitempty"`
+	Registry    *RegistryStatus `json:"registry,omitempty"`
 }
 
 // Metrics snapshots the replica's full metrics document.
@@ -461,10 +455,6 @@ func (s *Server) Metrics() MetricsDoc {
 	}
 	st := s.reg.Status()
 	doc.Registry = &st
-	if p := s.Plane(); p != nil {
-		pm := p.Metrics()
-		doc.Failover = &pm
-	}
 	return doc
 }
 

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/failover"
 	"repro/internal/reconfig"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -286,89 +285,73 @@ func TestTopologyForMaze(t *testing.T) {
 // workers stream JSON /decide/batch load: every fault-free injection
 // decision must succeed, be routable and equal a recompute from the
 // served program, the epoch must advance, and the service must have
-// decided every issued request. The backups row serves with node-class
-// backups, so the reload also rebuilds the failover plane.
+// decided every issued request.
 func TestReloadUnderBatchLoad(t *testing.T) {
 	g := topology.NewMesh(5, 4)
 	art := buildArt(t, "nafta", 1, g)
 	next := *art
 	next.Epoch = 2
 	payload := encodeArt(t, &next)
-	nodeClasses, err := failover.Enumerate(g, []string{failover.KindNode})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range []struct {
-		name    string
-		backups []failover.Class
-	}{{"artifact", nil}, {"backups", nodeClasses}} {
-		t.Run(row.name, func(t *testing.T) {
-			srv, err := NewServer(art, row.backups, g, Options{Shards: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := srv.Plane()
-			ts := httptest.NewServer(srv.Mux())
-			defer ts.Close()
-			const workers, batches, size = 4, 8, 32
-			const total = workers * batches * size
-			startEpoch := srv.Service().Epoch()
-			var (
-				issued atomic.Int64
-				reload sync.Once
-				wg     sync.WaitGroup
-			)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(w)))
-					for b := 0; b < batches; b++ {
-						reqs := make([]reconfig.DecisionRequest, size)
-						for i := range reqs {
-							src := rng.Intn(g.Nodes())
-							reqs[i] = injectReq(src, (src+1+rng.Intn(g.Nodes()-1))%g.Nodes())
-						}
-						if err := postBatch(ts, reqs); err != nil {
-							t.Error(err)
-							return
-						}
-						if issued.Add(size) >= total/2 {
-							reload.Do(func() {
-								resp, err := http.Post(ts.URL+"/reload", "application/octet-stream", bytes.NewReader(payload))
-								if err != nil {
-									t.Error(err)
-									return
-								}
-								resp.Body.Close()
-								if resp.StatusCode != http.StatusOK {
-									t.Errorf("hot reload: %s", resp.Status)
-								}
-							})
-						}
+	t.Run("artifact", func(t *testing.T) {
+		srv, err := NewServer(art, nil, g, Options{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Mux())
+		defer ts.Close()
+		const workers, batches, size = 4, 8, 32
+		const total = workers * batches * size
+		startEpoch := srv.Service().Epoch()
+		var (
+			issued atomic.Int64
+			reload sync.Once
+			wg     sync.WaitGroup
+		)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w)))
+				for b := 0; b < batches; b++ {
+					reqs := make([]reconfig.DecisionRequest, size)
+					for i := range reqs {
+						src := rng.Intn(g.Nodes())
+						reqs[i] = injectReq(src, (src+1+rng.Intn(g.Nodes()-1))%g.Nodes())
 					}
-				}()
-			}
-			wg.Wait()
-			if t.Failed() {
-				return
-			}
-			m := srv.Service().Metrics()
-			switch {
-			case m.Failed != 0 || m.Unroutable != 0:
-				t.Fatalf("%d failed, %d unroutable decisions under a fault-free table", m.Failed, m.Unroutable)
-			case m.Epoch <= startEpoch:
-				t.Fatalf("epoch did not advance across the reload (still %d)", m.Epoch)
-			case m.Decisions != total:
-				t.Fatalf("issued %d decisions, the service decided %d", total, m.Decisions)
-			}
-			if row.backups != nil {
-				if p := srv.Plane(); p == nil || p == before || p.Flips() != 0 || p.CoveredClasses() != g.Nodes() {
-					t.Fatal("reload did not rebuild a fresh plane covering every node class")
+					if err := postBatch(ts, reqs); err != nil {
+						t.Error(err)
+						return
+					}
+					if issued.Add(size) >= total/2 {
+						reload.Do(func() {
+							resp, err := http.Post(ts.URL+"/reload", "application/octet-stream", bytes.NewReader(payload))
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							resp.Body.Close()
+							if resp.StatusCode != http.StatusOK {
+								t.Errorf("hot reload: %s", resp.Status)
+							}
+						})
+					}
 				}
-			}
-		})
-	}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		m := srv.Service().Metrics()
+		switch {
+		case m.Failed != 0 || m.Unroutable != 0:
+			t.Fatalf("%d failed, %d unroutable decisions under a fault-free table", m.Failed, m.Unroutable)
+		case m.Epoch <= startEpoch:
+			t.Fatalf("epoch did not advance across the reload (still %d)", m.Epoch)
+		case m.Decisions != total:
+			t.Fatalf("issued %d decisions, the service decided %d", total, m.Decisions)
+		}
+	})
 }
 
 // postBatch sends one JSON /decide/batch and requires an answer per

@@ -196,19 +196,8 @@ func (n *Network) ApplyFaults(f *fault.Set) {
 	// every active-set membership from scratch (cold path).
 	n.rebuildActiveSets()
 
-	// 5. Diagnosis phase: propagate the new fault state to a fixpoint —
-	// or, when a failover plane is attached, let it resolve the fault:
-	// a covered class flips a precompiled engine in (the fixpoint ran
-	// when the plane was built), an uncovered one falls back to the same
-	// live recompute this branch would run.
-	if n.cfg.Failover != nil {
-		if n.cfg.Failover.OnFault(f) && n.rec != nil {
-			n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KFailoverFlip,
-				Node: -1, Msg: -1, Port: -1, VC: -1})
-		}
-	} else {
-		n.alg.UpdateFaults(f)
-	}
+	// 5. Diagnosis phase: propagate the new fault state to a fixpoint.
+	n.alg.UpdateFaults(f)
 	if n.rec != nil {
 		n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KFaultPropagated,
 			Node: -1, Msg: -1, Port: -1, VC: -1, Arg: int32(len(killed))})

@@ -50,14 +50,6 @@ type Config struct {
 	// packet: a packet older than this triggers the livelock
 	// post-mortem. Checked every livelockCheckInterval cycles.
 	LivelockAgeCycles int64
-	// Failover, when non-nil, owns the diagnosis phase of ApplyFaults:
-	// instead of running the algorithm's live fault fixpoint, the
-	// network hands the cumulative fault set to the handler, which
-	// either flips a precompiled backup engine in (returns true) or
-	// performs the recompute itself (returns false). The handler must
-	// wrap the same engine instance the network routes on (the failover
-	// plane bound to the network's reconfig swapper does exactly that).
-	Failover FaultHandler
 
 	// Compatibility block: Workers, ParallelActive and Close are kept for
 	// bench/, which this PR may not edit; remove together with

@@ -3,7 +3,6 @@ package network
 import (
 	"fmt"
 
-	"repro/internal/fault"
 	"repro/internal/routing"
 	"repro/internal/trace"
 )
@@ -26,16 +25,6 @@ type epochSource interface {
 type hotSwapper interface {
 	Swap(next routing.Algorithm, force bool) (oldEpoch, newEpoch uint64, err error)
 	OnEpochRetired(func(epoch uint64))
-}
-
-// FaultHandler is the failover decision plane's hook into ApplyFaults
-// (structurally typed for the same reason as the interfaces above:
-// internal/failover imports reconfig, which sits above this package).
-// OnFault receives the new cumulative fault set after the network's
-// worm surgery and reports whether it installed a precompiled backup
-// engine (true = atomic flip, false = it ran the live recompute).
-type FaultHandler interface {
-	OnFault(f *fault.Set) bool
 }
 
 // attachEngine wires an algorithm into the network: the network as

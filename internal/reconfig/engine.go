@@ -28,33 +28,6 @@ const (
 // (core.LoadConfig re-derives the index layout and refuses any
 // mismatch).
 func NewEngine(art *Artifact, g topology.Graph) (routing.Algorithm, error) {
-	b, err := NewEngineBuilder(art, g)
-	if err != nil {
-		return nil, err
-	}
-	return b.Build()
-}
-
-// EngineBuilder amortises the expensive parts of NewEngine — program
-// re-analysis and decision-table deserialization — across many engine
-// constructions from the same artifact. The failover plane builds one
-// engine per anticipated fault class; re-running the analysis per
-// class would dominate plane build time. Engines built by one builder
-// share the analysed program and the deserialized tables read-only,
-// so two engines of the same builder must not decide concurrently —
-// build one builder per concurrent lane, exactly as the Service
-// builds one engine per shard.
-type EngineBuilder struct {
-	art    *Artifact
-	g      topology.Graph
-	prog   *rulesets.Program
-	tables map[string]*core.CompiledBase
-}
-
-// NewEngineBuilder validates the artifact against topology g,
-// re-analyses the embedded rule program and deserializes the decision
-// tables once, ready to stamp out engines.
-func NewEngineBuilder(art *Artifact, g topology.Graph) (*EngineBuilder, error) {
 	if err := art.Validate(); err != nil {
 		return nil, err
 	}
@@ -90,22 +63,13 @@ func NewEngineBuilder(art *Artifact, g topology.Graph) (*EngineBuilder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &EngineBuilder{art: art, g: g, prog: prog, tables: tables}, nil
-}
-
-// Build constructs one engine over the builder's shared program and
-// tables (the adapter's dense compilation and scratch state are still
-// per-engine).
-func (b *EngineBuilder) Build() (routing.Algorithm, error) {
-	switch b.art.Algorithm {
+	switch art.Algorithm {
 	case "nafta":
-		return rulesets.NewRuleNAFTAFromProgram(b.g.(*topology.Mesh), b.prog, b.tables)
+		return rulesets.NewRuleNAFTAFromProgram(g.(*topology.Mesh), prog, tables)
 	case "routec":
-		return rulesets.NewRuleRouteCFromProgram(b.g.(*topology.Hypercube), b.prog, b.tables)
-	case "maze":
-		return rulesets.NewRuleMazeFromProgram(b.g, b.prog, b.tables)
+		return rulesets.NewRuleRouteCFromProgram(g.(*topology.Hypercube), prog, tables)
 	}
-	return nil, fmt.Errorf("reconfig: unknown algorithm %q", b.art.Algorithm)
+	return rulesets.NewRuleMazeFromProgram(g, prog, tables)
 }
 
 // bindTables loads every serialized decision table against the

@@ -71,10 +71,9 @@ type Service struct {
 	shards []*shard
 	rr     atomic.Uint64
 
-	// reloadMu serializes Reload, Install and UpdateFaults against each
-	// other and guards faults, the cumulative fault state every engine
-	// the service installs already knows; decisions only take shard
-	// locks.
+	// reloadMu serializes Reload and UpdateFaults against each other
+	// and guards faults, the cumulative fault state every engine the
+	// service serves already knows; decisions only take shard locks.
 	reloadMu sync.Mutex
 	faults   *fault.Set
 	epoch    atomic.Uint64
@@ -180,7 +179,7 @@ type Emit func(i int, cands []routing.Candidate, epoch uint64, err error)
 // DecideBatch decides reqs in order on one shard: one round-robin
 // pick, one lock, one clock pair, and one add per counter for the
 // whole call, so the whole batch is answered under one engine state —
-// a Reload, Install or UpdateFaults lands before it or after it, never
+// a Reload or UpdateFaults lands before it or after it, never
 // between two of its decisions. Each request is validated as Decide
 // always has (same error texts), and its answer goes to emit at once.
 // The candidates are appended to buf, which is reused for every
@@ -297,62 +296,36 @@ func (s *Service) Reload(art *Artifact) (uint64, error) {
 	if art.Epoch > newEpoch {
 		newEpoch = art.Epoch
 	}
-	s.flip(engines, newEpoch)
-	s.reloads.Add(1)
-	s.noteArtifact(art)
-	return newEpoch, nil
-}
-
-// flip exchanges every shard's engine for engines[i] under the shard
-// lock, retires the old engines' dense tables and publishes epoch. The
-// caller holds reloadMu and has checked len(engines).
-func (s *Service) flip(engines []routing.Algorithm, epoch uint64) {
 	for i, sh := range s.shards {
 		sh.mu.Lock()
 		old := sh.eng
 		sh.eng = engines[i]
-		sh.epoch = epoch
+		sh.epoch = newEpoch
 		sh.mu.Unlock()
 		if inv, ok := old.(tableInvalidator); ok {
 			inv.InvalidateTables()
 		}
 	}
-	s.epoch.Store(epoch)
+	s.epoch.Store(newEpoch)
+	s.reloads.Add(1)
+	s.noteArtifact(art)
+	return newEpoch, nil
 }
 
-// Install atomically flips every shard to prebuilt engines that
-// already carry the post-fault state for f — the failover fast path
-// behind routerd's /fault endpoint. Unlike Reload, nothing is
-// compiled, deserialized or replayed here: the engines were
-// constructed when the failover plane was built, so the per-shard
-// critical section is a pointer exchange. f is recorded in the same
-// critical section, so a Reload racing the flip either precedes it or
-// builds engines that know f. len(engines) must equal Lanes(). The
-// epoch advances by one and the old engines' dense tables are
-// invalidated.
-func (s *Service) Install(engines []routing.Algorithm, f *fault.Set) error {
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	if len(engines) != len(s.shards) {
-		return fmt.Errorf("reconfig: %d engines for %d shards", len(engines), len(s.shards))
-	}
-	s.faults = cloneFaults(f)
-	s.flip(engines, s.epoch.Load()+1)
-	return nil
-}
-
-// UpdateFaults records the cumulative fault set f and runs the
-// live-recompute fallback on every shard engine: the diagnosis
-// fixpoint for f, serialized per shard so decisions in flight finish
-// first. This is the slow path the failover plane measures against for
-// uncovered fault classes.
+// UpdateFaults records a copy of the cumulative fault set f and runs
+// the diagnosis fixpoint for it on every shard engine, one shard at a
+// time under its lock, so decisions in flight on a shard finish first
+// and a batch never sees two fault states. The engines get the
+// recorded copy, never f itself: an engine keeps the set it is given,
+// and the caller may go on changing f. This is the one way a fault
+// reaches the service's engines.
 func (s *Service) UpdateFaults(f *fault.Set) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	s.faults = cloneFaults(f)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.eng.UpdateFaults(f)
+		sh.eng.UpdateFaults(s.faults)
 		sh.mu.Unlock()
 	}
 }
@@ -374,8 +347,8 @@ func cloneFaults(f *fault.Set) *fault.Set {
 	return f.Clone()
 }
 
-// Lanes returns the number of engine replicas: an Install takes one
-// engine per shard.
+// Lanes returns the number of engine replicas (shards) the service
+// decides on.
 func (s *Service) Lanes() int { return len(s.shards) }
 
 // Metrics returns a consistent-enough snapshot of the service

@@ -307,30 +307,16 @@ func TestServiceConcurrentDecideAndMetrics(t *testing.T) {
 	}
 }
 
-// Every way the service installs or updates an engine must leave the
+// Every way the service updates or replaces its engines must leave the
 // NAFTA engines' per-node fact records matching the fault state they
 // serve (rulesets.RuleNAFTA.CheckFacts): the live recompute, a reload
 // whose fresh engines get the recorded fault state before any shard
-// sees them, a failover-style install of prebuilt engines, and the
-// fault-clearing recompute. The shard engines are reachable only from
-// inside this package, which is why this twin of the campaign's
-// nafta_facts_test lives here.
+// sees them, and the fault-clearing recompute. The shard engines are
+// reachable only from inside this package, which is why this twin of
+// the campaign's nafta_facts_test lives here.
 func TestServiceInstallsKeepNAFTAFactsFresh(t *testing.T) {
 	svc, art, m := newTestService(t, 2)
-	probe := routing.Request{Node: 0, InPort: routing.InjectionPort, Hdr: &routing.Header{Dst: 7, Length: 4}}
-	check := func(when string, wantFaults bool) {
-		t.Helper()
-		for i, sh := range svc.shards {
-			eng := sh.eng.(*rulesets.RuleNAFTA)
-			if err := eng.CheckFacts(); err != nil {
-				t.Fatalf("%s: shard %d: %v", when, i, err)
-			}
-			// One interpretation step is the fault-free decision.
-			if steps := eng.Steps(probe); (steps > 1) != wantFaults {
-				t.Fatalf("%s: shard %d decides in %d steps, engine knows faults = %v, want %v", when, i, steps, steps > 1, wantFaults)
-			}
-		}
-	}
+	check := checkShardFacts(t, svc)
 	check("fresh service", false)
 	f := fault.NewSet()
 	f.FailNode(m.Node(2, 2))
@@ -353,36 +339,45 @@ func TestServiceInstallsKeepNAFTAFactsFresh(t *testing.T) {
 	}
 	check("Reload (recorded faults applied before the flip)", true)
 
-	f2 := f.Clone()
-	f2.FailNode(m.Node(1, 0))
-	engines := make([]routing.Algorithm, svc.Lanes())
-	for i := range engines {
-		eng, err := NewEngine(art, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.UpdateFaults(f2)
-		engines[i] = eng
-	}
-	if err := svc.Install(engines[:1], f2); err == nil {
-		t.Fatal("Install accepted one engine for two shards")
-	}
-	if err := svc.Install(engines, f2); err != nil {
-		t.Fatal(err)
-	}
-	check("Install", true)
-	if !svc.Faults().NodeFaulty(m.Node(1, 0)) {
-		t.Fatal("Install did not record the flipped-in fault set")
-	}
-	if _, err := svc.Reload(&next); err != nil {
-		t.Fatal(err)
-	}
-	check("Reload after Install", true)
-
 	svc.UpdateFaults(fault.NewSet())
 	check("UpdateFaults clearing every fault", false)
 	if _, err := svc.Reload(&next); err != nil {
 		t.Fatal(err)
 	}
 	check("Reload after clearing", false)
+}
+
+// The shard engines must get the service's own copy of the fault set,
+// not the caller's: an engine keeps the set it was given, so a caller
+// that changes its set after UpdateFaults would otherwise change what
+// the engines see without the recompute that keeps their fact records
+// in step with it.
+func TestServiceUpdateFaultsDoesNotAliasCallerSet(t *testing.T) {
+	svc, _, m := newTestService(t, 2)
+	check := checkShardFacts(t, svc)
+	f := fault.NewSet()
+	f.FailNode(m.Node(2, 2))
+	svc.UpdateFaults(f)
+	check("UpdateFaults", true)
+	f.FailNode(m.Node(4, 4))
+	check("caller failed another node in its own set", true)
+}
+
+// checkShardFacts returns a check that holds every shard engine's fact
+// records to its fault set and whether the engine knows any fault.
+func checkShardFacts(t *testing.T, svc *Service) func(when string, wantFaults bool) {
+	probe := routing.Request{Node: 0, InPort: routing.InjectionPort, Hdr: &routing.Header{Dst: 7, Length: 4}}
+	return func(when string, wantFaults bool) {
+		t.Helper()
+		for i, sh := range svc.shards {
+			eng := sh.eng.(*rulesets.RuleNAFTA)
+			if err := eng.CheckFacts(); err != nil {
+				t.Fatalf("%s: shard %d: %v", when, i, err)
+			}
+			// One interpretation step is the fault-free decision.
+			if steps := eng.Steps(probe); (steps > 1) != wantFaults {
+				t.Fatalf("%s: shard %d decides in %d steps, engine knows faults = %v, want %v", when, i, steps, steps > 1, wantFaults)
+			}
+		}
+	}
 }

@@ -131,54 +131,6 @@ func (s *Swapper) Swap(next routing.Algorithm, force bool) (oldEpoch, newEpoch u
 	if s.faults != nil {
 		next.UpdateFaults(s.faults)
 	}
-	oldEpoch, newEpoch = s.install(cur, next)
-	return oldEpoch, newEpoch, nil
-}
-
-// Install makes a prebuilt engine that already carries the post-fault
-// distributed state for fault set f current — the failover fast path.
-// Unlike Swap, the incoming engine is NOT replayed with UpdateFaults:
-// skipping the diagnosis fixpoint at fault time is the whole point of
-// a precompiled backup (the plane ran the fixpoint when it was
-// built). f becomes the recorded fault state, old live generations
-// still serving pinned worms are updated synchronously — their worms
-// must route around the new faults too — while generations without
-// pinned worms retire untouched. The deadlock-regime gate applies
-// unchanged; a precompiled backup of an incompatible regime is always
-// refused (there is no force path: failover happens under live
-// traffic). The simulator decides single-threaded per network, so
-// engines holds exactly one engine (Lanes).
-func (s *Swapper) Install(engines []routing.Algorithm, f *fault.Set) error {
-	if len(engines) != 1 {
-		return fmt.Errorf("reconfig: %d engines for a one-lane swapper", len(engines))
-	}
-	next := engines[0]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.cur.Load()
-	if or, nr := routing.RegimeOf(cur.alg), routing.RegimeOf(next); or != nr {
-		return fmt.Errorf(
-			"reconfig: %w: %s runs %q, precompiled backup %s runs %q",
-			ErrRegimeMismatch, cur.alg.Name(), or, next.Name(), nr)
-	}
-	s.faults = f
-	for _, e := range s.live {
-		if e.pinned.Load() > 0 {
-			e.alg.UpdateFaults(f)
-		}
-	}
-	s.install(cur, next)
-	return nil
-}
-
-// Lanes is 1: Install takes one engine.
-func (s *Swapper) Lanes() int { return 1 }
-
-// install makes next, whose fault state the caller has settled, the
-// current engine one epoch after cur: it gets the attached load view
-// before it becomes visible, and cur retires at once when no worm is
-// pinned to it. s.mu must be held.
-func (s *Swapper) install(cur *epochEngine, next routing.Algorithm) (oldEpoch, newEpoch uint64) {
 	if s.loads != nil {
 		next.AttachLoads(s.loads)
 	}
@@ -192,7 +144,7 @@ func (s *Swapper) install(cur *epochEngine, next routing.Algorithm) (oldEpoch, n
 	if cur.pinned.Load() == 0 {
 		s.retireLocked(cur)
 	}
-	return cur.epoch, ne.epoch
+	return cur.epoch, ne.epoch, nil
 }
 
 // retireLocked removes a quiesced epoch; s.mu must be held.

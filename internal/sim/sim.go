@@ -77,13 +77,6 @@ type Config struct {
 	// audits) on the final network state.
 	OnNetwork func(*network.Network)
 
-	// Failover forwards network.Config.Failover: a decision plane that
-	// resolves fault events by flipping precompiled backup engines in
-	// (or running the live recompute itself for uncovered classes). It
-	// is attached before the initial faults are applied, so a covered
-	// initial fault set flips at cycle 0.
-	Failover network.FaultHandler
-
 	// Reconfigs, when non-empty, hot-swaps the decision engine
 	// mid-run: at each event's cycle (from simulation start, warm-up
 	// included) the engine built by Make replaces the running one via
@@ -179,7 +172,6 @@ func Run(cfg Config) (Result, error) {
 		FavorMarked:           cfg.FavorMarked,
 		Recorder:              cfg.Recorder,
 		LivelockAgeCycles:     cfg.LivelockAgeCycles,
-		Failover:              cfg.Failover,
 		OnPostMortem:          func(r *trace.Report) { postMortem = r },
 	})
 	f := cfg.Faults

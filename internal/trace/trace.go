@@ -88,9 +88,6 @@ const (
 	// the network and the epoch's engine was retired (Arg = the
 	// retired epoch).
 	KEpochRetired
-	// KFailoverFlip: the failover plane resolved a fault by installing
-	// a precompiled backup engine instead of a live recompute.
-	KFailoverFlip
 
 	kindCount
 )
@@ -100,7 +97,7 @@ var kindNames = [kindCount]string{
 	"vc-freed", "flit-blocked", "credit-sent", "flit-delivered",
 	"flit-dropped", "msg-killed", "fault-raised", "fault-propagated",
 	"rule-fired", "dispatch", "deadlock", "livelock",
-	"reconfig-swap", "epoch-retired", "failover-flip",
+	"reconfig-swap", "epoch-retired",
 }
 
 // String returns the stable lower-case name of the kind.
