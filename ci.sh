@@ -52,7 +52,7 @@
 #      committed snapshot to re-run the benchmarks and fail on a >20%
 #      ns/op or bytes/op regression (cmd/benchjson -baseline), e.g. the
 #      stepping engine's current baseline:
-#      BENCH_BASELINE=BENCH_2026-10-03-event-inject-alloc.json ./ci.sh
+#      BENCH_BASELINE=BENCH_2026-10-18-router-records.json ./ci.sh
 #      (BenchmarkNetworkStep, BenchmarkSimulatorThroughput,
 #      BenchmarkGeneratorTick). Set
 #      BENCH_FLEET_BASELINE=BENCH_2026-10-18-fleet-batch.json to gate

@@ -10,7 +10,7 @@
 //
 // Compare mode gates regressions against a committed snapshot:
 //
-//	go run ./cmd/benchjson -baseline BENCH_2026-10-03-event-inject-alloc.json
+//	go run ./cmd/benchjson -baseline BENCH_2026-10-18-router-records.json
 //
 // prints per-benchmark ns/op, B/op and allocs/op deltas and exits
 // non-zero when any benchmark regresses by more than -maxregress

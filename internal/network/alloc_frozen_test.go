@@ -11,7 +11,7 @@ import (
 )
 
 // Frozen copy of the VC-allocation walk as it stood before PR 23 put
-// blocked heads to sleep (vaWait): every vaSet member re-filters its
+// blocked heads to sleep (the wait mask): every vaSet member re-filters its
 // candidates every cycle. It is the reference TestAllocMatchesFrozenWalk
 // holds allocStage to; do not "modernise" it. The only additions are the
 // three counters.
@@ -32,9 +32,9 @@ func (o *oldAlloc) stage(n *Network) {
 		o.visits++
 		outBase := node * n.lay.outStride
 		free := n.freeScratch[:0]
-		for _, c := range ivc.candidates {
+		for _, c := range n.candidates(node*n.lay.inStride + slot) {
 			oi := outBase + c.Port*n.lay.vcs + c.VC
-			if n.outs[oi].free() && (!needCredit || n.credits[oi] > 0) {
+			if n.outs[oi].free() && (!needCredit || n.outs[oi].credits > 0) {
 				free = append(free, c)
 			} else if n.outs[oi].free() {
 				o.creditLess++
@@ -46,20 +46,28 @@ func (o *oldAlloc) stage(n *Network) {
 			return
 		}
 		p, v := n.lay.portVC(slot)
-		m := ivc.frontMsg()
+		m := n.frontMsg(node*n.lay.inStride + slot)
 		chosen := n.sel.Select(n, topology.NodeID(node), free, &m.Hdr)
 		n.alg.NoteHop(n.requestFor(node, p, v, m), chosen)
-		ivc.outPort, ivc.outVC = chosen.Port, chosen.VC
-		out := &n.outs[outBase+chosen.Port*n.lay.vcs+chosen.VC]
-		out.ownerInPort, out.ownerInVC = p, v
-		out.ownerMsg = m
-		out.remaining = m.Hdr.Length
+		ivc.outPort, ivc.outVC = int8(chosen.Port), int8(chosen.VC)
+		n.claimOutput(node, p*n.lay.vcs+v, chosen.Port*n.lay.vcs+chosen.VC, m)
 		n.noteInput(node, slot)
 		if n.rec != nil {
 			n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KVCAllocated,
 				Node: int32(node), Msg: m.ID, Port: int16(chosen.Port), VC: int16(chosen.VC)})
 		}
 	})
+}
+
+// waitBits counts the VA sleep bits of every router record.
+func waitBits(n *Network) int {
+	slept := 0
+	for node := 0; node < n.lay.nodes; node++ {
+		for k := 0; k < n.lay.wpn; k++ {
+			slept += bits.OnesCount64(n.rtr[n.lay.mask(kWait, node, k<<6)])
+		}
+	}
+	return slept
 }
 
 // allocCall is one observable act of the VA stage, in call order: the
@@ -188,14 +196,12 @@ func TestAllocMatchesFrozenWalk(t *testing.T) {
 			allocs += len(logs[0].calls) / 3
 			for i := range nets[0].outs {
 				a, b := &nets[0].outs[i], &nets[1].outs[i]
-				if a.ownerInPort != b.ownerInPort || a.ownerInVC != b.ownerInVC || a.remaining != b.remaining ||
+				if a.owner != b.owner || a.remaining != b.remaining ||
 					(a.ownerMsg == nil) != (b.ownerMsg == nil) || (a.ownerMsg != nil && a.ownerMsg.ID != b.ownerMsg.ID) {
 					t.Fatalf("%s cycle %d: output %d owned differently: %+v vs frozen %+v", c.name, cyc, i, *a, *b)
 				}
 			}
-			for _, w := range nets[0].vaWait {
-				slept += bits.OnesCount64(w)
-			}
+			slept += waitBits(nets[0])
 			for _, n := range nets {
 				n.applyMoves(n.switchStage())
 				n.drainStage()

@@ -2,15 +2,37 @@ package network
 
 import "math/bits"
 
-// Flat arena state + active-set stepping.
+// Router-major state + active-set stepping.
 //
-// The per-router pointer graph ([]*router -> [][]inputVC) is replaced
-// by network-owned contiguous arenas indexed by precomputed strides: a
-// pipeline stage walks cache-line-adjacent structs instead of chasing
-// three levels of pointers. On top of the arenas, four incrementally
-// maintained active sets track exactly the (node, port, VC) slots with
-// live work per stage, so an idle VC costs nothing rather than a scan —
-// per-cycle cost follows in-flight work, not topology size.
+// Per-router state lives in three kinds of record, each sized so that a
+// flit hop touches few cache lines (DESIGN.md §7.1 counts them against
+// the per-field arenas they replaced):
+//
+//   - the slot record (inputVC, Network.ins, one 64-byte line per input
+//     VC): flit ring, route and allocation state, the upstream output;
+//   - the output record (outputVC, Network.outs, 32 bytes per output
+//     VC): owner, remaining, credits, the downstream slot, flits sent;
+//   - the router record (Network.rtr, a whole number of lines per node,
+//     laid out by layout): first what a hop reads — the sa and ready
+//     masks, the credit mask, the member counts and the round-robin
+//     pointers — then the route, va, drain and wait masks and the
+//     owned-output mask.
+//
+// A body flit moving X -> Y, its credit going back to U, touches X's
+// router record (one line on a mesh, two on the cube8 ROUTE_C layout),
+// X's slot and output records, Y's slot record and the first line of
+// Y's router record, U's output record and — only when that credit is
+// U's first — the first line of U's: at most eight lines
+// (TestHopRecordsFitLines). Flits are message-table indices with
+// head/tail bits (flit), so a ring holds no pointer and a body flit
+// never loads its Message.
+//
+// On top of the records, four incrementally maintained active sets
+// track exactly the (node, port, VC) slots with live work per stage, so
+// an idle VC costs nothing rather than a scan — per-cycle cost follows
+// in-flight work, not topology size. Their mask words are the router
+// record's; a node-level summary bitset per set says which routers have
+// members.
 //
 // Membership is derived state. Every mutation of an input VC's
 // stage-relevant fields funnels through noteInput, which re-evaluates
@@ -24,15 +46,17 @@ import "math/bits"
 //   ready: sa && credits[allocated output] > 0        (may be nominated)
 //   wait:  va && every candidate's output VC is owned (asleep in VA)
 //
-// ready is the credit-enables-request wire: bare mask words indexed like
-// saSet.words, which also follow the credit counter — cleared when
-// applyMoves takes an output's last credit, re-armed by creditArrived.
-// wait (vaWait, indexed like vaSet.words) is set by the VA attempt that
-// found nothing unowned and cleared for the whole node when one of its
-// output VCs is released (the tail pop; fault surgery rebuilds). That is
-// exact: a sleeper's candidates are fixed until it is routed again, they
-// are all outputs of its own node, and allocation only takes outputs
-// away, so only a release at this node can change its attempt's result.
+// ready is the credit-enables-request wire: mask words beside sa's,
+// which also follow the credit counter — cleared when applyMoves takes
+// an output's last credit, re-armed by creditArrived. The credit mask
+// (one bit per output VC: credits > 0) is what noteInput and VA read,
+// so noting a slot never loads an output record. wait is set by the VA
+// attempt that found nothing unowned and cleared for the whole node
+// when one of its output VCs is released (the tail pop; fault surgery
+// re-notes). That is exact: a sleeper's candidates are fixed until it
+// is routed again, they are all outputs of its own node, and allocation
+// only takes outputs away, so only a release at this node can change
+// its attempt's result.
 //
 // The decisionReady gate is deliberately NOT part of the predicates —
 // it is time-dependent, and stages check it live (a delayed decision
@@ -48,10 +72,25 @@ import "math/bits"
 // but never adds to the set being iterated; that property keeps the
 // snapshot iteration exact.
 
+// Slot-indexed masks of a router record (each wpn words); the first
+// four are the stage sets, which also keep a count.
+const (
+	kRoute = iota
+	kVA
+	kSA
+	kDrain
+	kReady
+	kWait
+	slotMasks
+)
+
+// lineWords is the 64-bit words in a cache line.
+const lineWords = 8
+
 // layout precomputes the arena strides of a network: input VCs are
 // indexed node*inStride + port*vcs + vc with port Ports() being the
 // injection pseudo-port; output VCs node*outStride + port*vcs + vc for
-// link ports only.
+// link ports only; router records node*rStride words.
 type layout struct {
 	nodes   int
 	ports   int // link ports; the injection pseudo-port is index ports
@@ -62,6 +101,21 @@ type layout struct {
 	outStride int
 	vcMask    uint64  // low vcs bits: one port's field of a mask word
 	slotPort  []uint8 // slotPort[port*vcs+vc] = port: no stage divides
+
+	// Router record, in words, what a body flit's hop reads first: the
+	// sa and ready masks (wpn words each), the credit mask (wpo words),
+	// one word of four uint16 member counts (route, va, sa, drain), rrIn
+	// (one byte per input port) and rrOut (one uint32 per output port);
+	// then the route, va, drain and wait masks and the owned mask (wpo
+	// words). Padded to whole lines.
+	wpn, wpo int
+	maskOff  [slotMasks]int
+	credOff  int
+	cntOff   int
+	rrInOff  int
+	rrOutOff int
+	ownOff   int
+	rStride  int
 }
 
 func newLayout(nodes, ports, vcs int) layout {
@@ -79,6 +133,21 @@ func newLayout(nodes, ports, vcs int) layout {
 	for slot := range l.slotPort {
 		l.slotPort[slot] = uint8(slot / vcs)
 	}
+	l.wpn = (l.inStride + 63) / 64
+	l.wpo = (l.outStride + 63) / 64
+	l.maskOff[kSA] = 0
+	l.maskOff[kReady] = l.wpn
+	l.credOff = 2 * l.wpn
+	l.cntOff = l.credOff + l.wpo
+	l.rrInOff = l.cntOff + 1
+	l.rrOutOff = l.rrInOff + (l.inPorts+7)/8
+	off := l.rrOutOff + (ports+1)/2
+	for _, kind := range []int{kRoute, kVA, kDrain, kWait} {
+		l.maskOff[kind] = off
+		off += l.wpn
+	}
+	l.ownOff = off
+	l.rStride = (l.ownOff + l.wpo + lineWords - 1) / lineWords * lineWords
 	return l
 }
 
@@ -102,7 +171,7 @@ func (l *layout) vcField(words []uint64, base, port, rr int) uint64 {
 }
 
 // nextPort returns the lowest input port >= from with a bit set in one
-// node's mask words, or -1.
+// node's mask words (starting at words[base]), or -1.
 func (l *layout) nextPort(words []uint64, base, from int) int {
 	for bit := from * l.vcs; bit < l.inStride; bit = (bit>>6 + 1) << 6 {
 		if w := words[base+bit>>6] >> (bit & 63); w != 0 {
@@ -122,44 +191,54 @@ func (l *layout) outIdx(node, port, vc int) int {
 	return node*l.outStride + port*l.vcs + vc
 }
 
-// vcSet is a two-level bitset over (node, slot) pairs: per-node mask
-// words (wpn words each, node-owned), a node-level summary bitset and
-// a per-node member count. All operations are O(1); iteration visits
-// members in ascending (node, slot) order.
-type vcSet struct {
-	wpn      int      // mask words per node
-	words    []uint64 // nodes * wpn
-	nodeBits []uint64 // bit n set iff node n has any member
-	count    []int32  // members per node
+// mask returns the index in Network.rtr of the word of node's kind mask
+// holding slot's bit.
+func (l *layout) mask(kind, node, slot int) int {
+	return node*l.rStride + l.maskOff[kind] + slot>>6
 }
 
-func newVCSet(nodes, slots int) vcSet {
-	wpn := (slots + 63) / 64
+// vcSet is one stage's work list: its mask words in the router records
+// (wpn words per node at offset off), a member count per node (uint16
+// field shift of the count word) and a node-level summary bitset. All
+// operations are O(1); iteration visits members in ascending (node,
+// slot) order.
+type vcSet struct {
+	words    []uint64 // the router-record arena
+	stride   int      // words per router record
+	off      int      // offset of the mask in a record
+	wpn      int
+	cntOff   int
+	cntShift uint
+	nodeBits []uint64 // bit n set iff node n has any member
+}
+
+func newVCSet(rtr []uint64, l *layout, kind int) vcSet {
 	return vcSet{
-		wpn:      wpn,
-		words:    make([]uint64, nodes*wpn),
-		nodeBits: make([]uint64, (nodes+63)/64),
-		count:    make([]int32, nodes),
+		words: rtr, stride: l.rStride, off: l.maskOff[kind], wpn: l.wpn,
+		cntOff: l.cntOff, cntShift: uint(16 * kind),
+		nodeBits: make([]uint64, (l.nodes+63)/64),
 	}
 }
 
 // set makes (node, slot) a member iff member, updating the count and
 // summary bit on transitions.
 func (s *vcSet) set(node, slot int, member bool) {
-	w := &s.words[node*s.wpn+slot>>6]
+	base := node * s.stride
+	w := &s.words[base+s.off+slot>>6]
 	bit := uint64(1) << (slot & 63)
 	if member {
 		if *w&bit == 0 {
 			*w |= bit
-			if s.count[node] == 0 {
+			c := &s.words[base+s.cntOff]
+			if *c>>s.cntShift&0xFFFF == 0 {
 				s.nodeBits[node>>6] |= 1 << (node & 63)
 			}
-			s.count[node]++
+			*c += 1 << s.cntShift
 		}
 	} else if *w&bit != 0 {
 		*w &^= bit
-		s.count[node]--
-		if s.count[node] == 0 {
+		c := &s.words[base+s.cntOff]
+		if *c -= 1 << s.cntShift; *c>>s.cntShift&0xFFFF == 0 {
 			s.nodeBits[node>>6] &^= 1 << (node & 63)
 		}
 	}
@@ -167,15 +246,19 @@ func (s *vcSet) set(node, slot int, member bool) {
 
 // has reports membership of (node, slot).
 func (s *vcSet) has(node, slot int) bool {
-	return s.words[node*s.wpn+slot>>6]&(1<<(slot&63)) != 0
+	return s.words[node*s.stride+s.off+slot>>6]&(1<<(slot&63)) != 0
 }
 
-// size sums the per-node counts (peak sampling only, every 64 cycles).
+// count returns node's member count.
+func (s *vcSet) count(node int) int {
+	return int(s.words[node*s.stride+s.cntOff] >> s.cntShift & 0xFFFF)
+}
+
+// size sums the counts of the nodes with members (peak sampling only,
+// every 64 cycles).
 func (s *vcSet) size() int {
 	t := 0
-	for _, c := range s.count {
-		t += int(c)
-	}
+	s.forEachNode(func(node int) { t += s.count(node) })
 	return t
 }
 
@@ -183,20 +266,20 @@ func (s *vcSet) size() int {
 // Each summary and mask word is snapshotted before scanning, so fn may
 // remove the visited slot (or any slot of the visited node) and may add
 // members to other sets — but must not add members to THIS set.
-func (s *vcSet) forEach(fn func(node, slot int)) { s.forEachExcept(nil, fn) }
+func (s *vcSet) forEach(fn func(node, slot int)) { s.forEachExcept(-1, fn) }
 
-// forEachExcept is forEach over the members whose bit in skip (indexed
-// like words; nil skips nothing) is clear. fn may set skip bits.
-func (s *vcSet) forEachExcept(skip []uint64, fn func(node, slot int)) {
+// forEachExcept is forEach over the members whose bit in the record
+// mask at offset skip (-1 skips nothing) is clear. fn may set skip bits.
+func (s *vcSet) forEachExcept(skip int, fn func(node, slot int)) {
 	for wi, nw := range s.nodeBits {
 		for nw != 0 {
 			node := wi<<6 + bits.TrailingZeros64(nw)
 			nw &= nw - 1
-			base := node * s.wpn
+			base := node * s.stride
 			for k := 0; k < s.wpn; k++ {
-				mw := s.words[base+k]
-				if skip != nil {
-					mw &^= skip[base+k]
+				mw := s.words[base+s.off+k]
+				if skip >= 0 {
+					mw &^= s.words[base+skip+k]
 				}
 				for mw != 0 {
 					slot := k<<6 + bits.TrailingZeros64(mw)
@@ -237,6 +320,8 @@ func (s *nodeSet) set(node int, member bool) {
 	}
 }
 
+func (s *nodeSet) has(node int) bool { return s.bits[node>>6]&(1<<(node&63)) != 0 }
+
 func (s *nodeSet) size() int {
 	t := 0
 	for _, w := range s.bits {
@@ -257,54 +342,120 @@ func (s *nodeSet) forEach(fn func(node int)) {
 	}
 }
 
-// noteInput re-derives the memberships, the alloc mirror and the ready
-// bit of one input slot (slot = port*vcs + vc) from its current state.
-// Every mutation of an input VC's routed/eject/unroutable/outPort/queue
-// state must be followed by a noteInput of that slot.
+// noteInput re-derives the memberships and the ready bit of one input
+// slot (slot = port*vcs + vc) from its current state, and clears its
+// wait bit. Every mutation of an input VC's routed/eject/unroutable/
+// outPort/queue state must be followed by a noteInput of that slot.
 func (n *Network) noteInput(node, slot int) {
-	idx := node*n.lay.inStride + slot
-	ivc := &n.ins[idx]
-	qlen := ivc.q.len()
-	n.routeSet.set(node, slot, !ivc.routed && qlen > 0 && ivc.q.front().head)
-	n.vaSet.set(node, slot, ivc.routed && !ivc.eject && !ivc.unroutable && ivc.outPort < 0)
-	n.saSet.set(node, slot, ivc.outPort >= 0 && qlen > 0)
-	n.drainSet.set(node, slot, ivc.routed && (ivc.eject || ivc.unroutable) && qlen > 0)
-	n.alloc[idx] = -1
-	if ivc.outPort >= 0 {
-		n.alloc[idx] = int32(ivc.outPort*n.lay.vcs + ivc.outVC)
-	}
-	n.setReady(node, slot, ivc.outPort >= 0 && qlen > 0 && n.credits[node*n.lay.outStride+int(n.alloc[idx])] > 0)
-	n.vaWait[node*n.vaSet.wpn+slot>>6] &^= 1 << (slot & 63)
+	ivc := &n.ins[node*n.lay.inStride+slot]
+	qlen := ivc.n
+	routed := ivc.flags&vcRouted != 0
+	absorbing := ivc.flags&(vcEject|vcUnroutable) != 0
+	n.routeSet.set(node, slot, !routed && qlen > 0 && ivc.front().head())
+	n.vaSet.set(node, slot, routed && !absorbing && ivc.outPort < 0)
+	sa := ivc.outPort >= 0 && qlen > 0
+	n.saSet.set(node, slot, sa)
+	n.drainSet.set(node, slot, routed && absorbing && qlen > 0)
+	n.setReady(node, slot, sa && n.hasCredit(node, int(ivc.outPort)*n.lay.vcs+int(ivc.outVC)))
+	n.rtr[n.lay.mask(kWait, node, slot)] &^= 1 << (slot & 63)
 }
 
 // setReady sets or clears the ready bit of (node, slot).
 func (n *Network) setReady(node, slot int, on bool) {
-	w := &n.ready[node*n.saSet.wpn+slot>>6]
-	*w &^= 1 << (slot & 63)
+	setBit(&n.rtr[n.lay.mask(kReady, node, slot)], slot, on)
+}
+
+// hasCredit reports node's credit-mask bit of output slot o
+// (port*vcs+vc): the output has a free downstream buffer slot.
+func (n *Network) hasCredit(node, o int) bool {
+	return n.rtr[node*n.lay.rStride+n.lay.credOff+o>>6]&(1<<(o&63)) != 0
+}
+
+// setCredit sets or clears node's credit-mask bit of output slot o.
+func (n *Network) setCredit(node, o int, on bool) {
+	setBit(&n.rtr[node*n.lay.rStride+n.lay.credOff+o>>6], o, on)
+}
+
+func setBit(w *uint64, i int, on bool) {
+	*w &^= 1 << (i & 63)
 	if on {
-		*w |= 1 << (slot & 63)
+		*w |= 1 << (i & 63)
 	}
 }
 
-// creditArrived returns one credit to output oi of node; a 0 -> 1
-// transition re-arms the owning input if it has flits to switch.
-func (n *Network) creditArrived(node, oi int) {
-	n.credits[oi]++
-	if out := &n.outs[oi]; n.credits[oi] == 1 && out.ownerInPort >= 0 {
-		if slot := out.ownerInPort*n.lay.vcs + out.ownerInVC; n.saSet.has(node, slot) {
-			n.setReady(node, slot, true)
-		}
+// rrIn returns input port p's round-robin VC pointer at node.
+func (n *Network) rrIn(node, p int) int {
+	return int(n.rtr[node*n.lay.rStride+n.lay.rrInOff+p>>3] >> (8 * (p & 7)) & 0xFF)
+}
+
+func (n *Network) setRRIn(node, p, v int) {
+	w := &n.rtr[node*n.lay.rStride+n.lay.rrInOff+p>>3]
+	sh := 8 * uint(p&7)
+	*w = *w&^(0xFF<<sh) | uint64(v)<<sh
+}
+
+// rrOut returns output port op's grant counter at node; it counts
+// grants modulo 2^32 (an int counter would first differ after 2^32
+// grants through one port).
+func (n *Network) rrOut(node, op int) int {
+	return int(uint32(n.rtr[node*n.lay.rStride+n.lay.rrOutOff+op>>1] >> (32 * (op & 1))))
+}
+
+func (n *Network) setRROut(node, op, v int) {
+	w := &n.rtr[node*n.lay.rStride+n.lay.rrOutOff+op>>1]
+	sh := 32 * uint(op&1)
+	*w = *w&^(0xFFFFFFFF<<sh) | uint64(uint32(v))<<sh
+}
+
+// creditArrived returns one credit to output oi; a 0 -> 1 transition
+// sets the output's credit bit and re-arms the owning input if it has
+// flits to switch.
+func (n *Network) creditArrived(oi int) {
+	out := &n.outs[oi]
+	if out.credits++; out.credits != 1 {
+		return
+	}
+	node := oi / n.lay.outStride
+	n.setCredit(node, oi-node*n.lay.outStride, true)
+	if slot := int(out.owner); slot >= 0 && n.saSet.has(node, slot) {
+		n.setReady(node, slot, true)
 	}
 }
 
-// rebuildActiveSets re-derives every slot's memberships — the cold path
-// after fault surgery rewrites arbitrary VC state in place.
-func (n *Network) rebuildActiveSets() {
-	for node := 0; node < n.lay.nodes; node++ {
-		for slot := 0; slot < n.lay.inStride; slot++ {
-			n.noteInput(node, slot)
+// claimOutput makes input slot of node the owner of its output slot o
+// for message m (VA).
+func (n *Network) claimOutput(node, slot, o int, m *Message) {
+	out := &n.outs[node*n.lay.outStride+o]
+	out.owner = int16(slot)
+	out.ownerMsg = m
+	out.remaining = int32(m.Hdr.Length)
+	setBit(&n.rtr[node*n.lay.rStride+n.lay.ownOff+o>>6], o, true)
+	n.ownNodes.set(node, true)
+}
+
+// releaseOutput frees output slot o of node.
+func (n *Network) releaseOutput(node, o int) {
+	out := &n.outs[node*n.lay.outStride+o]
+	out.owner = -1
+	out.ownerMsg = nil
+	out.remaining = 0
+	base := node*n.lay.rStride + n.lay.ownOff
+	setBit(&n.rtr[base+o>>6], o, false)
+	for _, w := range n.rtr[base : base+n.lay.wpo] {
+		if w != 0 {
+			return
 		}
-		n.injNodes.set(node, len(n.injQ[node].pending()) > 0)
+	}
+	n.ownNodes.set(node, false)
+}
+
+// forEachOwned calls fn for every owned output of node, ascending.
+func (n *Network) forEachOwned(node int, fn func(o int)) {
+	base := node*n.lay.rStride + n.lay.ownOff
+	for k := 0; k < n.lay.wpo; k++ {
+		for w := n.rtr[base+k]; w != 0; w &= w - 1 {
+			fn(k<<6 + bits.TrailingZeros64(w))
+		}
 	}
 }
 
@@ -325,8 +476,8 @@ type ActiveSetPeaks struct {
 func (n *Network) Peaks() ActiveSetPeaks { return n.peaks }
 
 // samplePeaks updates the peak gauges (called from Step every 64
-// cycles; summation over the per-node counts keeps the hot path free of
-// a size counter).
+// cycles; summation over the active nodes' counts keeps the hot path
+// free of a size counter).
 func (n *Network) samplePeaks() {
 	if v := n.routeSet.size(); v > n.peaks.Route {
 		n.peaks.Route = v

@@ -26,18 +26,19 @@ import "sort"
 // lists every stuck head.
 func (n *Network) waitEdges(node, p, v int) (edges []*Message, stuck bool) {
 	lay := &n.lay
-	ivc := &n.ins[lay.inIdx(node, p, v)]
-	if !ivc.routed || ivc.eject || ivc.unroutable || ivc.q.len() == 0 {
+	i := lay.inIdx(node, p, v)
+	ivc := &n.ins[i]
+	if !ivc.routed() || ivc.eject() || ivc.unroutable() || ivc.n == 0 {
 		return nil, false
 	}
 	me := ivc.curMsg
 	if ivc.outPort < 0 {
 		needCredit := n.alg.AllocNeedsCredit()
-		for _, c := range ivc.candidates {
+		for _, c := range n.candidates(i) {
 			oi := lay.outIdx(node, c.Port, c.VC)
 			out := &n.outs[oi]
 			if out.free() {
-				if !needCredit || n.credits[oi] > 0 {
+				if !needCredit || out.credits > 0 {
 					// A claimable candidate: not stuck (merely waiting
 					// for switch allocation).
 					return nil, false
@@ -56,12 +57,12 @@ func (n *Network) waitEdges(node, p, v int) (edges []*Message, stuck bool) {
 		}
 		return edges, true
 	}
-	if n.credits[lay.outIdx(node, ivc.outPort, ivc.outVC)] > 0 {
+	if n.outs[lay.outIdx(node, int(ivc.outPort), int(ivc.outVC))].credits > 0 {
 		return nil, false
 	}
 	// Blocked on a full downstream buffer: wait on the worm at its
 	// front.
-	front := n.downstreamFront(node, ivc.outPort, ivc.outVC)
+	front := n.downstreamFront(node, int(ivc.outPort), int(ivc.outVC))
 	if front == me {
 		// Blocked behind our own worm: pipeline backpressure, not a
 		// deadlock by itself (the head has its own entry downstream).
@@ -81,7 +82,7 @@ func (n *Network) downstreamFront(node, port, vc int) *Message {
 	if end == noLink {
 		return nil
 	}
-	return n.ins[n.lay.inIdx(end.node(), end.port(), vc)].frontMsg()
+	return n.frontMsg(n.lay.inIdx(end.node(), end.port(), vc))
 }
 
 // FindDeadlockCycle searches the wait-for graph for a cycle of stuck

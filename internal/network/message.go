@@ -88,6 +88,9 @@ type Message struct {
 	// flits are backed out of Stats.FlitsDelivered (killed messages are
 	// excluded from the statistics wholesale, assumption iv).
 	flitsEjected int
+	// idx is the message's slot in Network.msgs while it is in the
+	// network, which is what its flits name.
+	idx int32
 }
 
 // Latency returns the total queue+network latency in cycles, or -1 if
@@ -108,10 +111,18 @@ func (m *Message) NetworkLatency() int64 {
 	return m.DoneTime - m.StartTime
 }
 
-// flit is one flow-control unit in a buffer. Only the identity of the
-// owning message and the head/tail role matter for the simulation.
-type flit struct {
-	msg  *Message
-	head bool
-	tail bool
-}
+// flit is one flow-control unit in a buffer: the message-table index
+// of its message (Network.msgs) above the head and tail bits. A buffer
+// holds no pointer, so a VC ring stays four bytes a flit.
+type flit uint32
+
+const (
+	flitTail flit = 1 << iota
+	flitHead
+)
+
+func (f flit) head() bool { return f&flitHead != 0 }
+func (f flit) tail() bool { return f&flitTail != 0 }
+
+// msg returns the message-table index of the flit's message.
+func (f flit) msg() int32 { return int32(f >> 2) }

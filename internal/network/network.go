@@ -20,7 +20,8 @@ type Config struct {
 	// VCs is the number of virtual channels per physical link
 	// (default Algorithm.NumVCs()).
 	VCs int
-	// BufDepth is the per-VC input buffer depth in flits (default 4).
+	// BufDepth is the per-VC input buffer depth in flits (default 4, at
+	// most 9: the ring lives in the VC's 64-byte slot record).
 	BufDepth int
 	// DecisionCyclesPerStep converts rule-interpretation steps into
 	// router pipeline cycles (default 1); experiment E9 sweeps it.
@@ -151,54 +152,54 @@ type Network struct {
 	faults *fault.Set
 	// dead has bit node&63 of word node>>6 set for every failed node of
 	// faults: the stages skip dead routers with one load instead of a
-	// map lookup. ApplyFaults rebuilds it.
-	dead   []uint64
-	now    int64
-	nextID int64
+	// map lookup. ApplyFaults rebuilds it, and deadLinks (bit
+	// node*ports+port for both ends of every failed link).
+	dead      []uint64
+	deadLinks []uint64
+	now       int64
+	nextID    int64
 
-	// lay precomputes the arena strides; all per-router state lives in
-	// the flat arenas below, indexed by lay (see arena.go).
+	// lay precomputes the record strides (see arena.go).
 	lay layout
-	// ins[lay.inIdx(node, port, vc)]: port 0..Ports()-1 are links,
-	// port Ports() is the injection pseudo-port (its own VC array so an
-	// injected message can claim any VC class).
+	// ins[lay.inIdx(node, port, vc)] are the slot records: port
+	// 0..Ports()-1 are links, port Ports() is the injection pseudo-port
+	// (its own VC array so an injected message can claim any VC class).
 	ins []inputVC
-	// outs[lay.outIdx(node, port, vc)] for the link ports only.
+	// cands[inIdx] are each slot's routing candidates from RC (empty +
+	// routed means unroutable -> absorb); VA retries consume them.
+	// candMore holds the lists too long to pack (candSet).
+	cands    []candSet
+	candMore map[int][]routing.Candidate
+	// outs[lay.outIdx(node, port, vc)] are the output records, for the
+	// link ports only.
 	outs []outputVC
+	// rtr holds the router records, lay.rStride words per node.
+	rtr []uint64
+	// msgs is the message table: msgs[i] is the in-flight message whose
+	// flits carry index i; freeMsgs lists the unused indices.
+	msgs     []*Message
+	freeMsgs []int32
 	// injQ[node] is the source queue of not-yet-started messages.
 	injQ []msgQueue
-	// rrIn[node*lay.inPorts+port] is the round-robin pointer for
-	// nominating one VC per input port in SA; rrOut likewise
-	// (node*lay.ports+port) for picking one request per output port.
-	rrIn  []int
-	rrOut []int
-	// sent[node*lay.ports+port] counts flits transmitted through each
-	// output port (link-utilisation statistics).
-	sent []int64
 	// links[node*lay.ports+port] is the far end of each output port:
 	// the downstream node and the input port the link arrives at
-	// there, node -1 for an unconnected port. The topology is fixed,
-	// so the per-flit stages read this table instead of asking the
-	// graph.
+	// there, noLink for an unconnected port. The topology is fixed, so
+	// the cold paths read this table instead of asking the graph; the
+	// per-flit stages read the copies in the slot and output records.
 	links []linkEnd
 
 	// Per-stage active sets (arena.go): exactly the slots with live
-	// work, maintained incrementally via noteInput.
+	// work, maintained incrementally via noteInput; their mask words are
+	// in the router records.
 	routeSet vcSet
 	vaSet    vcSet
 	saSet    vcSet
 	drainSet vcSet
 	injNodes nodeSet
+	// ownNodes holds the nodes with at least one owned output VC (fault
+	// surgery's walk).
+	ownNodes nodeSet
 	peaks    ActiveSetPeaks
-	// ready (indexed like saSet.words) holds the SA members whose output
-	// has a credit; credits[outIdx] counts the free downstream flit slots
-	// of each output VC; alloc[inIdx] mirrors inputVC's allocated output
-	// as a slot (outPort*vcs+outVC, -1 before VA); vaWait (indexed like
-	// vaSet.words) holds the VA members asleep until their node's next release.
-	ready   []uint64
-	vaWait  []uint64
-	credits []int32
-	alloc   []int32
 
 	// epochs is non-nil when the algorithm hands out table epochs
 	// (reconfig.Swapper); messages pin their admission epoch on
@@ -216,9 +217,12 @@ type Network struct {
 	pmFired bool
 	// Messages holds all records when cfg.RecordMessages is set.
 	Messages []*Message
-	// freeScratch backs allocStage's free-candidate filter; moveScratch
+	// candScratch backs RC's RouteAppend, unpacked Network.candidates;
+	// freeScratch allocStage's free-candidate filter; moveScratch
 	// the per-cycle send list; nomVC[inPort] and reqScratch[outPort]
 	// (input-port bits, left zeroed) switchNode's nominees.
+	candScratch []routing.Candidate
+	unpacked    []routing.Candidate
 	freeScratch []routing.Candidate
 	moveScratch []send
 	nomVC       []int
@@ -226,8 +230,7 @@ type Network struct {
 }
 
 // linkEnd is the far end of one output port, packed into one word
-// (node<<8 | port) so the table stays small next to the VC arenas;
-// noLink marks an unconnected port.
+// (node<<8 | port); noLink marks an unconnected port.
 type linkEnd uint32
 
 const noLink = ^linkEnd(0)
@@ -253,6 +256,10 @@ func New(cfg Config) *Network {
 	if cfg.BufDepth == 0 {
 		cfg.BufDepth = 4
 	}
+	if cfg.BufDepth < 0 || cfg.BufDepth > ringCap {
+		panic(fmt.Sprintf("network: BufDepth %d out of range [1, %d] (a VC's ring lives in its 64-byte slot record)",
+			cfg.BufDepth, ringCap))
+	}
 	if cfg.DecisionCyclesPerStep == 0 {
 		cfg.DecisionCyclesPerStep = 1
 	}
@@ -274,11 +281,10 @@ func New(cfg Config) *Network {
 	lay := &n.lay
 	n.ins = make([]inputVC, lay.nodes*lay.inStride)
 	n.outs = make([]outputVC, lay.nodes*lay.outStride)
+	n.rtr = make([]uint64, lay.nodes*lay.rStride)
 	n.injQ = make([]msgQueue, lay.nodes)
 	n.dead = make([]uint64, (lay.nodes+63)/64)
-	n.rrIn = make([]int, lay.nodes*lay.inPorts)
-	n.rrOut = make([]int, lay.nodes*lay.ports)
-	n.sent = make([]int64, lay.nodes*lay.ports)
+	n.deadLinks = make([]uint64, (lay.nodes*lay.ports+63)/64)
 	if lay.ports > 1<<8 || lay.nodes >= 1<<24 {
 		panic(fmt.Sprintf("network: %s has %d nodes of %d ports, the link table packs 2^24-1 nodes of 256 ports",
 			n.g.Name(), lay.nodes, lay.ports))
@@ -299,69 +305,122 @@ func New(cfg Config) *Network {
 			n.links[node*lay.ports+p] = linkEnd(down)<<8 | linkEnd(dp)
 		}
 	}
-	// One pooled backing arena for every link-attached VC buffer: a
-	// link VC never holds more than BufDepth flits, so each gets a
-	// fixed-capacity sub-slice (full slice expression — an append past
-	// capacity can never bleed into the neighbour). The injection
-	// pseudo-port VCs are unbounded and grow on demand.
-	arena := make([]flit, lay.nodes*lay.ports*lay.vcs*cfg.BufDepth)
-	off := 0
+	for i := range n.ins {
+		n.ins[i].resetRoute()
+		n.ins[i].up = -1
+	}
+	for node := 0; node < lay.nodes; node++ {
+		for v := 0; v < lay.vcs; v++ {
+			n.ins[lay.inIdx(node, lay.ports, v)].flags = vcInject
+		}
+	}
+	// Each output record names its downstream slot, and that slot names
+	// the output back: the per-flit stages never read the link table.
 	for node := 0; node < lay.nodes; node++ {
 		for p := 0; p < lay.ports; p++ {
+			end := n.links[node*lay.ports+p]
 			for v := 0; v < lay.vcs; v++ {
-				ivc := &n.ins[lay.inIdx(node, p, v)]
-				ivc.q.buf = arena[off : off : off+cfg.BufDepth]
-				off += cfg.BufDepth
+				oi := lay.outIdx(node, p, v)
+				out := &n.outs[oi]
+				out.owner = -1
+				out.credits = int16(cfg.BufDepth)
+				out.downNode = -1
+				n.setCredit(node, p*lay.vcs+v, true)
+				if end == noLink {
+					continue
+				}
+				out.downNode = int32(end.node())
+				out.downSlot = int16(end.port()*lay.vcs + v)
+				n.ins[lay.inIdx(end.node(), end.port(), v)].up = int32(oi)
 			}
 		}
 	}
-	// The injection pseudo-port VCs are unbounded (a whole message is
-	// materialised at once), but they still get pooled backing sized
-	// for typical message lengths; a longer message grows its node's
-	// buffer once and keeps it. Only VC 0 receives injected traffic.
-	injCap := 4 * cfg.BufDepth
-	injArena := make([]flit, lay.nodes*injCap)
-	for node := 0; node < lay.nodes; node++ {
-		ivc := &n.ins[lay.inIdx(node, lay.ports, 0)]
-		ivc.q.buf = injArena[node*injCap : node*injCap : (node+1)*injCap]
-	}
-	// Routing candidates persist across cycles (VA retries consume
-	// them), so each input slot owns a fixed-capacity sub-slice too. An
-	// algorithm offering more than candCap outputs for one decision
-	// grows that slot's buffer once — a one-time, amortised event; the
-	// natives on the benched topologies all fit.
-	candCap := 4
-	if pv := lay.ports * lay.vcs; pv < candCap {
-		candCap = pv
-	}
-	cands := make([]routing.Candidate, len(n.ins)*candCap)
-	for i := range n.ins {
-		n.ins[i].candidates = cands[i*candCap : i*candCap : (i+1)*candCap]
-	}
-	for i := range n.ins {
-		n.ins[i].resetRoute()
-	}
-	n.credits = make([]int32, len(n.outs))
-	for i := range n.outs {
-		n.outs[i].ownerInPort = -1
-		n.credits[i] = int32(cfg.BufDepth)
-	}
-	n.alloc = make([]int32, len(n.ins))
-	n.routeSet = newVCSet(lay.nodes, lay.inStride)
-	n.vaSet = newVCSet(lay.nodes, lay.inStride)
-	n.saSet = newVCSet(lay.nodes, lay.inStride)
-	n.drainSet = newVCSet(lay.nodes, lay.inStride)
-	n.ready = make([]uint64, len(n.saSet.words))
-	n.vaWait = make([]uint64, len(n.vaSet.words))
+	n.cands = make([]candSet, len(n.ins))
+	n.routeSet = newVCSet(n.rtr, lay, kRoute)
+	n.vaSet = newVCSet(n.rtr, lay, kVA)
+	n.saSet = newVCSet(n.rtr, lay, kSA)
+	n.drainSet = newVCSet(n.rtr, lay, kDrain)
 	n.injNodes = newNodeSet(lay.nodes)
+	n.ownNodes = newNodeSet(lay.nodes)
 	n.nomVC = make([]int, lay.inPorts)
 	n.reqScratch = make([]uint64, lay.ports)
-	n.rebuildActiveSets()
 	if n.rec != nil {
 		n.rec.SetClock(n.Now)
 	}
 	n.attachEngine(cfg.Algorithm)
 	return n
+}
+
+// admit gives a materialising message its message-table index.
+func (n *Network) admit(m *Message) int32 {
+	if k := len(n.freeMsgs); k > 0 {
+		m.idx = n.freeMsgs[k-1]
+		n.freeMsgs = n.freeMsgs[:k-1]
+		n.msgs[m.idx] = m
+	} else {
+		m.idx = int32(len(n.msgs))
+		n.msgs = append(n.msgs, m)
+	}
+	return m.idx
+}
+
+// retire frees the table index of a message that left the network.
+func (n *Network) retire(m *Message) {
+	n.msgs[m.idx] = nil
+	n.freeMsgs = append(n.freeMsgs, m.idx)
+}
+
+// frontMsg returns the message of input i's front flit, or nil.
+func (n *Network) frontMsg(i int) *Message {
+	if n.ins[i].n == 0 {
+		return nil
+	}
+	return n.msgs[n.ins[i].front().msg()]
+}
+
+// resetRoute clears input i's route state and candidates.
+func (n *Network) resetRoute(i int) {
+	n.ins[i].resetRoute()
+	n.cands[i][0] = 0
+}
+
+// candSet is one slot's routing candidates, packed so that RC and VA
+// touch 16 bytes rather than a slice header and its array: c[0] is the
+// count, c[1:c[0]+1] the candidates as port<<8|vc. A decision with more
+// than candInline candidates keeps them in Network.candMore instead.
+type candSet [candInline + 1]uint16
+
+const candInline = 7
+
+// setCands stores cs as input i's candidates.
+func (n *Network) setCands(i int, cs []routing.Candidate) {
+	c := &n.cands[i]
+	c[0] = uint16(len(cs))
+	if len(cs) > candInline {
+		if n.candMore == nil {
+			n.candMore = map[int][]routing.Candidate{}
+		}
+		n.candMore[i] = append(n.candMore[i][:0], cs...)
+		return
+	}
+	for k, cand := range cs {
+		c[k+1] = uint16(cand.Port<<8 | cand.VC)
+	}
+}
+
+// candidates returns input i's candidates, unpacked into a scratch
+// buffer that the next call reuses; the caller must not write to it.
+func (n *Network) candidates(i int) []routing.Candidate {
+	c := &n.cands[i]
+	if c[0] > candInline {
+		return n.candMore[i]
+	}
+	buf := n.unpacked[:0]
+	for _, pv := range c[1 : c[0]+1] {
+		buf = append(buf, routing.Candidate{Port: int(pv >> 8), VC: int(pv & 0xFF)})
+	}
+	n.unpacked = buf
+	return buf
 }
 
 // Now returns the current cycle.
@@ -416,7 +475,7 @@ func (n *Network) Inject(src, dst topology.NodeID, length int) *Message {
 // Credits returns the free downstream buffer slots of output
 // (port,vc).
 func (n *Network) Credits(node topology.NodeID, port, vc int) int {
-	return int(n.credits[n.lay.outIdx(int(node), port, vc)])
+	return int(n.outs[n.lay.outIdx(int(node), port, vc)].credits)
 }
 
 // QueuedFlits returns the data volume still to pass output (port,vc).
@@ -424,7 +483,7 @@ func (n *Network) QueuedFlits(node topology.NodeID, port, vc int) int {
 	total := 0
 	base := n.lay.outIdx(int(node), port, 0)
 	for v := 0; v < n.cfg.VCs; v++ {
-		total += n.outs[base+v].remaining
+		total += int(n.outs[base+v].remaining)
 	}
 	return total
 }
@@ -486,8 +545,9 @@ func (n *Network) injectStage() {
 			return // killed separately in ApplyFaults
 		}
 		injSlot := n.lay.ports * n.lay.vcs // (injection pseudo-port, VC 0)
-		ivc := &n.ins[node*n.lay.inStride+injSlot]
-		if ivc.q.len() > 0 {
+		idx := node*n.lay.inStride + injSlot
+		ivc := &n.ins[idx]
+		if ivc.n > 0 {
 			return // previous message still streaming
 		}
 		m := n.injQ[node].popFront()
@@ -499,10 +559,8 @@ func (n *Network) injectStage() {
 		if n.epochs != nil {
 			m.Hdr.Epoch = n.epochs.AdmitEpoch()
 		}
-		for i := 0; i < m.Hdr.Length; i++ {
-			ivc.q.pushBack(flit{msg: m, head: i == 0, tail: i == m.Hdr.Length-1})
-		}
-		ivc.resetRoute()
+		ivc.load(n.admit(m), m.Hdr.Length)
+		n.resetRoute(idx)
 		n.noteInput(node, injSlot)
 		n.queued--
 		n.inFlight++
@@ -520,12 +578,12 @@ func (n *Network) routeStage() {
 		if n.nodeDead(node) {
 			return
 		}
-		ivc := &n.ins[node*n.lay.inStride+slot]
-		m := ivc.q.front().msg
+		idx := node*n.lay.inStride + slot
+		ivc := &n.ins[idx]
+		m := n.msgs[ivc.front().msg()]
 		ivc.curMsg = m
 		if m.Hdr.Dst == topology.NodeID(node) {
-			ivc.routed = true
-			ivc.eject = true
+			ivc.flags |= vcRouted | vcEject
 			ivc.decisionReady = n.now
 			n.noteInput(node, slot)
 			return
@@ -534,22 +592,27 @@ func (n *Network) routeStage() {
 		req := n.requestFor(node, p, v, m)
 		steps := n.alg.Steps(req)
 		m.Steps += steps
-		ivc.candidates = n.alg.RouteAppend(req, ivc.candidates[:0])
-		ivc.routed = true
-		ivc.unroutable = len(ivc.candidates) == 0
-		if ivc.unroutable && n.alg.UnreachableVerdict(req) {
+		cands := n.alg.RouteAppend(req, n.candScratch[:0])
+		n.candScratch = cands[:0]
+		n.setCands(idx, cands)
+		unroutable := len(cands) == 0
+		ivc.flags |= vcRouted // unroutable is clear: the slot was unrouted
+		if unroutable {
+			ivc.flags |= vcUnroutable
+		}
+		if unroutable && n.alg.UnreachableVerdict(req) {
 			m.Unreachable = true
 		}
 		ivc.decisionReady = n.now + int64(steps*n.cfg.DecisionCyclesPerStep)
 		n.noteInput(node, slot)
 		if n.rec != nil {
 			kind := trace.KRouteComputed
-			if ivc.unroutable {
+			if unroutable {
 				kind = trace.KUnroutable
 			}
 			n.rec.Record(trace.Event{Cycle: n.now, Kind: kind,
 				Node: int32(node), Msg: m.ID, Port: int16(p), VC: int16(v),
-				Arg: int32(len(ivc.candidates))})
+				Arg: int32(len(cands))})
 		}
 	})
 }
@@ -564,29 +627,29 @@ func (n *Network) requestFor(node, p, v int, m *Message) routing.Request {
 
 // allocStage performs VA: routed-but-unallocated inputs (the vaSet)
 // try to claim a free output VC among their candidates, guided by the
-// selector. A head that finds every candidate owned sleeps (vaWait)
-// until an output VC of its node is released.
+// selector. A head that finds every candidate owned sleeps (its wait
+// bit) until an output VC of its node is released.
 func (n *Network) allocStage() {
 	// Credit-gated regimes (Algorithm.AllocNeedsCredit) must not
 	// commit a head to an output VC with no downstream credit: their
 	// escape argument needs blocked heads to keep re-arbitrating.
 	needCredit := n.alg.AllocNeedsCredit()
-	n.vaSet.forEachExcept(n.vaWait, func(node, slot int) {
+	n.vaSet.forEachExcept(n.lay.maskOff[kWait], func(node, slot int) {
 		if n.nodeDead(node) {
 			return
 		}
-		ivc := &n.ins[node*n.lay.inStride+slot]
+		idx := node*n.lay.inStride + slot
+		ivc := &n.ins[idx]
 		if n.now < ivc.decisionReady {
 			return
 		}
 		outBase := node * n.lay.outStride
 		free := n.freeScratch[:0]
 		unowned := false
-		for _, c := range ivc.candidates {
-			oi := outBase + c.Port*n.lay.vcs + c.VC
-			if n.outs[oi].free() {
+		for _, c := range n.candidates(idx) {
+			if n.outs[outBase+c.Port*n.lay.vcs+c.VC].free() {
 				unowned = true
-				if !needCredit || n.credits[oi] > 0 {
+				if !needCredit || n.hasCredit(node, c.Port*n.lay.vcs+c.VC) {
 					free = append(free, c)
 				}
 			}
@@ -594,19 +657,16 @@ func (n *Network) allocStage() {
 		n.freeScratch = free[:0] // selectors do not retain the slice
 		if len(free) == 0 {
 			if !unowned {
-				n.vaWait[node*n.vaSet.wpn+slot>>6] |= 1 << (slot & 63)
+				n.rtr[n.lay.mask(kWait, node, slot)] |= 1 << (slot & 63)
 			}
 			return
 		}
 		p, v := n.lay.portVC(slot)
-		m := ivc.frontMsg()
+		m := n.frontMsg(idx)
 		chosen := n.sel.Select(n, topology.NodeID(node), free, &m.Hdr)
 		n.alg.NoteHop(n.requestFor(node, p, v, m), chosen)
-		ivc.outPort, ivc.outVC = chosen.Port, chosen.VC
-		out := &n.outs[outBase+chosen.Port*n.lay.vcs+chosen.VC]
-		out.ownerInPort, out.ownerInVC = p, v
-		out.ownerMsg = m
-		out.remaining = m.Hdr.Length
+		ivc.outPort, ivc.outVC = int8(chosen.Port), int8(chosen.VC)
+		n.claimOutput(node, slot, chosen.Port*n.lay.vcs+chosen.VC, m)
 		n.noteInput(node, slot)
 		if n.rec != nil {
 			n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KVCAllocated,
@@ -643,20 +703,21 @@ func (n *Network) switchNode(node int, moves []send) []send {
 	lay := &n.lay
 	vcs := lay.vcs
 	inBase := node * lay.inStride
-	rrBase := node * lay.inPorts
-	wBase := node * n.saSet.wpn
+	rBase := node * lay.rStride
+	readyBase := rBase + lay.maskOff[kReady]
+	saBase := rBase + lay.maskOff[kSA]
 	var opMask uint64 // output ports with at least one nominee
 	// Visit the input ports with a ready member; with a recorder every
 	// SA member's port, to note the blocking episodes.
-	walk := n.ready
+	walkBase := readyBase
 	if n.rec != nil {
-		walk = n.saSet.words
+		walkBase = saBase
 	}
-	for p := lay.nextPort(walk, wBase, 0); p >= 0; p = lay.nextPort(walk, wBase, p+1) {
-		rr := n.rrIn[rrBase+p]
-		rot := lay.vcField(n.ready, wBase, p, rr)
+	for p := lay.nextPort(n.rtr, walkBase, 0); p >= 0; p = lay.nextPort(n.rtr, walkBase, p+1) {
+		rr := n.rrIn(node, p)
+		rot := lay.vcField(n.rtr, readyBase, p, rr)
 		if n.rec != nil {
-			blocked := lay.vcField(n.saSet.words, wBase, p, rr) &^ rot
+			blocked := lay.vcField(n.rtr, saBase, p, rr) &^ rot
 			if rot != 0 {
 				blocked &= rot&-rot - 1
 			}
@@ -665,8 +726,8 @@ func (n *Network) switchNode(node int, moves []send) []send {
 				if v >= vcs {
 					v -= vcs
 				}
-				if ivc := &n.ins[inBase+p*vcs+v]; !ivc.blockedNoted {
-					ivc.blockedNoted = true
+				if ivc := &n.ins[inBase+p*vcs+v]; ivc.flags&vcBlockedNoted == 0 {
+					ivc.flags |= vcBlockedNoted
 					n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KFlitBlocked,
 						Node: int32(node), Msg: ivc.curMsg.ID,
 						Port: int16(ivc.outPort), VC: int16(ivc.outVC)})
@@ -681,21 +742,21 @@ func (n *Network) switchNode(node int, moves []send) []send {
 			v -= vcs
 		}
 		n.nomVC[p] = v
-		op := lay.slotPort[n.alloc[inBase+p*vcs+v]]
+		op := n.ins[inBase+p*vcs+v].outPort
 		n.reqScratch[op] |= 1 << uint(p)
-		opMask |= 1 << op
+		opMask |= 1 << uint(op)
 		if v++; v == vcs {
 			v = 0
 		}
-		n.rrIn[rrBase+p] = v
+		n.setRRIn(node, p, v)
 	}
 	// Grant: one input per output port, ascending.
 	for ; opMask != 0; opMask &= opMask - 1 {
 		op := bits.TrailingZeros64(opMask)
 		req := n.reqScratch[op]
 		n.reqScratch[op] = 0
-		rr := n.rrOut[node*lay.ports+op]
-		n.rrOut[node*lay.ports+op] = rr + 1
+		rr := n.rrOut(node, op)
+		n.setRROut(node, op, rr+1)
 		p := bits.TrailingZeros64(req)
 		if req&(req-1) != 0 {
 			p = n.pickNominee(req, rr, inBase)
@@ -734,69 +795,77 @@ func (n *Network) applyMoves(moves []send) bool {
 	lay := &n.lay
 	for _, mv := range moves {
 		node, srcSlot := int(mv.from), int(mv.slot)
-		ivc := &n.ins[node*lay.inStride+srcSlot]
-		f := ivc.q.popFront()
-		ivc.blockedNoted = false
-		fromPort, fromVC := lay.portVC(srcSlot)
-		n.creditReturnVC(node, fromPort, fromVC)
-		outPort, outVC := ivc.outPort, ivc.outVC
-		oi := lay.outIdx(node, outPort, outVC)
-		out := &n.outs[oi]
-		n.credits[oi]--
+		idx := node*lay.inStride + srcSlot
+		ivc := &n.ins[idx]
+		f := ivc.popFront()
+		ivc.flags &^= vcBlockedNoted
+		n.creditReturn(ivc)
+		outPort, outVC := int(ivc.outPort), int(ivc.outVC)
+		o := outPort*lay.vcs + outVC
+		out := &n.outs[node*lay.outStride+o]
+		if out.credits--; out.credits == 0 {
+			n.setCredit(node, o, false)
+		}
 		out.remaining--
-		n.sent[node*lay.ports+outPort]++
-		if f.head {
-			f.msg.Hops++
+		out.sent++
+		if f.head() {
+			n.msgs[f.msg()].Hops++
 		}
-		// Deliver into the downstream input buffer.
-		down := n.links[node*lay.ports+outPort]
-		downSlot := down.port()*lay.vcs + outVC
-		// A push behind queued flits changes no predicate of the slot.
-		dq := &n.ins[down.node()*lay.inStride+downSlot].q
-		dq.pushBack(f)
-		if dq.len() == 1 {
-			n.noteInput(down.node(), downSlot)
+		// Deliver into the downstream input buffer. A push behind queued
+		// flits changes no predicate of the slot; into an empty slot
+		// that the worm's head has already allocated it can only make
+		// the slot an SA member, ready if its output has a credit.
+		downNode, downSlot := int(out.downNode), int(out.downSlot)
+		dvc := &n.ins[downNode*lay.inStride+downSlot]
+		dvc.pushBack(f)
+		if dvc.n == 1 {
+			if dvc.outPort >= 0 {
+				n.saSet.set(downNode, downSlot, true)
+				n.setReady(downNode, downSlot, n.hasCredit(downNode, int(dvc.outPort)*lay.vcs+int(dvc.outVC)))
+			} else {
+				n.noteInput(downNode, downSlot)
+			}
 		}
-		if f.tail {
+		if f.tail() {
 			// The worm has fully left: release input route state and
 			// output ownership, and wake the node's heads asleep in VA.
-			ivc.resetRoute()
-			n.releaseOutput(out)
-			clear(n.vaWait[node*n.vaSet.wpn : (node+1)*n.vaSet.wpn])
+			n.resetRoute(idx)
+			n.releaseOutput(node, o)
+			wait := node*lay.rStride + lay.maskOff[kWait]
+			clear(n.rtr[wait : wait+lay.wpn])
 			if n.rec != nil {
 				n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KVCFreed,
-					Node: int32(node), Msg: f.msg.ID,
+					Node: int32(node), Msg: n.msgs[f.msg()].ID,
 					Port: int16(outPort), VC: int16(outVC)})
 			}
 			n.noteInput(node, srcSlot)
-		} else if ivc.q.len() == 0 {
+		} else if ivc.n == 0 {
 			// Mid-worm the slot stays routed and allocated: it can only
 			// leave SA (queue emptied) or lose readiness (last credit).
 			n.saSet.set(node, srcSlot, false)
 			n.setReady(node, srcSlot, false)
-		} else if n.credits[oi] == 0 {
+		} else if out.credits == 0 {
 			n.setReady(node, srcSlot, false)
 		}
 	}
 	return len(moves) > 0
 }
 
-// creditReturnVC gives one credit back for a flit popped from input
-// (p,v) of node; it reaches the upstream output in the same cycle.
-func (n *Network) creditReturnVC(node, p, v int) {
-	if p == n.lay.ports {
-		return // injection pseudo-port: no upstream link
-	}
-	end := n.links[node*n.lay.ports+p]
-	if end == noLink {
+// creditReturn gives one credit back, in the same cycle, to the
+// upstream output of ivc (none for the injection pseudo-port and an
+// unconnected port), from which a flit was just popped.
+func (n *Network) creditReturn(ivc *inputVC) {
+	up := ivc.up
+	if up < 0 {
 		return
 	}
-	up, upPort := end.node(), end.port()
 	if n.rec != nil {
+		upNode := int(up) / n.lay.outStride
+		upPort, v := n.lay.portVC(int(up) - upNode*n.lay.outStride)
 		n.rec.Record(trace.Event{Cycle: n.now, Kind: trace.KCreditSent,
-			Node: int32(up), Msg: -1, Port: int16(upPort), VC: int16(v)})
+			Node: int32(upNode), Msg: -1, Port: int16(upPort), VC: int16(v)})
 	}
-	n.creditArrived(up, n.lay.outIdx(up, upPort, v))
+	n.creditArrived(int(up))
 }
 
 // drainStage ejects delivered flits and absorbs unroutable messages
@@ -808,31 +877,33 @@ func (n *Network) drainStage() bool {
 		if n.nodeDead(node) {
 			return
 		}
-		ivc := &n.ins[node*n.lay.inStride+slot]
+		idx := node*n.lay.inStride + slot
+		ivc := &n.ins[idx]
 		if n.now < ivc.decisionReady {
 			return
 		}
 		p, v := n.lay.portVC(slot)
-		f := ivc.q.popFront()
-		n.creditReturnVC(node, p, v)
+		f := ivc.popFront()
+		n.creditReturn(ivc)
 		progress = true
-		if ivc.eject {
+		eject := ivc.eject()
+		m := n.msgs[f.msg()]
+		if eject {
 			n.stats.FlitsDelivered++
-			f.msg.flitsEjected++
+			m.flitsEjected++
 		}
-		if f.tail {
-			m := f.msg
+		if f.tail() {
 			m.DoneTime = n.now
 			if n.rec != nil {
 				kind := trace.KFlitDelivered
-				if !ivc.eject {
+				if !eject {
 					kind = trace.KFlitDropped
 				}
 				n.rec.Record(trace.Event{Cycle: n.now, Kind: kind,
 					Node: int32(node), Msg: m.ID, Port: int16(p), VC: int16(v),
 					Arg: int32(n.now - m.InjectTime)})
 			}
-			if ivc.eject {
+			if eject {
 				m.State = StateDelivered
 				n.stats.Delivered++
 				n.stats.HopsSum += int64(m.Hops)
@@ -864,7 +935,8 @@ func (n *Network) drainStage() bool {
 			if n.epochs != nil {
 				n.epochs.ReleaseEpoch(m.Hdr.Epoch)
 			}
-			ivc.resetRoute()
+			n.retire(m)
+			n.resetRoute(idx)
 		}
 		n.noteInput(node, slot)
 	})

@@ -38,7 +38,7 @@ func (n *Network) PostMortem(reason string) *trace.Report {
 				bp := trace.BlockedPacket{
 					Msg: m.ID, Src: int64(m.Hdr.Src), Dst: int64(m.Hdr.Dst),
 					Node: int64(node), InPort: p, InVC: v,
-					OutPort: ivc.outPort, OutVC: ivc.outVC,
+					OutPort: int(ivc.outPort), OutVC: int(ivc.outVC),
 					Age: n.now - m.StartTime, Why: why,
 				}
 				for _, w := range waits {
@@ -56,18 +56,19 @@ func (n *Network) PostMortem(reason string) *trace.Report {
 		rs.Node = int64(node)
 		for p := 0; p < lay.inPorts; p++ {
 			for v := 0; v < lay.vcs; v++ {
-				ivc := &n.ins[lay.inIdx(node, p, v)]
-				if ivc.q.len() == 0 && !ivc.routed {
+				i := lay.inIdx(node, p, v)
+				ivc := &n.ins[i]
+				if ivc.n == 0 && !ivc.routed() {
 					continue
 				}
 				st := trace.VCState{
-					Port: p, VC: v, Flits: ivc.q.len(), Msg: -1,
-					Routed: ivc.routed, OutPort: ivc.outPort, OutVC: ivc.outVC,
-					Eject: ivc.eject, Unroutable: ivc.unroutable,
+					Port: p, VC: v, Flits: ivc.len(), Msg: -1,
+					Routed: ivc.routed(), OutPort: int(ivc.outPort), OutVC: int(ivc.outVC),
+					Eject: ivc.eject(), Unroutable: ivc.unroutable(),
 				}
 				if ivc.curMsg != nil {
 					st.Msg = ivc.curMsg.ID
-				} else if fm := ivc.frontMsg(); fm != nil {
+				} else if fm := n.frontMsg(i); fm != nil {
 					st.Msg = fm.ID
 				}
 				rs.Inputs = append(rs.Inputs, st)
@@ -76,13 +77,14 @@ func (n *Network) PostMortem(reason string) *trace.Report {
 		for p := 0; p < lay.ports; p++ {
 			for v := 0; v < lay.vcs; v++ {
 				oi := lay.outIdx(node, p, v)
-				out, credits := &n.outs[oi], int(n.credits[oi])
+				out := &n.outs[oi]
+				credits := int(out.credits)
 				if out.ownerMsg == nil && credits == n.cfg.BufDepth {
 					continue
 				}
 				st := trace.OutState{
 					Port: p, VC: v, Owner: -1,
-					Credits: credits, Remaining: out.remaining,
+					Credits: credits, Remaining: int(out.remaining),
 				}
 				if out.ownerMsg != nil {
 					st.Owner = out.ownerMsg.ID
@@ -126,10 +128,9 @@ func (n *Network) checkLivelock() {
 	for node := 0; node < n.lay.nodes; node++ {
 		base := node * n.lay.inStride
 		for slot := 0; slot < n.lay.inStride; slot++ {
-			ivc := &n.ins[base+slot]
-			m := ivc.curMsg
-			if m == nil && ivc.q.len() > 0 {
-				m = ivc.q.front().msg
+			m := n.ins[base+slot].curMsg
+			if m == nil {
+				m = n.frontMsg(base + slot)
 			}
 			if m == nil || m.StartTime < 0 {
 				continue

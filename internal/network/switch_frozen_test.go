@@ -33,19 +33,42 @@ type oldSwitch struct {
 
 func newOldSwitch(n *Network) *oldSwitch {
 	o := &oldSwitch{
-		rrIn:  append([]int(nil), n.rrIn...),
-		rrOut: append([]int(nil), n.rrOut...),
+		rrIn:  rrInTable(n),
+		rrOut: rrOutTable(n),
 		noted: make([]bool, len(n.ins)),
 	}
 	for i := range n.ins {
-		o.noted[i] = n.ins[i].blockedNoted
+		o.noted[i] = n.ins[i].flags&vcBlockedNoted != 0
 	}
 	return o
 }
 
+// rrInTable reads the routers' rrIn pointers into the flat table the
+// frozen walk indexes node*inPorts+port; rrOutTable likewise rrOut
+// (node*ports+port).
+func rrInTable(n *Network) []int {
+	t := make([]int, 0, n.lay.nodes*n.lay.inPorts)
+	for node := 0; node < n.lay.nodes; node++ {
+		for p := 0; p < n.lay.inPorts; p++ {
+			t = append(t, n.rrIn(node, p))
+		}
+	}
+	return t
+}
+
+func rrOutTable(n *Network) []int {
+	t := make([]int, 0, n.lay.nodes*n.lay.ports)
+	for node := 0; node < n.lay.nodes; node++ {
+		for p := 0; p < n.lay.ports; p++ {
+			t = append(t, n.rrOut(node, p))
+		}
+	}
+	return t
+}
+
 func (o *oldSwitch) stage(n *Network) {
 	for node := 0; node < n.lay.nodes; node++ {
-		if n.saSet.count[node] == 0 || n.faults.NodeFaulty(topology.NodeID(node)) {
+		if n.saSet.count(node) == 0 || n.faults.NodeFaulty(topology.NodeID(node)) {
 			continue
 		}
 		o.node(n, node)
@@ -64,10 +87,10 @@ func (o *oldSwitch) node(n *Network, node int) {
 		for off := 0; off < vcs; off++ {
 			v := (o.rrIn[rrBase+p] + off) % vcs
 			ivc := &n.ins[inBase+p*vcs+v]
-			if ivc.outPort < 0 || ivc.q.len() == 0 {
+			if ivc.outPort < 0 || ivc.len() == 0 {
 				continue
 			}
-			if n.credits[outBase+ivc.outPort*vcs+ivc.outVC] <= 0 {
+			if n.outs[outBase+int(ivc.outPort)*vcs+int(ivc.outVC)].credits <= 0 {
 				if n.rec != nil && !o.noted[inBase+p*vcs+v] {
 					o.noted[inBase+p*vcs+v] = true
 					o.blocked = append(o.blocked, trace.Event{Cycle: n.now, Kind: trace.KFlitBlocked,
@@ -98,7 +121,7 @@ func (o *oldSwitch) node(n *Network, node int) {
 		}
 		o.rrOut[rrOutBase+op]++
 		ivc := &n.ins[inBase+pick.port*lay.vcs+pick.vc]
-		o.moves = append(o.moves, oldSend{node, pick.port, pick.vc, ivc.outPort, ivc.outVC})
+		o.moves = append(o.moves, oldSend{node, pick.port, pick.vc, int(ivc.outPort), int(ivc.outVC)})
 	}
 }
 
@@ -188,19 +211,19 @@ func TestSwitchMatchesFrozenWalk(t *testing.T) {
 					n.injectStage()
 					n.routeStage()
 					n.allocStage()
-					for i := range n.rrIn {
+					for i := 0; i < n.lay.nodes*n.lay.inPorts; i++ {
 						if rng.Intn(4) == 0 {
-							n.rrIn[i] = rng.Intn(n.lay.vcs)
+							n.setRRIn(i/n.lay.inPorts, i%n.lay.inPorts, rng.Intn(n.lay.vcs))
 						}
 					}
-					for i := range n.rrOut {
+					for i := 0; i < n.lay.nodes*n.lay.ports; i++ {
 						if rng.Intn(4) == 0 {
-							n.rrOut[i] = rng.Intn(1 << 20)
+							n.setRROut(i/n.lay.ports, i%n.lay.ports, rng.Intn(1<<20))
 						}
 					}
 					for i := range n.ins {
 						if recorded && rng.Intn(8) == 0 {
-							n.ins[i].blockedNoted = !n.ins[i].blockedNoted
+							n.ins[i].flags ^= vcBlockedNoted
 						}
 					}
 					want := newOldSwitch(n)
@@ -211,7 +234,7 @@ func TestSwitchMatchesFrozenWalk(t *testing.T) {
 					for i, mv := range moves {
 						p, v := n.lay.portVC(int(mv.slot))
 						ivc := &n.ins[int(mv.from)*n.lay.inStride+int(mv.slot)]
-						got[i] = oldSend{int(mv.from), p, v, ivc.outPort, ivc.outVC}
+						got[i] = oldSend{int(mv.from), p, v, int(ivc.outPort), int(ivc.outVC)}
 						if ivc.curMsg.Hdr.Marked {
 							marked++
 						}
@@ -219,13 +242,13 @@ func TestSwitchMatchesFrozenWalk(t *testing.T) {
 					if !slices.Equal(got, want.moves) {
 						t.Fatalf("%s cycle %d: grants differ\n got %v\nwant %v", name, cyc, got, want.moves)
 					}
-					if !slices.Equal(n.rrIn, want.rrIn) || !slices.Equal(n.rrOut, want.rrOut) {
+					if !slices.Equal(rrInTable(n), want.rrIn) || !slices.Equal(rrOutTable(n), want.rrOut) {
 						t.Fatalf("%s cycle %d: round-robin pointers differ after the stage", name, cyc)
 					}
 					for i := range n.ins {
-						if n.ins[i].blockedNoted != want.noted[i] {
+						if noted := n.ins[i].flags&vcBlockedNoted != 0; noted != want.noted[i] {
 							t.Fatalf("%s cycle %d: blockedNoted of input %d is %v, frozen walk says %v",
-								name, cyc, i, n.ins[i].blockedNoted, want.noted[i])
+								name, cyc, i, noted, want.noted[i])
 						}
 					}
 					if !slices.Equal(log.evs, want.blocked) {
@@ -265,8 +288,8 @@ func multiNominee(n *Network, o *oldSwitch) int {
 		ports := map[int]bool{}
 		for slot := 0; slot < lay.inStride; slot++ {
 			ivc := &n.ins[mv.from*lay.inStride+slot]
-			if ivc.outPort == mv.outPort && ivc.q.len() > 0 &&
-				n.credits[lay.outIdx(mv.from, ivc.outPort, ivc.outVC)] > 0 {
+			if int(ivc.outPort) == mv.outPort && ivc.len() > 0 &&
+				n.outs[lay.outIdx(mv.from, int(ivc.outPort), int(ivc.outVC))].credits > 0 {
 				ports[int(lay.slotPort[slot])] = true
 			}
 		}
@@ -304,9 +327,10 @@ func TestReadySetMatchesPredicate(t *testing.T) {
 }
 
 // TestCheckInvariantsPolicesSwitchState: a stale ready bit, a missing
-// one, a side-array entry that disagrees with its inputVC, and a VA
-// sleep bit on a slot outside the vaSet or on a head with a free
-// candidate are each reported.
+// one, a credit bit that disagrees with its output's credits, a member
+// count that disagrees with its mask words, and a VA sleep bit on a
+// slot outside the vaSet or on a head with a free candidate are each
+// reported.
 func TestCheckInvariantsPolicesSwitchState(t *testing.T) {
 	n, refill := switchCases[0].build(t, Config{BufDepth: 2})
 	refill()
@@ -318,7 +342,7 @@ func TestCheckInvariantsPolicesSwitchState(t *testing.T) {
 	}
 	var readyNode, readySlot, blockedNode, blockedSlot = -1, -1, -1, -1
 	n.saSet.forEach(func(node, slot int) {
-		if n.ready[node*n.saSet.wpn+slot>>6]&(1<<(slot&63)) != 0 {
+		if n.rtr[n.lay.mask(kReady, node, slot)]&(1<<(slot&63)) != 0 {
 			readyNode, readySlot = node, slot
 		} else {
 			blockedNode, blockedSlot = node, slot
@@ -344,11 +368,15 @@ func TestCheckInvariantsPolicesSwitchState(t *testing.T) {
 	corrupt("ready bit missing on a member with credit",
 		func() { n.setReady(readyNode, readySlot, false) },
 		func() { n.setReady(readyNode, readySlot, true) })
-	idx := readyNode*n.lay.inStride + readySlot
-	was := n.alloc[idx]
-	corrupt("alloc entry disagreeing with inputVC",
-		func() { n.alloc[idx] = (was + 1) % int32(n.lay.outStride) },
-		func() { n.alloc[idx] = was })
+	ivc := &n.ins[readyNode*n.lay.inStride+readySlot]
+	o := int(ivc.outPort)*n.lay.vcs + int(ivc.outVC)
+	corrupt("credit bit clear on an output with credits",
+		func() { n.setCredit(readyNode, o, false) },
+		func() { n.setCredit(readyNode, o, true) })
+	cnt := &n.rtr[readyNode*n.lay.rStride+n.lay.cntOff]
+	corrupt("saSet count disagreeing with its mask words",
+		func() { *cnt += 1 << n.saSet.cntShift },
+		func() { *cnt -= 1 << n.saSet.cntShift })
 	// A head is awake with a free candidate only between a release and
 	// the next VA stage: step until a cycle ends on one.
 	awakeNode, awakeSlot := -1, -1
@@ -356,7 +384,7 @@ func TestCheckInvariantsPolicesSwitchState(t *testing.T) {
 		refill()
 		n.Step()
 		n.vaSet.forEach(func(node, slot int) {
-			for _, c := range n.ins[node*n.lay.inStride+slot].candidates {
+			for _, c := range n.candidates(node*n.lay.inStride + slot) {
 				if n.outs[n.lay.outIdx(node, c.Port, c.VC)].free() {
 					awakeNode, awakeSlot = node, slot
 				}
@@ -372,8 +400,8 @@ func TestCheckInvariantsPolicesSwitchState(t *testing.T) {
 	// Both bits are clear in a consistent state, so one toggle sets and
 	// the next restores.
 	toggle := func(node, slot int) func() {
-		return func() { n.vaWait[node*n.vaSet.wpn+slot>>6] ^= 1 << (slot & 63) }
+		return func() { n.rtr[n.lay.mask(kWait, node, slot)] ^= 1 << (slot & 63) }
 	}
-	corrupt("vaWait bit on a head with a free candidate", toggle(awakeNode, awakeSlot), toggle(awakeNode, awakeSlot))
-	corrupt("vaWait bit outside the vaSet", toggle(saNode, saSlot), toggle(saNode, saSlot))
+	corrupt("VA wait bit on a head with a free candidate", toggle(awakeNode, awakeSlot), toggle(awakeNode, awakeSlot))
+	corrupt("VA wait bit outside the vaSet", toggle(saNode, saSlot), toggle(saNode, saSlot))
 }

@@ -23,7 +23,9 @@ func (n *Network) LinkLoads() []LinkLoad {
 			if m == topology.Invalid {
 				continue
 			}
-			acc[topology.MakeLink(topology.NodeID(node), m)] += n.sent[node*n.lay.ports+p]
+			for v := 0; v < n.lay.vcs; v++ {
+				acc[topology.MakeLink(topology.NodeID(node), m)] += n.outs[n.lay.outIdx(node, p, v)].sent
+			}
 		}
 	}
 	links := topology.Links(n.g)

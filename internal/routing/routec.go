@@ -105,21 +105,6 @@ func (r *RouteC) TotallyUnsafe() bool {
 	return true
 }
 
-// notSafeOver reports whether, seen from node n over port p, the
-// neighbour appears not safe: the link is faulty (perceived state
-// lfault), the neighbour failed, or the neighbour's propagated state
-// is unsafe.
-func (r *RouteC) notSafeOver(n topology.NodeID, p int, states []NodeState) bool {
-	nb := r.cube.Neighbor(n, p)
-	if nb == topology.Invalid {
-		return false
-	}
-	if r.faults.LinkFaulty(n, nb) || r.faults.NodeFaulty(nb) {
-		return true
-	}
-	return states[nb] != StateSafe
-}
-
 // UpdateFaults recomputes the node states by the wave propagation of
 // Figure 4, iterated to the fixpoint: a node with two directly faulty
 // neighbours or faulty incident links becomes strongly unsafe, a node
@@ -128,33 +113,59 @@ func (r *RouteC) notSafeOver(n topology.NodeID, p int, states []NodeState) bool 
 // Nodes() rounds.
 func (r *RouteC) UpdateFaults(f *fault.Set) {
 	r.faults = f
-	n := r.cube.Nodes()
+	n, ports := r.cube.Nodes(), r.cube.Ports()
 	states := make([]NodeState, n)
-	for i := 0; i < n; i++ {
-		if f.NodeFaulty(topology.NodeID(i)) {
-			states[i] = StateFaulty
+	// What depends on f alone is counted once, from the fault lists, not
+	// every round: each node's faulty neighbours plus faulty incident
+	// links, and the ports that lead over a failed link (perceived state
+	// lfault) or into a failed router — not safe whatever the states. A
+	// cube link along dimension p is port p at both ends.
+	direct := make([]int, n)
+	hard := make([]uint64, n)
+	for _, x := range f.FaultyNodes() {
+		if x < 0 || int(x) >= n {
+			continue
+		}
+		states[x] = StateFaulty
+		for p := 0; p < ports; p++ {
+			nb := r.cube.Neighbor(x, p)
+			direct[nb]++
+			hard[nb] |= 1 << p
 		}
 	}
+	for _, l := range f.FaultyLinks() {
+		d := uint64(l.A ^ l.B)
+		if l.A < 0 || l.B < 0 || int(l.A) >= n || int(l.B) >= n || d == 0 || d&(d-1) != 0 {
+			continue // not a cube link
+		}
+		p := bits.TrailingZeros64(d)
+		direct[l.A]++
+		direct[l.B]++
+		hard[l.A] |= 1 << p
+		hard[l.B] |= 1 << p
+	}
+	next := make([]NodeState, n)
 	rounds := 0
 	for {
 		changed := false
-		next := make([]NodeState, n)
 		copy(next, states)
 		for i := 0; i < n; i++ {
-			id := topology.NodeID(i)
 			if states[i] == StateFaulty {
 				continue
 			}
-			direct := f.FaultyNeighbors(r.cube, id) + f.FaultyIncidentLinks(r.cube, id)
-			notSafe := 0
-			for p := 0; p < r.cube.Ports(); p++ {
-				if r.notSafeOver(id, p, states) {
+			id := topology.NodeID(i)
+			notSafe := bits.OnesCount64(hard[i])
+			for p := 0; p < ports; p++ {
+				if hard[i]&(1<<p) != 0 {
+					continue
+				}
+				if nb := r.cube.Neighbor(id, p); nb != topology.Invalid && states[nb] != StateSafe {
 					notSafe++
 				}
 			}
 			var s NodeState
 			switch {
-			case direct >= 2:
+			case direct[i] >= 2:
 				s = StateSUnsafe
 			case notSafe >= 3:
 				// The paper's Figure 4 fires the escalation when
@@ -173,7 +184,7 @@ func (r *RouteC) UpdateFaults(f *fault.Set) {
 				changed = true
 			}
 		}
-		states = next
+		states, next = next, states
 		rounds++
 		if !changed {
 			break
