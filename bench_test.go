@@ -359,6 +359,41 @@ func BenchmarkDiagnosisFixpoint(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineBuild measures one rule-table engine build from the
+// builtin program text: parse, analyse, compile every decision base
+// into its filled table (core.CompileBase) and its dense fast path —
+// what each sim round of a rule algorithm, each reconfig.Build and each
+// rulec run pays before the first decision. allocs/op is the compiler's
+// allocation count per build.
+func BenchmarkEngineBuild(b *testing.B) {
+	b.Run("rule-nafta/mesh16x16", func(b *testing.B) {
+		m := topology.NewMesh(16, 16)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := rulesets.NewRuleNAFTA(m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("rule-routec/cube8", func(b *testing.B) {
+		h := topology.NewHypercube(8)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := rulesets.NewRuleRouteC(h); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("reconfig-build/nafta", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := reconfig.Build("nafta", reconfig.BuildOptions{Epoch: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkE12_Reconfiguration measures the disruption of a mid-run
 // fault: global tree rebuild vs NAFTA's local state propagation.
 func BenchmarkE12_Reconfiguration(b *testing.B) {

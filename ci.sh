@@ -63,7 +63,13 @@
 #      for NAFTA and ROUTE_C, native BenchmarkRouteDecision, and
 #      BenchmarkFleetDecision/single, the engine behind the registry;
 #      that snapshot names the row by its old name, uncached, so it is
-#      reported as new until the snapshot is retaken).
+#      reported as new until the snapshot is retaken). Set
+#      BENCH_BUILD_BASELINE=BENCH_2026-10-19-engine-build.json to gate
+#      a rule-table engine build (BenchmarkEngineBuild: rule-NAFTA on
+#      mesh16x16, rule-ROUTE_C on cube8, reconfig.Build nafta — parse,
+#      analyse, table fill and dense compile) at -benchtime 200x; a
+#      build takes about a millisecond, so the rules gate's 200000x
+#      would run for minutes.
 #
 # Exits non-zero on the first failure.
 set -eu
@@ -155,6 +161,11 @@ if [ -n "${BENCH_RULES_BASELINE:-}" ]; then
 	echo "== benchjson -baseline $BENCH_RULES_BASELINE (rule decision)"
 	go run ./cmd/benchjson -bench 'BenchmarkRuleDecision|BenchmarkRouteDecision|BenchmarkFleetDecision/single' \
 		-benchtime 200000x -baseline "$BENCH_RULES_BASELINE"
+fi
+
+if [ -n "${BENCH_BUILD_BASELINE:-}" ]; then
+	echo "== benchjson -baseline $BENCH_BUILD_BASELINE (engine build)"
+	go run ./cmd/benchjson -bench 'BenchmarkEngineBuild' -benchtime 200x -baseline "$BENCH_BUILD_BASELINE"
 fi
 
 echo "== ci.sh: all green"

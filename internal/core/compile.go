@@ -177,17 +177,33 @@ func CompileBase(c *rules.Checked, base string, opts CompileOptions) (*CompiledB
 
 	// 6. Fill the table: for every combination of field values and
 	// feature bits, the first rule whose premise holds wins; gaps get
-	// the explicit "no rule" conclusion.
+	// the explicit "no rule" conclusion. Premises are resolved against
+	// the layout once (see premise), so an entry costs only their
+	// evaluation over the enumeration's two assignment slices.
+	r := premiseResolver{c: c, atoms: make(map[string]int, len(cb.Atoms)), fields: make(map[string]int, len(cb.Fields))}
+	for i, a := range cb.Atoms {
+		r.atoms[a.Key] = i
+	}
+	for j, f := range cb.Fields {
+		r.fields[f.Key] = j
+	}
+	resolved := make([]*premise, len(premises))
+	for i, p := range premises {
+		resolved[i], _ = r.resolve(p)
+	}
+	domains := make([][]rules.Value, len(cb.Fields))
+	for j, f := range cb.Fields {
+		domains[j] = enumerateType(f.Type)
+	}
 	cb.Table = make([]int16, entries)
-	fieldVals := make(map[string]rules.Value, len(cb.Fields))
-	featVals := make(map[string]bool, len(cb.Atoms))
+	fieldVals := make([]rules.Value, len(cb.Fields))
+	bits := make([]bool, len(cb.Atoms))
 	var fill func(dim int, idx int64) error
 	fill = func(dim int, idx int64) error {
 		if dim < len(cb.Fields) {
-			f := cb.Fields[dim]
-			for ord, v := range enumerateType(f.Type) {
-				fieldVals[f.Key] = v
-				if err := fill(dim+1, idx*f.Type.DomainSize()+int64(ord)); err != nil {
+			for ord, v := range domains[dim] {
+				fieldVals[dim] = v
+				if err := fill(dim+1, idx*int64(len(domains[dim]))+int64(ord)); err != nil {
 					return err
 				}
 			}
@@ -196,7 +212,7 @@ func CompileBase(c *rules.Checked, base string, opts CompileOptions) (*CompiledB
 		a := dim - len(cb.Fields)
 		if a < len(cb.Atoms) {
 			for bit := int64(0); bit < 2; bit++ {
-				featVals[cb.Atoms[a].Key] = bit == 1
+				bits[a] = bit == 1
 				if err := fill(dim+1, idx*2+bit); err != nil {
 					return err
 				}
@@ -204,8 +220,8 @@ func CompileBase(c *rules.Checked, base string, opts CompileOptions) (*CompiledB
 			return nil
 		}
 		choice := int16(cb.RuleCount)
-		for i, p := range premises {
-			v, err := evalPartial(c, p, fieldVals, featVals)
+		for i, p := range resolved {
+			v, err := p.eval(bits, fieldVals)
 			if err != nil {
 				return fmt.Errorf("core: %s rule %d: %w", base, i, err)
 			}
@@ -439,88 +455,4 @@ func occurrencesIn(c *rules.Checked, bi *rules.BaseInfo, e rules.Expr) []occurre
 	}
 	walk(e)
 	return out
-}
-
-// evalPartial evaluates a quantifier-free premise under an assignment
-// of direct-field values and feature-atom truth bits.
-func evalPartial(c *rules.Checked, e rules.Expr, fields map[string]rules.Value, feats map[string]bool) (rules.Value, error) {
-	key := rules.ExprString(e)
-	if b, ok := feats[key]; ok {
-		return rules.BoolVal(b), nil
-	}
-	if v, ok := fields[key]; ok {
-		return v, nil
-	}
-	switch n := e.(type) {
-	case *rules.NumLit:
-		return rules.IntVal(n.Val), nil
-	case *rules.Ident:
-		if v, ok := c.Symbols[n.Name]; ok {
-			return v, nil
-		}
-		if v, ok := c.NumConsts[n.Name]; ok {
-			return rules.IntVal(v), nil
-		}
-		return rules.Value{}, fmt.Errorf("signal %s not available during table fill", n.Name)
-	case *rules.Unary:
-		x, err := evalPartial(c, n.X, fields, feats)
-		if err != nil {
-			return rules.Value{}, err
-		}
-		if n.Op == "NOT" {
-			return rules.BoolVal(!x.B), nil
-		}
-		return rules.IntVal(-x.I), nil
-	case *rules.Binary:
-		return evalPartialBinary(c, n, fields, feats)
-	case *rules.SetLit:
-		return evalPartialSet(c, n, fields, feats)
-	case *rules.Call:
-		if _, isSignal := c.Signals[n.Name]; isSignal {
-			return rules.Value{}, fmt.Errorf("signal %s not available during table fill", key)
-		}
-		if _, isSub := c.Subs[n.Name]; isSub {
-			return rules.Value{}, fmt.Errorf("subbase %s not available during table fill", key)
-		}
-		args := make([]rules.Value, len(n.Args))
-		for i, a := range n.Args {
-			v, err := evalPartial(c, a, fields, feats)
-			if err != nil {
-				return rules.Value{}, err
-			}
-			args[i] = v
-		}
-		return rules.ApplyBuiltin(n.Name, args)
-	}
-	return rules.Value{}, fmt.Errorf("cannot fold expression %s", key)
-}
-
-func evalPartialBinary(c *rules.Checked, n *rules.Binary, fields map[string]rules.Value, feats map[string]bool) (rules.Value, error) {
-	x, err := evalPartial(c, n.X, fields, feats)
-	if err != nil {
-		return rules.Value{}, err
-	}
-	if n.Op == "AND" && !x.B {
-		return rules.BoolVal(false), nil
-	}
-	if n.Op == "OR" && x.B {
-		return rules.BoolVal(true), nil
-	}
-	y, err := evalPartial(c, n.Y, fields, feats)
-	if err != nil {
-		return rules.Value{}, err
-	}
-	return rules.ApplyBinary(n.Op, x, y)
-}
-
-func evalPartialSet(c *rules.Checked, n *rules.SetLit, fields map[string]rules.Value, feats map[string]bool) (rules.Value, error) {
-	vals := make([]rules.Value, len(n.Elems))
-	for i, el := range n.Elems {
-		v, err := evalPartial(c, el, fields, feats)
-		if err != nil {
-			return rules.Value{}, err
-		}
-		vals[i] = v
-	}
-	return rules.MakeSet(vals)
 }

@@ -525,7 +525,7 @@ func (dc *denseCompiler) compileBinary(n *rules.Binary) {
 		// The right-hand side must fold to a constant set; premise
 		// sets are literal by construction ({neg, zero}, {0,2},
 		// {1}+{3}).
-		y, err := evalPartial(dc.c, n.Y, nil, nil)
+		y, err := foldConst(dc.c, n.Y)
 		if err != nil || y.T == nil || y.T.Kind != rules.TSet {
 			dc.fail("IN right-hand side is not a constant set: %v", err)
 			return
@@ -746,7 +746,7 @@ func (cb *CompiledBase) compileDense(layout *InputLayout, noMask bool) (*DenseTa
 	for i, r := range bi.RB.Rules {
 		for _, cmd := range r.Cmds {
 			if ret, ok := cmd.(*rules.Return); ok {
-				if v, err := evalPartial(cb.checked, ret.Val, nil, nil); err == nil {
+				if v, err := foldConst(cb.checked, ret.Val); err == nil {
 					dt.ret[i] = v
 				}
 				break

@@ -56,17 +56,63 @@ func BuildDirStates(m *topology.Mesh, s *Set, b *BlockInfo) *DirStates {
 	// Propagate against the travel direction: the state of n depends on
 	// its travel-direction neighbour, so a wave starts at the border the
 	// travel points to — descending node order for north and east,
-	// ascending for south and west.
+	// ascending for south and west. Each walk runs two waves at once;
+	// their flags and runs are disjoint.
+	const (
+		north, east, south, west = topology.North, topology.East, topology.South, topology.West
+		n4                       = topology.MeshPorts
+		// The two flags of each travel direction t: bits t and 4+t.
+		northBits, eastBits uint8 = 1<<north | 1<<(4+north), 1<<east | 1<<(4+east)
+		southBits, westBits uint8 = 1<<south | 1<<(4+south), 1<<west | 1<<(4+west)
+	)
+	blocked, flags, runs, w := d.blocked, d.flags, d.runs, m.W
 	for n := nodes - 1; n >= 0; n-- {
-		d.wave(n, topology.North, m.W)
-		d.wave(n, topology.East, 1)
+		bl := blocked[n]
+		f := sideFlags[bl] & (northBits | eastBits)
+		// If the travel direction itself is interrupted (border, fault,
+		// disabled node) the wave ends here: nothing beyond the
+		// interruption can re-open a direction for a message detouring
+		// along this line.
+		if bl&(1<<north) == 0 {
+			runs[n4*n+north] = 1 + runs[n4*(n+w)+north]
+			f &= flags[n+w] | ^northBits
+		}
+		if bl&(1<<east) == 0 {
+			runs[n4*n+east] = 1 + runs[n4*(n+1)+east]
+			f &= flags[n+1] | ^eastBits
+		}
+		flags[n] = f
 	}
 	for n := 0; n < nodes; n++ {
-		d.wave(n, topology.South, -m.W)
-		d.wave(n, topology.West, -1)
+		bl := blocked[n]
+		f := sideFlags[bl] & (southBits | westBits)
+		if bl&(1<<south) == 0 {
+			runs[n4*n+south] = 1 + runs[n4*(n-w)+south]
+			f &= flags[n-w] | ^southBits
+		}
+		if bl&(1<<west) == 0 {
+			runs[n4*n+west] = 1 + runs[n4*(n-1)+west]
+			f &= flags[n-1] | ^westBits
+		}
+		flags[n] |= f
 	}
 	return d
 }
+
+// sideFlags[bl] is the local part of a node's flags for blocked nibble
+// bl: for every travel direction t, the bit of each perpendicular
+// direction that is blocked at the node itself. A wave clears the bits
+// the travel-direction neighbour's flags re-open.
+var sideFlags = func() (tab [16]uint8) {
+	for bl := range tab {
+		for t := range topology.MeshPorts {
+			// The two directions perpendicular to t.
+			pos := uint(topology.East - t&1)
+			tab[bl] |= uint8(bl>>pos&1)<<uint(t) | uint8(bl>>(pos+2)&1)<<uint(4+t)
+		}
+	}
+	return tab
+}()
 
 // withBorder returns a copy of the per-node observation nibbles with
 // the unconnected border ports blocked as well.
@@ -82,26 +128,6 @@ func withBorder(m *topology.Mesh, obs []uint8) []uint8 {
 		out[n+m.W-1] |= 1 << topology.East
 	}
 	return out
-}
-
-// wave sets node n's clear run in direction travel and its two flags
-// for that travel direction from its local nibble and the state of its
-// travel-direction neighbour, step nodes away.
-func (d *DirStates) wave(n, travel, step int) {
-	bl := d.blocked[n]
-	// The two directions perpendicular to travel, moved to the flag
-	// positions of this travel direction.
-	pos := uint(topology.East - travel&1)
-	f := (bl>>pos&1)<<uint(travel) | (bl>>(pos+2)&1)<<uint(4+travel)
-	// If the travel direction itself is interrupted (border, fault,
-	// disabled node) the wave ends here: nothing beyond the
-	// interruption can re-open a direction for a message detouring
-	// along this line.
-	if bl>>uint(travel)&1 == 0 {
-		d.runs[topology.MeshPorts*n+travel] = 1 + d.runs[topology.MeshPorts*(n+step)+travel]
-		f &= d.flags[n+step]
-	}
-	d.flags[n] |= f
 }
 
 // PortBlocks returns node n's blocked-port nibbles: bit p of blocked is

@@ -371,6 +371,12 @@ func (n *Network) hasCredit(node, o int) bool {
 	return n.rtr[node*n.lay.rStride+n.lay.credOff+o>>6]&(1<<(o&63)) != 0
 }
 
+// owned reports node's owned-mask bit of output slot o: some input
+// holds the output VC (its record's owner is set).
+func (n *Network) owned(node, o int) bool {
+	return n.rtr[node*n.lay.rStride+n.lay.ownOff+o>>6]&(1<<(o&63)) != 0
+}
+
 // setCredit sets or clears node's credit-mask bit of output slot o.
 func (n *Network) setCredit(node, o int, on bool) {
 	setBit(&n.rtr[node*n.lay.rStride+n.lay.credOff+o>>6], o, on)

@@ -79,7 +79,7 @@ func (n *Network) CheckInvariants() error {
 					return fmt.Errorf("node %d output (%d,%d): owner message set %v but port free %v",
 						node, p, v, out.ownerMsg != nil, out.free())
 				}
-				owned := n.rtr[node*lay.rStride+lay.ownOff+o>>6]&(1<<(o&63)) != 0
+				owned := n.owned(node, o)
 				if owned == out.free() {
 					return fmt.Errorf("node %d output (%d,%d): owned bit %v, owner %d", node, p, v, owned, out.owner)
 				}

@@ -643,13 +643,14 @@ func (n *Network) allocStage() {
 		if n.now < ivc.decisionReady {
 			return
 		}
-		outBase := node * n.lay.outStride
 		free := n.freeScratch[:0]
 		unowned := false
 		for _, c := range n.candidates(idx) {
-			if n.outs[outBase+c.Port*n.lay.vcs+c.VC].free() {
+			// The owned mask sits in the router record VA already reads;
+			// the output records stay untouched until the claim.
+			if o := c.Port*n.lay.vcs + c.VC; !n.owned(node, o) {
 				unowned = true
-				if !needCredit || n.hasCredit(node, c.Port*n.lay.vcs+c.VC) {
+				if !needCredit || n.hasCredit(node, o) {
 					free = append(free, c)
 				}
 			}

@@ -105,18 +105,26 @@ func (n *NAFTA) UpdateFaults(f *fault.Set) {
 	}
 	n.dirs = fault.BuildDirStates(n.mesh, f, n.blocks)
 	w := n.mesh.W
-	steps := [topology.MeshPorts]int{w, 1, -w, -1} // node stride of each port
 	unbounded := [2]int32{math.MaxInt32, math.MaxInt32}
 	for i := range n.facts {
 		blocked, hard := n.dirs.PortBlocks(topology.NodeID(i))
-		fc := naftaFacts{open: ^hard & 0xF, free: ^blocked & 0xF, runN: unbounded, runS: unbounded}
-		for p, step := range steps {
-			if bit := uint8(1) << uint(p); fc.open&bit != 0 {
-				admits := ^n.dirs.Flags(topology.NodeID(i + step))
-				fc.sidePos |= admits & bit
-				fc.sideNeg |= admits >> 4 & bit
-			}
+		open := ^hard & 0xF
+		// Bit p of each nibble of the neighbour behind open port p:
+		// the low nibble is sidePos, the high one sideNeg.
+		var side uint8
+		if open&(1<<topology.North) != 0 {
+			side |= ^n.dirs.Flags(topology.NodeID(i+w)) & (0x11 << topology.North)
 		}
+		if open&(1<<topology.East) != 0 {
+			side |= ^n.dirs.Flags(topology.NodeID(i+1)) & (0x11 << topology.East)
+		}
+		if open&(1<<topology.South) != 0 {
+			side |= ^n.dirs.Flags(topology.NodeID(i-w)) & (0x11 << topology.South)
+		}
+		if open&(1<<topology.West) != 0 {
+			side |= ^n.dirs.Flags(topology.NodeID(i-1)) & (0x11 << topology.West)
+		}
+		fc := naftaFacts{open: open, free: ^blocked & 0xF, sidePos: side & 0xF, sideNeg: side >> 4, runN: unbounded, runS: unbounded}
 		y := int(n.xy[i][1])
 		if y == n.mesh.H-2 {
 			fc.runN = n.clearRuns(i + w)

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -9,30 +10,50 @@ import (
 // compiler uses it as a structural identity key for premise atoms and
 // signal occurrences.
 func ExprString(e Expr) string {
+	var sub []string
+	switch n := e.(type) {
+	case *Call:
+		sub = exprStrings(n.Args)
+	case *Unary:
+		sub = []string{ExprString(n.X)}
+	case *Binary:
+		sub = []string{ExprString(n.X), ExprString(n.Y)}
+	case *SetLit:
+		sub = exprStrings(n.Elems)
+	}
+	return RenderNode(e, sub)
+}
+
+func exprStrings(es []Expr) []string {
+	out := make([]string, len(es))
+	for i, x := range es {
+		out[i] = ExprString(x)
+	}
+	return out
+}
+
+// RenderNode renders e given the renderings of its operands — a Call's
+// arguments, a Unary's X, a Binary's X and Y, a SetLit's elements, in
+// order; other nodes take none — so that a caller walking a tree bottom
+// up builds each subexpression's ExprString once instead of once per
+// ancestor.
+func RenderNode(e Expr, sub []string) string {
 	switch n := e.(type) {
 	case *NumLit:
-		return fmt.Sprint(n.Val)
+		return strconv.FormatInt(n.Val, 10)
 	case *Ident:
 		return n.Name
 	case *Call:
-		args := make([]string, len(n.Args))
-		for i, a := range n.Args {
-			args[i] = ExprString(a)
-		}
-		return n.Name + "(" + strings.Join(args, ",") + ")"
+		return n.Name + "(" + strings.Join(sub, ",") + ")"
 	case *Unary:
 		if n.Op == "NOT" {
-			return "NOT " + ExprString(n.X)
+			return "NOT " + sub[0]
 		}
-		return "-" + ExprString(n.X)
+		return "-" + sub[0]
 	case *Binary:
-		return "(" + ExprString(n.X) + " " + n.Op + " " + ExprString(n.Y) + ")"
+		return "(" + sub[0] + " " + n.Op + " " + sub[1] + ")"
 	case *SetLit:
-		elems := make([]string, len(n.Elems))
-		for i, el := range n.Elems {
-			elems[i] = ExprString(el)
-		}
-		return "{" + strings.Join(elems, ",") + "}"
+		return "{" + strings.Join(sub, ",") + "}"
 	case *Quant:
 		return fmt.Sprintf("%s %s IN %s: %s", n.Kind, n.Var, domainString(n.Domain), ExprString(n.Body))
 	}

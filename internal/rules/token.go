@@ -76,7 +76,7 @@ func errAt(line, col int, format string, args ...interface{}) *Error {
 
 // Lex tokenises src. Comments run from "--" to end of line.
 func Lex(src string) ([]Token, error) {
-	var toks []Token
+	toks := make([]Token, 0, len(src)/4) // the builtin programs run 4.4 to 4.7 bytes a token
 	line, col := 1, 1
 	i := 0
 	n := len(src)
@@ -132,7 +132,7 @@ func Lex(src string) ([]Token, error) {
 				adv(2)
 			}
 			emit1 := func(k TokKind) {
-				toks = append(toks, Token{Kind: k, Text: string(c), Line: l0, Col: c0})
+				toks = append(toks, Token{Kind: k, Text: src[i : i+1], Line: l0, Col: c0})
 				adv(1)
 			}
 			switch {

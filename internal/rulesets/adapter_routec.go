@@ -154,12 +154,41 @@ func (r *RuleRouteC) UpdateFaults(f *fault.Set) {
 	r.rebuildNodes()
 }
 
-// rebuildNodes recomputes every node's fault-dependent lines.
+// rebuildNodes recomputes every node's fault-dependent lines, as
+// freshLines gives them before any destination adjustment (a node is
+// not its own neighbour). The usable-port words come from one walk over
+// the fault set, not from a lookup per node and port: every port is
+// usable but a faulty node's own, the ones facing a faulty node and
+// both ends of a faulty link.
 func (r *RuleRouteC) rebuildNodes() {
+	dim := r.cube.Dim
+	all := uint64(1)<<uint(dim) - 1
 	for n := range r.nodes {
-		// A node is not its own neighbour: the lines before any
-		// destination adjustment.
-		r.nodes[n] = r.freshLines(topology.NodeID(n), topology.NodeID(n))
+		r.nodes[n].ok = all
+	}
+	inCube := func(n topology.NodeID) bool { return n >= 0 && int(n) < len(r.nodes) }
+	for _, f := range r.faults.FaultyNodes() {
+		if !inCube(f) {
+			continue
+		}
+		r.nodes[f].ok = 0
+		for i := 0; i < dim; i++ {
+			r.nodes[f^1<<i].ok &^= 1 << uint(i)
+		}
+	}
+	for _, l := range r.faults.FaultyLinks() {
+		if p, ok := r.cube.PortTo(l.A, l.B); ok && inCube(l.A) && inCube(l.B) {
+			r.nodes[l.A].ok &^= 1 << uint(p)
+			r.nodes[l.B].ok &^= 1 << uint(p)
+		}
+	}
+	states := r.native.States()
+	for n := range r.nodes {
+		var class [4]uint64
+		for i := 0; i < dim; i++ {
+			class[states[n^1<<i]] |= 1 << uint(i)
+		}
+		r.nodes[n].class = class
 	}
 }
 
