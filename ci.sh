@@ -27,6 +27,11 @@
 #      heads' regime) and one of rule-table NAFTA on a 16x16 mesh with
 #      node faults (its load view and block view as the network hands
 #      them over) must each drain without a watchdog or livelock exit
+#   7b. ROUTE_C wedge sweep: the built ftsim over {routec, rule-routec}
+#      x {cube4, cube6} x rate {0.40, 0.55} x 1-3 node faults x seeds
+#      1-3 at -measure 3000 (72 runs, a few seconds); any "deadlock
+#      suspected" fails the stage. Before the minimal descending hop
+#      ended a level's ascent, 8 of these runs wedged.
 #   8. repo benchmark smoke: `go run ./bench --quick --reps 1`, then the
 #      same with `--trace 1` — the exit status is the gate (every
 #      workload builds, runs and passes its own output checks), so a
@@ -131,6 +136,38 @@ must_drain mesh64x64 -topo mesh64x64 -alg nafta -rate 0.02
 must_drain "low-load mesh64x64" -topo mesh64x64 -alg nafta -rate 0.005
 must_drain "saturated cube8 rule-routec" -topo cube8 -alg rule-routec -rate 0.25
 must_drain "rule-nafta under node faults" -topo mesh16x16 -alg rule-nafta -faults 4 -rate 0.05
+
+echo "== ROUTE_C wedge sweep (72 faulted cube runs past the knee)"
+sweepdir=$(mktemp -d)
+go build -o "$sweepdir/ftsim" ./cmd/ftsim
+wedged=0
+for alg in routec rule-routec; do
+	for topo in cube4 cube6; do
+		for rate in 0.40 0.55; do
+			for faults in 1 2 3; do
+				for seed in 1 2 3; do
+					# ftsim exits 2 on a suspected deadlock, 1 on an error.
+					code=0
+					out=$("$sweepdir/ftsim" -topo $topo -alg $alg -rate $rate -faults $faults \
+						-seed $seed -measure 3000 2>&1) || code=$?
+					case "$out" in
+					*"deadlock suspected"*) code=2 ;;
+					esac
+					if [ "$code" -ne 0 ]; then
+						echo "ci.sh: $alg $topo rate $rate, $faults faults, seed $seed: exit $code" >&2
+						printf '%s\n' "$out" | tail -3 >&2
+						wedged=$((wedged + 1))
+					fi
+				done
+			done
+		done
+	done
+done
+rm -rf "$sweepdir"
+if [ "$wedged" -ne 0 ]; then
+	echo "ci.sh: $wedged ROUTE_C sweep run(s) wedged or failed" >&2
+	exit 1
+fi
 
 echo "== repo benchmark smoke (bench --quick, untraced then traced)"
 go run ./bench --quick --reps 1

@@ -291,3 +291,19 @@ func TestRunPostMortemDir(t *testing.T) {
 		t.Fatalf("stdout missing post-mortem summary:\n%s", out.String())
 	}
 }
+
+// TestRouteCFaultyCubeDrains pins the ROUTE_C wait cycle of a saturated
+// 4-cube with two node faults: a minimal descending hop that left the
+// message in phase 0 let the next hop ascend on VC 0 while the worm
+// held VC 1, and this run wedged with 2437 messages delivered. Both the
+// native and the rule-table engine must drain it.
+func TestRouteCFaultyCubeDrains(t *testing.T) {
+	for _, alg := range []string{"routec", "rule-routec"} {
+		var out, errBuf bytes.Buffer
+		code := run([]string{"-topo", "cube4", "-alg", alg, "-faults", "2", "-rate", "0.45",
+			"-measure", "6000", "-seed", "1"}, &out, &errBuf)
+		if code != 0 || strings.Contains(out.String(), "deadlock suspected") || !strings.Contains(out.String(), "drained true") {
+			t.Errorf("%s: exit %d, want a drained run:\n%s%s", alg, code, out.String(), errBuf.String())
+		}
+	}
+}
