@@ -24,11 +24,10 @@ type clockwiseRing struct {
 	m *topology.Mesh
 }
 
-func (r *clockwiseRing) Name() string                               { return "clockwise-ring" }
-func (r *clockwiseRing) NumVCs() int                                { return 1 }
-func (r *clockwiseRing) Steps(routing.Request) int                  { return 1 }
-func (r *clockwiseRing) NoteHop(routing.Request, routing.Candidate) {}
-func (r *clockwiseRing) UpdateFaults(*fault.Set)                    {}
+func (r *clockwiseRing) Name() string              { return "clockwise-ring" }
+func (r *clockwiseRing) NumVCs() int               { return 1 }
+func (r *clockwiseRing) Steps(routing.Request) int { return 1 }
+func (r *clockwiseRing) UpdateFaults(*fault.Set)   {}
 
 func (r *clockwiseRing) RouteAppend(req routing.Request, buf []routing.Candidate) []routing.Candidate {
 	x, y := r.m.XY(req.Node)

@@ -294,7 +294,7 @@ func walkOnce(g topology.Graph, alg routing.Algorithm, src, dst topology.NodeID,
 		if len(cands) == 0 {
 			return false, hops
 		}
-		alg.NoteHop(req, cands[0])
+		routing.ApplyHop(hdr, req.Node, cands[0])
 		next := g.Neighbor(req.Node, cands[0].Port)
 		back, _ := g.PortTo(next, req.Node)
 		req = routing.Request{Node: next, InPort: back, InVC: cands[0].VC, Hdr: hdr}

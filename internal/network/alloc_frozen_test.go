@@ -14,7 +14,8 @@ import (
 // blocked heads to sleep (the wait mask): every vaSet member re-filters its
 // candidates every cycle. It is the reference TestAllocMatchesFrozenWalk
 // holds allocStage to; do not "modernise" it. The only additions are the
-// three counters.
+// three counters, and the header update: both walks apply the granted
+// candidate's Hop, where the algorithm used to be told of the hop.
 type oldAlloc struct {
 	visits, blocked, creditLess int
 }
@@ -48,7 +49,7 @@ func (o *oldAlloc) stage(n *Network) {
 		p, v := n.lay.portVC(slot)
 		m := n.frontMsg(node*n.lay.inStride + slot)
 		chosen := n.sel.Select(n, topology.NodeID(node), free, &m.Hdr)
-		n.alg.NoteHop(n.requestFor(node, p, v, m), chosen)
+		routing.ApplyHop(&m.Hdr, topology.NodeID(node), chosen)
 		ivc.outPort, ivc.outVC = int8(chosen.Port), int8(chosen.VC)
 		n.claimOutput(node, p*n.lay.vcs+v, chosen.Port*n.lay.vcs+chosen.VC, m)
 		n.noteInput(node, slot)
@@ -71,22 +72,29 @@ func waitBits(n *Network) int {
 }
 
 // allocCall is one observable act of the VA stage, in call order: the
-// selector asked (kind 's', nfree candidates offered), NoteHop told
-// (kind 'h', the input as port/vc) or KVCAllocated recorded (kind 'e').
+// selector asked (kind 's', nfree candidates offered) or KVCAllocated
+// recorded (kind 'e', with the header after the granted hop).
 type allocCall struct {
 	kind             byte
-	node, port, vc   int
+	node             int
 	msg              int64
 	outPort, outVC   int
 	nfree, firstFree int
+	hdr              routing.Header
 }
 
-type allocLog struct{ calls []allocCall }
+// allocLog collects the calls; selected is the header the selector was
+// last asked about, which the network updates before it records the
+// allocation.
+type allocLog struct {
+	calls    []allocCall
+	selected *routing.Header
+}
 
 func (l *allocLog) Emit(ev trace.Event) error {
 	if ev.Kind == trace.KVCAllocated {
 		l.calls = append(l.calls, allocCall{kind: 'e', node: int(ev.Node), msg: ev.Msg,
-			outPort: int(ev.Port), outVC: int(ev.VC)})
+			outPort: int(ev.Port), outVC: int(ev.VC), hdr: *l.selected})
 	}
 	return nil
 }
@@ -102,30 +110,8 @@ func (s loggedSelector) Select(lv routing.LoadView, node topology.NodeID, cands 
 	chosen := s.inner.Select(lv, node, cands, h)
 	s.log.calls = append(s.log.calls, allocCall{kind: 's', node: int(node), outPort: chosen.Port, outVC: chosen.VC,
 		nfree: len(cands), firstFree: cands[0].Port*64 + cands[0].VC})
+	s.log.selected = h
 	return chosen
-}
-
-// loggedAlg logs NoteHop; loggedMaze does the same around the concrete
-// maze engine so its credit-gated VA, flush and verdict methods stay
-// visible to the network.
-type loggedAlg struct {
-	routing.Algorithm
-	log *allocLog
-}
-
-func (a loggedAlg) NoteHop(req routing.Request, chosen routing.Candidate) {
-	a.log.calls = append(a.log.calls, allocCall{kind: 'h', node: int(req.Node), port: req.InPort, vc: req.InVC,
-		outPort: chosen.Port, outVC: chosen.VC})
-	a.Algorithm.NoteHop(req, chosen)
-}
-
-type loggedMaze struct {
-	*routing.Maze
-	log *allocLog
-}
-
-func (a loggedMaze) NoteHop(req routing.Request, chosen routing.Candidate) {
-	loggedAlg{a.Maze, a.log}.NoteHop(req, chosen)
 }
 
 // allocCases are the saturated switch configurations plus a faulted maze
@@ -140,24 +126,12 @@ var allocCases = append(slices.Clone(switchCases), switchCase{
 		return m, alg
 	}})
 
-// logged returns the case with its algorithm wrapped to log into l.
-func (c switchCase) logged(l *allocLog) switchCase {
-	inner := c.graph
-	c.graph = func() (topology.Graph, routing.Algorithm) {
-		g, alg := inner()
-		if mz, ok := alg.(*routing.Maze); ok {
-			return g, loggedMaze{mz, l}
-		}
-		return g, loggedAlg{alg, l}
-	}
-	return c
-}
-
 // TestAllocMatchesFrozenWalk steps twin saturated networks stage by
 // stage — one through allocStage, one through the frozen walk — across a
-// mid-run fault event, and requires every cycle's selector calls, NoteHop
-// calls and KVCAllocated events to agree in content and order, and the
-// output ownership to be the same afterwards.
+// mid-run fault event, and requires every cycle's selector calls and
+// KVCAllocated events, with the header after each granted hop, to agree
+// in content and order, and the output ownership to be the same
+// afterwards.
 func TestAllocMatchesFrozenWalk(t *testing.T) {
 	const cycles = 120
 	for _, c := range allocCases {
@@ -169,7 +143,7 @@ func TestAllocMatchesFrozenWalk(t *testing.T) {
 			g, _ := c.graph()
 			rec := trace.New(g.Nodes(), 8)
 			rec.SetSink(logs[i])
-			nets[i], refill[i] = c.logged(logs[i]).build(t, Config{BufDepth: 2,
+			nets[i], refill[i] = c.build(t, Config{BufDepth: 2,
 				Selector: loggedSelector{routing.MinQueue{}, logs[i]}, Recorder: rec})
 		}
 		old := &oldAlloc{}
@@ -193,7 +167,7 @@ func TestAllocMatchesFrozenWalk(t *testing.T) {
 			if !slices.Equal(logs[0].calls, logs[1].calls) {
 				t.Fatalf("%s cycle %d: VA acts differ\n got %v\nwant %v", c.name, cyc, logs[0].calls, logs[1].calls)
 			}
-			allocs += len(logs[0].calls) / 3
+			allocs += len(logs[0].calls) / 2
 			for i := range nets[0].outs {
 				a, b := &nets[0].outs[i], &nets[1].outs[i]
 				if a.owner != b.owner || a.remaining != b.remaining ||

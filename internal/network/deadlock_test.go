@@ -17,11 +17,10 @@ type ringAlg struct {
 	m *topology.Mesh
 }
 
-func (r *ringAlg) Name() string                               { return "ring" }
-func (r *ringAlg) NumVCs() int                                { return 1 }
-func (r *ringAlg) Steps(routing.Request) int                  { return 1 }
-func (r *ringAlg) NoteHop(routing.Request, routing.Candidate) {}
-func (r *ringAlg) UpdateFaults(*fault.Set)                    {}
+func (r *ringAlg) Name() string              { return "ring" }
+func (r *ringAlg) NumVCs() int               { return 1 }
+func (r *ringAlg) Steps(routing.Request) int { return 1 }
+func (r *ringAlg) UpdateFaults(*fault.Set)   {}
 
 // RouteAppend follows the ring clockwise: east along the bottom, north
 // up the right edge, west along the top, south down the left edge.

@@ -564,9 +564,8 @@ func (unroutableAlg) NumVCs() int  { return 1 }
 func (unroutableAlg) RouteAppend(_ routing.Request, buf []routing.Candidate) []routing.Candidate {
 	return buf
 }
-func (unroutableAlg) Steps(routing.Request) int                  { return 1 }
-func (unroutableAlg) NoteHop(routing.Request, routing.Candidate) {}
-func (unroutableAlg) UpdateFaults(*fault.Set)                    {}
+func (unroutableAlg) Steps(routing.Request) int { return 1 }
+func (unroutableAlg) UpdateFaults(*fault.Set)   {}
 
 // A fault event that lands while an unroutable worm is being absorbed
 // (its head flit already drained) must not clear the worm's route

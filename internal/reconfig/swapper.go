@@ -46,7 +46,7 @@ type tableInvalidator interface{ InvalidateTables() }
 // callers that drained the network first (network.Reconfigure does
 // exactly that).
 //
-// RouteAppend/Steps/NoteHop/UpdateFaults are as concurrency-safe
+// RouteAppend/Steps/UpdateFaults are as concurrency-safe
 // as the wrapped engines (the simulator is single-goroutine per
 // network); AdmitEpoch/ReleaseEpoch/Swap use atomics plus a mutex so
 // observers on other goroutines see consistent state.
@@ -234,10 +234,6 @@ func (s *Swapper) RouteAppend(req routing.Request, buf []routing.Candidate) []ro
 
 func (s *Swapper) Steps(req routing.Request) int {
 	return s.engineFor(req.Hdr.Epoch).Steps(req)
-}
-
-func (s *Swapper) NoteHop(req routing.Request, chosen routing.Candidate) {
-	s.engineFor(req.Hdr.Epoch).NoteHop(req, chosen)
 }
 
 // UnreachableVerdict forwards the verdict question to the engine the

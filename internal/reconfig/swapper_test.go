@@ -27,12 +27,11 @@ func (f *fakeAlg) NumVCs() int  { return 2 }
 func (f *fakeAlg) RouteAppend(_ routing.Request, buf []routing.Candidate) []routing.Candidate {
 	return append(buf, routing.Candidate{Port: f.port})
 }
-func (f *fakeAlg) Steps(routing.Request) int                  { return 1 }
-func (f *fakeAlg) NoteHop(routing.Request, routing.Candidate) {}
-func (f *fakeAlg) UpdateFaults(fs *fault.Set)                 { f.faults = fs }
-func (f *fakeAlg) DeadlockRegime() string                     { return f.regime }
-func (f *fakeAlg) InvalidateTables()                          { f.invalidated = true }
-func (f *fakeAlg) AttachLoads(v routing.LoadView)             { f.loads = v }
+func (f *fakeAlg) Steps(routing.Request) int      { return 1 }
+func (f *fakeAlg) UpdateFaults(fs *fault.Set)     { f.faults = fs }
+func (f *fakeAlg) DeadlockRegime() string         { return f.regime }
+func (f *fakeAlg) InvalidateTables()              { f.invalidated = true }
+func (f *fakeAlg) AttachLoads(v routing.LoadView) { f.loads = v }
 
 // stubLoads is an idle load view.
 type stubLoads struct{}

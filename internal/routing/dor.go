@@ -23,10 +23,9 @@ func NewXY(m *topology.Mesh) *XY {
 	return &XY{mesh: m, faults: fault.NewSet()}
 }
 
-func (x *XY) Name() string               { return "xy" }
-func (x *XY) NumVCs() int                { return 1 }
-func (x *XY) Steps(Request) int          { return 1 }
-func (x *XY) NoteHop(Request, Candidate) {}
+func (x *XY) Name() string      { return "xy" }
+func (x *XY) NumVCs() int       { return 1 }
+func (x *XY) Steps(Request) int { return 1 }
 
 // UpdateFaults stores the fault set; XY does not adapt, it only drops
 // messages whose fixed path is broken.
@@ -66,11 +65,10 @@ func NewECube(h *topology.Hypercube) *ECube {
 	return &ECube{cube: h, faults: fault.NewSet()}
 }
 
-func (e *ECube) Name() string               { return "ecube" }
-func (e *ECube) NumVCs() int                { return 1 }
-func (e *ECube) Steps(Request) int          { return 1 }
-func (e *ECube) NoteHop(Request, Candidate) {}
-func (e *ECube) UpdateFaults(f *fault.Set)  { e.faults = f }
+func (e *ECube) Name() string              { return "ecube" }
+func (e *ECube) NumVCs() int               { return 1 }
+func (e *ECube) Steps(Request) int         { return 1 }
+func (e *ECube) UpdateFaults(f *fault.Set) { e.faults = f }
 
 func (e *ECube) RouteAppend(req Request, buf []Candidate) []Candidate {
 	diff := uint(req.Node ^ req.Hdr.Dst)

@@ -21,7 +21,7 @@ func mazeWalk(t *testing.T, g topology.Graph, m *Maze, src, dst topology.NodeID,
 			return false, hops, hdr, req
 		}
 		chosen := cands[0]
-		m.NoteHop(req, chosen)
+		ApplyHop(req.Hdr, req.Node, chosen)
 		next := g.Neighbor(req.Node, chosen.Port)
 		if next == topology.Invalid {
 			t.Fatalf("maze routed into a border at node %d port %d", req.Node, chosen.Port)
@@ -240,7 +240,7 @@ func TestMazeEpochRestartsTraversalState(t *testing.T) {
 	hdr := &Header{
 		Src: g.Node(0, 0), Dst: g.Node(5, 5), Length: 4,
 		MazeMode: MazeModeTraversal, MazeStart: g.Node(2, 2),
-		MazeStartPort: 0, MazeMD: 3, MazeSteps: 7,
+		MazeStartPort: 0, MazeSteps: 7,
 		MazeEpoch: m.epoch - 1,
 	}
 	req := Request{Node: g.Node(0, 0), InPort: InjectionPort, Hdr: hdr}
@@ -264,10 +264,10 @@ func TestMazeEpochRestartsTraversalState(t *testing.T) {
 			t.Fatalf("escape-mode candidates must ride VC1, got %v", c)
 		}
 	}
-	// NoteHop restamps the header with the current epoch.
-	m.NoteHop(req, cands[0])
+	// The hop restamps the header with the current epoch.
+	ApplyHop(req.Hdr, req.Node, cands[0])
 	if hdr.MazeEpoch != m.epoch {
-		t.Fatalf("NoteHop must stamp the current epoch, got %d want %d", hdr.MazeEpoch, m.epoch)
+		t.Fatalf("the hop must stamp the current epoch, got %d want %d", hdr.MazeEpoch, m.epoch)
 	}
 }
 
@@ -287,7 +287,7 @@ func TestMazeEscapeAlwaysOffered(t *testing.T) {
 		t.Fatalf("candidate order must be [move@VC0, escape@VC1], got %v", cands)
 	}
 	// The sticky escape: granting VC1 flips the mode for good.
-	m.NoteHop(req, cands[1])
+	ApplyHop(req.Hdr, req.Node, cands[1])
 	if hdr.MazeMode != MazeModeEscape {
 		t.Fatalf("escape grant must latch escape mode, got %d", hdr.MazeMode)
 	}

@@ -93,14 +93,23 @@ func refMisroute(n *NAFTA, req Request, out []Candidate) []Candidate {
 	return out
 }
 
+// refRoute is the reference decision, each candidate with the header
+// update of its hop: a non-minimal hop is a misroute, and the first hop
+// latches the virtual network.
 func refRoute(n *NAFTA, req Request) []Candidate {
-	if out := refMinimal(n, req, nil); len(out) > 0 {
-		return out
+	out := refMinimal(n, req, nil)
+	if len(out) == 0 && req.Hdr.Misroutes < n.DetourBudget() {
+		out = refMisroute(n, req, nil)
 	}
-	if req.Hdr.Misroutes >= n.DetourBudget() {
-		return nil
+	for i := range out {
+		if !n.isMinimalPort(req.Node, req.Hdr.Dst, out[i].Port) {
+			out[i].Hop.Ops |= HopMisroute
+		}
+		if req.InPort == InjectionPort {
+			out[i].Hop.Ops |= HopLatchVNet
+		}
 	}
-	return refMisroute(n, req, nil)
+	return out
 }
 
 func portsOf(cands []Candidate) (m uint8) {
@@ -115,7 +124,7 @@ func portsOf(cands []Candidate) (m uint8) {
 // and link fault sets, with and without the convex completion: the
 // word-level facts with PortFacts; the minimal and the misroute
 // candidate sets, RouteAppend (within and past the detour budget),
-// Steps and NoteHop with the reference decision. Exhaustive destinations
+// Steps and the header after each hop with the reference decision. Exhaustive destinations
 // cover the ones adjacent to a disabled node and both border rows, where
 // the entry guard lives.
 func TestNAFTAFactWordsExhaustive(t *testing.T) {
@@ -181,7 +190,7 @@ func checkNAFTAExhaustive(t *testing.T, n *NAFTA, f *fault.Set) {
 					if got, ref := w.misroutePorts(inPort), portsOf(refMisroute(n, req, nil)); got != ref {
 						t.Fatalf("%v: %d->%d in %d vnet %d: misroute ports %04b, reference %04b", f, cur, dst, inPort, vnet, got, ref)
 					}
-					for _, misroutes := range []int{0, n.DetourBudget()} {
+					for _, misroutes := range []int{n.DetourBudget(), 0} {
 						hdr.Misroutes = misroutes
 						buf = n.RouteAppend(req, buf[:0])
 						ref := refRoute(n, req)
@@ -199,14 +208,14 @@ func checkNAFTAExhaustive(t *testing.T, n *NAFTA, f *fault.Set) {
 					if got := n.Steps(req); got != wantSteps {
 						t.Fatalf("%v: %d->%d in %d vnet %d: Steps %d, reference %d", f, cur, dst, inPort, vnet, got, wantSteps)
 					}
-					for p := 0; p < topology.MeshPorts; p++ {
+					for _, c := range buf { // the decision at misroutes 0
 						h := Header{Dst: hdr.Dst, VNet: vnet}
-						n.NoteHop(Request{Node: req.Node, InPort: inPort, Hdr: &h}, Candidate{Port: p, VC: 1 - vnet})
-						if marked := !n.isMinimalPort(req.Node, hdr.Dst, p); h.Marked != marked || (h.Misroutes == 1) != marked {
-							t.Fatalf("%d->%d port %d: NoteHop marked=%v misroutes=%d, reference marked=%v", cur, dst, p, h.Marked, h.Misroutes, marked)
+						ApplyHop(&h, req.Node, c)
+						if marked := !n.isMinimalPort(req.Node, hdr.Dst, c.Port); h.Marked != marked || (h.Misroutes == 1) != marked {
+							t.Fatalf("%d->%d port %d: hop marked=%v misroutes=%d, reference marked=%v", cur, dst, c.Port, h.Marked, h.Misroutes, marked)
 						}
-						if wantVNet := map[bool]int{true: 1 - vnet, false: vnet}[inPort == InjectionPort]; h.VNet != wantVNet {
-							t.Fatalf("NoteHop vnet %d, want %d", h.VNet, wantVNet)
+						if wantVNet := map[bool]int{true: n.VNetOf(req), false: vnet}[inPort == InjectionPort]; h.VNet != wantVNet {
+							t.Fatalf("hop vnet %d, want %d", h.VNet, wantVNet)
 						}
 					}
 				}

@@ -100,7 +100,7 @@ func TestNegHopLevelDiscipline(t *testing.T) {
 			}
 			chosen := cands[0]
 			before := hdr.NegHops
-			alg.NoteHop(req, chosen)
+			ApplyHop(req.Hdr, req.Node, chosen)
 			if hdr.NegHops != chosen.VC {
 				t.Fatalf("level after hop %d != candidate VC %d (before %d)", hdr.NegHops, chosen.VC, before)
 			}
@@ -143,7 +143,7 @@ func TestNegHopDeliveryGrowsWithVCs(t *testing.T) {
 				if len(cands) == 0 {
 					break
 				}
-				alg.NoteHop(req, cands[0])
+				ApplyHop(req.Hdr, req.Node, cands[0])
 				next := m.Neighbor(req.Node, cands[0].Port)
 				back, _ := m.PortTo(next, req.Node)
 				req = Request{Node: next, InPort: back, InVC: cands[0].VC, Hdr: hdr}
@@ -201,7 +201,7 @@ func TestTorusDORDatelineDiscipline(t *testing.T) {
 			t.Fatalf("oblivious routing must give one candidate, got %v", cands)
 		}
 		vcs = append(vcs, cands[0].VC)
-		alg.NoteHop(req, cands[0])
+		ApplyHop(req.Hdr, req.Node, cands[0])
 		next := tor.Neighbor(req.Node, cands[0].Port)
 		back, _ := tor.PortTo(next, req.Node)
 		req = Request{Node: next, InPort: back, InVC: cands[0].VC, Hdr: hdr}
@@ -302,7 +302,7 @@ func TestUpDownPhaseDiscipline(t *testing.T) {
 			chosen := cands[rng.Intn(len(cands))]
 			nb := g.Neighbor(req.Node, chosen.Port)
 			phaseBefore := hdr.Phase
-			alg.NoteHop(req, chosen)
+			ApplyHop(req.Hdr, req.Node, chosen)
 			if phaseBefore == 1 && hdr.Phase == 0 {
 				t.Fatal("phase must be monotone (up* then down*)")
 			}

@@ -58,7 +58,7 @@ func (t *TorusDOR) step(cur, dst topology.NodeID) (port int, wraps bool) {
 }
 
 func (t *TorusDOR) RouteAppend(req Request, buf []Candidate) []Candidate {
-	port, _ := t.step(req.Node, req.Hdr.Dst)
+	port, wraps := t.step(req.Node, req.Hdr.Dst)
 	if port < 0 {
 		return buf
 	}
@@ -69,22 +69,19 @@ func (t *TorusDOR) RouteAppend(req Request, buf []Candidate) []Candidate {
 	if req.Hdr.Dateline != 0 {
 		vc = 1
 	}
-	return append(buf, Candidate{Port: port, VC: vc})
-}
-
-func (t *TorusDOR) NoteHop(req Request, chosen Candidate) {
-	_, wraps := t.step(req.Node, req.Hdr.Dst)
-	if wraps {
-		req.Hdr.Dateline = 1
-	}
-	// Entering the second dimension resets the dateline state: the Y
-	// ring has its own dateline.
+	// Crossing the wrap-around link sets the dateline state; entering
+	// the second dimension resets it: the Y ring has its own dateline.
+	var hop Hop
 	cx, _ := t.torus.XY(req.Node)
-	nx, _ := t.torus.XY(t.torus.Neighbor(req.Node, chosen.Port))
+	nx, _ := t.torus.XY(t.torus.Neighbor(req.Node, port))
 	dx, _ := t.torus.XY(req.Hdr.Dst)
-	if cx != dx && nx == dx {
-		req.Hdr.Dateline = 0
+	switch {
+	case cx != dx && nx == dx:
+		hop.Ops = SetDateline(0)
+	case wraps:
+		hop.Ops = SetDateline(1)
 	}
+	return append(buf, Candidate{Port: port, VC: vc, Hop: hop})
 }
 
 var _ Algorithm = (*TorusDOR)(nil)

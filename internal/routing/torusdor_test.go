@@ -28,11 +28,11 @@ func torusWalk(t *testing.T, tor *topology.Torus, alg *TorusDOR, src, dst topolo
 			t.Fatalf("torusdor %d->%d at %d: dateline clear but hop uses VC%d", src, dst, req.Node, chosen.VC)
 		}
 		wasWrap := isWrapHop(tor, req.Node, chosen.Port)
-		alg.NoteHop(req, chosen)
+		ApplyHop(req.Hdr, req.Node, chosen)
 		if wasWrap && hdr.Dateline != 1 {
 			// The only exception: the wrap hop lands exactly on the
 			// destination column and the dateline is reset for the Y
-			// ring — but NoteHop sets then resets in that order, so a
+			// ring — but the hop sets then resets in that order, so a
 			// wrap into the destination column with remaining Y hops
 			// must still have cleared it deliberately.
 			next := tor.Neighbor(req.Node, chosen.Port)

@@ -36,10 +36,9 @@ func NewTree(g topology.Graph) *Tree {
 	return t
 }
 
-func (t *Tree) Name() string               { return "tree" }
-func (t *Tree) NumVCs() int                { return 1 }
-func (t *Tree) Steps(Request) int          { return 1 }
-func (t *Tree) NoteHop(Request, Candidate) {}
+func (t *Tree) Name() string      { return "tree" }
+func (t *Tree) NumVCs() int       { return 1 }
+func (t *Tree) Steps(Request) int { return 1 }
 
 // UpdateFaults recomputes the spanning tree rooted at the lowest
 // operational node.

@@ -146,14 +146,6 @@ func (u *UpDown) UpdateFaults(f *fault.Set) {
 	u.Rebuilds++
 }
 
-func (u *UpDown) NoteHop(req Request, chosen Candidate) {
-	nb := u.g.Neighbor(req.Node, chosen.Port)
-	if !u.up(req.Node, nb) {
-		// Once descending, the message stays in the down phase.
-		req.Hdr.Phase = 1
-	}
-}
-
 func (u *UpDown) RouteAppend(req Request, out []Candidate) []Candidate {
 	cur, dst := req.Node, req.Hdr.Dst
 	for p := 0; p < u.g.Ports(); p++ {
@@ -168,7 +160,8 @@ func (u *UpDown) RouteAppend(req Request, out []Candidate) []Candidate {
 				out = append(out, Candidate{Port: p, VC: 0})
 			}
 		} else if u.canDown[nb][dst] {
-			out = append(out, Candidate{Port: p, VC: 0})
+			// Once descending, the message stays in the down phase.
+			out = append(out, Candidate{Port: p, VC: 0, Hop: Hop{Ops: SetPhase(1)}})
 		}
 	}
 	return out

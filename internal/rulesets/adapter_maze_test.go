@@ -119,7 +119,7 @@ func TestRuleMazeMatchesNativeWalks(t *testing.T) {
 					break
 				}
 				chosen := a[0]
-				fast.NoteHop(req, chosen)
+				routing.ApplyHop(req.Hdr, req.Node, chosen)
 				next := g.Neighbor(req.Node, chosen.Port)
 				if next == topology.Invalid || !tc.f.HopUsable(req.Node, next) {
 					t.Fatalf("%s %d->%d: illegal hop %v at %d", g.Name(), src, dst, chosen, req.Node)

@@ -296,11 +296,21 @@ func (r *RuleRouteC) RouteAppend(req routing.Request, buf []routing.Candidate) [
 	}
 	iv.Set(in.takingDetour, m.takingDetour)
 	r.vcArgs[0], r.vcDargs[0] = m.arg, m.arg.I
+	// The header update of the mode's hops: bumps and detours move to
+	// the next level, detours count as misroutes.
+	var modeOps routing.HopOps
+	if m.takingDetour != 0 {
+		modeOps = routing.SetLevel(req.Hdr.DetourLevel + 1)
+	}
+	if m.ports == portsDetour {
+		modeOps |= routing.HopMisroute
+	}
 	start := len(buf)
 	for ; ports != 0; ports &= ports - 1 {
 		p := bits.TrailingZeros64(ports)
+		bit := uint64(1) << uint(p)
 		outPhase := int64(1)
-		if diff&up>>uint(p)&1 != 0 {
+		if diff&up&bit != 0 {
 			outPhase = 0
 		}
 		iv.Set(in.phase, outPhase)
@@ -308,7 +318,18 @@ func (r *RuleRouteC) RouteAppend(req routing.Request, buf []routing.Candidate) [
 		if !ok {
 			return buf[:start]
 		}
-		buf = append(buf, routing.Candidate{Port: p, VC: int(vcOrd)})
+		// The phase after the hop: a descending hop, or an ascending one
+		// that leaves no ascending work, ends the level's ascent; a
+		// detour's direction alone starts the new level's phase.
+		phase := 1
+		if up&bit != 0 && (m.ports == portsDetour || diff&up&^bit != 0) {
+			phase = 0
+		}
+		hop := routing.Hop{Ops: modeOps}
+		if phase != req.Hdr.Phase {
+			hop.Ops |= routing.SetPhase(phase)
+		}
+		buf = append(buf, routing.Candidate{Port: p, VC: int(vcOrd), Hop: hop})
 	}
 	return buf
 }

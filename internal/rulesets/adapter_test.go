@@ -319,7 +319,7 @@ func walkUntilDropped(alg routing.Algorithm, m *topology.Mesh, src, dst topology
 		if len(cands) == 0 {
 			return path, true
 		}
-		alg.NoteHop(req, cands[0])
+		routing.ApplyHop(hdr, cur, cands[0])
 		cur, inPort = m.Neighbor(cur, cands[0].Port), topology.OppositeMeshPort(cands[0].Port)
 	}
 	return path, false

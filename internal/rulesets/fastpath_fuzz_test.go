@@ -100,7 +100,7 @@ func FuzzRuleNAFTADifferential(f *testing.F) {
 		}
 		// The words both paths were fed come from the per-node fact
 		// records; hold them to the per-call derivation for this header
-		// (NoteHop has not run: hdr is as routed).
+		// (no hop has been applied: hdr is as routed).
 		w := fast.native.FactWords(reqF)
 		var avail, avfault, misok uint8
 		for p, pf := range fast.native.PortFacts(reqF) {
@@ -131,7 +131,7 @@ func FuzzMazeFastPath(f *testing.F) {
 	type lane struct {
 		g            topology.Graph
 		fast, interp *RuleMaze
-		epoch        uint64
+		epoch        uint32
 	}
 	var lanes []*lane
 	irr, err := topology.RandomIrregular(20, 8, 3)
@@ -196,7 +196,6 @@ func FuzzMazeFastPath(f *testing.F) {
 			MazeMode:      fb.intn(3),
 			MazeStart:     topology.NodeID(fb.intn(g.Nodes())),
 			MazeStartPort: fb.intn(g.Ports() + 1),
-			MazeMD:        fb.intn(24),
 			MazeSteps:     int(fb.next()) * 2, // crosses the hop budget
 			MazeEpoch:     l.epoch,
 		}
