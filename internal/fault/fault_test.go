@@ -297,7 +297,7 @@ func TestSchedule(t *testing.T) {
 // Blocked(d,t,n) holds, walking from n in direction t (as far as the
 // line is physically passable) never finds the hop d usable; and
 // ClearRun(d,n) counts exactly the usable prefix of the straight line
-// in direction d.
+// in direction d, east or west.
 func TestDirStatesProperty(t *testing.T) {
 	m := topology.NewMesh(9, 7)
 	f := func(seed int64, kRaw uint8) bool {
@@ -314,7 +314,8 @@ func TestDirStatesProperty(t *testing.T) {
 			}
 		}
 		b := BuildBlocks(m, s)
-		d := BuildDirStates(m, s, b)
+		var d DirStates
+		d.Build(m, s, b)
 		usable := func(n topology.NodeID, p int) bool {
 			nb := m.Neighbor(n, p)
 			if nb == topology.Invalid || s.NodeFaulty(nb) || b.DisabledNode(nb) || s.LinkFaulty(n, nb) {
@@ -327,8 +328,9 @@ func TestDirStatesProperty(t *testing.T) {
 			if s.NodeFaulty(id) || b.DisabledNode(id) {
 				continue
 			}
-			// ClearRun: count the usable prefix directly.
-			for dir := 0; dir < 4; dir++ {
+			// ClearRun: count the usable prefix directly (east and west,
+			// the runs the entry guard reads).
+			for _, dir := range []int{topology.East, topology.West} {
 				run := 0
 				cur := id
 				for usable(cur, dir) {
